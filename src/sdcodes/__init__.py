@@ -4,6 +4,7 @@ from .code import (
     DEFAULT_ENUMERATION_CAP,
     CodeType,
     EnumerationCapError,
+    InternalConsistencyError,
     LinearCode,
     WeightEnumerator,
     extremal_bound,
@@ -23,7 +24,6 @@ from .fixtures_io import (
 )
 from .gf2 import BitMatrix, BitVector, dot, kernel_basis, mu, rank, rref, weight
 from .neighborhood import (
-    InternalConsistencyError,
     Neighborhood,
     Verdict,
     are_neighbors,

@@ -1,26 +1,32 @@
 """Binary linear codes: duality, membership, distance, classification.
 
-A LinearCode is stored in canonical form (RREF generator, zero rows dropped),
-so code equality is literal generator equality.  Minimum distance and weight
-enumeration walk all 2^k codewords with a Gray-code sweep; a hard dimension
-cap keeps that exhaustive walk bounded and makes oversize requests an explicit
-error instead of a silent approximation.
+A LinearCode is stored as its length and its canonical generator rows as
+ints (RREF, zero rows dropped), so code equality is literal row equality.
+Minimum distance and weight enumeration stream all 2^k codewords with one
+Gray-code sweep; a hard dimension cap keeps that exhaustive walk bounded and
+makes oversize requests an explicit error instead of a silent approximation.
 """
 
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import accumulate, chain, islice
+from operator import xor
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .gf2 import BitMatrix, BitVector, _kernel_ints, _rref_ints
+from .gf2 import MAX_LENGTH, BitMatrix, BitVector, _kernel_ints, _rref_ints
 
 DEFAULT_ENUMERATION_CAP = 30
 
 
 class EnumerationCapError(ValueError):
     """Raised when an exhaustive codeword sweep would exceed the dimension cap."""
+
+
+class InternalConsistencyError(AssertionError):
+    """A structural guarantee failed; the inputs or the library are wrong."""
 
 
 class CodeType(enum.Enum):
@@ -74,38 +80,44 @@ class WeightEnumerator:
 
 
 class LinearCode:
-    """A binary (n, k) linear code in canonical RREF-generator form."""
+    """A binary (n, k) linear code in canonical form.
 
-    __slots__ = ("n", "k", "generator")
+    rows holds the RREF generator as ints (bit i is coordinate i), zero rows
+    dropped, so two codes are equal exactly when their rows are equal.
+    """
+
+    __slots__ = ("n", "k", "rows")
 
     n: int
     k: int
-    generator: BitMatrix
+    rows: tuple[int, ...]
 
-    def __init__(self, generator: BitMatrix):
-        rows, _ = _rref_ints(generator.row_ints(), generator.ncols)
-        canonical = BitMatrix(
-            [BitVector(generator.ncols, bits) for bits in rows], ncols=generator.ncols
-        )
-        object.__setattr__(self, "n", generator.ncols)
-        object.__setattr__(self, "k", len(rows))
-        object.__setattr__(self, "generator", canonical)
+    def __init__(self, n: int, rows: Iterable[int]):
+        rows = list(rows)
+        if not 1 <= n <= MAX_LENGTH:
+            raise ValueError(f"code length must be in [1, {MAX_LENGTH}], got {n}")
+        if rows and (min(rows) < 0 or max(rows) >> n):
+            raise ValueError(f"generator rows must fit in {n} bits")
+        reduced, _ = _rref_ints(rows, n)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", len(reduced))
+        object.__setattr__(self, "rows", tuple(reduced))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("LinearCode is immutable")
 
-    @classmethod
-    def from_generator(cls, m: BitMatrix) -> LinearCode:
-        """Code spanned by the rows of m; dependent rows are reduced away."""
-        return cls(m)
+    @property
+    def generator(self) -> BitMatrix:
+        """The canonical generator matrix, built on each access."""
+        return BitMatrix([BitVector(self.n, r) for r in self.rows], ncols=self.n)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinearCode):
             return NotImplemented
-        return self.generator == other.generator
+        return self.n == other.n and self.rows == other.rows
 
     def __hash__(self) -> int:
-        return hash(self.generator)
+        return hash((self.n, self.rows))
 
     def __repr__(self) -> str:
         return f"LinearCode(n={self.n}, k={self.k})"
@@ -114,11 +126,10 @@ class LinearCode:
 
     def dual(self) -> LinearCode:
         """The (n, n-k) code of all vectors orthogonal to every codeword."""
-        basis = _kernel_ints(self.generator.row_ints(), self.n)
-        return LinearCode(BitMatrix([BitVector(self.n, b) for b in basis], ncols=self.n))
+        return LinearCode(self.n, _kernel_ints(self.rows, self.n))
 
     def is_self_orthogonal(self) -> bool:
-        rows = self.generator.row_ints()
+        rows = self.rows
         return all(
             (a & b).bit_count() & 1 == 0 for i, a in enumerate(rows) for b in rows[i:]
         )
@@ -130,23 +141,22 @@ class LinearCode:
         """Row-space membership, decided by reducing v against the RREF generator."""
         if v.length != self.n:
             raise ValueError(f"length mismatch: {v.length} != {self.n}")
-        bits = v.bits
-        for row, p in zip(self.generator.row_ints(), self._pivots()):
-            if (bits >> p) & 1:
-                bits ^= row
-        return bits == 0
+        return self._reduce(v.bits) == 0
 
-    def _pivots(self) -> tuple[int, ...]:
-        # rows are in RREF: the pivot of each row is its lowest set bit
-        return tuple((r & -r).bit_length() - 1 for r in self.generator.row_ints())
+    def _reduce(self, bits: int) -> int:
+        """bits reduced against the RREF rows: zero at every pivot, same coset."""
+        for row in self.rows:
+            # the pivot of an RREF row is its lowest set bit
+            if bits & (row & -row):
+                bits ^= row
+        return bits
 
     def intersection(self, other: LinearCode) -> LinearCode:
         """The code of vectors lying in both codes (kernel of stacked parity checks)."""
         if self.n != other.n:
             raise ValueError(f"length mismatch: {self.n} != {other.n}")
-        checks = self.dual().generator.rows + other.dual().generator.rows
-        basis = _kernel_ints([r.bits for r in checks], self.n)
-        return LinearCode(BitMatrix([BitVector(self.n, b) for b in basis], ncols=self.n))
+        checks = self.dual().rows + other.dual().rows
+        return LinearCode(self.n, _kernel_ints(checks, self.n))
 
     # -- exhaustive sweeps --------------------------------------------------
 
@@ -159,66 +169,21 @@ class LinearCode:
     def codewords(self, *, cap: int = DEFAULT_ENUMERATION_CAP) -> list[int]:
         """All 2^k codewords as raw ints, in Gray-code order (starts at 0)."""
         self._check_cap(cap)
-        rows = self.generator.row_ints()
-        words = [0] * (1 << self.k)
-        c = 0
-        for i in range(1, 1 << self.k):
-            c ^= rows[(i & -i).bit_length() - 1]
-            words[i] = c
-        return words
+        return list(_gray_words(self.rows))
 
-    def minimum_distance(
-        self, *, cap: int = DEFAULT_ENUMERATION_CAP, threads: int = 1
-    ) -> int:
+    def minimum_distance(self, *, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
         """Smallest nonzero codeword weight, by exhaustive Gray-code sweep."""
         if self.k == 0:
             raise ValueError("the zero-dimensional code has no minimum distance")
         self._check_cap(cap)
-        rows = self.generator.row_ints()
-        parts = _partition_prefixes(self.k, threads)
-        if len(parts) == 1:
-            return _sweep_min(rows, self.k, 0, 0)
-        g = parts[0][1]
-        low = self.k - g
+        # every word after the first (zero) one is nonzero
+        return min(map(int.bit_count, islice(_gray_words(self.rows), 1, None)))
 
-        def job(part: tuple[int, int]) -> int:
-            prefix, _ = part
-            base = 0
-            for j in range(g):
-                if (prefix >> j) & 1:
-                    base ^= rows[low + j]
-            return _sweep_min(rows, low, base, prefix)
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return min(pool.map(job, parts))
-
-    def weight_enumerator(
-        self, *, cap: int = DEFAULT_ENUMERATION_CAP, threads: int = 1
-    ) -> WeightEnumerator:
+    def weight_enumerator(self, *, cap: int = DEFAULT_ENUMERATION_CAP) -> WeightEnumerator:
         """Full weight distribution via the same Gray-code sweep."""
         self._check_cap(cap)
-        rows = self.generator.row_ints()
-        parts = _partition_prefixes(self.k, threads)
-        if len(parts) == 1:
-            counts = _sweep_counts(rows, self.k, 0, self.n)
-        else:
-            g = parts[0][1]
-            low = self.k - g
-
-            def job(part: tuple[int, int]) -> list[int]:
-                prefix, _ = part
-                base = 0
-                for j in range(g):
-                    if (prefix >> j) & 1:
-                        base ^= rows[low + j]
-                return _sweep_counts(rows, low, base, self.n)
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                counts = [0] * (self.n + 1)
-                for sub in pool.map(job, parts):
-                    for w, c in enumerate(sub):
-                        counts[w] += c
-        return WeightEnumerator({w: c for w, c in enumerate(counts) if c})
+        counts = Counter(map(int.bit_count, _gray_words(self.rows)))
+        return WeightEnumerator(dict(sorted(counts.items())))
 
     def classify(self) -> CodeType:
         """Type of the code, decided from generator rows only (no enumeration).
@@ -229,51 +194,48 @@ class LinearCode:
         """
         if not self.is_self_orthogonal():
             return CodeType.NOT_SELF_ORTHOGONAL
-        doubly_even = all(r.bit_count() % 4 == 0 for r in self.generator.row_ints())
+        doubly_even = all(r.bit_count() % 4 == 0 for r in self.rows)
         if 2 * self.k != self.n:
             return CodeType.SELF_ORTHOGONAL_ONLY
         return CodeType.TYPE_II if doubly_even else CodeType.TYPE_I
 
 
-def _sweep_min(rows: list[int], nbits: int, base: int, prefix: int) -> int:
-    """Min weight over {base XOR span(rows[:nbits])}, skipping the zero word.
+_BLOCK_BITS = 16
 
-    The zero word can only occur in the prefix-0 partition (at step 0).
+
+def _gray_blocks(rows: Sequence[int]) -> Iterator[Iterator[int]]:
+    """The span of rows in Gray-code order, as runs of at most 2^_BLOCK_BITS words.
+
+    Word i is the XOR of rows[b] over the set bits b of i ^ (i >> 1), so
+    consecutive words differ by one row and the first word is 0.  Each run
+    replays one fixed ruler of step rows through itertools.accumulate at C
+    speed; only the run's starting word changes, so memory does not grow
+    with the number of words.
     """
-    best = 1 << 62
-    c = base
-    if prefix != 0 or base != 0:
-        best = c.bit_count()
-    for i in range(1, 1 << nbits):
-        c ^= rows[(i & -i).bit_length() - 1]
-        w = c.bit_count()
-        if w < best:
-            best = w
-            if best == 1:
-                break
-    return best
+    k = len(rows)
+    low = min(k, _BLOCK_BITS)
+    # steps[j - 1] is the row in which word j differs from word j - 1, the
+    # one indexed by the lowest set bit of j; each ruler doubles the last
+    steps: list[int] = []
+    for b in range(low):
+        steps += [rows[b]] + steps
+    start = 0
+    for b in range(1 << (k - low)):
+        if b:
+            # the previous run ended at its start ^ rows[low - 1]: a full
+            # ruler steps through every lower row an even number of times
+            start ^= rows[low - 1] ^ rows[low + (b & -b).bit_length() - 1]
+        yield accumulate(steps, xor, initial=start)
 
 
-def _sweep_counts(rows: list[int], nbits: int, base: int, n: int) -> list[int]:
-    counts = [0] * (n + 1)
-    c = base
-    counts[c.bit_count()] = 1
-    for i in range(1, 1 << nbits):
-        c ^= rows[(i & -i).bit_length() - 1]
-        counts[c.bit_count()] += 1
-    return counts
-
-
-def _partition_prefixes(k: int, threads: int) -> list[tuple[int, int]]:
-    """Sub-range descriptors (prefix, g) for a sweep split over 2^g prefixes."""
-    if threads <= 1 or k < 2:
-        return [(0, 0)]
-    g = min(max(threads - 1, 1).bit_length(), k - 1)
-    return [(p, g) for p in range(1 << g)]
+def _gray_words(rows: Sequence[int]) -> Iterator[int]:
+    """All words of the span of rows, in Gray-code order, starting at 0."""
+    return chain.from_iterable(_gray_blocks(rows))
 
 
 def from_generator(m: BitMatrix) -> LinearCode:
-    return LinearCode(m)
+    """Code spanned by the rows of m; dependent rows are reduced away."""
+    return LinearCode(m.ncols, m.row_ints())
 
 
 def extremal_bound(n: int, code_type: CodeType) -> int:

@@ -12,8 +12,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .code import EnumerationCapError, LinearCode, from_generator
-from .gf2 import BitMatrix, BitVector
+from .code import EnumerationCapError, InternalConsistencyError, LinearCode
+from .gf2 import BitVector
 
 EQUIVALENCE_MAX_LENGTH = 32
 EQUIVALENCE_MAX_DIMENSION = 16
@@ -49,19 +49,21 @@ class CoordinatePermutation:
     def apply(self, v: BitVector) -> BitVector:
         if v.length != len(self.images):
             raise ValueError(f"length mismatch: {v.length} != {len(self.images)}")
-        bits = 0
-        for i, img in enumerate(self.images):
-            bits |= ((v.bits >> i) & 1) << img
-        return BitVector(v.length, bits)
+        return BitVector(v.length, _permute_bits(v.bits, self.images))
+
+
+def _permute_bits(bits: int, images: tuple[int, ...]) -> int:
+    out = 0
+    for i, img in enumerate(images):
+        out |= ((bits >> i) & 1) << img
+    return out
 
 
 def apply_permutation(c: LinearCode, p: CoordinatePermutation) -> LinearCode:
     """The code with coordinates relabeled by p."""
     if c.n != len(p.images):
         raise ValueError(f"length mismatch: {c.n} != {len(p.images)}")
-    if c.k == 0:
-        return c
-    return from_generator(BitMatrix([p.apply(row) for row in c.generator], ncols=c.n))
+    return LinearCode(c.n, [_permute_bits(r, p.images) for r in c.rows])
 
 
 def _reduce(w: int, pivots: dict) -> int:
@@ -85,6 +87,29 @@ def _column_coverage(words, n: int) -> Counter:
             cov[low.bit_length() - 1][wt] += 1
             w ^= low
     return Counter(tuple(sorted(c.items())) for c in cov)
+
+
+def _map_basis(depth: int, pats2, mpivots, basis, targets, by_weight, chosen) -> bool:
+    """Extend chosen with independent images of basis[depth:] whose column
+    patterns match targets; depth-first, candidates in codeword order.
+    """
+    if depth == len(basis):
+        return True
+    target = targets[depth]
+    for cand in by_weight.get(basis[depth].bit_count(), ()):
+        r = _reduce(cand, mpivots)
+        if r == 0:
+            continue
+        new_pats = [p | (((cand >> i) & 1) << depth) for i, p in enumerate(pats2)]
+        if Counter(new_pats) != target:
+            continue
+        chosen.append(cand)
+        next_pivots = dict(mpivots)
+        next_pivots[r & -r] = r
+        if _map_basis(depth + 1, new_pats, next_pivots, basis, targets, by_weight, chosen):
+            return True
+        chosen.pop()
+    return False
 
 
 def are_permutation_equivalent(
@@ -144,28 +169,8 @@ def are_permutation_equivalent(
     for w in words2[1:]:
         by_weight.setdefault(w.bit_count(), []).append(w)
 
-    chosen = []
-
-    def dfs(depth: int, pats2, mpivots) -> bool:
-        if depth == k:
-            return True
-        target = counters1[depth]
-        for cand in by_weight.get(basis[depth].bit_count(), ()):
-            r = _reduce(cand, mpivots)
-            if r == 0:
-                continue
-            new_pats = [p | (((cand >> i) & 1) << depth) for i, p in enumerate(pats2)]
-            if Counter(new_pats) != target:
-                continue
-            chosen.append(cand)
-            next_pivots = dict(mpivots)
-            next_pivots[r & -r] = r
-            if dfs(depth + 1, new_pats, next_pivots):
-                return True
-            chosen.pop()
-        return False
-
-    if not dfs(0, [0] * n, {}):
+    chosen: list[int] = []
+    if not _map_basis(0, [0] * n, {}, basis, counters1, by_weight, chosen):
         return None
 
     # equal pattern multisets admit a column bijection realizing the map
@@ -178,5 +183,6 @@ def are_permutation_equivalent(
         slots.setdefault(pat, []).append(i)
     images = [slots[pat].pop() for pat in pats1]
     witness = CoordinatePermutation(tuple(images))
-    assert apply_permutation(c1, witness) == c2, "witness failed verification"
+    if apply_permutation(c1, witness) != c2:
+        raise InternalConsistencyError("equivalence witness failed verification")
     return witness

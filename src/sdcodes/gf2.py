@@ -122,11 +122,6 @@ def mu(a: BitVector, b: BitVector) -> int:
     return (a.bits & b.bits).bit_count()
 
 
-def add(a: BitVector, b: BitVector) -> BitVector:
-    """Coordinatewise XOR.  weight(add(a,b)) == weight(a)+weight(b)-2*mu(a,b)."""
-    return a ^ b
-
-
 def dot(a: BitVector, b: BitVector) -> int:
     """Mod-2 scalar product."""
     return mu(a, b) & 1

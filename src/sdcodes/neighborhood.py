@@ -15,17 +15,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
-from .code import DEFAULT_ENUMERATION_CAP, CodeType, LinearCode, from_generator
-from .gf2 import BitMatrix, BitVector, dot
-
-
-class InternalConsistencyError(AssertionError):
-    """A structural guarantee failed; the inputs or the library are wrong."""
-
-
-def _rep_key(v: BitVector) -> tuple[int, str]:
-    # min weight first, then lexicographic on the coordinate string
-    return (v.weight(), v.to01())
+from .code import CodeType, InternalConsistencyError, LinearCode, _gray_blocks
+from .gf2 import BitVector
 
 
 def max_doubly_even_subcode(c: LinearCode) -> LinearCode:
@@ -37,16 +28,10 @@ def max_doubly_even_subcode(c: LinearCode) -> LinearCode:
     ct = c.classify()
     if ct is not CodeType.TYPE_I:
         raise ValueError(f"maximal doubly-even subcode requires a Type I code, got {ct}")
-    rows = list(c.generator.row_ints())
+    rows = c.rows
     t = [(r.bit_count() >> 1) & 1 for r in rows]
     j = t.index(1)
-    kernel_rows = []
-    for i, r in enumerate(rows):
-        if i == j:
-            continue
-        kernel_rows.append(r ^ rows[j] if t[i] else r)
-    m = BitMatrix([BitVector(c.n, r) for r in kernel_rows], ncols=c.n)
-    sub = from_generator(m)
+    sub = LinearCode(c.n, [r ^ rows[j] if t[i] else r for i, r in enumerate(rows) if i != j])
     if sub.k != c.k - 1:
         raise InternalConsistencyError("doubly-even subcode has wrong dimension")
     return sub
@@ -81,15 +66,29 @@ class Neighborhood:
         return (pair[0], pair[1])
 
 
-def _coset_representative(rep: BitVector, subcode_words: list[int]) -> BitVector:
-    best = rep
-    best_key = _rep_key(rep)
-    for w in subcode_words:
-        cand = BitVector(rep.length, rep.bits ^ w)
-        key = _rep_key(cand)
-        if key < best_key:
-            best, best_key = cand, key
-    return best
+def _reversed_bits(v: int, n: int) -> int:
+    # coordinate 0 becomes the most significant bit, so integer order on the
+    # result is lexicographic order on the 0/1 coordinate string
+    return int(format(v, f"0{n}b")[::-1], 2)
+
+
+def _coset_leaders(c_max: LinearCode, offsets: list[int]) -> tuple[int, list[tuple[int, int]]]:
+    """One sweep of c_max: its minimum distance and the canonical
+    representative of each coset offset + c_max, as (weight, word) pairs in
+    canonical order (minimum weight, then lexicographic).
+    """
+    n = c_max.n
+    flipped = [_reversed_bits(r, n) for r in c_max.rows]
+    flipped_offsets = [_reversed_bits(g, n) for g in offsets]
+    d = n + 1
+    best = [(n + 1, 0)] * len(offsets)
+    for block in _gray_blocks(flipped):
+        words = list(block)
+        d = min(d, min(filter(None, map(int.bit_count, words)), default=d))
+        for i, g in enumerate(flipped_offsets):
+            coset = list(map(g.__xor__, words))
+            best[i] = min(best[i], min(zip(map(int.bit_count, coset), coset)))
+    return d, [(w, _reversed_bits(x, n)) for w, x in sorted(best)]
 
 
 def neighborhood_containing(c_max: LinearCode) -> Neighborhood:
@@ -107,34 +106,26 @@ def neighborhood_containing(c_max: LinearCode) -> Neighborhood:
         raise ValueError(f"c_max must have dimension {n // 2 - 1}, got {c_max.k}")
     if not c_max.is_self_orthogonal():
         raise ValueError("c_max must be self-orthogonal")
-    for row in c_max.generator:
-        if row.weight() % 4 != 0:
-            raise ValueError("c_max must be doubly-even")
+    if any(row.bit_count() % 4 for row in c_max.rows):
+        raise ValueError("c_max must be doubly-even")
 
-    dual = c_max.dual()
-    # two generators of the 2-dimensional quotient dual / c_max
-    gammas: list[BitVector] = []
-    span = c_max
-    for row in dual.generator:
-        if not span.contains(row):
-            gammas.append(row)
-            span = from_generator(BitMatrix(list(span.generator) + [row], ncols=n))
+    # two generators of the 2-dimensional quotient dual / c_max; reduction
+    # against the RREF rows of c_max maps each coset to one word
+    gammas: list[int] = []
+    for row in c_max.dual().rows:
+        r = c_max._reduce(row)
+        if r and r not in gammas:
+            gammas.append(r)
             if len(gammas) == 2:
                 break
     if len(gammas) != 2:
         raise InternalConsistencyError("dual of c_max does not exceed c_max by dimension 2")
 
-    subwords = c_max.codewords()
-    reps = [
-        _coset_representative(gammas[0], subwords),
-        _coset_representative(gammas[1], subwords),
-        _coset_representative(gammas[0] + gammas[1], subwords),
-    ]
-    reps.sort(key=_rep_key)
+    d_max, leaders = _coset_leaders(c_max, [gammas[0], gammas[1], gammas[0] ^ gammas[1]])
 
     members: list[LinearCode] = []
-    for rep in reps:
-        ext = from_generator(BitMatrix(list(c_max.generator) + [rep], ncols=n))
+    for _, rep in leaders:
+        ext = LinearCode(n, c_max.rows + (rep,))
         if not ext.is_self_dual():
             raise InternalConsistencyError(
                 "coset extension is not self-dual; c_max lacks the all-ones word"
@@ -146,7 +137,9 @@ def neighborhood_containing(c_max: LinearCode) -> Neighborhood:
         raise InternalConsistencyError(
             f"expected one Type I and two Type II members, got {[t.value for t in types]}"
         )
-    distances = tuple(m.minimum_distance() for m in members)
+    # a coset's representative is one of its minimum-weight words
+    distances = tuple(min(d_max, w) for w, _ in leaders)
+    reps = tuple(BitVector(n, rep) for _, rep in leaders)
     return Neighborhood(
         c_max=c_max,
         members=(members[0], members[1], members[2]),
@@ -201,12 +194,12 @@ def neighbor_step(c: LinearCode, x: BitVector) -> LinearCode:
         raise ValueError("step vector must have even weight")
     if c.contains(x):
         raise ValueError("step vector must lie outside the code")
-    rows = list(c.generator.row_ints())
-    t = [dot(BitVector(c.n, r), x) for r in rows]
+    rows = c.rows
+    t = [(r & x.bits).bit_count() & 1 for r in rows]
     j = t.index(1)  # nonzero somewhere: x outside c = dual(c)
-    new_rows = [rows[i] ^ rows[j] if t[i] else rows[i] for i in range(len(rows)) if i != j]
+    new_rows = [r ^ rows[j] if t[i] else r for i, r in enumerate(rows) if i != j]
     new_rows.append(x.bits)
-    out = from_generator(BitMatrix([BitVector(c.n, r) for r in new_rows], ncols=c.n))
+    out = LinearCode(c.n, new_rows)
     if out.k != c.k or not out.is_self_dual():
         raise InternalConsistencyError("neighbor step produced a non-self-dual code")
     return out
@@ -216,8 +209,7 @@ def double_pair_code(n: int) -> LinearCode:
     """The direct sum of n/2 copies of the repetition code {00, 11}."""
     if n < 2 or n % 2 != 0:
         raise ValueError(f"length must be even and at least 2, got {n}")
-    rows = [BitVector(n, 0b11 << (2 * i)) for i in range(n // 2)]
-    return from_generator(BitMatrix(rows, ncols=n))
+    return LinearCode(n, [0b11 << (2 * i) for i in range(n // 2)])
 
 
 def walk_self_dual(n: int, seed: int) -> Iterator[LinearCode]:
@@ -232,10 +224,10 @@ def walk_self_dual(n: int, seed: int) -> Iterator[LinearCode]:
     yield c
     while True:
         while True:
-            x = BitVector(n, rng.getrandbits(n))
-            if x.weight() % 2 == 0 and not c.contains(x):
+            x = rng.getrandbits(n)
+            if x.bit_count() % 2 == 0 and c._reduce(x):
                 break
-        c = neighbor_step(c, x)
+        c = neighbor_step(c, BitVector(n, x))
         yield c
 
 
@@ -295,16 +287,14 @@ def verify_singly_even_range(nb: Neighborhood) -> Verdict:
     """
     n = nb.c_max.n
     d = nb.type1_distance()
-    weights = [
-        c for c in (w.bit_count() for w in nb.c_max.dual().codewords()) if c % 4 == 2
-    ]
-    if not weights:
+    singly = [(w, c) for w, c in nb.c_max.dual().weight_enumerator().items() if w % 4 == 2]
+    if not singly:
         return Verdict(
             check="singly_even_range",
             passed=None,
             details={"note": "dual of c_max has no singly-even words"},
         )
-    lo, hi = min(weights), max(weights)
+    lo, hi = singly[0][0], singly[-1][0]
     return Verdict(
         check="singly_even_range",
         passed=d <= lo and hi <= n - d,
@@ -313,6 +303,6 @@ def verify_singly_even_range(nb: Neighborhood) -> Verdict:
             "length": n,
             "min_singly_even": lo,
             "max_singly_even": hi,
-            "count_singly_even": len(weights),
+            "count_singly_even": sum(c for _, c in singly),
         },
     )

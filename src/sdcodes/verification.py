@@ -45,15 +45,14 @@ class CheckResult:
 class VerificationContext:
     """Lazily built shared state; construct once, run any subset of checks."""
 
-    def __init__(self, threads: int = 1):
-        self.threads = threads
+    def __init__(self):
         # every self-dual code the suite constructs, with its type and distance
         self.registry: dict[LinearCode, tuple[CodeType, int]] = {}
 
     def _register(self, code: LinearCode, ctype: CodeType, d: int | None = None):
         if code not in self.registry:
             if d is None:
-                d = code.minimum_distance(threads=self.threads)
+                d = code.minimum_distance()
             self.registry[code] = (ctype, d)
 
     def _register_neighborhood(self, nb: Neighborhood):
@@ -116,10 +115,7 @@ def _check_fixture_self_duality(ctx: VerificationContext):
 
 
 def _check_fixture_distances(ctx: VerificationContext):
-    got = {
-        name: c.minimum_distance(threads=ctx.threads)
-        for name, c in ctx.fixture_codes.items()
-    }
+    got = {name: c.minimum_distance() for name, c in ctx.fixture_codes.items()}
     return got == EXPECTED_DISTANCES, {"expected": EXPECTED_DISTANCES, "got": got}
 
 
@@ -257,7 +253,7 @@ def _check_extremal_bounds(ctx: VerificationContext):
             violations += 1
     golay = ctx.fixture_codes["G1"]
     entry = registry.get(golay)
-    d1 = entry[1] if entry else golay.minimum_distance(threads=ctx.threads)
+    d1 = entry[1] if entry else golay.minimum_distance()
     meets = (
         d1 == extremal_bound(24, CodeType.TYPE_II) == extremal_bound(24, CodeType.TYPE_I) == 8
     )
@@ -271,7 +267,7 @@ def _check_extremal_bounds(ctx: VerificationContext):
 def _check_common_subcode_uniqueness(ctx: VerificationContext):
     codes = ctx.fixture_codes
     sub = max_doubly_even_subcode(codes["G3"])
-    shared_rows = from_generator(BitMatrix(list(fixture("G3").rows[:11]), ncols=24))
+    shared_rows = LinearCode(24, fixture("G3").row_ints()[:11])
     triple_meet = codes["G1"].intersection(codes["G2"].intersection(codes["G3"]))
     stable = (
         set(neighborhood_of(codes["G3"]).members)
@@ -308,7 +304,7 @@ def _check_fixture_equivalence(ctx: VerificationContext):
 
 
 def _check_golay_weight_distribution(ctx: VerificationContext):
-    got = ctx.fixture_codes["G1"].weight_enumerator(threads=ctx.threads).as_dict()
+    got = ctx.fixture_codes["G1"].weight_enumerator().as_dict()
     expected = GOLAY_WEIGHT_DISTRIBUTION
     return got == expected, {
         "expected": {str(k): v for k, v in expected.items()},
@@ -337,12 +333,11 @@ def _check_distance_oracle_agreement(ctx: VerificationContext):
         while True:
             n = rng.randrange(4, 21)
             nrows = rng.randrange(1, min(n, 12) + 1)
-            m = BitMatrix([BitVector(n, rng.getrandbits(n)) for _ in range(nrows)], ncols=n)
-            code = from_generator(m)
+            code = LinearCode(n, [rng.getrandbits(n) for _ in range(nrows)])
             if code.k > 0:
                 break
-        fast = code.minimum_distance(threads=ctx.threads)
-        slow = _naive_min_distance(list(code.generator.row_ints()), code.k)
+        fast = code.minimum_distance()
+        slow = _naive_min_distance(code.rows, code.k)
         if fast != slow:
             return False, {"n": code.n, "k": code.k, "fast": fast, "slow": slow}
         agreed += 1
@@ -432,5 +427,5 @@ def iter_checks(ctx: VerificationContext | None = None) -> Iterator[CheckResult]
         yield CheckResult(num, name, passed, details)
 
 
-def run_all(threads: int = 1) -> list[CheckResult]:
-    return list(iter_checks(VerificationContext(threads=threads)))
+def run_all() -> list[CheckResult]:
+    return list(iter_checks(VerificationContext()))

@@ -165,6 +165,14 @@ class TestEquivalent:
         (record,) = json_lines(out)
         assert record["equivalent"] is False and record["witness"] is None
 
+    def test_failed_witness_check_exits_1(self, capsys, monkeypatch, fixture_codes):
+        from sdcodes import equivalence
+
+        monkeypatch.setattr(equivalence, "apply_permutation", lambda c, p: fixture_codes["G3"])
+        status, out, err = run_cli(capsys, "equivalent", "fixture:G1", "fixture:G2", "--json")
+        assert status == 1 and out == ""
+        assert "consistency check failed" in err
+
 
 class TestSearch:
     def test_deterministic_in_process(self, capsys):

@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -11,6 +12,7 @@ from sdcodes.code import (
     from_generator,
 )
 from sdcodes.gf2 import BitMatrix, BitVector
+from sdcodes.neighborhood import double_pair_code
 
 from oracles import (
     o_member,
@@ -58,6 +60,19 @@ class TestCanonicalForm:
         assert c.k == 0
         with pytest.raises(ValueError):
             c.minimum_distance()
+
+    def test_int_rows_match_the_matrix_boundary(self, fixture_codes):
+        g1 = fixture_codes["G1"]
+        assert LinearCode(24, reversed(g1.rows)) == g1
+        assert g1.generator.row_ints() == list(g1.rows)
+
+    def test_rows_outside_the_length_rejected(self):
+        with pytest.raises(ValueError, match="fit"):
+            LinearCode(4, [0b10000])
+        with pytest.raises(ValueError, match="fit"):
+            LinearCode(4, [-1])
+        with pytest.raises(ValueError, match="length"):
+            LinearCode(0, [])
 
 
 class TestDual:
@@ -145,6 +160,41 @@ class TestEnumeration:
         assert small.minimum_distance(cap=6) == 1
 
 
+class TestSweepPastOneBlock:
+    """The sweep runs in blocks of 2^16 words; these codes need several."""
+
+    def test_identity_17_enumerates_the_whole_space(self):
+        c = from_generator(BitMatrix.identity(17))
+        assert set(c.codewords()) == set(range(1 << 17))
+        assert c.weight_enumerator() == {w: comb(17, w) for w in range(18)}
+        assert c.minimum_distance() == 1
+
+    def test_double_pair_36(self):
+        c = double_pair_code(36)
+        assert c.k == 18
+        assert c.weight_enumerator() == {2 * j: comb(18, j) for j in range(19)}
+        assert c.minimum_distance() == 2
+
+    def test_gray_order_at_k18(self):
+        rng = random.Random(18)
+        while True:
+            c = LinearCode(40, [rng.getrandbits(40) for _ in range(18)])
+            if c.k == 18:
+                break
+        words = c.codewords()
+        assert len(words) == 1 << 18 and words[0] == 0
+        rows = set(c.rows)
+        assert all(a ^ b in rows for a, b in zip(words, words[1:]))
+        # word i is the sum of the rows picked by the Gray code i ^ (i >> 1)
+        for i in (1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 3 << 16, (1 << 18) - 1):
+            g = i ^ (i >> 1)
+            expected = 0
+            for b in range(18):
+                if (g >> b) & 1:
+                    expected ^= c.rows[b]
+            assert words[i] == expected
+
+
 class TestMinimumDistance:
     def test_fixture_distances(self, fixture_codes):
         for name, (d, _) in EXPECTED.items():
@@ -158,11 +208,6 @@ class TestMinimumDistance:
                 continue
             expected = o_min_distance([to_bits(r) for r in c.generator])
             assert c.minimum_distance() == expected
-
-    def test_threads_agree(self, fixture_codes):
-        c = fixture_codes["G1"]
-        assert c.minimum_distance(threads=1) == c.minimum_distance(threads=4) == 8
-        assert c.minimum_distance(threads=3) == 8
 
 
 class TestWeightEnumerator:
@@ -187,10 +232,6 @@ class TestWeightEnumerator:
         for c in fixture_codes.values():
             we = c.weight_enumerator().as_dict()
             assert all(we[w] == we[24 - w] for w in we)
-
-    def test_threads_agree(self, fixture_codes):
-        c = fixture_codes["G2"]
-        assert c.weight_enumerator(threads=4).as_dict() == GOLAY_WE
 
     def test_mapping_interface(self):
         we = WeightEnumerator({0: 1, 4: 3})

@@ -1,8 +1,10 @@
+import gc
 import random
 
 import pytest
 
-from sdcodes.code import EnumerationCapError, from_generator
+from sdcodes import equivalence
+from sdcodes.code import EnumerationCapError, InternalConsistencyError, from_generator
 from sdcodes.equivalence import (
     CoordinatePermutation,
     apply_permutation,
@@ -147,3 +149,21 @@ class TestDecision:
     def test_zero_dimensional_codes(self):
         z = from_generator(BitMatrix.from_strings(["0000"]))
         assert are_permutation_equivalent(z, z) == CoordinatePermutation.identity(4)
+
+
+class TestWitnessCheck:
+    def test_wrong_witness_raises(self, monkeypatch, fixture_codes):
+        # a raised error, not an assert, so python -O keeps the check
+        monkeypatch.setattr(equivalence, "apply_permutation", lambda c, p: fixture_codes["G3"])
+        with pytest.raises(InternalConsistencyError, match="witness"):
+            are_permutation_equivalent(fixture_codes["G1"], fixture_codes["G2"])
+
+    def test_search_leaves_no_reference_cycles(self, fixture_codes):
+        gc.collect()
+        gc.disable()
+        try:
+            are_permutation_equivalent(fixture_codes["G1"], fixture_codes["G2"])
+            are_permutation_equivalent(fixture_codes["G1"], fixture_codes["G3"])
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
