@@ -1,5 +1,6 @@
 import gc
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,6 +13,8 @@ from sdcodes.equivalence import (
 )
 from sdcodes.gf2 import BitMatrix, BitVector
 from sdcodes.neighborhood import double_pair_code, neighborhood_of
+
+from oracles import o_codewords, o_weight, to_bits
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +152,40 @@ class TestDecision:
     def test_zero_dimensional_codes(self):
         z = from_generator(BitMatrix.from_strings(["0000"]))
         assert are_permutation_equivalent(z, z) == CoordinatePermutation.identity(4)
+
+
+def o_column_coverage(c):
+    """Per column, the weights of the codewords covering it, counted word by word."""
+    words = o_codewords([to_bits(r) for r in c.generator])
+    profiles = [Counter() for _ in range(c.n)]
+    for w in words:
+        for i, bit in enumerate(w):
+            if bit:
+                profiles[i][o_weight(w)] += 1
+    return Counter(tuple(sorted(p.items())) for p in profiles)
+
+
+class TestColumnCoverage:
+    def test_matches_per_word_count_on_random_codes(self):
+        rng = random.Random(31)
+        zero_columns = 0
+        for _ in range(40):
+            n = rng.randrange(2, 15)
+            # a random mask zeroes some columns of every row
+            mask = rng.getrandbits(n) | rng.getrandbits(n)
+            nrows = rng.randrange(1, min(n, 8) + 1)
+            rows = [BitVector(n, rng.getrandbits(n) & mask) for _ in range(nrows)]
+            c = from_generator(BitMatrix(rows, ncols=n))
+            if c.k == 0:
+                continue
+            zero_columns += n - bin(mask).count("1")
+            assert equivalence._column_coverage(c.codewords(), c.n) == o_column_coverage(c)
+        assert zero_columns > 0
+
+    def test_fixtures(self, fixture_codes):
+        for name in ("G3", "G4"):
+            c = fixture_codes[name]
+            assert equivalence._column_coverage(c.codewords(), c.n) == o_column_coverage(c)
 
 
 class TestWitnessCheck:

@@ -9,12 +9,15 @@ digests with `PYTHONPATH=src python tests/test_goldens.py`.
 
 import hashlib
 import io
+import random
 import sys
 
 import pytest
 
 from sdcodes import cli
-from sdcodes.fixtures_io import serialize_matrix
+from sdcodes.code import from_generator
+from sdcodes.equivalence import CoordinatePermutation, apply_permutation
+from sdcodes.fixtures_io import fixture, serialize_matrix
 from sdcodes.neighborhood import random_self_dual
 
 # (argv, stdin producer or None, exit status, sha256 of stdout)
@@ -54,10 +57,25 @@ GOLDENS = [
     # a valid Type I input whose no_better_type1 verdict fails (d=6 vs 4, 4)
     (["neighborhood", "-"], "walk32", 1,
      "2f15833d9d68798c848e2912bb8426ec4ceb1f35c99ece44870591c9f666f58f"),
+    # seeded coordinate permutations of a fixture: pins the DFS witness
+    (["equivalent", "fixture:G1", "-"], "G1perm", 0,
+     "ac1583f8205860e0d0fc024f60905dd2b6ab2de1d947a002017a470fdaf59f0f"),
+    (["equivalent", "fixture:G4", "-"], "G4perm", 0,
+     "180b894555fa2e4f4c05bad1a9c8106f6bca3c8dd455bee5c311b5e167b51f26"),
 ]
+
+
+def permuted_fixture(name, seed):
+    images = list(range(24))
+    random.Random(seed).shuffle(images)
+    moved = apply_permutation(from_generator(fixture(name)), CoordinatePermutation(tuple(images)))
+    return serialize_matrix(moved.generator)
+
 
 STDIN = {
     "walk32": lambda: serialize_matrix(random_self_dual(32, 12, 19).generator),
+    "G1perm": lambda: permuted_fixture("G1", 1),
+    "G4perm": lambda: permuted_fixture("G4", 4),
 }
 
 
