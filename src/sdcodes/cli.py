@@ -107,8 +107,9 @@ def _cmd_dual(args) -> int:
         "rows": _matrix_rows(dual),
         "exit_status": 0,
     }
-    human = f"n={dual.n} k={dual.k}\n" + serialize_matrix(dual.generator, spaced=True)
-    _emit(args, record, human.rstrip("\n"))
+    # the text matrix cannot show k=0, so it is built only for human output
+    matrix = "" if args.json else serialize_matrix(dual.generator, spaced=True)
+    _emit(args, record, f"n={dual.n} k={dual.k}\n{matrix}".rstrip("\n"))
     return 0
 
 
@@ -382,13 +383,7 @@ def main(argv=None) -> int:
     except InternalConsistencyError as e:
         print(f"consistency check failed: {e}", file=sys.stderr)
         return 1
-    except (MatrixFormatError, EnumerationCapError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -233,6 +233,19 @@ def _gray_words(rows: Sequence[int]) -> Iterator[int]:
     return chain.from_iterable(_gray_blocks(rows))
 
 
+def _kernel_rows(rows: Sequence[int], t: Sequence[int]) -> list[int]:
+    """Rows spanning the subcode of span(rows) on which the linear functional
+    with value t[i] at rows[i] vanishes; all of rows when t is zero.
+
+    Adding one row of value 1 to every other row of value 1 zeroes the
+    functional on them, and dropping that row leaves a basis of the kernel.
+    """
+    if 1 not in t:
+        return list(rows)
+    j = t.index(1)
+    return [r ^ rows[j] if t[i] else r for i, r in enumerate(rows) if i != j]
+
+
 def from_generator(m: BitMatrix) -> LinearCode:
     """Code spanned by the rows of m; dependent rows are reduced away."""
     return LinearCode(m.ncols, m.row_ints())

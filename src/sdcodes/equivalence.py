@@ -3,8 +3,11 @@
 Two codes are permutation equivalent when some relabeling of coordinates
 maps one onto the other.  The decision procedure is exact: cheap invariant
 rejections (weight distribution, column coverage profiles) followed by a
-depth-first search assigning images to a small-weight basis, pruned by
-column pattern multisets.  Any witness returned has been verified.
+depth-first search assigning images to a small-weight basis.  A column's
+coverage profile is the code's weight enumerator minus that of the code
+shortened at the column, both from the shared Gray sweep.  Column pattern
+multisets alone prune the search: a match at every depth already makes the
+images independent.  Any witness returned has been verified.
 """
 
 from __future__ import annotations
@@ -12,7 +15,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .code import EnumerationCapError, InternalConsistencyError, LinearCode
+from .code import (
+    EnumerationCapError,
+    InternalConsistencyError,
+    LinearCode,
+    WeightEnumerator,
+    _kernel_rows,
+)
 from .gf2 import BitVector
 
 EQUIVALENCE_MAX_LENGTH = 32
@@ -66,50 +75,44 @@ def apply_permutation(c: LinearCode, p: CoordinatePermutation) -> LinearCode:
     return LinearCode(c.n, [_permute_bits(r, p.images) for r in c.rows])
 
 
-def _reduce(w: int, pivots: dict) -> int:
-    # forward reduction by lowest set bit; 0 means dependent
-    while w:
-        low = w & -w
-        row = pivots.get(low)
-        if row is None:
-            return w
-        w ^= row
-    return 0
+def _column_coverage(c: LinearCode, full: WeightEnumerator) -> Counter:
+    """Multiset over columns of (weight -> covering codeword count) profiles.
+
+    The words covering column i are the code minus its subcode that is zero
+    at i, so a profile is the weight enumerator full of c minus that of the
+    shortened code.
+    """
+    profiles = Counter()
+    for i in range(c.n):
+        t = [(r >> i) & 1 for r in c.rows]
+        short = LinearCode(c.n, _kernel_rows(c.rows, t)).weight_enumerator()
+        profiles[tuple((w, m - short[w]) for w, m in full.items() if m != short[w])] += 1
+    return profiles
 
 
-def _column_coverage(words, n: int) -> Counter:
-    """Multiset over columns of (weight -> covering codeword count) profiles."""
-    cov = [Counter() for _ in range(n)]
-    for w in words:
-        wt = w.bit_count()
-        while w:
-            low = w & -w
-            cov[low.bit_length() - 1][wt] += 1
-            w ^= low
-    return Counter(tuple(sorted(c.items())) for c in cov)
+def _map_basis(depth: int, classes, basis, targets, by_weight):
+    """The columns of the images, grouped by pattern as (pattern, column mask)
+    pairs, once images of basis[depth:] are chosen depth-first in codeword
+    order so that each depth's pattern multiset matches targets; or None.
 
-
-def _map_basis(depth: int, pats2, mpivots, basis, targets, by_weight, chosen) -> bool:
-    """Extend chosen with independent images of basis[depth:] whose column
-    patterns match targets; depth-first, candidates in codeword order.
+    Equal multisets make the images a column permutation of the independent
+    basis rows, so the images are independent too.
     """
     if depth == len(basis):
-        return True
-    target = targets[depth]
+        return classes
+    bit = 1 << depth
+    masks = [m for _, m in classes]
+    # each class already has the target's size, so the number of its columns
+    # that the image sets decides the counts of both patterns it splits into
+    ones = [targets[depth][p | bit] for p, _ in classes]
     for cand in by_weight.get(basis[depth].bit_count(), ()):
-        r = _reduce(cand, mpivots)
-        if r == 0:
-            continue
-        new_pats = [p | (((cand >> i) & 1) << depth) for i, p in enumerate(pats2)]
-        if Counter(new_pats) != target:
-            continue
-        chosen.append(cand)
-        next_pivots = dict(mpivots)
-        next_pivots[r & -r] = r
-        if _map_basis(depth + 1, new_pats, next_pivots, basis, targets, by_weight, chosen):
-            return True
-        chosen.pop()
-    return False
+        if list(map(int.bit_count, map(cand.__and__, masks))) == ones:
+            split = [(p | bit, m & cand) for p, m in classes]
+            split += [(p, m & ~cand) for p, m in classes]
+            found = _map_basis(depth + 1, [c for c in split if c[1]], basis, targets, by_weight)
+            if found is not None:
+                return found
+    return None
 
 
 def are_permutation_equivalent(
@@ -138,49 +141,42 @@ def are_permutation_equivalent(
     k = c1.k
     if k == 0 or c1 == c2:
         return CoordinatePermutation.identity(n)
-    if c1.weight_enumerator() != c2.weight_enumerator():
+    full = c1.weight_enumerator()
+    if full != c2.weight_enumerator():
         return None
-
-    words1 = c1.codewords()
-    words2 = c2.codewords()
-    if _column_coverage(words1, n) != _column_coverage(words2, n):
+    # from here on full is the weight enumerator of both codes
+    if _column_coverage(c1, full) != _column_coverage(c2, full):
         return None
 
     # small-weight basis of c1; its words have few candidate images
-    basis = []
-    pivots = {}
-    for w in sorted(words1[1:], key=lambda v: (v.bit_count(), v)):
-        r = _reduce(w, pivots)
-        if r:
-            pivots[r & -r] = r
+    words1 = sorted(c1.codewords()[1:])
+    words1.sort(key=int.bit_count)
+    basis: list[int] = []
+    span = LinearCode(n, basis)
+    for w in words1:
+        if span._reduce(w):
             basis.append(w)
-            if len(basis) == k:
+            span = LinearCode(n, basis)
+            if span.k == k:
                 break
 
     # column patterns of the basis, cumulatively per depth
     pats1 = [0] * n
-    counters1 = []
+    targets = []
     for d, b in enumerate(basis):
-        for i in range(n):
-            pats1[i] |= ((b >> i) & 1) << d
-        counters1.append(Counter(pats1))
+        pats1 = [p | (((b >> i) & 1) << d) for i, p in enumerate(pats1)]
+        targets.append(Counter(pats1))
 
     by_weight = {}
-    for w in words2[1:]:
+    for w in c2.codewords()[1:]:
         by_weight.setdefault(w.bit_count(), []).append(w)
 
-    chosen: list[int] = []
-    if not _map_basis(0, [0] * n, {}, basis, counters1, by_weight, chosen):
+    classes = _map_basis(0, [(0, (1 << n) - 1)], basis, targets, by_weight)
+    if classes is None:
         return None
 
     # equal pattern multisets admit a column bijection realizing the map
-    pats2 = [0] * n
-    for d, m in enumerate(chosen):
-        for i in range(n):
-            pats2[i] |= ((m >> i) & 1) << d
-    slots = {}
-    for i, pat in enumerate(pats2):
-        slots.setdefault(pat, []).append(i)
+    slots = {p: [i for i in range(n) if (m >> i) & 1] for p, m in classes}
     images = [slots[pat].pop() for pat in pats1]
     witness = CoordinatePermutation(tuple(images))
     if apply_permutation(c1, witness) != c2:

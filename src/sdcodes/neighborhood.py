@@ -15,7 +15,14 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
-from .code import CodeType, InternalConsistencyError, LinearCode, _gray_blocks
+from .code import (
+    DEFAULT_ENUMERATION_CAP,
+    CodeType,
+    InternalConsistencyError,
+    LinearCode,
+    _gray_blocks,
+    _kernel_rows,
+)
 from .gf2 import BitVector
 
 
@@ -28,10 +35,8 @@ def max_doubly_even_subcode(c: LinearCode) -> LinearCode:
     ct = c.classify()
     if ct is not CodeType.TYPE_I:
         raise ValueError(f"maximal doubly-even subcode requires a Type I code, got {ct}")
-    rows = c.rows
-    t = [(r.bit_count() >> 1) & 1 for r in rows]
-    j = t.index(1)
-    sub = LinearCode(c.n, [r ^ rows[j] if t[i] else r for i, r in enumerate(rows) if i != j])
+    t = [(r.bit_count() >> 1) & 1 for r in c.rows]
+    sub = LinearCode(c.n, _kernel_rows(c.rows, t))
     if sub.k != c.k - 1:
         raise InternalConsistencyError("doubly-even subcode has wrong dimension")
     return sub
@@ -77,6 +82,7 @@ def _coset_leaders(c_max: LinearCode, offsets: list[int]) -> tuple[int, list[tup
     representative of each coset offset + c_max, as (weight, word) pairs in
     canonical order (minimum weight, then lexicographic).
     """
+    c_max._check_cap(DEFAULT_ENUMERATION_CAP)
     n = c_max.n
     flipped = [_reversed_bits(r, n) for r in c_max.rows]
     flipped_offsets = [_reversed_bits(g, n) for g in offsets]
@@ -194,12 +200,9 @@ def neighbor_step(c: LinearCode, x: BitVector) -> LinearCode:
         raise ValueError("step vector must have even weight")
     if c.contains(x):
         raise ValueError("step vector must lie outside the code")
-    rows = c.rows
-    t = [(r & x.bits).bit_count() & 1 for r in rows]
-    j = t.index(1)  # nonzero somewhere: x outside c = dual(c)
-    new_rows = [r ^ rows[j] if t[i] else r for i, r in enumerate(rows) if i != j]
-    new_rows.append(x.bits)
-    out = LinearCode(c.n, new_rows)
+    # x . v is nonzero for some v in c, since x lies outside c = dual(c)
+    t = [(r & x.bits).bit_count() & 1 for r in c.rows]
+    out = LinearCode(c.n, _kernel_rows(c.rows, t) + [x.bits])
     if out.k != c.k or not out.is_self_dual():
         raise InternalConsistencyError("neighbor step produced a non-self-dual code")
     return out

@@ -269,12 +269,9 @@ def _check_common_subcode_uniqueness(ctx: VerificationContext):
     sub = max_doubly_even_subcode(codes["G3"])
     shared_rows = LinearCode(24, fixture("G3").row_ints()[:11])
     triple_meet = codes["G1"].intersection(codes["G2"].intersection(codes["G3"]))
-    stable = (
-        set(neighborhood_of(codes["G3"]).members)
-        == set(neighborhood_of(codes["G3"]).members)
-    ) and (
-        set(neighborhood_of(codes["G4"]).members)
-        == set(neighborhood_of(codes["G4"]).members)
+    stable = all(
+        set(neighborhood_of(codes[name]).members) == set(nb.members)
+        for name, nb in zip(("G3", "G4"), ctx.fixture_neighborhoods)
     )
     return (sub == shared_rows and sub == triple_meet and stable), {
         "equals_shared_row_span": sub == shared_rows,
@@ -411,21 +408,8 @@ CHECKS: list[tuple[int, str, Callable]] = [
 ]
 
 
-def run_check(criterion: int, ctx: VerificationContext | None = None) -> CheckResult:
-    ctx = ctx or VerificationContext()
-    for num, name, fn in CHECKS:
-        if num == criterion:
-            passed, details = fn(ctx)
-            return CheckResult(num, name, passed, details)
-    raise ValueError(f"no acceptance check numbered {criterion}")
-
-
 def iter_checks(ctx: VerificationContext | None = None) -> Iterator[CheckResult]:
     ctx = ctx or VerificationContext()
     for num, name, fn in CHECKS:
         passed, details = fn(ctx)
         yield CheckResult(num, name, passed, details)
-
-
-def run_all() -> list[CheckResult]:
-    return list(iter_checks(VerificationContext()))

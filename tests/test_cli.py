@@ -4,8 +4,11 @@ import sys
 
 import pytest
 
-from sdcodes import cli
+from sdcodes import cli, neighborhood
 from sdcodes.fixtures_io import fixture, serialize_matrix
+from sdcodes.gf2 import BitMatrix
+
+from test_neighborhood import first_type1, refuse_sweep
 
 
 def run_cli(capsys, *argv):
@@ -85,6 +88,17 @@ class TestDual:
         body = "\n".join(out.splitlines()[1:]) + "\n"
         assert parse_matrix(body).nrows == 12
 
+    def test_zero_dimensional_dual(self, capsys, tmp_path):
+        path = tmp_path / "identity10.txt"
+        path.write_text(serialize_matrix(BitMatrix.identity(10)))
+        status, out, _ = run_cli(capsys, "dual", str(path), "--json")
+        assert status == 0
+        (record,) = json_lines(out)
+        assert record["k"] == 0 and record["rows"] == []
+        # the text format has no empty matrix
+        status, out, err = run_cli(capsys, "dual", str(path))
+        assert status == 2 and out == "" and "not representable" in err
+
 
 class TestNeighborhood:
     def test_type1_fixture(self, capsys):
@@ -126,6 +140,15 @@ class TestNeighborhood:
         assert members == {
             fixture_codes["G1"], fixture_codes["G2"], fixture_codes["G3"]
         }
+
+
+    def test_c_max_beyond_the_cap_exits_2(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "n64.txt"
+        path.write_text(serialize_matrix(first_type1(64, 0).generator))
+        monkeypatch.setattr(neighborhood, "_gray_blocks", refuse_sweep)
+        status, out, err = run_cli(capsys, "neighborhood", str(path), "--json")
+        assert status == 2 and out == ""
+        assert err == "error: instance too large: dimension 31 exceeds enumeration cap 30\n"
 
 
 class TestNeighbors:

@@ -179,13 +179,13 @@ class TestColumnCoverage:
             if c.k == 0:
                 continue
             zero_columns += n - bin(mask).count("1")
-            assert equivalence._column_coverage(c.codewords(), c.n) == o_column_coverage(c)
+            assert equivalence._column_coverage(c, c.weight_enumerator()) == o_column_coverage(c)
         assert zero_columns > 0
 
     def test_fixtures(self, fixture_codes):
         for name in ("G3", "G4"):
             c = fixture_codes[name]
-            assert equivalence._column_coverage(c.codewords(), c.n) == o_column_coverage(c)
+            assert equivalence._column_coverage(c, c.weight_enumerator()) == o_column_coverage(c)
 
 
 class TestWitnessCheck:

@@ -1,6 +1,7 @@
 import pytest
 
-from sdcodes.code import CodeType, from_generator
+from sdcodes import neighborhood
+from sdcodes.code import CodeType, EnumerationCapError, from_generator
 from sdcodes.fixtures_io import fixture
 from sdcodes.gf2 import BitMatrix, BitVector
 from sdcodes.neighborhood import (
@@ -19,6 +20,14 @@ from sdcodes.neighborhood import (
 )
 
 from oracles import o_doubly_even_words, to_bits
+
+
+def first_type1(n, seed):
+    return next(c for c in walk_self_dual(n, seed) if c.classify() is CodeType.TYPE_I)
+
+
+def refuse_sweep(rows):
+    raise AssertionError(f"swept a code of dimension {len(rows)}")
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +180,13 @@ class TestPreconditions:
         assert bad.is_self_orthogonal() and bad.k == 3
         with pytest.raises(InternalConsistencyError, match="all-ones"):
             neighborhood_containing(bad)
+
+
+    def test_c_max_beyond_the_cap_refused_before_any_sweep(self, monkeypatch):
+        # n=64: c_max has dimension 31, above the enumeration cap of 30
+        monkeypatch.setattr(neighborhood, "_gray_blocks", refuse_sweep)
+        with pytest.raises(EnumerationCapError, match="dimension 31"):
+            neighborhood_of(first_type1(64, 0))
 
 
 class TestNeighborRelation:
