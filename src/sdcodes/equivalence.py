@@ -149,29 +149,28 @@ def are_permutation_equivalent(
         return None
 
     # small-weight basis of c1; its words have few candidate images
-    words1 = sorted(c1.codewords()[1:])
-    words1.sort(key=int.bit_count)
     basis: list[int] = []
     span = LinearCode(n, basis)
-    for w in words1:
+    for w in sorted(c1.codewords()[1:], key=lambda v: (v.bit_count(), v)):
         if span._reduce(w):
             basis.append(w)
-            span = LinearCode(n, basis)
-            if span.k == k:
+            if len(basis) == k:
                 break
+            span = LinearCode(n, basis)
 
     # column patterns of the basis, cumulatively per depth
     pats1 = [0] * n
-    targets = []
+    counters1 = []
     for d, b in enumerate(basis):
-        pats1 = [p | (((b >> i) & 1) << d) for i, p in enumerate(pats1)]
-        targets.append(Counter(pats1))
+        for i in range(n):
+            pats1[i] |= ((b >> i) & 1) << d
+        counters1.append(Counter(pats1))
 
     by_weight = {}
     for w in c2.codewords()[1:]:
         by_weight.setdefault(w.bit_count(), []).append(w)
 
-    classes = _map_basis(0, [(0, (1 << n) - 1)], basis, targets, by_weight)
+    classes = _map_basis(0, [(0, (1 << n) - 1)], basis, counters1, by_weight)
     if classes is None:
         return None
 
