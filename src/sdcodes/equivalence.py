@@ -149,9 +149,13 @@ def are_permutation_equivalent(
         return None
 
     # small-weight basis of c1; its words have few candidate images
+    # (weight, word) order by two stable sorts on C-level keys; a tuple key
+    # per word costs about 40 ms and 1.5 MB at k=16
+    words1 = sorted(c1.codewords()[1:])
+    words1.sort(key=int.bit_count)
     basis: list[int] = []
     span = LinearCode(n, basis)
-    for w in sorted(c1.codewords()[1:], key=lambda v: (v.bit_count(), v)):
+    for w in words1:
         if span._reduce(w):
             basis.append(w)
             if len(basis) == k:

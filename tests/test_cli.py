@@ -141,7 +141,6 @@ class TestNeighborhood:
             fixture_codes["G1"], fixture_codes["G2"], fixture_codes["G3"]
         }
 
-
     def test_c_max_beyond_the_cap_exits_2(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "n64.txt"
         path.write_text(serialize_matrix(first_type1(64, 0).generator))

@@ -181,7 +181,6 @@ class TestPreconditions:
         with pytest.raises(InternalConsistencyError, match="all-ones"):
             neighborhood_containing(bad)
 
-
     def test_c_max_beyond_the_cap_refused_before_any_sweep(self, monkeypatch):
         # n=64: c_max has dimension 31, above the enumeration cap of 30
         monkeypatch.setattr(neighborhood, "_gray_blocks", refuse_sweep)
