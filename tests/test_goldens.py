@@ -62,6 +62,13 @@ GOLDENS = [
      "ac1583f8205860e0d0fc024f60905dd2b6ab2de1d947a002017a470fdaf59f0f"),
     (["equivalent", "fixture:G4", "-"], "G4perm", 0,
      "180b894555fa2e4f4c05bad1a9c8106f6bca3c8dd455bee5c311b5e167b51f26"),
+    # walk distances at n=40 and n=48 (k=20, k=24), and info at k=20
+    (["search", "--n", "40", "--steps", "8", "--seed", "1"], None, 0,
+     "55a705d9bd4fc12f17802a019d484fe7026426488d576040b4a90bed0de1a5c0"),
+    (["search", "--n", "48", "--steps", "20", "--seed", "0"], None, 0,
+     "4a65787fc20fd58933f33b250946161b37a2635cde7bf7323d9a22b8d994a56e"),
+    (["info", "-"], "walk40", 0,
+     "8f3de16bafe5861f30a1fbf3a25a85288a2fb0f9dae88fca6e976a8adf1dfd14"),
 ]
 
 
@@ -74,6 +81,7 @@ def permuted_fixture(name, seed):
 
 STDIN = {
     "walk32": lambda: serialize_matrix(random_self_dual(32, 12, 19).generator),
+    "walk40": lambda: serialize_matrix(random_self_dual(40, 8, 1).generator),
     "G1perm": lambda: permuted_fixture("G1", 1),
     "G4perm": lambda: permuted_fixture("G4", 4),
 }
