@@ -73,8 +73,8 @@ def _load_single(args) -> tuple[str, LinearCode]:
 
 def _cmd_info(args) -> int:
     name, code = _load_single(args)
-    d = code.minimum_distance() if code.k > 0 else None
     we = code.weight_enumerator()
+    d = we.min_positive_weight() if code.k > 0 else None
     ctype = code.classify()
     record = {
         "command": "info",

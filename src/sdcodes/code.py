@@ -2,9 +2,13 @@
 
 A LinearCode is stored as its length and its canonical generator rows as
 ints (RREF, zero rows dropped), so code equality is literal row equality.
-Minimum distance and weight enumeration stream all 2^k codewords with one
-Gray-code sweep; a hard dimension cap keeps that exhaustive walk bounded and
-makes oversize requests an explicit error instead of a silent approximation.
+Weight enumeration and codeword listing stream all 2^k codewords with one
+Gray-code sweep.  Minimum distance uses the Brouwer-Zimmermann search
+instead: it enumerates sums of few rows of generators that are systematic on
+disjoint information sets, and stops as soon as a lower bound on the weight
+of every codeword not yet seen reaches the lightest one found.  A hard
+dimension cap keeps both bounded and makes oversize requests an explicit
+error instead of a silent approximation.
 """
 
 from __future__ import annotations
@@ -12,7 +16,9 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice
+from functools import reduce
+from itertools import accumulate, chain, combinations, islice
+from math import comb
 from operator import xor
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -172,12 +178,38 @@ class LinearCode:
         return list(_gray_words(self.rows))
 
     def minimum_distance(self, *, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
-        """Smallest nonzero codeword weight, by exhaustive Gray-code sweep."""
+        """Smallest nonzero codeword weight, by Brouwer-Zimmermann search.
+
+        Each of m generators is systematic on its own information set, and
+        the sets are pairwise disjoint, so a codeword is the sum of the rows
+        of generator j picked by its ones on set j.  Round w sums every w
+        rows of each generator in turn.  A codeword missed so far has at
+        least w + 1 ones on each set already done in round w and at least w
+        on the rest; rounded up to the weight divisor of the code, that
+        bounds its weight.  The search stops once the lightest sum found is
+        within the bound, or after round k, which has seen every codeword.
+        A self-dual code has m >= 2: the complement of an information set of
+        C is one of its dual, C itself.
+        """
         if self.k == 0:
             raise ValueError("the zero-dimensional code has no minimum distance")
         self._check_cap(cap)
-        # every word after the first (zero) one is nonzero
-        return min(map(int.bit_count, islice(_gray_words(self.rows), 1, None)))
+        if any(r.bit_count() & 1 for r in self.rows):
+            step = 1
+        elif all(r.bit_count() % 4 == 0 for r in self.rows) and self.is_self_orthogonal():
+            step = 4
+        else:
+            step = 2
+        levels = [_level_minima(g) for g in _information_set_generators(self.rows)]
+        m = len(levels)
+        best = self.n
+        for w in range(1, self.k + 1):
+            for i, level in enumerate(levels, 1):
+                best = min(best, next(level))
+                # the weight bound m*w + i, rounded up to a multiple of step
+                if best <= -(-(m * w + i) // step) * step:
+                    return best
+        return best
 
     def weight_enumerator(self, *, cap: int = DEFAULT_ENUMERATION_CAP) -> WeightEnumerator:
         """Full weight distribution via the same Gray-code sweep."""
@@ -201,6 +233,8 @@ class LinearCode:
 
 
 _BLOCK_BITS = 16
+# sums of rows that _level_minima keeps in memory at once
+_LEVEL_WORDS = 1 << _BLOCK_BITS
 
 
 def _gray_blocks(rows: Sequence[int]) -> Iterator[Iterator[int]]:
@@ -231,6 +265,63 @@ def _gray_blocks(rows: Sequence[int]) -> Iterator[Iterator[int]]:
 def _gray_words(rows: Sequence[int]) -> Iterator[int]:
     """All words of the span of rows, in Gray-code order, starting at 0."""
     return chain.from_iterable(_gray_blocks(rows))
+
+
+def _information_set_generators(rows: Sequence[int]) -> list[list[int]]:
+    """Generators of the span of the RREF rows, each systematic on its own
+    information set; the first is rows itself, on their pivots.
+
+    The sets are pairwise disjoint and found greedily: each elimination
+    takes its pivots only among columns no earlier set used, and the search
+    ends at the first elimination that falls short of full rank.
+    """
+    gens = [list(rows)]
+    # the pivot of an RREF row is its lowest set bit
+    used = sum(r & -r for r in rows)
+    while True:
+        basis: list[int] = []
+        pivots: list[int] = []
+        for r in rows:
+            for p, b in zip(pivots, basis):
+                if r & p:
+                    r ^= b
+            # r is now zero on every pivot taken so far
+            free = r & ~used
+            if not free:
+                return gens
+            p = free & -free
+            basis = [b ^ r if b & p else b for b in basis]
+            basis.append(r)
+            pivots.append(p)
+        gens.append(basis)
+        used |= sum(pivots)
+
+
+def _level_minima(rows: Sequence[int]) -> Iterator[int]:
+    """For w = 1, 2, ..., len(rows), the least weight of a sum of w distinct rows.
+
+    The sums of s rows are kept as a base list ordered by highest row index,
+    so below[j] of them use only rows before j, and those of s + 1 rows come
+    from it by one XOR map per row.  Once a level would pass _LEVEL_WORDS
+    sums, the base stops growing: a sum of w rows is then a base sum XOR a
+    sum of w - s rows t that all lie above the base sum's rows, so memory
+    stays at one base list while w grows.
+    """
+    k = len(rows)
+    base, below, s = [0], [1] * k, 0
+    for w in range(1, k + 1):
+        if s == w - 1 and comb(k, w) <= _LEVEL_WORDS:
+            runs = [list(map(r.__xor__, islice(base, b))) for r, b in zip(rows, below)]
+            base = list(chain.from_iterable(runs))
+            below = list(accumulate(map(len, runs), initial=0))[:k]
+            s = w
+            yield min(map(int.bit_count, base))
+            continue
+        sums = (
+            map(reduce(xor, map(rows.__getitem__, t)).__xor__, islice(base, below[t[0]]))
+            for t in combinations(range(k), w - s)
+        )
+        yield min(map(int.bit_count, chain.from_iterable(sums)))
 
 
 def _kernel_rows(rows: Sequence[int], t: Sequence[int]) -> list[int]:

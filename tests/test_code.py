@@ -1,18 +1,24 @@
 import random
+from functools import reduce
+from itertools import combinations
 from math import comb
+from operator import xor
 
 import pytest
 
+from sdcodes import code
 from sdcodes.code import (
     CodeType,
     EnumerationCapError,
     LinearCode,
     WeightEnumerator,
+    _information_set_generators,
+    _level_minima,
     extremal_bound,
     from_generator,
 )
 from sdcodes.gf2 import BitMatrix, BitVector
-from sdcodes.neighborhood import double_pair_code
+from sdcodes.neighborhood import double_pair_code, neighborhood_of, random_self_dual
 
 from oracles import (
     o_member,
@@ -208,6 +214,115 @@ class TestMinimumDistance:
                 continue
             expected = o_min_distance([to_bits(r) for r in c.generator])
             assert c.minimum_distance() == expected
+
+
+def assert_distance_matches_oracles(c):
+    d = c.minimum_distance()
+    assert d == min(w.bit_count() for w in c.codewords()[1:])
+    # the tuple oracle re-encodes each message bit by bit: kept to k <= 12
+    if c.k <= 12:
+        assert d == o_min_distance([to_bits(r) for r in c.generator])
+
+
+def self_dual_pool():
+    """Walk codes at n = 8..32 and the Type II members of their neighborhoods."""
+    pool = []
+    for n in (8, 16, 24, 32):
+        for seed in range(3):
+            c = random_self_dual(n, 6 + seed, seed)
+            pool.append(c)
+            if c.classify() is CodeType.TYPE_I:
+                pool += neighborhood_of(c).type2()
+    return pool
+
+
+class TestBrouwerZimmermann:
+    """minimum_distance searches information sets; the Gray stream is its oracle."""
+
+    def test_random_codes_with_zeroed_columns(self):
+        rng = random.Random(21)
+        for _ in range(60):
+            n = rng.randrange(2, 15)
+            keep = rng.getrandbits(n)
+            c = LinearCode(n, [rng.getrandbits(n) & keep for _ in range(rng.randrange(1, n + 1))])
+            if c.k:
+                assert_distance_matches_oracles(c)
+
+    def test_codes_with_a_single_information_set(self):
+        rng = random.Random(22)
+        seen = 0
+        for _ in range(40):
+            n = rng.randrange(3, 15)
+            c = LinearCode(n, [rng.getrandbits(n) for _ in range(n // 2 + 1)])
+            if c.k and len(_information_set_generators(c.rows)) == 1:
+                seen += 1
+                assert_distance_matches_oracles(c)
+        assert seen >= 20
+
+    @pytest.mark.parametrize("divisor", [2, 4])
+    def test_codes_with_rows_of_even_weight(self, divisor):
+        # rows of weight 0 mod 4 need not span a doubly-even code: only a
+        # self-orthogonal one may round the bound up to a multiple of 4
+        rng = random.Random(26 + divisor)
+        for _ in range(200):
+            n = rng.randrange(4, 15)
+            rows = [r for r in (rng.getrandbits(n) for _ in range(n)) if r.bit_count() % divisor == 0]
+            c = LinearCode(n, rows[: rng.randrange(1, n // 2 + 2)])
+            if c.k:
+                assert_distance_matches_oracles(c)
+
+    def test_information_sets_are_disjoint_and_systematic(self):
+        rng = random.Random(23)
+        for _ in range(40):
+            n = rng.randrange(2, 15)
+            c = LinearCode(n, [rng.getrandbits(n) for _ in range(rng.randrange(1, n + 1))])
+            if not c.k:
+                continue
+            gens = _information_set_generators(c.rows)
+            assert gens[0] == list(c.rows)
+            used = 0
+            for g in gens:
+                assert LinearCode(n, g) == c
+                # each row owns one column of the set: zero there in every other row
+                pivots = [r & ~used & -(r & ~used) for r in g]
+                assert all(sum(bool(r & p) for r in g) == 1 for p in pivots)
+                assert used & sum(pivots) == 0
+                used |= sum(pivots)
+            assert len(gens) * c.k <= n
+
+    def test_self_dual_codes_of_both_types(self):
+        pool = self_dual_pool()
+        types = {c.classify() for c in pool}
+        assert types == {CodeType.TYPE_I, CodeType.TYPE_II}
+        for c in pool:
+            assert c.is_self_dual()
+            assert len(_information_set_generators(c.rows)) >= 2
+            assert_distance_matches_oracles(c)
+
+    def test_deep_levels_past_the_level_budget(self, monkeypatch):
+        # a small budget makes every level past the second come from row subsets
+        monkeypatch.setattr(code, "_LEVEL_WORDS", 12)
+        rng = random.Random(24)
+        for _ in range(40):
+            n = rng.randrange(2, 15)
+            c = LinearCode(n, [rng.getrandbits(n) for _ in range(rng.randrange(1, n + 1))])
+            if c.k:
+                assert_distance_matches_oracles(c)
+        for c in self_dual_pool()[::3]:
+            assert_distance_matches_oracles(c)
+
+    @pytest.mark.parametrize("budget", [1, 12, 1 << 16])
+    def test_every_level_against_row_subsets(self, monkeypatch, budget):
+        monkeypatch.setattr(code, "_LEVEL_WORDS", budget)
+        rng = random.Random(25)
+        for _ in range(10):
+            n = rng.randrange(4, 20)
+            rows = [rng.getrandbits(n) for _ in range(rng.randrange(1, 11))]
+            expected = [
+                min(reduce(xor, subset).bit_count() for subset in combinations(rows, w))
+                for w in range(1, len(rows) + 1)
+            ]
+            assert list(_level_minima(rows)) == expected
 
 
 class TestWeightEnumerator:

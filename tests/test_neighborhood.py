@@ -1,6 +1,6 @@
 import pytest
 
-from sdcodes import neighborhood
+from sdcodes import code, neighborhood
 from sdcodes.code import CodeType, EnumerationCapError, from_generator
 from sdcodes.fixtures_io import fixture
 from sdcodes.gf2 import BitMatrix, BitVector
@@ -291,3 +291,54 @@ class TestVerdicts:
             nb = neighborhood_of(c)
             assert verify_no_better_type1(nb).passed is True
             assert verify_singly_even_range(nb).passed is True
+
+
+
+def type1_walk_codes(n, count):
+    codes, seed = [], 0
+    while len(codes) < count:
+        c = random_self_dual(n, 6 + seed % 7, seed)
+        seed += 1
+        if c.classify() is CodeType.TYPE_I:
+            codes.append(c)
+    return codes
+
+
+class TestDistanceCrossCheck:
+    """Two algorithms for one number: member distances come from the coset
+    sweep of dual(c_max), minimum_distance from the information-set search."""
+
+    def test_members_of_walk_neighborhoods(self):
+        anchors = [random_self_dual(32, 12, 19)]
+        anchors += [c for n in (16, 24, 32, 40) for c in type1_walk_codes(n, 5)]
+        distances = set()
+        for c in anchors:
+            nb = neighborhood_of(c)
+            for member, d in zip(nb.members, nb.member_distances):
+                assert member.minimum_distance() == d
+                distances.add(d)
+        assert {2, 4, 6, 8} <= distances
+
+    def test_distance_at_n40_starts_no_sweep(self, monkeypatch):
+        nb = neighborhood_of(random_self_dual(40, 10, 0))
+        assert sorted(nb.member_distances) == [6, 8, 8]
+        monkeypatch.setattr(code, "_gray_blocks", refuse_sweep)
+        levels = code._level_minima
+        drawn = []
+
+        def counted(rows):
+            for least in levels(rows):
+                drawn.append(least)
+                yield least
+
+        monkeypatch.setattr(code, "_level_minima", counted)
+        for member, d in zip(nb.members, nb.member_distances):
+            drawn.clear()
+            assert member.k == 20 and member.minimum_distance() == d
+            if member.classify() is CodeType.TYPE_II:
+                # the bound 2*2 + 1 after two-row sums on the first set rounds
+                # up to 8 in a doubly-even code; without the rounding to
+                # multiples of 4 it takes three-row sums as well
+                assert len(drawn) == 3
+        with pytest.raises(AssertionError, match="swept"):
+            nb.members[0].weight_enumerator()
