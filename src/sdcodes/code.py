@@ -233,7 +233,7 @@ class LinearCode:
 
 
 _BLOCK_BITS = 16
-# sums of rows that _level_minima keeps in memory at once
+# row sums that _level_minima keeps per generator, bounding its memory
 _LEVEL_WORDS = 1 << _BLOCK_BITS
 
 
@@ -315,12 +315,12 @@ def _level_minima(rows: Sequence[int]) -> Iterator[int]:
             base = list(chain.from_iterable(runs))
             below = list(accumulate(map(len, runs), initial=0))[:k]
             s = w
-            yield min(map(int.bit_count, base))
-            continue
-        sums = (
-            map(reduce(xor, map(rows.__getitem__, t)).__xor__, islice(base, below[t[0]]))
-            for t in combinations(range(k), w - s)
-        )
+            sums = [base]
+        else:
+            sums = (
+                map(reduce(xor, map(rows.__getitem__, t)).__xor__, islice(base, below[t[0]]))
+                for t in combinations(range(k), w - s)
+            )
         yield min(map(int.bit_count, chain.from_iterable(sums)))
 
 

@@ -300,7 +300,8 @@ class TestBrouwerZimmermann:
             assert_distance_matches_oracles(c)
 
     def test_deep_levels_past_the_level_budget(self, monkeypatch):
-        # a small budget makes every level past the second come from row subsets
+        # a budget of 12 sums stops the base list after a level or two, so the
+        # deeper levels come from row subsets
         monkeypatch.setattr(code, "_LEVEL_WORDS", 12)
         rng = random.Random(24)
         for _ in range(40):
