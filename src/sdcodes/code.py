@@ -2,6 +2,10 @@
 
 A LinearCode is stored as its length and its canonical generator rows as
 ints (RREF, zero rows dropped), so code equality is literal row equality.
+Rows that are already in that form are kept without elimination, which lets
+a neighbor step build its code with O(k) row operations (_kernel_rows and
+_insert_rref keep the form).  Self-orthogonality is decided by one pass over
+all pairs of rows, once per code, and stored with it.
 Weight enumeration and codeword listing stream all 2^k codewords with one
 Gray-code sweep.  Minimum distance uses the Brouwer-Zimmermann search
 instead: it enumerates sums of few rows of generators that are systematic on
@@ -92,7 +96,7 @@ class LinearCode:
     dropped, so two codes are equal exactly when their rows are equal.
     """
 
-    __slots__ = ("n", "k", "rows")
+    __slots__ = ("n", "k", "rows", "_self_orthogonal")
 
     n: int
     k: int
@@ -108,6 +112,8 @@ class LinearCode:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", len(reduced))
         object.__setattr__(self, "rows", tuple(reduced))
+        # the result of is_self_orthogonal, once it has run
+        object.__setattr__(self, "_self_orthogonal", None)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("LinearCode is immutable")
@@ -135,10 +141,15 @@ class LinearCode:
         return LinearCode(self.n, _kernel_ints(self.rows, self.n))
 
     def is_self_orthogonal(self) -> bool:
-        rows = self.rows
-        return all(
-            (a & b).bit_count() & 1 == 0 for i, a in enumerate(rows) for b in rows[i:]
-        )
+        """Whether every two codewords are orthogonal.
+
+        Decided by one full pass over all pairs of rows.  The code is
+        immutable, so the pass runs once per code; later calls return the
+        stored result.
+        """
+        if self._self_orthogonal is None:
+            object.__setattr__(self, "_self_orthogonal", _pairwise_orthogonal(self.rows))
+        return self._self_orthogonal
 
     def is_self_dual(self) -> bool:
         return 2 * self.k == self.n and self.is_self_orthogonal()
@@ -151,11 +162,7 @@ class LinearCode:
 
     def _reduce(self, bits: int) -> int:
         """bits reduced against the RREF rows: zero at every pivot, same coset."""
-        for row in self.rows:
-            # the pivot of an RREF row is its lowest set bit
-            if bits & (row & -row):
-                bits ^= row
-        return bits
+        return _reduced(self.rows, bits)
 
     def intersection(self, other: LinearCode) -> LinearCode:
         """The code of vectors lying in both codes (kernel of stacked parity checks)."""
@@ -230,6 +237,22 @@ class LinearCode:
         if 2 * self.k != self.n:
             return CodeType.SELF_ORTHOGONAL_ONLY
         return CodeType.TYPE_II if doubly_even else CodeType.TYPE_I
+
+
+def _reduced(rows: Sequence[int], bits: int) -> int:
+    """bits reduced against RREF rows: zero at every pivot, same coset of their span."""
+    for row in rows:
+        # the pivot of an RREF row is its lowest set bit
+        if bits & (row & -row):
+            bits ^= row
+    return bits
+
+
+def _pairwise_orthogonal(rows: Sequence[int]) -> bool:
+    """Whether every two rows, a row with itself included, have even overlap."""
+    return all(
+        (a & b).bit_count() & 1 == 0 for i, a in enumerate(rows) for b in rows[i:]
+    )
 
 
 _BLOCK_BITS = 16
@@ -330,11 +353,32 @@ def _kernel_rows(rows: Sequence[int], t: Sequence[int]) -> list[int]:
 
     Adding one row of value 1 to every other row of value 1 zeroes the
     functional on them, and dropping that row leaves a basis of the kernel.
+    The row dropped is the last one of value 1: on RREF rows its pivot is
+    above the pivot of every row it is added to, and it is zero at theirs,
+    so each keeps its pivot as its lowest bit and the result is again RREF,
+    with that row's pivot now a free column.
     """
     if 1 not in t:
         return list(rows)
-    j = t.index(1)
+    j = max(i for i, v in enumerate(t) if v)
     return [r ^ rows[j] if t[i] else r for i, r in enumerate(rows) if i != j]
+
+
+def _insert_rref(rows: Sequence[int], x: int) -> list[int]:
+    """RREF rows of span(rows) + x, from RREF rows, in O(k) row operations.
+
+    x is reduced at the existing pivots; if anything is left, its lowest bit
+    q becomes a new pivot, x is added to the rows with a bit at q (their
+    pivots lie below q, so they keep them) and x goes in by pivot order.
+    """
+    x = _reduced(rows, x)
+    if not x:
+        return list(rows)
+    q = x & -x
+    out = [r ^ x if r & q else r for r in rows]
+    at = sum(1 for r in out if r & -r < q)
+    out.insert(at, x)
+    return out
 
 
 def from_generator(m: BitMatrix) -> LinearCode:

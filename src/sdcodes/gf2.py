@@ -8,6 +8,7 @@ reduction, rank and kernel computations all work on the raw ints.
 
 from __future__ import annotations
 
+from operator import lt
 from typing import Iterable, Iterator
 
 MAX_LENGTH = 1 << 16
@@ -191,8 +192,35 @@ class BitMatrix:
         return f"BitMatrix({self.nrows}x{self.ncols})"
 
 
+def _is_rref(rows: list[int], ncols: int) -> bool:
+    """Whether rows are already what Gauss-Jordan elimination returns for them.
+
+    That is: every row is nonzero, its pivot (lowest set bit) lies below
+    ncols, the pivots strictly increase, and no row has a bit at another
+    row's pivot.  The test costs O(k) row operations.
+    """
+    pivots = [r & -r for r in rows]
+    mask = sum(pivots)
+    return (
+        all(map(lt, [0, *pivots], pivots))
+        and not mask >> ncols
+        and all(r & mask == p for r, p in zip(rows, pivots))
+    )
+
+
 def _rref_ints(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
-    """Gauss-Jordan elimination on raw ints; returns (nonzero rows, pivot columns)."""
+    """Gauss-Jordan elimination on raw ints; returns (nonzero rows, pivot columns).
+
+    The reduced form of a row space is unique, so rows that pass _is_rref
+    come back as they are, without elimination.
+    """
+    if _is_rref(rows, ncols):
+        return list(rows), [(r & -r).bit_length() - 1 for r in rows]
+    return _eliminate(rows, ncols)
+
+
+def _eliminate(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
+    """Full Gauss-Jordan elimination, scanning columns left to right."""
     work = list(rows)
     pivots: list[int] = []
     r = 0

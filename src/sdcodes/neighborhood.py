@@ -21,6 +21,7 @@ from .code import (
     InternalConsistencyError,
     LinearCode,
     _gray_blocks,
+    _insert_rref,
     _kernel_rows,
 )
 from .gf2 import BitVector
@@ -190,7 +191,9 @@ def neighbor_step(c: LinearCode, x: BitVector) -> LinearCode:
     """The neighbor <{v in c : v . x = 0}, x> of a self-dual code c.
 
     x must have even weight and lie outside c; the result is again self-dual
-    and meets c in dimension n/2 - 1.
+    and meets c in dimension n/2 - 1.  Its rows are built in RREF with O(k)
+    row operations, so no elimination runs; its self-orthogonality is
+    checked by one full pass, stored with it for the next step.
     """
     if not c.is_self_dual():
         raise ValueError("neighbor_step requires a self-dual code")
@@ -202,7 +205,7 @@ def neighbor_step(c: LinearCode, x: BitVector) -> LinearCode:
         raise ValueError("step vector must lie outside the code")
     # x . v is nonzero for some v in c, since x lies outside c = dual(c)
     t = [(r & x.bits).bit_count() & 1 for r in c.rows]
-    out = LinearCode(c.n, _kernel_rows(c.rows, t) + [x.bits])
+    out = LinearCode(c.n, _insert_rref(_kernel_rows(c.rows, t), x.bits))
     if out.k != c.k or not out.is_self_dual():
         raise InternalConsistencyError("neighbor step produced a non-self-dual code")
     return out

@@ -13,11 +13,13 @@ from sdcodes.code import (
     LinearCode,
     WeightEnumerator,
     _information_set_generators,
+    _insert_rref,
+    _kernel_rows,
     _level_minima,
     extremal_bound,
     from_generator,
 )
-from sdcodes.gf2 import BitMatrix, BitVector
+from sdcodes.gf2 import BitMatrix, BitVector, _eliminate, _is_rref
 from sdcodes.neighborhood import double_pair_code, neighborhood_of, random_self_dual
 
 from oracles import (
@@ -79,6 +81,74 @@ class TestCanonicalForm:
             LinearCode(4, [-1])
         with pytest.raises(ValueError, match="length"):
             LinearCode(0, [])
+
+
+def first_row_kernel(rows, t):
+    """The kernel rows as built by dropping the first row of value 1."""
+    j = t.index(1)
+    return [r ^ rows[j] if t[i] else r for i, r in enumerate(rows) if i != j]
+
+
+class TestRrefRowHelpers:
+    def test_kernel_rows_stay_rref_and_span_the_same_subcode(self):
+        rng = random.Random(21)
+        for _ in range(300):
+            c = random_code(rng, max_n=40, max_rows=12)
+            rows = list(c.rows)
+            t = [rng.getrandbits(1) for _ in rows]
+            out = _kernel_rows(rows, t)
+            assert _is_rref(out, c.n)
+            if 1 not in t:
+                assert out == rows
+                continue
+            old = first_row_kernel(rows, t)
+            assert len(out) == c.k - 1
+            assert out == _eliminate(old, c.n)[0]
+            assert LinearCode(c.n, out) == LinearCode(c.n, old)
+
+    def test_insert_rref_matches_elimination(self):
+        rng = random.Random(22)
+        for _ in range(300):
+            c = random_code(rng, max_n=40, max_rows=12)
+            inside = reduce(xor, (r for r in c.rows if rng.getrandbits(1)), 0)
+            for x in (rng.getrandbits(c.n), inside, 0):
+                out = _insert_rref(c.rows, x)
+                assert out == _eliminate(list(c.rows) + [x], c.n)[0]
+                assert _is_rref(out, c.n)
+
+
+class TestSelfOrthogonalityStored:
+    def test_one_pass_per_code(self, monkeypatch):
+        passes = []
+        pairwise = code._pairwise_orthogonal
+
+        def counted(rows):
+            passes.append(rows)
+            return pairwise(rows)
+
+        monkeypatch.setattr(code, "_pairwise_orthogonal", counted)
+        c = random_self_dual(32, 4, 2)
+        assert c.is_self_orthogonal() and c.is_self_dual()
+        assert c.classify() in (CodeType.TYPE_I, CodeType.TYPE_II)
+        assert c.minimum_distance() > 0
+        assert passes.count(c.rows) == 1
+        # an equal code built again is a new object with its own pass
+        twin = LinearCode(c.n, c.rows)
+        assert twin.is_self_orthogonal() and passes.count(c.rows) == 2
+
+    def test_not_self_orthogonal_stays_false(self):
+        c = LinearCode(6, [0b000011, 0b000110, 0b110000])
+        twin = LinearCode(6, [0b000011, 0b000110, 0b110000])
+        before = (hash(c), repr(c))
+        for _ in range(3):
+            assert not c.is_self_orthogonal()
+            assert not c.is_self_dual()
+            assert c.classify() is CodeType.NOT_SELF_ORTHOGONAL
+        assert c == twin and (hash(c), repr(c)) == before == (hash(twin), repr(twin))
+        for name in ("_self_orthogonal", "rows", "k"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(c, name, True)
+        assert not c.is_self_orthogonal()
 
 
 class TestDual:

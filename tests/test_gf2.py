@@ -3,9 +3,13 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from sdcodes.code import LinearCode
 from sdcodes.gf2 import (
     BitMatrix,
     BitVector,
+    _eliminate,
+    _is_rref,
+    _rref_ints,
     dot,
     kernel_basis,
     mu,
@@ -182,3 +186,55 @@ def test_randomized_rref_row_space_preserved():
         reduced = [to_bits(v) for v in r.rows]
         assert o_rank(original) == o_rank(reduced)
         assert o_rank(original + reduced) == o_rank(original)
+
+
+def near_rref_inputs(rng, n):
+    """A reduced row list and copies broken in ways the RREF test must catch."""
+    rows, _ = _eliminate([rng.getrandbits(n) for _ in range(rng.randrange(1, 9))], n)
+    yield rows
+    yield []
+    if len(rows) >= 2:
+        i, j = sorted(rng.sample(range(len(rows)), 2))
+        # pivots out of order
+        yield rows[:i] + [rows[j]] + rows[i + 1 : j] + [rows[i]] + rows[j + 1 :]
+        # a row with a bit at a later row's pivot; lowest bits still increase
+        yield rows[:i] + [rows[i] ^ rows[j]] + rows[i + 1 :]
+        # a row with a bit at an earlier row's pivot
+        yield rows[:j] + [rows[j] ^ rows[i]] + rows[j + 1 :]
+    if rows:
+        at = rng.randrange(len(rows))
+        yield rows[:at] + [0] + rows[at:]
+        yield rows + [0]
+        yield rows[: at + 1] + [rows[at]] + rows[at + 1 :]
+
+
+class TestRrefFastPath:
+    """_rref_ints returns rows that are already reduced as they are; the
+    result must equal full elimination on every input."""
+
+    def test_matches_full_elimination(self):
+        rng = random.Random(11)
+        for _ in range(400):
+            n = rng.randrange(1, 40)
+            for rows in near_rref_inputs(rng, n):
+                full = _eliminate(rows, n)
+                assert _rref_ints(rows, n) == full
+                assert LinearCode(n, rows).rows == tuple(full[0])
+                # the test passes exactly when elimination changes nothing
+                assert _is_rref(rows, n) == (full[0] == rows)
+
+    def test_pivot_past_ncols_is_eliminated_away(self):
+        # reduced as 8-bit rows, but the second pivot lies past 4 columns
+        rows = [0b00000011, 0b00110000]
+        assert _is_rref(rows, 8)
+        assert not _is_rref(rows, 4)
+        assert _rref_ints(rows, 4) == _eliminate(rows, 4) == ([0b11], [0])
+
+    def test_each_trap_is_caught(self):
+        assert _is_rref([0b001, 0b010], 3)
+        assert not _is_rref([0b010, 0b001], 3)
+        assert not _is_rref([0b011, 0b010], 3)
+        assert not _is_rref([0b001, 0, 0b010], 3)
+        assert not _is_rref([0b001, 0b001], 3)
+        assert _is_rref([], 3)
+        assert _rref_ints([], 3) == ([], [])

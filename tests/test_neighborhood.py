@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
-from sdcodes import code, neighborhood
-from sdcodes.code import CodeType, EnumerationCapError, from_generator
+from sdcodes import code, gf2, neighborhood
+from sdcodes.code import CodeType, EnumerationCapError, LinearCode, from_generator
 from sdcodes.fixtures_io import fixture
 from sdcodes.gf2 import BitMatrix, BitVector
 from sdcodes.neighborhood import (
@@ -28,6 +30,18 @@ def first_type1(n, seed):
 
 def refuse_sweep(rows):
     raise AssertionError(f"swept a code of dimension {len(rows)}")
+
+
+def refuse_elimination(rows, ncols):
+    raise AssertionError(f"eliminated {len(rows)} rows of {ncols} columns")
+
+
+def step_vectors(c, rng):
+    """Step vectors drawn as walk_self_dual draws them: even weight, outside c."""
+    while True:
+        x = rng.getrandbits(c.n)
+        if x.bit_count() % 2 == 0 and c._reduce(x):
+            return x
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +246,67 @@ class TestNeighborStep:
         c = from_generator(BitMatrix.from_strings(["1100"]))
         with pytest.raises(ValueError, match="self-dual"):
             neighbor_step(c, BitVector.from_string("1010"))
+
+
+class TestStepWithoutElimination:
+    """A step builds its rows in RREF with O(k) row operations, checks the
+    new code once by a full pairwise pass, and still refuses a bad result."""
+
+    def test_matches_elimination_of_the_old_kernel_rows(self):
+        for n in range(8, 129, 8):
+            rng = random.Random(n)
+            c = double_pair_code(n)
+            for _ in range(6):
+                x = step_vectors(c, rng)
+                t = [(r & x).bit_count() & 1 for r in c.rows]
+                j = t.index(1)
+                old = [r ^ c.rows[j] if t[i] else r for i, r in enumerate(c.rows) if i != j]
+                stepped = neighbor_step(c, BitVector(n, x))
+                assert stepped == LinearCode(n, old + [x])
+                c = stepped
+
+    def test_walk_at_n512_eliminates_nothing(self, monkeypatch):
+        monkeypatch.setattr(gf2, "_eliminate", refuse_elimination)
+        c = random_self_dual(512, 3, 5)
+        stepped = neighbor_step(c, BitVector(512, step_vectors(c, random.Random(5))))
+        assert stepped.k == 256 and stepped.is_self_dual()
+        with pytest.raises(AssertionError, match="eliminated"):
+            LinearCode(512, reversed(stepped.rows))
+
+    def test_one_pairwise_pass_per_code(self, monkeypatch):
+        passes = []
+        pairwise = code._pairwise_orthogonal
+
+        def counted(rows):
+            passes.append(rows)
+            return pairwise(rows)
+
+        monkeypatch.setattr(code, "_pairwise_orthogonal", counted)
+        walk = walk_self_dual(64, 3)
+        codes = []
+        for _ in range(11):
+            # what search does with each code of the walk
+            codes.append(next(walk))
+            codes[-1].classify()
+        assert len(passes) == 11
+        assert passes == [c.rows for c in codes]
+
+    @pytest.mark.parametrize(
+        "helper, wrong",
+        [
+            ("_insert_rref", lambda rows, x: list(rows)),
+            ("_insert_rref", lambda rows, x: list(rows) + [x ^ 1]),
+            ("_kernel_rows", lambda rows, t: list(rows)),
+            # rows of value 1 left as they are: wrong once two rows have value 1
+            ("_kernel_rows", lambda rows, t: [r for i, r in enumerate(rows) if i != t.index(1)]),
+        ],
+    )
+    def test_wrong_rows_still_raise(self, monkeypatch, helper, wrong):
+        c = random_self_dual(64, 4, 1)
+        x = BitVector(64, step_vectors(c, random.Random(1)))
+        monkeypatch.setattr(neighborhood, helper, wrong)
+        with pytest.raises(InternalConsistencyError, match="non-self-dual"):
+            neighbor_step(c, x)
 
 
 class TestWalk:
