@@ -9,6 +9,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -319,7 +320,9 @@ def _add_io_flags(p, single_input: bool):
         )
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="sdcodes",
         description="Self-dual binary codes: inspection, neighborhoods, search.",

@@ -301,3 +301,26 @@ class TestSubprocess:
             capture_output=True, text=True,
         )
         assert proc.returncode == 2
+
+    def test_repeated_in_process_calls_match_fresh_runs(self, capsys):
+        # the parser is built once per process; each call must still parse
+        # as a fresh process does, also after a parse error
+        runs = [
+            ["info", "--fixture", "G3", "--json"],
+            ["search", "--n", "16", "--steps", "20", "--seed", "3", "--json"],
+            ["search", "--n", "sixteen"],
+            ["info", "--fixture", "G4"],
+            ["neighbors", "fixture:G1", "fixture:G2", "--json"],
+            ["search", "--n", "16", "--steps", "20", "--seed", "4", "--no-distance"],
+        ]
+        for argv in runs:
+            try:
+                status = cli.main(argv)
+            except SystemExit as e:
+                status = e.code
+            out = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "sdcodes.cli", *argv], capture_output=True, text=True
+            )
+            assert (status, out.out, out.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert cli._parser() is cli._parser()
