@@ -118,24 +118,6 @@ class TestRrefRowHelpers:
 
 
 class TestSelfOrthogonalityStored:
-    def test_one_pass_per_code(self, monkeypatch):
-        passes = []
-        pairwise = code._pairwise_orthogonal
-
-        def counted(rows):
-            passes.append(rows)
-            return pairwise(rows)
-
-        monkeypatch.setattr(code, "_pairwise_orthogonal", counted)
-        c = random_self_dual(32, 4, 2)
-        assert c.is_self_orthogonal() and c.is_self_dual()
-        assert c.classify() in (CodeType.TYPE_I, CodeType.TYPE_II)
-        assert c.minimum_distance() > 0
-        assert passes.count(c.rows) == 1
-        # an equal code built again is a new object with its own pass
-        twin = LinearCode(c.n, c.rows)
-        assert twin.is_self_orthogonal() and passes.count(c.rows) == 2
-
     def test_not_self_orthogonal_stays_false(self):
         c = LinearCode(6, [0b000011, 0b000110, 0b110000])
         twin = LinearCode(6, [0b000011, 0b000110, 0b110000])

@@ -22,6 +22,7 @@ from sdcodes.neighborhood import (
 )
 
 from oracles import o_doubly_even_words, to_bits
+from test_code import first_row_kernel
 
 
 def first_type1(n, seed):
@@ -36,7 +37,7 @@ def refuse_elimination(rows, ncols):
     raise AssertionError(f"eliminated {len(rows)} rows of {ncols} columns")
 
 
-def step_vectors(c, rng):
+def step_vector(c, rng):
     """Step vectors drawn as walk_self_dual draws them: even weight, outside c."""
     while True:
         x = rng.getrandbits(c.n)
@@ -257,10 +258,8 @@ class TestStepWithoutElimination:
             rng = random.Random(n)
             c = double_pair_code(n)
             for _ in range(6):
-                x = step_vectors(c, rng)
-                t = [(r & x).bit_count() & 1 for r in c.rows]
-                j = t.index(1)
-                old = [r ^ c.rows[j] if t[i] else r for i, r in enumerate(c.rows) if i != j]
+                x = step_vector(c, rng)
+                old = first_row_kernel(c.rows, [(r & x).bit_count() & 1 for r in c.rows])
                 stepped = neighbor_step(c, BitVector(n, x))
                 assert stepped == LinearCode(n, old + [x])
                 c = stepped
@@ -268,7 +267,7 @@ class TestStepWithoutElimination:
     def test_walk_at_n512_eliminates_nothing(self, monkeypatch):
         monkeypatch.setattr(gf2, "_eliminate", refuse_elimination)
         c = random_self_dual(512, 3, 5)
-        stepped = neighbor_step(c, BitVector(512, step_vectors(c, random.Random(5))))
+        stepped = neighbor_step(c, BitVector(512, step_vector(c, random.Random(5))))
         assert stepped.k == 256 and stepped.is_self_dual()
         with pytest.raises(AssertionError, match="eliminated"):
             LinearCode(512, reversed(stepped.rows))
@@ -290,6 +289,9 @@ class TestStepWithoutElimination:
             codes[-1].classify()
         assert len(passes) == 11
         assert passes == [c.rows for c in codes]
+        # an equal code built again is a new object with its own pass
+        assert LinearCode(64, codes[-1].rows).is_self_dual()
+        assert len(passes) == 12
 
     @pytest.mark.parametrize(
         "helper, wrong",
@@ -303,7 +305,7 @@ class TestStepWithoutElimination:
     )
     def test_wrong_rows_still_raise(self, monkeypatch, helper, wrong):
         c = random_self_dual(64, 4, 1)
-        x = BitVector(64, step_vectors(c, random.Random(1)))
+        x = BitVector(64, step_vector(c, random.Random(1)))
         monkeypatch.setattr(neighborhood, helper, wrong)
         with pytest.raises(InternalConsistencyError, match="non-self-dual"):
             neighbor_step(c, x)
