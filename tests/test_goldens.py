@@ -69,6 +69,10 @@ GOLDENS = [
      "4a65787fc20fd58933f33b250946161b37a2635cde7bf7323d9a22b8d994a56e"),
     (["info", "-"], "walk40", 0,
      "8f3de16bafe5861f30a1fbf3a25a85288a2fb0f9dae88fca6e976a8adf1dfd14"),
+    # a Type I neighborhood at n=40: c_max has k=19, so its sweep spans
+    # eight 2^16-word Gray blocks
+    (["neighborhood", "-"], "walk40", 0,
+     "57ad36c36e0f9862cffefde005229badb6b2979988bf9c7eea69fdb3e86d3d05"),
 ]
 
 
