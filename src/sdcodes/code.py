@@ -86,7 +86,8 @@ class WeightEnumerator:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self.counts.items())))
+        # zero counts are ignored, as by __eq__
+        return hash(tuple(sorted((w, c) for w, c in self.counts.items() if c)))
 
 
 class LinearCode:
@@ -173,18 +174,19 @@ class LinearCode:
 
     # -- exhaustive sweeps --------------------------------------------------
 
-    def _check_cap(self, cap: int) -> None:
-        if self.k > cap:
+    def _check_cap(self) -> None:
+        if self.k > DEFAULT_ENUMERATION_CAP:
             raise EnumerationCapError(
-                f"instance too large: dimension {self.k} exceeds enumeration cap {cap}"
+                f"instance too large: dimension {self.k} exceeds enumeration cap "
+                f"{DEFAULT_ENUMERATION_CAP}"
             )
 
-    def codewords(self, *, cap: int = DEFAULT_ENUMERATION_CAP) -> list[int]:
+    def codewords(self) -> list[int]:
         """All 2^k codewords as raw ints, in Gray-code order (starts at 0)."""
-        self._check_cap(cap)
+        self._check_cap()
         return list(_gray_words(self.rows))
 
-    def minimum_distance(self, *, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
+    def minimum_distance(self) -> int:
         """Smallest nonzero codeword weight, by Brouwer-Zimmermann search.
 
         Each of m generators is systematic on its own information set, and
@@ -200,7 +202,7 @@ class LinearCode:
         """
         if self.k == 0:
             raise ValueError("the zero-dimensional code has no minimum distance")
-        self._check_cap(cap)
+        self._check_cap()
         if any(r.bit_count() & 1 for r in self.rows):
             step = 1
         elif all(r.bit_count() % 4 == 0 for r in self.rows) and self.is_self_orthogonal():
@@ -218,9 +220,9 @@ class LinearCode:
                     return best
         return best
 
-    def weight_enumerator(self, *, cap: int = DEFAULT_ENUMERATION_CAP) -> WeightEnumerator:
+    def weight_enumerator(self) -> WeightEnumerator:
         """Full weight distribution via the same Gray-code sweep."""
-        self._check_cap(cap)
+        self._check_cap()
         counts = Counter(map(int.bit_count, _gray_words(self.rows)))
         return WeightEnumerator(dict(sorted(counts.items())))
 

@@ -7,19 +7,26 @@ c_max and three cosets, and each coset extends c_max to a self-dual code:
 three pairwise neighbors sharing c_max.  For lengths divisible by 8 exactly
 one of the three is Type I and the common subcode is its maximal doubly-even
 subcode, so the triple can be reconstructed from any one Type I member.
+
+A neighborhood is built by one Gray-code sweep of c_max, with each word also
+shifted into the three cosets.  That sweep gives the minimum distance of
+c_max, the canonical representative of each coset, and the weight
+distribution of dual(c_max), which the singly-even verdict reads instead of
+enumerating the dual again.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
 from .code import (
-    DEFAULT_ENUMERATION_CAP,
     CodeType,
     InternalConsistencyError,
     LinearCode,
+    WeightEnumerator,
     _gray_blocks,
     _insert_rref,
     _kernel_rows,
@@ -56,6 +63,8 @@ class Neighborhood:
     representatives: tuple[BitVector, BitVector, BitVector]
     member_types: tuple[CodeType, CodeType, CodeType]
     member_distances: tuple[int, int, int]
+    # weight distribution of dual(c_max): c_max and its three cosets
+    dual_weights: WeightEnumerator
 
     def type1(self) -> LinearCode:
         return self.members[self.member_types.index(CodeType.TYPE_I)]
@@ -78,24 +87,33 @@ def _reversed_bits(v: int, n: int) -> int:
     return int(format(v, f"0{n}b")[::-1], 2)
 
 
-def _coset_leaders(c_max: LinearCode, offsets: list[int]) -> tuple[int, list[tuple[int, int]]]:
-    """One sweep of c_max: its minimum distance and the canonical
-    representative of each coset offset + c_max, as (weight, word) pairs in
-    canonical order (minimum weight, then lexicographic).
+def _coset_leaders(
+    c_max: LinearCode, offsets: list[int]
+) -> tuple[int, list[tuple[int, int]], WeightEnumerator]:
+    """One sweep of c_max: its minimum distance, the canonical representative
+    of each coset offset + c_max as (weight, word) pairs in canonical order
+    (minimum weight, then lexicographic), and the weight distribution of
+    c_max together with those cosets.
     """
-    c_max._check_cap(DEFAULT_ENUMERATION_CAP)
+    c_max._check_cap()
     n = c_max.n
     flipped = [_reversed_bits(r, n) for r in c_max.rows]
     flipped_offsets = [_reversed_bits(g, n) for g in offsets]
     d = n + 1
     best = [(n + 1, 0)] * len(offsets)
+    counts: Counter[int] = Counter()
     for block in _gray_blocks(flipped):
         words = list(block)
-        d = min(d, min(filter(None, map(int.bit_count, words)), default=d))
+        weights = list(map(int.bit_count, words))
+        counts.update(weights)
+        d = min(d, min(filter(None, weights), default=d))
         for i, g in enumerate(flipped_offsets):
             coset = list(map(g.__xor__, words))
-            best[i] = min(best[i], min(zip(map(int.bit_count, coset), coset)))
-    return d, [(w, _reversed_bits(x, n)) for w, x in sorted(best)]
+            weights = list(map(int.bit_count, coset))
+            counts.update(weights)
+            best[i] = min(best[i], min(zip(weights, coset)))
+    leaders = [(w, _reversed_bits(x, n)) for w, x in sorted(best)]
+    return d, leaders, WeightEnumerator(dict(sorted(counts.items())))
 
 
 def neighborhood_containing(c_max: LinearCode) -> Neighborhood:
@@ -128,7 +146,8 @@ def neighborhood_containing(c_max: LinearCode) -> Neighborhood:
     if len(gammas) != 2:
         raise InternalConsistencyError("dual of c_max does not exceed c_max by dimension 2")
 
-    d_max, leaders = _coset_leaders(c_max, [gammas[0], gammas[1], gammas[0] ^ gammas[1]])
+    offsets = [gammas[0], gammas[1], gammas[0] ^ gammas[1]]
+    d_max, leaders, dual_weights = _coset_leaders(c_max, offsets)
 
     members: list[LinearCode] = []
     for _, rep in leaders:
@@ -153,6 +172,7 @@ def neighborhood_containing(c_max: LinearCode) -> Neighborhood:
         representatives=(reps[0], reps[1], reps[2]),
         member_types=types,
         member_distances=distances,
+        dual_weights=dual_weights,
     )
 
 
@@ -289,11 +309,13 @@ def verify_singly_even_range(nb: Neighborhood) -> Verdict:
     """Singly-even words of dual(c_max) have weights in [d, n - d].
 
     d is the minimum distance of the Type I member; the weight cap is
-    symmetric because the all-ones word lies in c_max.
+    symmetric because the all-ones word lies in c_max.  The weights are the
+    counts nb.dual_weights of the sweep that built the neighborhood, so the
+    check enumerates nothing itself.
     """
     n = nb.c_max.n
     d = nb.type1_distance()
-    singly = [(w, c) for w, c in nb.c_max.dual().weight_enumerator().items() if w % 4 == 2]
+    singly = [(w, c) for w, c in nb.dual_weights.items() if w % 4 == 2]
     if not singly:
         return Verdict(
             check="singly_even_range",

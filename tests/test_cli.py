@@ -4,9 +4,10 @@ import sys
 
 import pytest
 
-from sdcodes import cli, neighborhood
+from sdcodes import cli, code, neighborhood
 from sdcodes.fixtures_io import fixture, serialize_matrix
 from sdcodes.gf2 import BitMatrix
+from sdcodes.neighborhood import random_self_dual
 
 from test_neighborhood import first_type1, refuse_sweep
 
@@ -148,6 +149,25 @@ class TestNeighborhood:
         status, out, err = run_cli(capsys, "neighborhood", str(path), "--json")
         assert status == 2 and out == ""
         assert err == "error: instance too large: dimension 31 exceeds enumeration cap 30\n"
+
+    def test_one_sweep_per_neighborhood(self, capsys, monkeypatch, tmp_path):
+        # the representatives, d(c_max) and the singly-even verdict all come
+        # from one sweep of c_max (dimension 15); the dual is not swept
+        sweeps = []
+        blocks = code._gray_blocks
+
+        def counted(rows):
+            sweeps.append(len(rows))
+            return blocks(rows)
+
+        monkeypatch.setattr(code, "_gray_blocks", counted)
+        monkeypatch.setattr(neighborhood, "_gray_blocks", counted)
+        path = tmp_path / "walk32.txt"
+        path.write_text(serialize_matrix(random_self_dual(32, 12, 19).generator))
+        status, out, _ = run_cli(capsys, "neighborhood", str(path), "--json")
+        (record,) = json_lines(out)
+        assert status == 1 and record["c_max_dimension"] == 15
+        assert sweeps == [15]
 
 
 class TestNeighbors:

@@ -8,6 +8,7 @@ import pytest
 
 from sdcodes import code
 from sdcodes.code import (
+    DEFAULT_ENUMERATION_CAP,
     CodeType,
     EnumerationCapError,
     LinearCode,
@@ -209,13 +210,14 @@ class TestEnumeration:
         assert all(words[i] ^ words[i + 1] in rows for i in range(len(words) - 1))
 
     def test_cap_enforced(self):
-        c = from_generator(BitMatrix.identity(31))
-        with pytest.raises(EnumerationCapError):
-            c.codewords()
-        small = from_generator(BitMatrix.identity(6))
-        with pytest.raises(EnumerationCapError):
-            small.minimum_distance(cap=5)
-        assert small.minimum_distance(cap=6) == 1
+        c = from_generator(BitMatrix.identity(DEFAULT_ENUMERATION_CAP + 1))
+        for method in (c.codewords, c.minimum_distance, c.weight_enumerator):
+            with pytest.raises(EnumerationCapError, match="exceeds enumeration cap 30"):
+                method()
+        # at the cap the distance search finds a weight-1 row at once; the
+        # two sweeps are not run here, since they would visit 2^30 words
+        at_cap = from_generator(BitMatrix.identity(DEFAULT_ENUMERATION_CAP))
+        assert at_cap.minimum_distance() == 1
 
 
 class TestSweepPastOneBlock:
@@ -406,6 +408,13 @@ class TestWeightEnumerator:
         assert we[4] == 3 and we[2] == 0
         assert we == {0: 1, 4: 3}
         assert we != {0: 1}
+
+    def test_zero_counts_hash_as_they_compare(self):
+        padded = WeightEnumerator({0: 1, 2: 0, 4: 3})
+        plain = WeightEnumerator({0: 1, 4: 3})
+        assert padded == plain
+        assert hash(padded) == hash(plain)
+        assert len({padded, plain}) == 1
 
 
 class TestClassification:

@@ -370,6 +370,45 @@ class TestVerdicts:
             assert verify_singly_even_range(nb).passed is True
 
 
+def singly_even_details(nb, weights):
+    """The singly_even_range details, computed from a given distribution of dual(c_max)."""
+    singly = {w: c for w, c in weights.items() if w % 4 == 2}
+    return {
+        "distance": nb.type1_distance(),
+        "length": nb.c_max.n,
+        "min_singly_even": min(singly),
+        "max_singly_even": max(singly),
+        "count_singly_even": sum(singly.values()),
+    }
+
+
+class TestOneSweep:
+    """The sweep of c_max that picks the representatives also counts the
+    weights of dual(c_max); an enumeration of the dual is the oracle."""
+
+    def test_dual_weights_match_the_dual_sweep(self, triples):
+        nbs = list(triples)
+        nbs += [neighborhood_of(c) for n in (8, 16, 24, 32) for c in type1_walk_codes(n, 3)]
+        nbs += [neighborhood_of(c) for c in type1_walk_codes(40, 1)]
+        for nb in nbs:
+            oracle = nb.c_max.dual().weight_enumerator()
+            assert nb.dual_weights == oracle
+            assert nb.dual_weights.total() == 1 << (nb.c_max.n // 2 + 1)
+            v = verify_singly_even_range(nb)
+            assert v.details == singly_even_details(nb, oracle)
+            d = nb.type1_distance()
+            lo, hi = v.details["min_singly_even"], v.details["max_singly_even"]
+            assert v.passed is (d <= lo and hi <= nb.c_max.n - d)
+
+    def test_verdict_enumerates_nothing(self, monkeypatch, triples):
+        def refuse(self):
+            raise AssertionError("enumerated a code in the verdict")
+
+        monkeypatch.setattr(LinearCode, "dual", refuse)
+        monkeypatch.setattr(LinearCode, "weight_enumerator", refuse)
+        for nb in triples:
+            assert verify_singly_even_range(nb).passed is True
+
 
 def type1_walk_codes(n, count):
     codes, seed = [], 0
