@@ -11,8 +11,8 @@ subcode, so the triple can be reconstructed from any one Type I member.
 A neighborhood is built by one Gray-code sweep of c_max, with each word also
 shifted into the three cosets.  That sweep gives the minimum distance of
 c_max, the canonical representative of each coset, and the weight
-distribution of dual(c_max), which the singly-even verdict reads instead of
-enumerating the dual again.
+distribution of dual(c_max), which the singly-even verdict reads, so no
+check enumerates the dual itself.
 """
 
 from __future__ import annotations
