@@ -370,18 +370,6 @@ class TestVerdicts:
             assert verify_singly_even_range(nb).passed is True
 
 
-def singly_even_details(nb, weights):
-    """The singly_even_range details, computed from a given distribution of dual(c_max)."""
-    singly = {w: c for w, c in weights.items() if w % 4 == 2}
-    return {
-        "distance": nb.type1_distance(),
-        "length": nb.c_max.n,
-        "min_singly_even": min(singly),
-        "max_singly_even": max(singly),
-        "count_singly_even": sum(singly.values()),
-    }
-
-
 class TestOneSweep:
     """The sweep of c_max that picks the representatives also counts the
     weights of dual(c_max); an enumeration of the dual is the oracle."""
@@ -394,11 +382,18 @@ class TestOneSweep:
             oracle = nb.c_max.dual().weight_enumerator()
             assert nb.dual_weights == oracle
             assert nb.dual_weights.total() == 1 << (nb.c_max.n // 2 + 1)
+            singly = {w: c for w, c in oracle.items() if w % 4 == 2}
+            n, d = nb.c_max.n, nb.type1_distance()
+            lo, hi = min(singly), max(singly)
             v = verify_singly_even_range(nb)
-            assert v.details == singly_even_details(nb, oracle)
-            d = nb.type1_distance()
-            lo, hi = v.details["min_singly_even"], v.details["max_singly_even"]
-            assert v.passed is (d <= lo and hi <= nb.c_max.n - d)
+            assert v.passed is (d <= lo and hi <= n - d)
+            assert v.details == {
+                "distance": d,
+                "length": n,
+                "min_singly_even": lo,
+                "max_singly_even": hi,
+                "count_singly_even": sum(singly.values()),
+            }
 
     def test_verdict_enumerates_nothing(self, monkeypatch, triples):
         def refuse(self):
