@@ -104,11 +104,16 @@ def run(argv, stdin_key):
     return status, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
-@pytest.mark.parametrize(
-    "argv,stdin_key,status,digest",
-    GOLDENS,
-    ids=[" ".join(g[0]) for g in GOLDENS],
-)
+def golden_ids():
+    """The argv of each case; a repeated argv is told apart by its stdin key."""
+    ids = []
+    for argv, stdin_key, _, _ in GOLDENS:
+        name = " ".join(argv)
+        ids.append(f"{name} {stdin_key}" if name in ids else name)
+    return ids
+
+
+@pytest.mark.parametrize("argv,stdin_key,status,digest", GOLDENS, ids=golden_ids())
 def test_golden(argv, stdin_key, status, digest):
     assert run(argv, stdin_key) == (status, digest)
 
