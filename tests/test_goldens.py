@@ -9,8 +9,10 @@ digests with `PYTHONPATH=src python tests/test_goldens.py`.
 
 import hashlib
 import io
+import os
 import random
 import sys
+import tempfile
 
 import pytest
 
@@ -20,7 +22,8 @@ from sdcodes.equivalence import CoordinatePermutation, apply_permutation
 from sdcodes.fixtures_io import fixture, serialize_matrix
 from sdcodes.neighborhood import random_self_dual
 
-# (argv, stdin producer or None, exit status, sha256 of stdout)
+# (argv, stdin producer or None, exit status, sha256 of stdout); an argv
+# token that names a FILES entry is read from a file written for the run
 GOLDENS = [
     (["info", "--fixture", "G1"], None, 0,
      "48ef025311914d7a70ecc7e5ff2aeb980d8a3ca50e4f5508d67c06f1bce73c51"),
@@ -73,21 +76,34 @@ GOLDENS = [
     # eight 2^16-word Gray blocks
     (["neighborhood", "-"], "walk40", 0,
      "57ad36c36e0f9862cffefde005229badb6b2979988bf9c7eea69fdb3e86d3d05"),
+    # n=32 walk codes: a seeded permutation of one (pins the witness), and
+    # an inequivalent pair with equal weight enumerators
+    (["equivalent", "walk32.txt", "-"], "walk32perm", 0,
+     "a874cc71e3f3b15ba53fcd1da14e1c25f35d4aa28b15ae85e65b4a6f483526c3"),
+    (["equivalent", "walk2001-8.txt", "-"], "walk2001-12perm", 1,
+     "cd4b8171c3036f3b520143cdd4d51e4341a834c61bf2f94f425dcf9bb3067a63"),
 ]
 
 
-def permuted_fixture(name, seed):
-    images = list(range(24))
+def permuted(code, seed):
+    images = list(range(code.n))
     random.Random(seed).shuffle(images)
-    moved = apply_permutation(from_generator(fixture(name)), CoordinatePermutation(tuple(images)))
+    moved = apply_permutation(code, CoordinatePermutation(tuple(images)))
     return serialize_matrix(moved.generator)
 
 
 STDIN = {
     "walk32": lambda: serialize_matrix(random_self_dual(32, 12, 19).generator),
     "walk40": lambda: serialize_matrix(random_self_dual(40, 8, 1).generator),
-    "G1perm": lambda: permuted_fixture("G1", 1),
-    "G4perm": lambda: permuted_fixture("G4", 4),
+    "G1perm": lambda: permuted(from_generator(fixture("G1")), 1),
+    "G4perm": lambda: permuted(from_generator(fixture("G4")), 4),
+    "walk32perm": lambda: permuted(random_self_dual(32, 12, 19), 32),
+    "walk2001-12perm": lambda: permuted(random_self_dual(32, 12, 2001), 1),
+}
+
+FILES = {
+    "walk32.txt": lambda: serialize_matrix(random_self_dual(32, 12, 19).generator),
+    "walk2001-8.txt": lambda: serialize_matrix(random_self_dual(32, 8, 2001).generator),
 }
 
 
@@ -95,12 +111,19 @@ def run(argv, stdin_key):
     argv = argv + ["--json"]
     text = STDIN[stdin_key]() if stdin_key else ""
     out = io.StringIO()
-    saved = sys.stdin, sys.stdout
-    sys.stdin, sys.stdout = io.StringIO(text), out
-    try:
-        status = cli.main(argv)
-    finally:
-        sys.stdin, sys.stdout = saved
+    saved = sys.stdin, sys.stdout, os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in FILES.keys() & set(argv):
+            with open(os.path.join(tmp, name), "w") as fh:
+                fh.write(FILES[name]())
+        # the input name is part of the output, so the file is read by it
+        os.chdir(tmp)
+        sys.stdin, sys.stdout = io.StringIO(text), out
+        try:
+            status = cli.main(argv)
+        finally:
+            sys.stdin, sys.stdout = saved[:2]
+            os.chdir(saved[2])
     return status, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
