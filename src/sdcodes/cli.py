@@ -51,7 +51,7 @@ def _matrix_rows(code: LinearCode) -> list[str]:
 
 
 def _load_source(token: str) -> tuple[str, LinearCode]:
-    """Resolve one input token: existing path first, then '-', then fixture:NAME."""
+    """Resolve one input token: '-' (stdin) first, then an existing path, then fixture:NAME."""
     if token == "-":
         return "<stdin>", from_generator(parse_matrix(sys.stdin.read()))
     if os.path.exists(token):

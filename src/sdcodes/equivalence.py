@@ -3,9 +3,11 @@
 Two codes are permutation equivalent when some relabeling of coordinates
 maps one onto the other.  The decision procedure is exact: cheap invariant
 rejections (weight distribution, column coverage profiles) followed by a
-depth-first search assigning images to a small-weight basis.  A column's
-coverage profile is the code's weight enumerator minus that of the code
-shortened at the column, both from the shared Gray sweep.  Column pattern
+depth-first search assigning images to a small-weight basis.  Each code's
+codewords are listed once, by one Gray sweep, and grouped by weight; the
+group sizes are the weight distribution, and a column's coverage profile
+counts the words of each group that cover it, up to the weight of the
+heaviest basis word, since the search maps no heavier word.  Column pattern
 multisets alone prune the search: a match at every depth already makes the
 images independent.  Any witness returned has been verified.
 """
@@ -14,14 +16,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, groupby
 
-from .code import (
-    EnumerationCapError,
-    InternalConsistencyError,
-    LinearCode,
-    WeightEnumerator,
-    _kernel_rows,
-)
+from .code import EnumerationCapError, InternalConsistencyError, LinearCode
 from .gf2 import BitVector
 
 EQUIVALENCE_MAX_LENGTH = 32
@@ -75,19 +72,17 @@ def apply_permutation(c: LinearCode, p: CoordinatePermutation) -> LinearCode:
     return LinearCode(c.n, [_permute_bits(r, p.images) for r in c.rows])
 
 
-def _column_coverage(c: LinearCode, full: WeightEnumerator) -> Counter:
-    """Multiset over columns of (weight -> covering codeword count) profiles.
+def _weight_groups(words) -> dict[int, list[int]]:
+    """words grouped by weight, lightest first, each group in the order given."""
+    return {w: list(g) for w, g in groupby(sorted(words, key=int.bit_count), int.bit_count)}
 
-    The words covering column i are the code minus its subcode that is zero
-    at i, so a profile is the weight enumerator full of c minus that of the
-    shortened code.
-    """
-    profiles = Counter()
-    for i in range(c.n):
-        t = [(r >> i) & 1 for r in c.rows]
-        short = LinearCode(c.n, _kernel_rows(c.rows, t)).weight_enumerator()
-        profiles[tuple((w, m - short[w]) for w, m in full.items() if m != short[w])] += 1
-    return profiles
+
+def _column_profiles(n: int, groups: dict[int, list[int]], top: int) -> Counter:
+    """Multiset over columns of how many words of each weight up to top cover it."""
+    weights = [w for w in groups if w <= top]
+    return Counter(
+        tuple(sum(map((1 << i).__and__, groups[w])) >> i for w in weights) for i in range(n)
+    )
 
 
 def _map_basis(depth: int, classes, basis, targets, by_weight):
@@ -141,26 +136,24 @@ def are_permutation_equivalent(
     k = c1.k
     if k == 0 or c1 == c2:
         return CoordinatePermutation.identity(n)
-    full = c1.weight_enumerator()
-    if full != c2.weight_enumerator():
-        return None
-    # from here on full is the weight enumerator of both codes
-    if _column_coverage(c1, full) != _column_coverage(c2, full):
+    # c1's words in (weight, word) order, c2's in sweep order within a weight
+    groups1 = _weight_groups(sorted(c1.codewords()[1:]))
+    groups2 = _weight_groups(c2.codewords()[1:])
+    if {w: len(g) for w, g in groups1.items()} != {w: len(g) for w, g in groups2.items()}:
         return None
 
     # small-weight basis of c1; its words have few candidate images
-    # (weight, word) order by two stable sorts on C-level keys; a tuple key
-    # per word costs about 40 ms and 1.5 MB at k=16
-    words1 = sorted(c1.codewords()[1:])
-    words1.sort(key=int.bit_count)
     basis: list[int] = []
     span = LinearCode(n, basis)
-    for w in words1:
+    for w in chain.from_iterable(groups1.values()):
         if span._reduce(w):
             basis.append(w)
             if len(basis) == k:
                 break
             span = LinearCode(n, basis)
+    top = basis[-1].bit_count()
+    if _column_profiles(n, groups1, top) != _column_profiles(n, groups2, top):
+        return None
 
     # column patterns of the basis, cumulatively per depth
     pats1 = [0] * n
@@ -170,11 +163,7 @@ def are_permutation_equivalent(
             pats1[i] |= ((b >> i) & 1) << d
         counters1.append(Counter(pats1))
 
-    by_weight = {}
-    for w in c2.codewords()[1:]:
-        by_weight.setdefault(w.bit_count(), []).append(w)
-
-    classes = _map_basis(0, [(0, (1 << n) - 1)], basis, counters1, by_weight)
+    classes = _map_basis(0, [(0, (1 << n) - 1)], basis, counters1, groups2)
     if classes is None:
         return None
 

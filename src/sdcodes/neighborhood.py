@@ -244,10 +244,14 @@ def walk_self_dual(n: int, seed: int) -> Iterator[LinearCode]:
     Yields the start code and then one code per step.  Step vectors are drawn
     from random.Random(seed) by rejection until even-weight and outside the
     current code, so a given (n, seed) always replays the same path.
+    The one self-dual code of length 2 has no neighbors, so a step there
+    raises ValueError.
     """
     c = double_pair_code(n)
     rng = random.Random(seed)
     yield c
+    if n == 2:
+        raise ValueError("the self-dual code of length 2 has no neighbors")
     while True:
         while True:
             x = rng.getrandbits(n)

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from sdcodes import equivalence
+from sdcodes import code, equivalence
 from sdcodes.code import EnumerationCapError, InternalConsistencyError, from_generator
 from sdcodes.equivalence import (
     CoordinatePermutation,
@@ -154,21 +154,31 @@ class TestDecision:
         assert are_permutation_equivalent(z, z) == CoordinatePermutation.identity(4)
 
 
-def o_column_coverage(c):
-    """Per column, the weights of the codewords covering it, counted word by word."""
+def o_column_coverage(c, top):
+    """Per column, how many codewords of each nonzero weight up to top cover
+    it, counted word by word."""
     words = o_codewords([to_bits(r) for r in c.generator])
+    weights = sorted({o_weight(w) for w in words if 0 < o_weight(w) <= top})
     profiles = [Counter() for _ in range(c.n)]
     for w in words:
         for i, bit in enumerate(w):
             if bit:
                 profiles[i][o_weight(w)] += 1
-    return Counter(tuple(sorted(p.items())) for p in profiles)
+    return Counter(tuple(p[w] for w in weights) for p in profiles)
+
+
+def assert_profiles_match_oracle(c):
+    groups = equivalence._weight_groups(c.codewords()[1:])
+    weights = list(groups)
+    # every weight, and the weights up to the middle one
+    for top in (weights[-1], weights[(len(weights) - 1) // 2]):
+        assert equivalence._column_profiles(c.n, groups, top) == o_column_coverage(c, top)
 
 
 class TestColumnCoverage:
     def test_matches_per_word_count_on_random_codes(self):
         rng = random.Random(31)
-        zero_columns = 0
+        zero_columns = partial = 0
         for _ in range(40):
             n = rng.randrange(2, 15)
             # a random mask zeroes some columns of every row
@@ -179,13 +189,37 @@ class TestColumnCoverage:
             if c.k == 0:
                 continue
             zero_columns += n - bin(mask).count("1")
-            assert equivalence._column_coverage(c, c.weight_enumerator()) == o_column_coverage(c)
-        assert zero_columns > 0
+            partial += len(c.weight_enumerator().counts) > 2
+            assert_profiles_match_oracle(c)
+        assert zero_columns > 0 and partial > 0
 
     def test_fixtures(self, fixture_codes):
         for name in ("G3", "G4"):
-            c = fixture_codes[name]
-            assert equivalence._column_coverage(c, c.weight_enumerator()) == o_column_coverage(c)
+            assert_profiles_match_oracle(fixture_codes[name])
+
+
+class TestOneSweepPerCode:
+    def test_one_codeword_list_per_code(self, monkeypatch, fixture_codes, e8e8, d16):
+        # no weight enumerator and no shortened code: the weight distribution
+        # and the profiles come from the one sweep that lists the codewords
+        sweeps = []
+        blocks = code._gray_blocks
+
+        def counted(rows):
+            sweeps.append(len(rows))
+            return blocks(rows)
+
+        def boom(*args):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(code, "_gray_blocks", counted)
+        monkeypatch.setattr(code.LinearCode, "weight_enumerator", boom)
+        monkeypatch.setattr(code, "_kernel_rows", boom)
+        assert are_permutation_equivalent(fixture_codes["G1"], fixture_codes["G2"]) is not None
+        assert sweeps == [12, 12]
+        sweeps.clear()
+        assert are_permutation_equivalent(e8e8, d16) is None
+        assert sweeps == [8, 8]
 
 
 class TestWitnessCheck:

@@ -331,6 +331,12 @@ class TestWalk:
         with pytest.raises(ValueError):
             random_self_dual(16, -1, 0)
 
+    def test_length_two_has_no_step(self):
+        # {00, 11} is the only self-dual code of length 2: no neighbor to draw
+        assert random_self_dual(2, 0, 3) == double_pair_code(2)
+        with pytest.raises(ValueError, match="no neighbors"):
+            random_self_dual(2, 1, 0)
+
 
 class TestVerdicts:
     def test_type1_bound_on_fixtures(self, triples):
