@@ -111,19 +111,19 @@ def run(argv, stdin_key):
     argv = argv + ["--json"]
     text = STDIN[stdin_key]() if stdin_key else ""
     out = io.StringIO()
-    saved = sys.stdin, sys.stdout, os.getcwd()
+    saved, cwd = (sys.stdin, sys.stdout), os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         for name in FILES.keys() & set(argv):
             with open(os.path.join(tmp, name), "w") as fh:
                 fh.write(FILES[name]())
-        # the input name is part of the output, so the file is read by it
+        # the output names each input, so a file is read by its bare name
         os.chdir(tmp)
         sys.stdin, sys.stdout = io.StringIO(text), out
         try:
             status = cli.main(argv)
         finally:
-            sys.stdin, sys.stdout = saved[:2]
-            os.chdir(saved[2])
+            sys.stdin, sys.stdout = saved
+            os.chdir(cwd)
     return status, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
