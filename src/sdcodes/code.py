@@ -5,7 +5,9 @@ ints (RREF, zero rows dropped), so code equality is literal row equality.
 Rows that are already in that form are kept without elimination, which lets
 a neighbor step build its code with O(k) row operations (_kernel_rows and
 _insert_rref keep the form).  Self-orthogonality is decided by one pass over
-all pairs of rows, once per code, and stored with it.
+all pairs of rows, once per code, and stored with it; a code built by a
+neighbor step instead stores the result of an O(k) certificate that derives
+it from the stored result of the code it came from.
 Weight enumeration and codeword listing stream all 2^k codewords with one
 Gray-code sweep.  Minimum distance uses the Brouwer-Zimmermann search
 instead: it enumerates sums of few rows of generators that are systematic on
@@ -146,7 +148,9 @@ class LinearCode:
 
         Decided by one full pass over all pairs of rows.  The code is
         immutable, so the pass runs once per code; later calls return the
-        stored result.
+        stored result.  A code built by neighborhood.neighbor_step has it
+        stored already, proved by a certificate of O(k) row operations, and
+        runs no pass.
         """
         if self._self_orthogonal is None:
             object.__setattr__(self, "_self_orthogonal", _pairwise_orthogonal(self.rows))

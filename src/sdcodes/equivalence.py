@@ -136,11 +136,13 @@ def are_permutation_equivalent(
     k = c1.k
     if k == 0 or c1 == c2:
         return CoordinatePermutation.identity(n)
-    # c1's words in (weight, word) order, c2's in sweep order within a weight
-    groups1 = _weight_groups(sorted(c1.codewords()[1:]))
+    groups1 = _weight_groups(c1.codewords()[1:])
     groups2 = _weight_groups(c2.codewords()[1:])
     if {w: len(g) for w, g in groups1.items()} != {w: len(g) for w, g in groups2.items()}:
         return None
+    # c1's words in (weight, word) order, c2's in sweep order within a weight
+    for g in groups1.values():
+        g.sort()
 
     # small-weight basis of c1; its words have few candidate images
     basis: list[int] = []

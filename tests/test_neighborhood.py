@@ -250,8 +250,8 @@ class TestNeighborStep:
 
 
 class TestStepWithoutElimination:
-    """A step builds its rows in RREF with O(k) row operations, checks the
-    new code once by a full pairwise pass, and still refuses a bad result."""
+    """A step builds its rows in RREF with O(k) row operations, certifies the
+    new code with O(k) more, and still refuses a bad result."""
 
     def test_matches_elimination_of_the_old_kernel_rows(self):
         for n in range(8, 129, 8):
@@ -281,17 +281,19 @@ class TestStepWithoutElimination:
             return pairwise(rows)
 
         monkeypatch.setattr(code, "_pairwise_orthogonal", counted)
-        walk = walk_self_dual(64, 3)
-        codes = []
-        for _ in range(11):
-            # what search does with each code of the walk
-            codes.append(next(walk))
-            codes[-1].classify()
-        assert len(passes) == 11
-        assert passes == [c.rows for c in codes]
-        # an equal code built again is a new object with its own pass
-        assert LinearCode(64, codes[-1].rows).is_self_dual()
-        assert len(passes) == 12
+        for n in (64, 512):
+            passes.clear()
+            walk = walk_self_dual(n, 3)
+            codes = []
+            for _ in range(11):
+                # what search does with each code of the walk
+                codes.append(next(walk))
+                codes[-1].classify()
+            # the start code runs the pass; every step is certified without one
+            assert passes == [codes[0].rows]
+            # an equal code built again is a new object with its own pass
+            assert LinearCode(n, codes[-1].rows).is_self_dual()
+            assert passes == [codes[0].rows, codes[-1].rows]
 
     @pytest.mark.parametrize(
         "helper, wrong",
@@ -309,6 +311,84 @@ class TestStepWithoutElimination:
         monkeypatch.setattr(neighborhood, helper, wrong)
         with pytest.raises(InternalConsistencyError, match="non-self-dual"):
             neighbor_step(c, x)
+
+
+def certified_steps():
+    """(c, x, out) for seeded walk steps at n = 8..128, out built the old way:
+    by elimination of the first-row kernel rows and x."""
+    for n in range(8, 129, 4):
+        rng = random.Random(n)
+        c = double_pair_code(n)
+        for _ in range(6):
+            x = step_vector(c, rng)
+            kernel = first_row_kernel(c.rows, [(r & x).bit_count() & 1 for r in c.rows])
+            yield c, x, LinearCode(n, kernel + [x]), kernel
+            c = neighbor_step(c, BitVector(n, x))
+
+
+def draw(rng, n, wanted):
+    while True:
+        w = rng.getrandbits(n)
+        if wanted(w):
+            return w
+
+
+class TestStepCertificate:
+    """A step's self-duality is certified from that of c in O(k) row
+    operations; the pairwise pass over the rows is the oracle."""
+
+    def certify(self, c, x, out):
+        ok = neighborhood._step_certified(c, x, out)
+        # the certificate is sound: whatever it accepts is self-dual
+        if ok:
+            assert out.k * 2 == out.n and code._pairwise_orthogonal(out.rows)
+        return ok
+
+    def test_accepts_every_correct_step(self):
+        for c, x, out, _ in certified_steps():
+            assert self.certify(c, x, out)
+            assert neighbor_step(c, BitVector(c.n, x)) == out
+
+    def test_rejects_a_row_outside_the_extension(self):
+        # w . x = 0, so only the coset of w gives it away
+        for c, x, out, _ in certified_steps():
+            rng = random.Random(c.n)
+            cosets = (0, c._reduce(x))
+            rows = list(out.rows)
+            while True:
+                i = rng.randrange(len(rows))
+                rows[i] = draw(
+                    rng, c.n, lambda w: (w & x).bit_count() % 2 == 0 and c._reduce(w) not in cosets
+                )
+                bad = LinearCode(c.n, rows)
+                if bad.k == c.k:
+                    break
+                rows = list(out.rows)
+            assert not self.certify(c, x, bad)
+
+    def test_rejects_a_row_not_orthogonal_to_x(self):
+        # the row stays in c + <x>, so only its product with x gives it away
+        for c, x, out, _ in certified_steps():
+            rng = random.Random(c.n)
+            odd = [r for r in c.rows if (r & x).bit_count() & 1]
+            while True:
+                rows = list(out.rows)
+                rows[rng.randrange(len(rows))] ^= rng.choice(odd)
+                bad = LinearCode(c.n, rows)
+                if bad.k == c.k:
+                    break
+            assert not self.certify(c, x, bad)
+
+    def test_rejects_another_step_vector(self):
+        # the kernel rows of x with y in place of x, against either vector
+        for c, x, _, kernel in certified_steps():
+            rng = random.Random(c.n)
+            cosets = (0, c._reduce(x))
+            y = draw(rng, c.n, lambda w: w.bit_count() % 2 == 0 and c._reduce(w) not in cosets)
+            bad = LinearCode(c.n, kernel + [y])
+            assert bad.k == c.k
+            assert not self.certify(c, x, bad)
+            assert not self.certify(c, y, bad)
 
 
 class TestWalk:
