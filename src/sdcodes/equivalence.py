@@ -141,8 +141,7 @@ def are_permutation_equivalent(
     if {w: len(g) for w, g in groups1.items()} != {w: len(g) for w, g in groups2.items()}:
         return None
     # c1's words in (weight, word) order, c2's in sweep order within a weight
-    for g in groups1.values():
-        g.sort()
+    groups1 = {w: sorted(g) for w, g in groups1.items()}
 
     # small-weight basis of c1; its words have few candidate images
     basis: list[int] = []

@@ -222,6 +222,23 @@ class TestOneSweepPerCode:
         assert are_permutation_equivalent(e8e8, d16) is None
         assert sweeps == [8, 8]
 
+    def test_weight_distribution_rejects_before_any_value_sort(self, monkeypatch, fixture_codes):
+        # grouping by weight sorts by key; c1's groups are sorted by value
+        # only once their sizes match those of c2
+        value_sorts = []
+
+        def tracked(words, **kw):
+            if "key" not in kw:
+                value_sorts.append(len(words))
+            return sorted(words, **kw)
+
+        monkeypatch.setattr(equivalence, "sorted", tracked, raising=False)
+        assert are_permutation_equivalent(fixture_codes["G1"], fixture_codes["G3"]) is None
+        assert value_sorts == []
+        assert are_permutation_equivalent(fixture_codes["G1"], fixture_codes["G2"]) is not None
+        # the Golay code: its groups of weight 8, 12, 16 and 24, one sort each
+        assert value_sorts[:4] == [759, 2576, 759, 1]
+
 
 class TestWitnessCheck:
     def test_wrong_witness_raises(self, monkeypatch, fixture_codes):
