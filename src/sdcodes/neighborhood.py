@@ -208,7 +208,8 @@ def are_neighbors(c1: LinearCode, c2: LinearCode) -> bool:
 
 
 def _step_certified(c: LinearCode, x: int, out: LinearCode) -> bool:
-    """Whether out is self-dual, given a self-dual c and an even-weight x.
+    """Whether out is proved self-dual as a step from a self-dual c by an
+    even-weight x.
 
     True exactly when out has the dimension of c, every row of out lies in
     c + <x>, and every row is orthogonal to x.  That proves self-duality:

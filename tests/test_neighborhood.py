@@ -314,8 +314,8 @@ class TestStepWithoutElimination:
 
 
 def certified_steps():
-    """(c, x, out) for seeded walk steps at n = 8..128, out built the old way:
-    by elimination of the first-row kernel rows and x."""
+    """(c, x, out, kernel) for seeded walk steps at n = 8..128, with out built
+    the old way: by elimination of x and the first-row kernel rows."""
     for n in range(8, 129, 4):
         rng = random.Random(n)
         c = double_pair_code(n)
@@ -354,16 +354,14 @@ class TestStepCertificate:
         for c, x, out, _ in certified_steps():
             rng = random.Random(c.n)
             cosets = (0, c._reduce(x))
-            rows = list(out.rows)
             while True:
-                i = rng.randrange(len(rows))
-                rows[i] = draw(
+                rows = list(out.rows)
+                rows[rng.randrange(len(rows))] = draw(
                     rng, c.n, lambda w: (w & x).bit_count() % 2 == 0 and c._reduce(w) not in cosets
                 )
                 bad = LinearCode(c.n, rows)
                 if bad.k == c.k:
                     break
-                rows = list(out.rows)
             assert not self.certify(c, x, bad)
 
     def test_rejects_a_row_not_orthogonal_to_x(self):
