@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import sys
+from itertools import islice
 
 from .code import (
     DEFAULT_ENUMERATION_CAP,
@@ -29,8 +30,9 @@ from .fixtures_io import (
     parse_matrix,
     serialize_matrix,
 )
-from .gf2 import BitMatrix
+from .gf2 import _to01
 from .neighborhood import (
+    are_neighbors,
     neighborhood_of,
     verify_distance2_coincidence,
     verify_no_better_type1,
@@ -47,7 +49,12 @@ def _emit(args, record: dict, human: str):
 
 
 def _matrix_rows(code: LinearCode) -> list[str]:
-    return [row.to01() for row in code.generator]
+    return [_to01(r, code.n) for r in code.rows]
+
+
+def _spaced(rows: list[str]) -> str:
+    """Rows as the spaced text matrix of serialize_matrix, without its final newline."""
+    return "\n".join(map(" ".join, rows))
 
 
 def _load_source(token: str) -> tuple[str, LinearCode]:
@@ -94,7 +101,7 @@ def _cmd_info(args) -> int:
         "weight_enumerator: " + " ".join(f"{w}:{c}" for w, c in we.items()),
     ]
     _emit(args, record, "\n".join(lines))
-    return 0
+    return record["exit_status"]
 
 
 def _cmd_dual(args) -> int:
@@ -108,10 +115,11 @@ def _cmd_dual(args) -> int:
         "rows": _matrix_rows(dual),
         "exit_status": 0,
     }
-    # the text matrix cannot show k=0, so it is built only for human output
+    # serialize_matrix holds the text rule for k=0, which the text format
+    # cannot always show, so this matrix goes through it, for human output only
     matrix = "" if args.json else serialize_matrix(dual.generator, spaced=True)
     _emit(args, record, f"n={dual.n} k={dual.k}\n{matrix}".rstrip("\n"))
-    return 0
+    return record["exit_status"]
 
 
 def _cmd_neighborhood(args) -> int:
@@ -123,46 +131,37 @@ def _cmd_neighborhood(args) -> int:
         verify_singly_even_range(nb),
     ]
     failed = any(v.passed is False for v in verdicts)
+    members = []
+    lines = [f"n={nb.c_max.n} c_max_dimension={nb.c_max.k}"]
+    for i, (m, rep, t, d) in enumerate(
+        zip(nb.members, nb.representatives, nb.member_types, nb.member_distances), 1
+    ):
+        text, rows = rep.to01(), _matrix_rows(m)
+        members.append({"type": str(t), "distance": d, "representative": text, "rows": rows})
+        lines.append(f"member {i}: type={t} d={d} representative={text}")
+        lines.append(_spaced(rows))
+    for v in verdicts:
+        status = "pass" if v.passed else ("n/a" if v.passed is None else "FAIL")
+        lines.append(f"verdict {v.check}: {status}")
     record = {
         "command": "neighborhood",
         "input": name,
         "n": nb.c_max.n,
         "c_max_dimension": nb.c_max.k,
-        "members": [
-            {
-                "type": str(t),
-                "distance": d,
-                "representative": rep.to01(),
-                "rows": _matrix_rows(m),
-            }
-            for m, rep, t, d in zip(
-                nb.members, nb.representatives, nb.member_types, nb.member_distances
-            )
-        ],
+        "members": members,
         "verdicts": [
             {"check": v.check, "passed": v.passed, "details": dict(v.details)}
             for v in verdicts
         ],
         "exit_status": 1 if failed else 0,
     }
-    lines = [f"n={nb.c_max.n} c_max_dimension={nb.c_max.k}"]
-    for i, (m, rep, t, d) in enumerate(
-        zip(nb.members, nb.representatives, nb.member_types, nb.member_distances), 1
-    ):
-        lines.append(f"member {i}: type={t} d={d} representative={rep.to01()}")
-        lines.append(serialize_matrix(m.generator, spaced=True).rstrip("\n"))
-    for v in verdicts:
-        status = "pass" if v.passed else ("n/a" if v.passed is None else "FAIL")
-        lines.append(f"verdict {v.check}: {status}")
     _emit(args, record, "\n".join(lines))
-    return 1 if failed else 0
+    return record["exit_status"]
 
 
 def _cmd_neighbors(args) -> int:
     name_a, code_a = _load_source(args.a)
     name_b, code_b = _load_source(args.b)
-    from .neighborhood import are_neighbors
-
     result = are_neighbors(code_a, code_b)
     meet = code_a.intersection(code_b).k
     record = {
@@ -178,7 +177,7 @@ def _cmd_neighbors(args) -> int:
         record,
         f"neighbors={'yes' if result else 'no'} intersection_dimension={meet}",
     )
-    return 0 if result else 1
+    return record["exit_status"]
 
 
 def _cmd_equivalent(args) -> int:
@@ -197,7 +196,7 @@ def _cmd_equivalent(args) -> int:
     else:
         human = "equivalent=no"
     _emit(args, record, human)
-    return 0 if witness else 1
+    return record["exit_status"]
 
 
 def _cmd_verify_paper(args) -> int:
@@ -228,7 +227,7 @@ def _cmd_verify_paper(args) -> int:
         "exit_status": 1 if failed else 0,
     }
     _emit(args, record, f"passed {total - failed}/{total} checks")
-    return 1 if failed else 0
+    return record["exit_status"]
 
 
 def _cmd_search(args) -> int:
@@ -244,18 +243,12 @@ def _cmd_search(args) -> int:
             f"distance evaluation supports length <= {2 * DEFAULT_ENUMERATION_CAP}; "
             "pass --no-distance to walk without it"
         )
-    walk = walk_self_dual(args.n, args.seed)
     best: dict[str, dict] = {}
     stopped_early = False
-    steps_completed = 0
-    code = next(walk)
-    for step in range(args.steps + 1):
-        if step > 0:
-            code = next(walk)
-            steps_completed = step
-        ctype = str(code.classify())
+    for step, code in enumerate(islice(walk_self_dual(args.n, args.seed), args.steps + 1)):
         if not track:
             continue
+        ctype = str(code.classify())
         d = code.minimum_distance()
         entry = best.get(ctype)
         if entry is None or d > entry["d"]:
@@ -282,29 +275,27 @@ def _cmd_search(args) -> int:
         "n": args.n,
         "seed": args.seed,
         "steps": args.steps,
-        "steps_completed": steps_completed,
+        "steps_completed": step,
         "stopped_early": stopped_early,
         "best": {t: dict(e) for t, e in sorted(best.items())},
         "exit_status": 0,
     }
     lines = [
-        f"completed {steps_completed} of {args.steps} steps (n={args.n} seed={args.seed})"
+        f"completed {step} of {args.steps} steps (n={args.n} seed={args.seed})"
         + (" [stopped early]" if stopped_early else "")
     ]
     for ctype, entry in sorted(best.items()):
         lines.append(f"best {ctype}: d={entry['d']} at step {entry['step']}")
         if args.report_best:
-            m = BitMatrix.from_strings(entry["rows"])
-            lines.append(serialize_matrix(m, spaced=True).rstrip("\n"))
+            lines.append(_spaced(entry["rows"]))
     if not track:
         record["final_type"] = str(code.classify())
+        lines.append(f"final code: {record['final_type']} (n={code.n} k={code.k})")
         if args.report_best:
             record["final_rows"] = _matrix_rows(code)
-        lines.append(f"final code: {code.classify()} (n={code.n} k={code.k})")
-        if args.report_best:
-            lines.append(serialize_matrix(code.generator, spaced=True).rstrip("\n"))
+            lines.append(_spaced(record["final_rows"]))
     _emit(args, record, "\n".join(lines))
-    return 0
+    return record["exit_status"]
 
 
 def _add_io_flags(p, single_input: bool):

@@ -74,7 +74,8 @@ class BitVector:
         return tuple(i for i in range(self.length) if (self.bits >> i) & 1)
 
     def to01(self) -> str:
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.length))
+        """The coordinates as '0'/'1' characters, coordinate 0 first."""
+        return _to01(self.bits, self.length)
 
     def __len__(self) -> int:
         return self.length
@@ -105,6 +106,11 @@ class BitVector:
 
     def __repr__(self) -> str:
         return f"BitVector({self.to01()!r})"
+
+
+def _to01(bits: int, n: int) -> str:
+    """The row text of an n-bit word: coordinate 0 (bit 0) is the first character."""
+    return format(bits, f"0{n}b")[::-1]
 
 
 def _check_lengths(a: BitVector, b: BitVector) -> None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterator, Mapping
 
 from .code import (
@@ -31,7 +32,7 @@ from .code import (
     _insert_rref,
     _kernel_rows,
 )
-from .gf2 import BitVector
+from .gf2 import BitVector, _to01
 
 
 def max_doubly_even_subcode(c: LinearCode) -> LinearCode:
@@ -84,7 +85,7 @@ class Neighborhood:
 def _reversed_bits(v: int, n: int) -> int:
     # coordinate 0 becomes the most significant bit, so integer order on the
     # result is lexicographic order on the 0/1 coordinate string
-    return int(format(v, f"0{n}b")[::-1], 2)
+    return int(_to01(v, n), 2)
 
 
 def _coset_leaders(
@@ -184,8 +185,6 @@ def neighborhood_of(c: LinearCode) -> Neighborhood:
     """
     if not c.is_self_dual():
         raise ValueError("neighborhood_of requires a self-dual code")
-    if c.n % 8 != 0:
-        raise ValueError(f"neighborhood construction requires length divisible by 8, got {c.n}")
     ct = c.classify()
     if ct is CodeType.TYPE_II:
         raise ValueError(
@@ -243,10 +242,13 @@ def neighbor_step(c: LinearCode, x: BitVector) -> LinearCode:
     """The neighbor <{v in c : v . x = 0}, x> of a self-dual code c.
 
     x must have even weight and lie outside c; the result is again self-dual
-    and meets c in dimension n/2 - 1.  Its rows are built in RREF with O(k)
-    row operations, so no elimination runs.  Its self-duality is proved from
-    that of c by a certificate of O(k) row operations (_step_certified), not
-    by a pairwise pass, and stored with it for the next step.
+    and meets c in dimension n/2 - 1.  Whether x lies outside c is read off
+    its products t with the rows of c: since c = dual(c), x is in c exactly
+    when every product is 0, so no reduction of x runs for it.  The rows of
+    the result are built in RREF with O(k) row operations, so no elimination
+    runs.  Its self-duality is proved from that of c by a certificate of O(k)
+    row operations (_step_certified), not by a pairwise pass, and stored with
+    it for the next step.
     """
     if not c.is_self_dual():
         raise ValueError("neighbor_step requires a self-dual code")
@@ -254,10 +256,9 @@ def neighbor_step(c: LinearCode, x: BitVector) -> LinearCode:
         raise ValueError(f"length mismatch: {x.length} != {c.n}")
     if x.weight() % 2 != 0:
         raise ValueError("step vector must have even weight")
-    if c.contains(x):
-        raise ValueError("step vector must lie outside the code")
-    # x . v is nonzero for some v in c, since x lies outside c = dual(c)
     t = [(r & x.bits).bit_count() & 1 for r in c.rows]
+    if 1 not in t:
+        raise ValueError("step vector must lie outside the code")
     out = LinearCode(c.n, _insert_rref(_kernel_rows(c.rows, t), x.bits))
     if not _step_certified(c, x.bits, out):
         raise InternalConsistencyError("neighbor step produced a non-self-dual code")
@@ -275,9 +276,10 @@ def double_pair_code(n: int) -> LinearCode:
 def walk_self_dual(n: int, seed: int) -> Iterator[LinearCode]:
     """Seeded random walk on the neighbor graph, starting at double_pair_code.
 
-    Yields the start code and then one code per step.  Step vectors are drawn
-    from random.Random(seed) by rejection until even-weight and outside the
-    current code, so a given (n, seed) always replays the same path.
+    Yields the start code and then one code per step.  Words are drawn from
+    random.Random(seed) one per iteration; a step is taken with each word
+    that has even weight and lies outside the current code, and the others
+    are skipped, so a given (n, seed) always replays the same path.
     The one self-dual code of length 2 has no neighbors, so a step there
     raises ValueError.
     """
@@ -287,23 +289,17 @@ def walk_self_dual(n: int, seed: int) -> Iterator[LinearCode]:
     if n == 2:
         raise ValueError("the self-dual code of length 2 has no neighbors")
     while True:
-        while True:
-            x = rng.getrandbits(n)
-            if x.bit_count() % 2 == 0 and c._reduce(x):
-                break
-        c = neighbor_step(c, BitVector(n, x))
-        yield c
+        x = rng.getrandbits(n)
+        if x.bit_count() % 2 == 0 and c._reduce(x):
+            c = neighbor_step(c, BitVector(n, x))
+            yield c
 
 
 def random_self_dual(n: int, steps: int, seed: int) -> LinearCode:
     """The code reached after `steps` seeded neighbor steps from double_pair_code."""
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
-    walk = walk_self_dual(n, seed)
-    c = next(walk)
-    for _ in range(steps):
-        c = next(walk)
-    return c
+    return next(islice(walk_self_dual(n, seed), steps, None))
 
 
 @dataclass(frozen=True)

@@ -258,6 +258,29 @@ class TestSearch:
         assert records[0]["best"] == {}
         assert records[0]["final_type"] in ("TypeI", "TypeII")
 
+    def test_no_distance_walk_does_each_job_once(self, capsys, monkeypatch):
+        # each step reduces its step vector three times: the walk's draw test
+        # against c, _insert_rref against the 255 kernel rows, and the
+        # certificate's coset of x against c; only the final code is classified
+        reductions, classified = [], []
+        reduced, classify = code._reduced, code.LinearCode.classify
+
+        def counted_reduced(rows, bits):
+            reductions.append(len(rows))
+            return reduced(rows, bits)
+
+        def counted_classify(self):
+            classified.append(self.n)
+            return classify(self)
+
+        monkeypatch.setattr(code, "_reduced", counted_reduced)
+        monkeypatch.setattr(code.LinearCode, "classify", counted_classify)
+        status, out, _ = run_cli(capsys, "search", "--n", "512", "--steps", "30",
+                                 "--no-distance", "--json")
+        assert status == 0 and json_lines(out)[-1]["steps_completed"] == 30
+        assert reductions == [256, 255, 256] * 30
+        assert classified == [512]
+
     def test_no_distance_with_min_d_rejected(self, capsys):
         status, _, err = run_cli(capsys, "search", "--n", "16", "--no-distance",
                                  "--min-d", "4")

@@ -1,10 +1,12 @@
-"""Byte-level goldens for the CLI's --json output.
+"""Byte-level goldens for the CLI's --json and human output.
 
 Each case pins the exit status and the sha256 of stdout of one command, as
 recorded from a known-good build.  A mismatch means the command's output
 changed: distances, coset representatives, member order, walk paths or the
 equivalence witness.  Such a change must be deliberate; print the current
-digests with `PYTHONPATH=src python tests/test_goldens.py`.
+digests with `PYTHONPATH=src python tests/test_goldens.py`.  GOLDENS run
+with --json; HUMAN_GOLDENS run without it and pin the text renderings of
+matrices, members and search results.
 """
 
 import hashlib
@@ -84,6 +86,28 @@ GOLDENS = [
      "cd4b8171c3036f3b520143cdd4d51e4341a834c61bf2f94f425dcf9bb3067a63"),
 ]
 
+# the same shape as GOLDENS, run without --json
+HUMAN_GOLDENS = [
+    (["info", "--fixture", "G3"], None, 0,
+     "0aeaee4cb3b270183507251f53c1b978b1e418c3674e8d02d8db989f56354ae1"),
+    (["dual", "--fixture", "G3"], None, 0,
+     "73734023824f22986d0087f4b95063fe9bf1d6badfb67b2985f0a089b9dbd50e"),
+    (["neighborhood", "--fixture", "G3"], None, 0,
+     "b88e5293d5d4f7fd561b3fffe3093054a43a20f42e8bd857ca5b774203543bec"),
+    (["neighborhood", "--fixture", "G4"], None, 0,
+     "9de58a027f2c5ea07fe9f1d9c3dbb1b4175734e98508ff96e25a84071a1829d1"),
+    (["search", "--n", "32", "--steps", "12", "--seed", "19", "--report-best"], None, 0,
+     "27f415c29c4f086e006c0563b69bcb66d8f8a1227fd56a83af299b0b55a60f3b"),
+    (["search", "--n", "64", "--steps", "30", "--no-distance", "--report-best"], None, 0,
+     "74cbe4bb4374e7c96aebd9e9c8c8e31b29a4a8379f4e44f79d94beffbd79f7d8"),
+    (["search", "--n", "64", "--steps", "0", "--no-distance"], None, 0,
+     "c187c61acc16f9ea1f35fe637182971f3b3a144f668ecdc7eec9cbd66b2a60bb"),
+    # --min-d 6 is met at step 12 of 40, so the walk stops early
+    (["search", "--n", "32", "--steps", "40", "--seed", "3", "--min-d", "6", "--report-best"],
+     None, 0,
+     "5311f0dc41bf7bcd2554cdc7b26911b6ce8bdc1d076309cc5d02bb22ec61dc9c"),
+]
+
 
 def permuted(code, seed):
     images = list(range(code.n))
@@ -107,8 +131,9 @@ FILES = {
 }
 
 
-def run(argv, stdin_key):
-    argv = argv + ["--json"]
+def run(argv, stdin_key, human=False):
+    if not human:
+        argv = argv + ["--json"]
     text = STDIN[stdin_key]() if stdin_key else ""
     out = io.StringIO()
     saved, cwd = (sys.stdin, sys.stdout), os.getcwd()
@@ -127,10 +152,10 @@ def run(argv, stdin_key):
     return status, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
-def golden_ids():
+def golden_ids(cases=GOLDENS):
     """The argv of each case; a repeated argv is told apart by its stdin key."""
     ids = []
-    for argv, stdin_key, _, _ in GOLDENS:
+    for argv, stdin_key, _, _ in cases:
         name = " ".join(argv)
         ids.append(f"{name} {stdin_key}" if name in ids else name)
     return ids
@@ -141,6 +166,15 @@ def test_golden(argv, stdin_key, status, digest):
     assert run(argv, stdin_key) == (status, digest)
 
 
+@pytest.mark.parametrize(
+    "argv,stdin_key,status,digest", HUMAN_GOLDENS, ids=golden_ids(HUMAN_GOLDENS)
+)
+def test_human_golden(argv, stdin_key, status, digest):
+    assert run(argv, stdin_key, human=True) == (status, digest)
+
+
 if __name__ == "__main__":
     for argv, stdin_key, _, _ in GOLDENS:
         print(*run(argv, stdin_key), " ".join(argv))
+    for argv, stdin_key, _, _ in HUMAN_GOLDENS:
+        print(*run(argv, stdin_key, human=True), " ".join(argv), "(human)")
