@@ -2,12 +2,14 @@
 
 A LinearCode is stored as its length and its canonical generator rows as
 ints (RREF, zero rows dropped), so code equality is literal row equality.
-Rows that are already in that form are kept without elimination, which lets
-a neighbor step build its code with O(k) row operations (_kernel_rows and
-_insert_rref keep the form).  Self-orthogonality is decided by one pass over
-all pairs of rows, once per code, and stored with it; a code built by a
-neighbor step instead stores the result of an O(k) certificate that derives
-it from the stored result of the code it came from.
+Every RREF comes from the row-space moves of gf2: rows that are already in
+that form are kept without elimination, which lets a neighbor step build its
+code with O(k) row operations, and the dual and intersections are cut from
+unit rows and from the code's own rows, already reduced.
+Self-orthogonality is decided by one pass over all pairs of rows, once per
+code, and stored with it; a code built by a neighbor step instead stores the
+result of an O(k) certificate that derives it from the stored result of the
+code it came from.
 Weight enumeration and codeword listing stream all 2^k codewords with one
 Gray-code sweep.  Minimum distance uses the Brouwer-Zimmermann search
 instead: it enumerates sums of few rows of generators that are systematic on
@@ -28,7 +30,15 @@ from math import comb
 from operator import xor
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .gf2 import MAX_LENGTH, BitMatrix, BitVector, _kernel_ints, _rref_ints
+from .gf2 import (
+    MAX_LENGTH,
+    BitMatrix,
+    BitVector,
+    _dual_rows,
+    _orthogonal_rows,
+    _reduced,
+    _rref_ints,
+)
 
 DEFAULT_ENUMERATION_CAP = 30
 
@@ -111,7 +121,7 @@ class LinearCode:
             raise ValueError(f"code length must be in [1, {MAX_LENGTH}], got {n}")
         if rows and (min(rows) < 0 or max(rows) >> n):
             raise ValueError(f"generator rows must fit in {n} bits")
-        reduced, _ = _rref_ints(rows, n)
+        reduced = _rref_ints(rows, n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", len(reduced))
         object.__setattr__(self, "rows", tuple(reduced))
@@ -141,7 +151,7 @@ class LinearCode:
 
     def dual(self) -> LinearCode:
         """The (n, n-k) code of all vectors orthogonal to every codeword."""
-        return LinearCode(self.n, _kernel_ints(self.rows, self.n))
+        return LinearCode(self.n, _dual_rows(self.rows, self.n))
 
     def is_self_orthogonal(self) -> bool:
         """Whether every two codewords are orthogonal.
@@ -170,11 +180,12 @@ class LinearCode:
         return _reduced(self.rows, bits)
 
     def intersection(self, other: LinearCode) -> LinearCode:
-        """The code of vectors lying in both codes (kernel of stacked parity checks)."""
+        """The code of vectors lying in both codes: the words of self orthogonal
+        to every row of dual(other), cut from the rows of self one check at a
+        time, already reduced."""
         if self.n != other.n:
             raise ValueError(f"length mismatch: {self.n} != {other.n}")
-        checks = self.dual().rows + other.dual().rows
-        return LinearCode(self.n, _kernel_ints(checks, self.n))
+        return LinearCode(self.n, _orthogonal_rows(self.rows, other.dual().rows))
 
     # -- exhaustive sweeps --------------------------------------------------
 
@@ -245,15 +256,6 @@ class LinearCode:
         return CodeType.TYPE_II if doubly_even else CodeType.TYPE_I
 
 
-def _reduced(rows: Sequence[int], bits: int) -> int:
-    """bits reduced against RREF rows: zero at every pivot, same coset of their span."""
-    for row in rows:
-        # the pivot of an RREF row is its lowest set bit
-        if bits & (row & -row):
-            bits ^= row
-    return bits
-
-
 def _pairwise_orthogonal(rows: Sequence[int]) -> bool:
     """Whether every two rows, a row with itself included, have even overlap."""
     return all(
@@ -305,7 +307,7 @@ def _information_set_generators(rows: Sequence[int]) -> list[list[int]]:
     ends at the first elimination that falls short of full rank.
     """
     gens = [list(rows)]
-    # the pivot of an RREF row is its lowest set bit
+    # the pivots of the RREF rows, as gf2 defines them
     used = sum(r & -r for r in rows)
     while True:
         basis: list[int] = []
@@ -351,40 +353,6 @@ def _level_minima(rows: Sequence[int]) -> Iterator[int]:
                 for t in combinations(range(k), w - s)
             )
         yield min(map(int.bit_count, chain.from_iterable(sums)))
-
-
-def _kernel_rows(rows: Sequence[int], t: Sequence[int]) -> list[int]:
-    """Rows spanning the subcode of span(rows) on which the linear functional
-    with value t[i] at rows[i] vanishes; all of rows when t is zero.
-
-    Adding one row of value 1 to every other row of value 1 zeroes the
-    functional on them, and dropping that row leaves a basis of the kernel.
-    The row dropped is the last one of value 1: on RREF rows its pivot is
-    above the pivot of every row it is added to, and it is zero at theirs,
-    so each keeps its pivot as its lowest bit and the result is again RREF,
-    with that row's pivot now a free column.
-    """
-    if 1 not in t:
-        return list(rows)
-    j = max(i for i, v in enumerate(t) if v)
-    return [r ^ rows[j] if t[i] else r for i, r in enumerate(rows) if i != j]
-
-
-def _insert_rref(rows: Sequence[int], x: int) -> list[int]:
-    """RREF rows of span(rows) + x, from RREF rows, in O(k) row operations.
-
-    x is reduced at the existing pivots; if anything is left, its lowest bit
-    q becomes a new pivot, x is added to the rows with a bit at q (their
-    pivots lie below q, so they keep them) and x goes in by pivot order.
-    """
-    x = _reduced(rows, x)
-    if not x:
-        return list(rows)
-    q = x & -x
-    out = [r ^ x if r & q else r for r in rows]
-    at = sum(1 for r in out if r & -r < q)
-    out.insert(at, x)
-    return out
 
 
 def from_generator(m: BitMatrix) -> LinearCode:

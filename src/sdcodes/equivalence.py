@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import chain, groupby
 
 from .code import EnumerationCapError, InternalConsistencyError, LinearCode
-from .gf2 import BitVector
+from .gf2 import BitVector, _insert_rref, _reduced
 
 EQUIVALENCE_MAX_LENGTH = 32
 EQUIVALENCE_MAX_DIMENSION = 16
@@ -145,13 +145,13 @@ def are_permutation_equivalent(
 
     # small-weight basis of c1; its words have few candidate images
     basis: list[int] = []
-    span = LinearCode(n, basis)
+    span: list[int] = []
     for w in chain.from_iterable(groups1.values()):
-        if span._reduce(w):
+        if _reduced(span, w):
             basis.append(w)
             if len(basis) == k:
                 break
-            span = LinearCode(n, basis)
+            span = _insert_rref(span, w)
     top = basis[-1].bit_count()
     if _column_profiles(n, groups1, top) != _column_profiles(n, groups2, top):
         return None

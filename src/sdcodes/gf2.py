@@ -2,14 +2,23 @@
 
 Vectors are immutable and store their coordinates in a single Python int
 (coordinate i of n lives in bit i, so popcount over the int is the Hamming
-weight).  Matrices are immutable tuples of equal-length vectors.  Row
-reduction, rank and kernel computations all work on the raw ints.
+weight).  Matrices are immutable tuples of equal-length vectors.
+
+This module builds every reduced row echelon form (RREF) in the library, on
+the raw ints.  The pivot of an RREF row is its lowest set bit.  Every row
+space is built from one check and two moves, each O(k) row operations:
+_is_rref accepts rows that are already reduced, _insert_rref adds one vector
+to a span, and _kernel_rows cuts a span down to the kernel of a linear
+functional.  Elimination is k inserts; a dual or an orthogonal complement is
+one cut per check, starting from the unit rows.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from functools import reduce
 from operator import lt
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 MAX_LENGTH = 1 << 16
 
@@ -199,7 +208,7 @@ class BitMatrix:
 
 
 def _is_rref(rows: list[int], ncols: int) -> bool:
-    """Whether rows are already what Gauss-Jordan elimination returns for them.
+    """Whether rows are already the RREF of their span, as _eliminate builds it.
 
     That is: every row is nonzero, its pivot (lowest set bit) lies below
     ncols, the pivots strictly increase, and no row has a bit at another
@@ -214,41 +223,75 @@ def _is_rref(rows: list[int], ncols: int) -> bool:
     )
 
 
-def _rref_ints(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
-    """Gauss-Jordan elimination on raw ints; returns (nonzero rows, pivot columns).
+def _rref_ints(rows: list[int], ncols: int) -> list[int]:
+    """The RREF rows of span(rows), zero rows dropped; rows fit in ncols bits.
 
     The reduced form of a row space is unique, so rows that pass _is_rref
     come back as they are, without elimination.
     """
     if _is_rref(rows, ncols):
-        return list(rows), [(r & -r).bit_length() - 1 for r in rows]
-    return _eliminate(rows, ncols)
+        return list(rows)
+    return _eliminate(rows)
 
 
-def _eliminate(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
-    """Full Gauss-Jordan elimination, scanning columns left to right."""
-    work = list(rows)
-    pivots: list[int] = []
-    r = 0
-    nrows = len(work)
-    for col in range(ncols):
-        mask = 1 << col
-        piv = -1
-        for i in range(r, nrows):
-            if work[i] & mask:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        for i in range(nrows):
-            if i != r and work[i] & mask:
-                work[i] ^= work[r]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return work[:r], pivots
+def _eliminate(rows: Iterable[int]) -> list[int]:
+    """Gauss-Jordan elimination: the rows inserted one at a time."""
+    return reduce(_insert_rref, rows, [])
+
+
+def _reduced(rows: Sequence[int], bits: int) -> int:
+    """bits reduced against RREF rows: zero at every pivot, same coset of their span."""
+    for row in rows:
+        if bits & (row & -row):
+            bits ^= row
+    return bits
+
+
+def _insert_rref(rows: Sequence[int], x: int) -> list[int]:
+    """RREF rows of span(rows) + x, from RREF rows, in O(k) row operations.
+
+    x is reduced at the existing pivots; if anything is left, its lowest bit
+    q becomes a new pivot, x is added to the rows with a bit at q (their
+    pivots lie below q, so they keep them) and x goes in by pivot order.
+    """
+    x = _reduced(rows, x)
+    if not x:
+        return list(rows)
+    q = x & -x
+    out = [r ^ x if r & q else r for r in rows]
+    out.insert(bisect_left(out, q, key=lambda r: r & -r), x)
+    return out
+
+
+def _kernel_rows(rows: Sequence[int], t: Sequence[int]) -> list[int]:
+    """Rows spanning the subcode of span(rows) on which the linear functional
+    with value t[i] at rows[i] vanishes; all of rows when t is zero.
+
+    Adding one row of value 1 to every other row of value 1 zeroes the
+    functional on them, and dropping that row leaves a basis of the kernel.
+    The row dropped is the last one of value 1: on RREF rows its pivot is
+    above the pivot of every row it is added to, and it is zero at theirs,
+    so each keeps its pivot as its lowest bit and the result is again RREF,
+    with that row's pivot now a free column.
+    """
+    if 1 not in t:
+        return list(rows)
+    j = max(i for i, v in enumerate(t) if v)
+    return [r ^ rows[j] if t[i] else r for i, r in enumerate(rows) if i != j]
+
+
+def _orthogonal_rows(rows: Sequence[int], checks: Iterable[int]) -> list[int]:
+    """RREF rows of the subspace of span(rows) orthogonal to every check,
+    from RREF rows: one cut by the functional v -> v . h per check h."""
+    rows = list(rows)
+    for h in checks:
+        rows = _kernel_rows(rows, [(r & h).bit_count() & 1 for r in rows])
+    return rows
+
+
+def _dual_rows(rows: Iterable[int], n: int) -> list[int]:
+    """RREF rows of {x : x . r = 0 for every r in rows}, cut from the n unit rows."""
+    return _orthogonal_rows([1 << i for i in range(n)], rows)
 
 
 def rref(m: BitMatrix) -> tuple[BitMatrix, int, tuple[int, ...]]:
@@ -257,32 +300,16 @@ def rref(m: BitMatrix) -> tuple[BitMatrix, int, tuple[int, ...]]:
     Returns (rref matrix, rank, pivot columns).  The result is the unique
     canonical representative of the row space of m.
     """
-    reduced, pivots = _rref_ints(m.row_ints(), m.ncols)
+    reduced = _rref_ints(m.row_ints(), m.ncols)
     mat = BitMatrix([BitVector(m.ncols, bits) for bits in reduced], ncols=m.ncols)
-    return mat, len(reduced), tuple(pivots)
+    return mat, len(reduced), tuple((r & -r).bit_length() - 1 for r in reduced)
 
 
 def rank(m: BitMatrix) -> int:
-    return len(_rref_ints(m.row_ints(), m.ncols)[0])
+    return len(_rref_ints(m.row_ints(), m.ncols))
 
-
-def _kernel_ints(rows: list[int], ncols: int) -> list[int]:
-    reduced, pivots = _rref_ints(rows, ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = 1 << f
-        for t, p in enumerate(pivots):
-            if (reduced[t] >> f) & 1:
-                v |= 1 << p
-        basis.append(v)
-    # canonicalize so the result is itself in RREF
-    basis, _ = _rref_ints(basis, ncols)
-    return basis
 
 def kernel_basis(m: BitMatrix) -> BitMatrix:
     """RREF basis of {x : m . x^T = 0}; has ncols - rank(m) rows."""
-    basis = _kernel_ints(m.row_ints(), m.ncols)
+    basis = _dual_rows(m.row_ints(), m.ncols)
     return BitMatrix([BitVector(m.ncols, bits) for bits in basis], ncols=m.ncols)

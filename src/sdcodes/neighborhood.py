@@ -23,16 +23,8 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterator, Mapping
 
-from .code import (
-    CodeType,
-    InternalConsistencyError,
-    LinearCode,
-    WeightEnumerator,
-    _gray_blocks,
-    _insert_rref,
-    _kernel_rows,
-)
-from .gf2 import BitVector, _to01
+from .code import CodeType, InternalConsistencyError, LinearCode, WeightEnumerator, _gray_blocks
+from .gf2 import BitVector, _insert_rref, _kernel_rows, _to01
 
 
 def max_doubly_even_subcode(c: LinearCode) -> LinearCode:
@@ -152,7 +144,7 @@ def neighborhood_containing(c_max: LinearCode) -> Neighborhood:
 
     members: list[LinearCode] = []
     for _, rep in leaders:
-        ext = LinearCode(n, c_max.rows + (rep,))
+        ext = LinearCode(n, _insert_rref(c_max.rows, rep))
         if not ext.is_self_dual():
             raise InternalConsistencyError(
                 "coset extension is not self-dual; c_max lacks the all-ones word"
@@ -221,7 +213,7 @@ def _step_certified(c: LinearCode, x: int, out: LinearCode) -> bool:
     """
     if out.k != c.k:
         return False
-    # the pivot of an RREF row is its lowest set bit
+    # the pivots of the RREF rows of c, as gf2 defines them
     at_pivot = {r & -r: r for r in c.rows}
     pivots = sum(at_pivot)
     coset_x = c._reduce(x)
@@ -256,11 +248,20 @@ def neighbor_step(c: LinearCode, x: BitVector) -> LinearCode:
         raise ValueError(f"length mismatch: {x.length} != {c.n}")
     if x.weight() % 2 != 0:
         raise ValueError("step vector must have even weight")
-    t = [(r & x.bits).bit_count() & 1 for r in c.rows]
-    if 1 not in t:
+    out = _step(c, x.bits)
+    if out is None:
         raise ValueError("step vector must lie outside the code")
-    out = LinearCode(c.n, _insert_rref(_kernel_rows(c.rows, t), x.bits))
-    if not _step_certified(c, x.bits, out):
+    return out
+
+
+def _step(c: LinearCode, x: int) -> LinearCode | None:
+    """The neighbor step of the self-dual c by the even-weight x, or None when
+    x lies in c, that is when every product of x with a row of c is 0."""
+    t = [(r & x).bit_count() & 1 for r in c.rows]
+    if 1 not in t:
+        return None
+    out = LinearCode(c.n, _insert_rref(_kernel_rows(c.rows, t), x))
+    if not _step_certified(c, x, out):
         raise InternalConsistencyError("neighbor step produced a non-self-dual code")
     object.__setattr__(out, "_self_orthogonal", True)
     return out
@@ -290,8 +291,8 @@ def walk_self_dual(n: int, seed: int) -> Iterator[LinearCode]:
         raise ValueError("the self-dual code of length 2 has no neighbors")
     while True:
         x = rng.getrandbits(n)
-        if x.bit_count() % 2 == 0 and c._reduce(x):
-            c = neighbor_step(c, BitVector(n, x))
+        if x.bit_count() % 2 == 0 and (stepped := _step(c, x)) is not None:
+            c = stepped
             yield c
 
 

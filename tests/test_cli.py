@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from sdcodes import cli, code, neighborhood
+from sdcodes import cli, code, gf2, neighborhood
 from sdcodes.fixtures_io import fixture, serialize_matrix
 from sdcodes.gf2 import BitMatrix
 from sdcodes.neighborhood import random_self_dual
@@ -259,9 +259,10 @@ class TestSearch:
         assert records[0]["final_type"] in ("TypeI", "TypeII")
 
     def test_no_distance_walk_does_each_job_once(self, capsys, monkeypatch):
-        # each step reduces its step vector three times: the walk's draw test
-        # against c, _insert_rref against the 255 kernel rows, and the
-        # certificate's coset of x against c; only the final code is classified
+        # each step reduces its step vector twice: _insert_rref against the
+        # 255 kernel rows, and the certificate's coset of x against c; the
+        # draw's outside-c test is read off the step's products with the rows
+        # of c; only the final code is classified
         reductions, classified = [], []
         reduced, classify = code._reduced, code.LinearCode.classify
 
@@ -273,12 +274,13 @@ class TestSearch:
             classified.append(self.n)
             return classify(self)
 
+        monkeypatch.setattr(gf2, "_reduced", counted_reduced)
         monkeypatch.setattr(code, "_reduced", counted_reduced)
         monkeypatch.setattr(code.LinearCode, "classify", counted_classify)
         status, out, _ = run_cli(capsys, "search", "--n", "512", "--steps", "30",
                                  "--no-distance", "--json")
         assert status == 0 and json_lines(out)[-1]["steps_completed"] == 30
-        assert reductions == [256, 255, 256] * 30
+        assert reductions == [255, 256] * 30
         assert classified == [512]
 
     def test_no_distance_with_min_d_rejected(self, capsys):

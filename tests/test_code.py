@@ -14,23 +14,24 @@ from sdcodes.code import (
     LinearCode,
     WeightEnumerator,
     _information_set_generators,
-    _insert_rref,
-    _kernel_rows,
     _level_minima,
     extremal_bound,
     from_generator,
 )
-from sdcodes.gf2 import BitMatrix, BitVector, _eliminate, _is_rref
+from sdcodes.gf2 import BitMatrix, BitVector, _insert_rref, _is_rref, _kernel_rows
 from sdcodes.neighborhood import double_pair_code, neighborhood_of, random_self_dual
 
 from oracles import (
+    o_codewords,
     o_member,
     o_min_distance,
     o_orthogonal_all,
     o_rank,
+    o_rref,
     o_weight_counts,
     to_bits,
 )
+from test_gf2 import int_bits, oracle_rref, rows_with_dependencies
 
 EXPECTED = {
     "G1": (8, CodeType.TYPE_II),
@@ -104,7 +105,7 @@ class TestRrefRowHelpers:
                 continue
             old = first_row_kernel(rows, t)
             assert len(out) == c.k - 1
-            assert out == _eliminate(old, c.n)[0]
+            assert out == oracle_rref(old, c.n)
             assert LinearCode(c.n, out) == LinearCode(c.n, old)
 
     def test_insert_rref_matches_elimination(self):
@@ -114,7 +115,7 @@ class TestRrefRowHelpers:
             inside = reduce(xor, (r for r in c.rows if rng.getrandbits(1)), 0)
             for x in (rng.getrandbits(c.n), inside, 0):
                 out = _insert_rref(c.rows, x)
-                assert out == _eliminate(list(c.rows) + [x], c.n)[0]
+                assert out == oracle_rref(list(c.rows) + [x], c.n)
                 assert _is_rref(out, c.n)
 
 
@@ -155,6 +156,39 @@ class TestDual:
         for c in fixture_codes.values():
             assert c.dual() == c
             assert c.is_self_dual() and c.is_self_orthogonal()
+
+
+class TestCutBuiltSpaces:
+    """The dual and the intersection are cut from reduced rows; they must
+    match the oracles on inputs with dependent and zero rows."""
+
+    def test_dual_matches_the_oracles(self):
+        rng = random.Random(32)
+        for _ in range(300):
+            n, rows = rows_with_dependencies(rng, 40)
+            c = LinearCode(n, rows)
+            d = c.dual()
+            original = [int_bits(r, n) for r in rows]
+            assert _is_rref(list(d.rows), n)
+            assert d.k == n - o_rank(original)
+            assert all(o_orthogonal_all(original, int_bits(v, n)) for v in d.rows)
+            assert d.dual() == c
+
+    def test_intersection_matches_the_codeword_sets(self):
+        rng = random.Random(33)
+        for _ in range(150):
+            n, rows = rows_with_dependencies(rng, 12)
+            # share some rows so that the intersection is rarely trivial
+            other = rng.sample(rows, len(rows) // 2) + [0]
+            other += [rng.getrandbits(n) for _ in range(rng.randrange(4))]
+            a, b = LinearCode(n, rows), LinearCode(n, other)
+            meet = a.intersection(b)
+            assert _is_rref(list(meet.rows), n)
+
+            def words(c):
+                return set(o_codewords(o_rref([int_bits(r, n) for r in c.rows]))) | {(0,) * n}
+
+            assert words(meet) == words(a) & words(b)
 
 
 class TestMembership:

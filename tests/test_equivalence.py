@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from sdcodes import code, equivalence
+from sdcodes import code, equivalence, gf2
 from sdcodes.code import EnumerationCapError, InternalConsistencyError, from_generator
 from sdcodes.equivalence import (
     CoordinatePermutation,
@@ -215,7 +215,7 @@ class TestOneSweepPerCode:
 
         monkeypatch.setattr(code, "_gray_blocks", counted)
         monkeypatch.setattr(code.LinearCode, "weight_enumerator", boom)
-        monkeypatch.setattr(code, "_kernel_rows", boom)
+        monkeypatch.setattr(gf2, "_kernel_rows", boom)
         assert are_permutation_equivalent(fixture_codes["G1"], fixture_codes["G2"]) is not None
         assert sweeps == [12, 12]
         sweeps.clear()

@@ -1,4 +1,6 @@
 import random
+from functools import reduce
+from operator import xor
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +9,7 @@ from sdcodes.code import LinearCode
 from sdcodes.gf2 import (
     BitMatrix,
     BitVector,
+    _dual_rows,
     _eliminate,
     _is_rref,
     _rref_ints,
@@ -188,9 +191,19 @@ def test_randomized_rref_row_space_preserved():
         assert o_rank(original + reduced) == o_rank(original)
 
 
+def int_bits(v, n):
+    """An int row (bit i is coordinate i) as the oracles' tuple of coordinates."""
+    return tuple((v >> i) & 1 for i in range(n))
+
+
+def oracle_rref(rows, n):
+    """o_rref of int rows, returned as ints."""
+    return [sum(b << i for i, b in enumerate(t)) for t in o_rref([int_bits(r, n) for r in rows])]
+
+
 def near_rref_inputs(rng, n):
     """A reduced row list and copies broken in ways the RREF test must catch."""
-    rows, _ = _eliminate([rng.getrandbits(n) for _ in range(rng.randrange(1, 9))], n)
+    rows = oracle_rref([rng.getrandbits(n) for _ in range(rng.randrange(1, 9))], n)
     yield rows
     yield []
     if len(rows) >= 2:
@@ -208,27 +221,62 @@ def near_rref_inputs(rng, n):
         yield rows[: at + 1] + [rows[at]] + rows[at + 1 :]
 
 
+def rows_with_dependencies(rng, max_n):
+    """(n, rows): random int rows of length n <= max_n, mixed with zero rows
+    and with sums of earlier rows."""
+    n = rng.randrange(1, max_n + 1)
+    rows: list[int] = []
+    for _ in range(rng.randrange(min(n, 16) + 3)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            rows.append(0)
+        elif kind == 1 and rows:
+            rows.append(reduce(xor, rng.sample(rows, rng.randrange(1, len(rows) + 1))))
+        else:
+            rows.append(rng.getrandbits(n))
+    return n, rows
+
+
+class TestCutBuiltKernel:
+    """_dual_rows cuts the unit rows once per input row; the result must be
+    the reduced orthogonal complement, whatever rows are dependent or zero."""
+
+    def test_dual_rows_and_kernel_basis_match_the_oracles(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            n, rows = rows_with_dependencies(rng, 40)
+            original = [int_bits(r, n) for r in rows]
+            out = _dual_rows(rows, n)
+            assert _is_rref(out, n)
+            assert len(out) == n - o_rank(original)
+            assert all(o_orthogonal_all(original, int_bits(v, n)) for v in out)
+            m = BitMatrix([BitVector(n, r) for r in rows], ncols=n)
+            assert kernel_basis(m).row_ints() == out
+
+
 class TestRrefFastPath:
     """_rref_ints returns rows that are already reduced as they are; the
-    result must equal full elimination on every input."""
+    result must equal the oracle's elimination on every input."""
 
     def test_matches_full_elimination(self):
         rng = random.Random(11)
         for _ in range(400):
             n = rng.randrange(1, 40)
             for rows in near_rref_inputs(rng, n):
-                full = _eliminate(rows, n)
-                assert _rref_ints(rows, n) == full
-                assert LinearCode(n, rows).rows == tuple(full[0])
+                full = oracle_rref(rows, n)
+                assert _rref_ints(rows, n) == _eliminate(rows) == full
+                assert LinearCode(n, rows).rows == tuple(full)
                 # the test passes exactly when elimination changes nothing
-                assert _is_rref(rows, n) == (full[0] == rows)
+                assert _is_rref(rows, n) == (full == rows)
 
     def test_pivot_past_ncols_is_eliminated_away(self):
         # reduced as 8-bit rows, but the second pivot lies past 4 columns
         rows = [0b00000011, 0b00110000]
         assert _is_rref(rows, 8)
         assert not _is_rref(rows, 4)
-        assert _rref_ints(rows, 4) == _eliminate(rows, 4) == ([0b11], [0])
+        # elimination keeps every bit; the length guard keeps such rows out
+        with pytest.raises(ValueError, match="fit"):
+            LinearCode(4, rows)
 
     def test_each_trap_is_caught(self):
         assert _is_rref([0b001, 0b010], 3)
@@ -237,4 +285,4 @@ class TestRrefFastPath:
         assert not _is_rref([0b001, 0, 0b010], 3)
         assert not _is_rref([0b001, 0b001], 3)
         assert _is_rref([], 3)
-        assert _rref_ints([], 3) == ([], [])
+        assert _rref_ints([], 3) == []

@@ -33,8 +33,8 @@ def refuse_sweep(rows):
     raise AssertionError(f"swept a code of dimension {len(rows)}")
 
 
-def refuse_elimination(rows, ncols):
-    raise AssertionError(f"eliminated {len(rows)} rows of {ncols} columns")
+def refuse_elimination(rows):
+    raise AssertionError(f"eliminated {len(rows)} rows")
 
 
 def step_vector(c, rng):
