@@ -32,7 +32,7 @@ from .fixtures_io import (
 )
 from .gf2 import _to01
 from .neighborhood import (
-    are_neighbors,
+    _meet_dimension,
     neighborhood_of,
     verify_distance2_coincidence,
     verify_no_better_type1,
@@ -162,8 +162,8 @@ def _cmd_neighborhood(args) -> int:
 def _cmd_neighbors(args) -> int:
     name_a, code_a = _load_source(args.a)
     name_b, code_b = _load_source(args.b)
-    result = are_neighbors(code_a, code_b)
-    meet = code_a.intersection(code_b).k
+    meet = _meet_dimension(code_a, code_b)
+    result = meet == code_a.n // 2 - 1
     record = {
         "command": "neighbors",
         "inputs": [name_a, name_b],

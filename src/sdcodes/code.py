@@ -158,9 +158,9 @@ class LinearCode:
 
         Decided by one full pass over all pairs of rows.  The code is
         immutable, so the pass runs once per code; later calls return the
-        stored result.  A code built by neighborhood.neighbor_step has it
-        stored already, proved by a certificate of O(k) row operations, and
-        runs no pass.
+        stored result.  A code built by neighborhood.neighbor_step or
+        double_pair_code has it stored already, proved in O(k) row
+        operations, and runs no pass.
         """
         if self._self_orthogonal is None:
             object.__setattr__(self, "_self_orthogonal", _pairwise_orthogonal(self.rows))

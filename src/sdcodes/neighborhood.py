@@ -8,22 +8,23 @@ three pairwise neighbors sharing c_max.  For lengths divisible by 8 exactly
 one of the three is Type I and the common subcode is its maximal doubly-even
 subcode, so the triple can be reconstructed from any one Type I member.
 
-A neighborhood is built by one Gray-code sweep of c_max, with each word also
-shifted into the three cosets.  That sweep gives the minimum distance of
-c_max, the canonical representative of each coset, and the weight
-distribution of dual(c_max), which the singly-even verdict reads, so no
-check enumerates the dual itself.
+As the all-ones word lies in c_max, each coset holds the complement of each
+of its words, so one Gray-code sweep of half of c_max, shifted into the three
+cosets, gives the canonical representative of each.  d(c_max) comes from the
+Brouwer-Zimmermann search and the singly-even verdict from the Type I
+representative, so no check enumerates the dual itself.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
+from functools import reduce
+from itertools import chain, compress, islice
+from operator import or_, xor
 from typing import Iterator, Mapping
 
-from .code import CodeType, InternalConsistencyError, LinearCode, WeightEnumerator, _gray_blocks
+from .code import CodeType, InternalConsistencyError, LinearCode, _gray_blocks
 from .gf2 import BitVector, _insert_rref, _kernel_rows, _to01
 
 
@@ -56,8 +57,6 @@ class Neighborhood:
     representatives: tuple[BitVector, BitVector, BitVector]
     member_types: tuple[CodeType, CodeType, CodeType]
     member_distances: tuple[int, int, int]
-    # weight distribution of dual(c_max): c_max and its three cosets
-    dual_weights: WeightEnumerator
 
     def type1(self) -> LinearCode:
         return self.members[self.member_types.index(CodeType.TYPE_I)]
@@ -80,33 +79,32 @@ def _reversed_bits(v: int, n: int) -> int:
     return int(_to01(v, n), 2)
 
 
-def _coset_leaders(
-    c_max: LinearCode, offsets: list[int]
-) -> tuple[int, list[tuple[int, int]], WeightEnumerator]:
-    """One sweep of c_max: its minimum distance, the canonical representative
-    of each coset offset + c_max as (weight, word) pairs in canonical order
-    (minimum weight, then lexicographic), and the weight distribution of
-    c_max together with those cosets.
+def _coset_leaders(c_max: LinearCode, offsets: list[int]) -> list[tuple[int, int]]:
+    """The canonical representative of each coset offset + c_max, as (weight,
+    word) pairs in canonical order (minimum weight, then lexicographic).
+
+    The rows of c_max XOR to the all-ones word, so a sweep of the span of all
+    rows but the last meets each coset word or its complement: a coset's
+    least weight w is min(lo, n - hi) over its swept weights, and the words
+    of weight w and the complements of those of weight n - w are its
+    candidates.
     """
-    c_max._check_cap()
     n = c_max.n
-    flipped = [_reversed_bits(r, n) for r in c_max.rows]
+    ones = (1 << n) - 1
+    flipped = [_reversed_bits(r, n) for r in c_max.rows[:-1]]
     flipped_offsets = [_reversed_bits(g, n) for g in offsets]
-    d = n + 1
     best = [(n + 1, 0)] * len(offsets)
-    counts: Counter[int] = Counter()
     for block in _gray_blocks(flipped):
         words = list(block)
-        weights = list(map(int.bit_count, words))
-        counts.update(weights)
-        d = min(d, min(filter(None, weights), default=d))
         for i, g in enumerate(flipped_offsets):
-            coset = list(map(g.__xor__, words))
-            weights = list(map(int.bit_count, coset))
-            counts.update(weights)
-            best[i] = min(best[i], min(zip(weights, coset)))
-    leaders = [(w, _reversed_bits(x, n)) for w, x in sorted(best)]
-    return d, leaders, WeightEnumerator(dict(sorted(counts.items())))
+            weights = list(map(int.bit_count, map(g.__xor__, words)))
+            w = min(min(weights), n - max(weights))
+            if w <= best[i][0]:
+                lightest = compress(words, map(w.__eq__, weights))
+                heaviest = compress(words, map((n - w).__eq__, weights))
+                x = min(chain(map(g.__xor__, lightest), map((g ^ ones).__xor__, heaviest)))
+                best[i] = min(best[i], (w, x))
+    return [(w, _reversed_bits(x, n)) for w, x in sorted(best)]
 
 
 def neighborhood_containing(c_max: LinearCode) -> Neighborhood:
@@ -126,31 +124,22 @@ def neighborhood_containing(c_max: LinearCode) -> Neighborhood:
         raise ValueError("c_max must be self-orthogonal")
     if any(row.bit_count() % 4 for row in c_max.rows):
         raise ValueError("c_max must be doubly-even")
+    # 1 has every pivot of the RREF rows set, so it lies in c_max exactly
+    # when it is their XOR
+    if reduce(xor, c_max.rows) != (1 << n) - 1:
+        raise InternalConsistencyError("c_max lacks the all-ones word")
 
-    # two generators of the 2-dimensional quotient dual / c_max; reduction
-    # against the RREF rows of c_max maps each coset to one word
-    gammas: list[int] = []
-    for row in c_max.dual().rows:
-        r = c_max._reduce(row)
-        if r and r not in gammas:
-            gammas.append(r)
-            if len(gammas) == 2:
-                break
-    if len(gammas) != 2:
+    # reduction against the RREF rows of c_max maps each coset to one word, so
+    # two distinct nonzero reductions of dual rows generate dual / c_max
+    gammas = list(dict.fromkeys(filter(None, map(c_max._reduce, c_max.dual().rows))))
+    if len(gammas) < 2:
         raise InternalConsistencyError("dual of c_max does not exceed c_max by dimension 2")
 
-    offsets = [gammas[0], gammas[1], gammas[0] ^ gammas[1]]
-    d_max, leaders, dual_weights = _coset_leaders(c_max, offsets)
+    d_max = c_max.minimum_distance()
+    leaders = _coset_leaders(c_max, [gammas[0], gammas[1], gammas[0] ^ gammas[1]])
 
-    members: list[LinearCode] = []
-    for _, rep in leaders:
-        ext = LinearCode(n, _insert_rref(c_max.rows, rep))
-        if not ext.is_self_dual():
-            raise InternalConsistencyError(
-                "coset extension is not self-dual; c_max lacks the all-ones word"
-            )
-        members.append(ext)
-
+    # each extension is self-dual, as 1 lies in c_max; classify checks it
+    members = [LinearCode(n, _insert_rref(c_max.rows, rep)) for _, rep in leaders]
     types = tuple(m.classify() for m in members)
     if sorted(t.value for t in types) != ["TypeI", "TypeII", "TypeII"]:
         raise InternalConsistencyError(
@@ -165,7 +154,6 @@ def neighborhood_containing(c_max: LinearCode) -> Neighborhood:
         representatives=(reps[0], reps[1], reps[2]),
         member_types=types,
         member_distances=distances,
-        dual_weights=dual_weights,
     )
 
 
@@ -191,11 +179,16 @@ def neighborhood_of(c: LinearCode) -> Neighborhood:
 
 def are_neighbors(c1: LinearCode, c2: LinearCode) -> bool:
     """Whether two self-dual codes of one length meet in dimension n/2 - 1."""
+    return _meet_dimension(c1, c2) == c1.n // 2 - 1
+
+
+def _meet_dimension(c1: LinearCode, c2: LinearCode) -> int:
+    """The dimension of the intersection of two self-dual codes of one length."""
     if c1.n != c2.n:
         raise ValueError(f"length mismatch: {c1.n} != {c2.n}")
     if not (c1.is_self_dual() and c2.is_self_dual()):
         raise ValueError("are_neighbors requires self-dual codes")
-    return c1.intersection(c2).k == c1.n // 2 - 1
+    return c1.intersection(c2).k
 
 
 def _step_certified(c: LinearCode, x: int, out: LinearCode) -> bool:
@@ -268,10 +261,22 @@ def _step(c: LinearCode, x: int) -> LinearCode | None:
 
 
 def double_pair_code(n: int) -> LinearCode:
-    """The direct sum of n/2 copies of the repetition code {00, 11}."""
+    """The direct sum of n/2 copies of the repetition code {00, 11}, proved
+    self-dual by _disjoint_even in O(k) row operations, not a pairwise pass."""
     if n < 2 or n % 2 != 0:
         raise ValueError(f"length must be even and at least 2, got {n}")
-    return LinearCode(n, [0b11 << (2 * i) for i in range(n // 2)])
+    c = LinearCode(n, [0b11 << (2 * i) for i in range(n // 2)])
+    if not _disjoint_even(c.rows):
+        raise InternalConsistencyError("double pair rows overlap or have odd weight")
+    object.__setattr__(c, "_self_orthogonal", True)
+    return c
+
+
+def _disjoint_even(rows: tuple[int, ...]) -> bool:
+    """Whether the rows have even weight and disjoint supports, so that every
+    two, a row with itself included, are orthogonal."""
+    weights = list(map(int.bit_count, rows))
+    return not any(w & 1 for w in weights) and reduce(or_, rows, 0).bit_count() == sum(weights)
 
 
 def walk_self_dual(n: int, seed: int) -> Iterator[LinearCode]:
@@ -343,29 +348,23 @@ def verify_distance2_coincidence(nb: Neighborhood) -> Verdict:
 def verify_singly_even_range(nb: Neighborhood) -> Verdict:
     """Singly-even words of dual(c_max) have weights in [d, n - d].
 
-    d is the minimum distance of the Type I member; the weight cap is
-    symmetric because the all-ones word lies in c_max.  The weights are the
-    counts nb.dual_weights of the sweep that built the neighborhood, so the
-    check enumerates nothing itself.
+    d is the minimum distance of the Type I member.  c_max and the Type II
+    cosets are doubly-even, so the singly-even words are the Type I coset:
+    2^(n/2-1) words, the lightest of the weight w_I of its representative and
+    the heaviest, their complements, of n - w_I.  d = min(d(c_max), w_I), so
+    the check holds by construction and enumerates nothing.
     """
     n = nb.c_max.n
     d = nb.type1_distance()
-    singly = [(w, c) for w, c in nb.dual_weights.items() if w % 4 == 2]
-    if not singly:
-        return Verdict(
-            check="singly_even_range",
-            passed=None,
-            details={"note": "dual of c_max has no singly-even words"},
-        )
-    lo, hi = singly[0][0], singly[-1][0]
+    lo = nb.representatives[nb.member_types.index(CodeType.TYPE_I)].weight()
     return Verdict(
         check="singly_even_range",
-        passed=d <= lo and hi <= n - d,
+        passed=d <= lo,
         details={
             "distance": d,
             "length": n,
             "min_singly_even": lo,
-            "max_singly_even": hi,
-            "count_singly_even": sum(c for _, c in singly),
+            "max_singly_even": n - lo,
+            "count_singly_even": 1 << (n // 2 - 1),
         },
     )

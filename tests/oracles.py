@@ -101,3 +101,9 @@ def o_orthogonal_all(rows, v) -> bool:
 
 def all_vectors(length: int):
     return product((0, 1), repeat=length)
+
+
+def o_coset_leader(rows, g) -> tuple[int, str]:
+    """The least (weight, 0/1 string) over the words of g + span(rows)."""
+    words = (o_add(g, c) for c in o_codewords(rows))
+    return min((o_weight(w), "".join(map(str, w))) for w in words)

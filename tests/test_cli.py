@@ -151,8 +151,10 @@ class TestNeighborhood:
         assert err == "error: instance too large: dimension 31 exceeds enumeration cap 30\n"
 
     def test_one_sweep_per_neighborhood(self, capsys, monkeypatch, tmp_path):
-        # the representatives, d(c_max) and the singly-even verdict all come
-        # from one sweep of c_max (dimension 15); the dual is not swept
+        # the representatives come from one sweep of half of c_max: its 14
+        # rows left once the all-ones word is split off from its 15; d(c_max)
+        # comes from BZ, the singly-even verdict from the Type I
+        # representative, and the dual is not swept
         sweeps = []
         blocks = code._gray_blocks
 
@@ -167,7 +169,7 @@ class TestNeighborhood:
         status, out, _ = run_cli(capsys, "neighborhood", str(path), "--json")
         (record,) = json_lines(out)
         assert status == 1 and record["c_max_dimension"] == 15
-        assert sweeps == [15]
+        assert sweeps == [14]
 
 
 class TestNeighbors:
@@ -188,6 +190,20 @@ class TestNeighbors:
         path.write_text("1000\n0100\n")
         status, _, err = run_cli(capsys, "neighbors", str(path), str(path))
         assert status == 2 and "self-dual" in err
+
+    def test_one_intersection_per_pair(self, capsys, monkeypatch):
+        meets = []
+        intersection = code.LinearCode.intersection
+
+        def counted(self, other):
+            meets.append(other)
+            return intersection(self, other)
+
+        monkeypatch.setattr(code.LinearCode, "intersection", counted)
+        for b, expected in (("fixture:G2", 0), ("fixture:G4", 1)):
+            meets.clear()
+            status, out, _ = run_cli(capsys, "neighbors", "fixture:G1", b, "--json")
+            assert status == expected and len(meets) == 1
 
 
 class TestEquivalent:

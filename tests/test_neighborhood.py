@@ -21,7 +21,7 @@ from sdcodes.neighborhood import (
     walk_self_dual,
 )
 
-from oracles import o_doubly_even_words, to_bits
+from oracles import o_coset_leader, o_doubly_even_words, o_min_distance, to_bits
 from test_code import first_row_kernel
 
 
@@ -31,6 +31,10 @@ def first_type1(n, seed):
 
 def refuse_sweep(rows):
     raise AssertionError(f"swept a code of dimension {len(rows)}")
+
+
+def refuse_pairwise(rows):
+    raise AssertionError(f"pairwise pass over {len(rows)} rows")
 
 
 def refuse_elimination(rows):
@@ -164,6 +168,34 @@ class TestLength8:
         assert v.passed is True
 
 
+class TestDoublePairCertificate:
+    """The start code of every walk is proved self-dual from its disjoint
+    even rows in O(k), not by a pairwise pass; that pass is the oracle."""
+
+    def test_start_codes_run_no_pairwise_pass(self, monkeypatch):
+        monkeypatch.setattr(code, "_pairwise_orthogonal", refuse_pairwise)
+        for n in (2, 8, 24, 512):
+            c = double_pair_code(n)
+            assert c.is_self_dual() and c.k == n // 2
+            assert c.classify() is CodeType.TYPE_I
+
+    def test_accepts_disjoint_even_rows(self):
+        for n in (2, 8, 64):
+            rows = double_pair_code(n).rows
+            assert neighborhood._disjoint_even(rows) and code._pairwise_orthogonal(rows)
+        assert neighborhood._disjoint_even((0b1111, 0b110000, 0b11000000000))
+
+    def test_rejects_overlapping_rows(self):
+        # every pair overlaps: in two bits in the first, which stays
+        # orthogonal all the same, and in one bit in the others
+        for rows in ((0b1111, 0b11), (0b11, 0b110), (0b1100, 0b110110)):
+            assert not neighborhood._disjoint_even(rows)
+
+    def test_rejects_odd_rows(self):
+        assert not neighborhood._disjoint_even((0b1, 0b1100))
+        assert not neighborhood._disjoint_even((0b11, 0b11100))
+
+
 class TestPreconditions:
     def test_length_not_multiple_of_8(self):
         with pytest.raises(ValueError, match="divisible by 8"):
@@ -289,11 +321,12 @@ class TestStepWithoutElimination:
                 # what search does with each code of the walk
                 codes.append(next(walk))
                 codes[-1].classify()
-            # the start code runs the pass; every step is certified without one
-            assert passes == [codes[0].rows]
+            # the start code is certified by its disjoint even rows and every
+            # step by its own certificate, so no pass runs
+            assert passes == []
             # an equal code built again is a new object with its own pass
             assert LinearCode(n, codes[-1].rows).is_self_dual()
-            assert passes == [codes[0].rows, codes[-1].rows]
+            assert passes == [codes[-1].rows]
 
     @pytest.mark.parametrize(
         "helper, wrong",
@@ -455,22 +488,22 @@ class TestVerdicts:
 
 
 class TestOneSweep:
-    """The sweep of c_max that picks the representatives also counts the
-    weights of dual(c_max); an enumeration of the dual is the oracle."""
+    """The singly-even verdict reads its details off the Type I
+    representative in closed form; an enumeration of the dual is the
+    oracle."""
 
-    def test_dual_weights_match_the_dual_sweep(self, triples):
+    def test_singly_even_details_match_the_dual_sweep(self, triples):
         nbs = list(triples)
         nbs += [neighborhood_of(c) for n in (8, 16, 24, 32) for c in type1_walk_codes(n, 3)]
         nbs += [neighborhood_of(c) for c in type1_walk_codes(40, 1)]
         for nb in nbs:
             oracle = nb.c_max.dual().weight_enumerator()
-            assert nb.dual_weights == oracle
-            assert nb.dual_weights.total() == 1 << (nb.c_max.n // 2 + 1)
+            assert oracle.total() == 1 << (nb.c_max.n // 2 + 1)
             singly = {w: c for w, c in oracle.items() if w % 4 == 2}
             n, d = nb.c_max.n, nb.type1_distance()
             lo, hi = min(singly), max(singly)
             v = verify_singly_even_range(nb)
-            assert v.passed is (d <= lo and hi <= n - d)
+            assert v.passed is (d <= lo and hi <= n - d) is True
             assert v.details == {
                 "distance": d,
                 "length": n,
@@ -487,6 +520,64 @@ class TestOneSweep:
         monkeypatch.setattr(LinearCode, "weight_enumerator", refuse)
         for nb in triples:
             assert verify_singly_even_range(nb).passed is True
+
+
+class TestCosetRepresentatives:
+    """The half sweep of c_max against an oracle that enumerates each whole
+    coset with tuple arithmetic: a representative is found either as a swept
+    coset word or only as the complement of one."""
+
+    @pytest.fixture(scope="class")
+    def swept(self):
+        """(neighborhood, offsets passed to _coset_leaders) for the fixtures
+        and for walk codes at n = 8, 16 and 24."""
+        leaders, calls = neighborhood._coset_leaders, []
+
+        def spy(c_max, offsets):
+            calls.append(offsets)
+            return leaders(c_max, offsets)
+
+        codes = [from_generator(fixture(name)) for name in ("G3", "G4")]
+        codes += [c for n, count in ((8, 4), (16, 8), (24, 8)) for c in type1_walk_codes(n, count)]
+        out = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neighborhood, "_coset_leaders", spy)
+            for c in codes:
+                nb = neighborhood_of(c)
+                out.append((nb, calls.pop()))
+        return out
+
+    def test_representatives_match_the_oracle(self, swept):
+        branches = set()
+        for nb, offsets in swept:
+            n, rows = nb.c_max.n, [to_bits(r) for r in nb.c_max.generator]
+            expected = sorted(o_coset_leader(rows, to_bits(BitVector(n, g))) for g in offsets)
+            assert [(r.weight(), r.to01()) for r in nb.representatives] == expected
+            for g in offsets:
+                rep = next(r.bits for r in nb.representatives if nb.c_max._reduce(r.bits ^ g) == 0)
+                # found directly when it lies in g + the span of the swept rows
+                branches.add(gf2._reduced(nb.c_max.rows[:-1], rep ^ g) == 0)
+        assert branches == {True, False}
+
+    def test_offsets_shifted_by_all_ones_give_the_same_representatives(self, swept):
+        # every word found directly before is found only as a complement now
+        for nb, offsets in swept:
+            ones = (1 << nb.c_max.n) - 1
+            shifted = neighborhood._coset_leaders(nb.c_max, [g ^ ones for g in offsets])
+            assert shifted == neighborhood._coset_leaders(nb.c_max, offsets)
+            assert [BitVector(nb.c_max.n, x) for _, x in shifted] == list(nb.representatives)
+
+    def test_c_max_distance_matches_the_oracle(self, swept):
+        for nb, _ in swept:
+            rows = [to_bits(r) for r in nb.c_max.generator]
+            assert nb.c_max.minimum_distance() == o_min_distance(rows)
+
+    def test_missing_all_ones_is_refused_before_any_sweep(self, monkeypatch):
+        bad = from_generator(BitMatrix.from_strings(["11110000", "00110011", "01010101"]))
+        monkeypatch.setattr(neighborhood, "_gray_blocks", refuse_sweep)
+        monkeypatch.setattr(code, "_gray_blocks", refuse_sweep)
+        with pytest.raises(InternalConsistencyError, match="all-ones"):
+            neighborhood_containing(bad)
 
 
 def type1_walk_codes(n, count):
