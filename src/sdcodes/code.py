@@ -298,6 +298,14 @@ def _gray_words(rows: Sequence[int]) -> Iterator[int]:
     return chain.from_iterable(_gray_blocks(rows))
 
 
+def _positions(weights: bytes, w: int) -> Iterator[int]:
+    """The indices at which weights holds w, found by bytes.find."""
+    j = weights.find(w)
+    while j >= 0:
+        yield j
+        j = weights.find(w, j + 1)
+
+
 def _information_set_generators(rows: Sequence[int]) -> list[list[int]]:
     """Generators of the span of the RREF rows, each systematic on its own
     information set; the first is rows itself, on their pivots.

@@ -4,21 +4,22 @@ Two codes are permutation equivalent when some relabeling of coordinates
 maps one onto the other.  The decision procedure is exact: cheap invariant
 rejections (weight distribution, column coverage profiles) followed by a
 depth-first search assigning images to a small-weight basis.  Each code's
-codewords are listed once, by one Gray sweep, and grouped by weight; the
-group sizes are the weight distribution, and a column's coverage profile
-counts the words of each group that cover it, up to the weight of the
-heaviest basis word, since the search maps no heavier word.  Column pattern
-multisets alone prune the search: a match at every depth already makes the
-images independent.  Any witness returned has been verified.
+codewords are listed once, by one Gray sweep, and weighed once into bytes
+that count the weight distribution.  Only the words up to the weight of the
+heaviest basis word are grouped by weight, since the search maps no heavier
+word; a column's coverage profile counts the words of each group covering
+it.  An equivalence keeps profiles, so the search starts from one class of
+columns per profile and refines it by column pattern.  Any witness returned
+has been verified.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import chain
 
-from .code import EnumerationCapError, InternalConsistencyError, LinearCode
+from .code import EnumerationCapError, InternalConsistencyError, LinearCode, _positions
 from .gf2 import BitVector, _insert_rref, _reduced
 
 EQUIVALENCE_MAX_LENGTH = 32
@@ -72,17 +73,9 @@ def apply_permutation(c: LinearCode, p: CoordinatePermutation) -> LinearCode:
     return LinearCode(c.n, [_permute_bits(r, p.images) for r in c.rows])
 
 
-def _weight_groups(words) -> dict[int, list[int]]:
-    """words grouped by weight, lightest first, each group in the order given."""
-    return {w: list(g) for w, g in groupby(sorted(words, key=int.bit_count), int.bit_count)}
-
-
-def _column_profiles(n: int, groups: dict[int, list[int]], top: int) -> Counter:
-    """Multiset over columns of how many words of each weight up to top cover it."""
-    weights = [w for w in groups if w <= top]
-    return Counter(
-        tuple(sum(map((1 << i).__and__, groups[w])) >> i for w in weights) for i in range(n)
-    )
+def _column_profiles(n: int, groups) -> list[tuple[int, ...]]:
+    """Per column, how many words of each group cover it."""
+    return [tuple(sum(map((1 << i).__and__, g)) >> i for g in groups) for i in range(n)]
 
 
 def _map_basis(depth: int, classes, basis, targets, by_weight):
@@ -136,35 +129,50 @@ def are_permutation_equivalent(
     k = c1.k
     if k == 0 or c1 == c2:
         return CoordinatePermutation.identity(n)
-    groups1 = _weight_groups(c1.codewords()[1:])
-    groups2 = _weight_groups(c2.codewords()[1:])
-    if {w: len(g) for w, g in groups1.items()} != {w: len(g) for w, g in groups2.items()}:
+    words1, words2 = c1.codewords(), c2.codewords()
+    weights1, weights2 = bytes(map(int.bit_count, words1)), bytes(map(int.bit_count, words2))
+    present = [w for w in range(1, n + 1) if w in weights1]
+    # both codes have 2^k - 1 nonzero words, so matching counts at c1's
+    # weights leave c2 no word of another weight
+    if any(weights1.count(w) != weights2.count(w) for w in present):
         return None
-    # c1's words in (weight, word) order, c2's in sweep order within a weight
-    groups1 = {w: sorted(g) for w, g in groups1.items()}
 
-    # small-weight basis of c1; its words have few candidate images
+    # small-weight basis of c1, whose words have few candidate images, in
+    # (weight, word) order; each group is value-sorted once the basis reaches it
+    groups1: dict[int, list[int]] = {}
+    by_weight = (
+        groups1.setdefault(w, sorted([words1[j] for j in _positions(weights1, w)])) for w in present
+    )
     basis: list[int] = []
     span: list[int] = []
-    for w in chain.from_iterable(groups1.values()):
+    for w in chain.from_iterable(by_weight):
         if _reduced(span, w):
             basis.append(w)
             if len(basis) == k:
                 break
             span = _insert_rref(span, w)
-    top = basis[-1].bit_count()
-    if _column_profiles(n, groups1, top) != _column_profiles(n, groups2, top):
+    # c2's words of the same weights, in sweep order within a weight
+    groups2 = {w: [words2[j] for j in _positions(weights2, w)] for w in groups1}
+    prof1, prof2 = (_column_profiles(n, g.values()) for g in (groups1, groups2))
+    if Counter(prof1) != Counter(prof2):
         return None
 
+    # an equivalence maps each column onto one of the same profile: number
+    # the profiles, and let each column's pattern start from its number
+    ids = {p: i << k for i, p in enumerate(dict.fromkeys(prof1))}
+    start = dict.fromkeys(ids.values(), 0)
+    for i, p in enumerate(prof2):
+        start[ids[p]] |= 1 << i
+
     # column patterns of the basis, cumulatively per depth
-    pats1 = [0] * n
+    pats1 = [ids[p] for p in prof1]
     counters1 = []
     for d, b in enumerate(basis):
         for i in range(n):
             pats1[i] |= ((b >> i) & 1) << d
         counters1.append(Counter(pats1))
 
-    classes = _map_basis(0, [(0, (1 << n) - 1)], basis, counters1, groups2)
+    classes = _map_basis(0, list(start.items()), basis, counters1, groups2)
     if classes is None:
         return None
 

@@ -20,11 +20,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain, compress, islice
+from itertools import chain, islice
 from operator import or_, xor
 from typing import Iterator, Mapping
 
-from .code import CodeType, InternalConsistencyError, LinearCode, _gray_blocks
+from .code import CodeType, InternalConsistencyError, LinearCode, _gray_blocks, _positions
 from .gf2 import BitVector, _insert_rref, _kernel_rows, _to01
 
 
@@ -97,12 +97,12 @@ def _coset_leaders(c_max: LinearCode, offsets: list[int]) -> list[tuple[int, int
     for block in _gray_blocks(flipped):
         words = list(block)
         for i, g in enumerate(flipped_offsets):
-            weights = list(map(int.bit_count, map(g.__xor__, words)))
+            weights = bytes(map(int.bit_count, map(g.__xor__, words)))
             w = min(min(weights), n - max(weights))
             if w <= best[i][0]:
-                lightest = compress(words, map(w.__eq__, weights))
-                heaviest = compress(words, map((n - w).__eq__, weights))
-                x = min(chain(map(g.__xor__, lightest), map((g ^ ones).__xor__, heaviest)))
+                lightest = (g ^ words[j] for j in _positions(weights, w))
+                heaviest = (g ^ ones ^ words[j] for j in _positions(weights, n - w))
+                x = min(chain(lightest, heaviest))
                 best[i] = min(best[i], (w, x))
     return [(w, _reversed_bits(x, n)) for w, x in sorted(best)]
 

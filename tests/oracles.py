@@ -7,7 +7,7 @@ data layout, different algorithms, same answers.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import permutations, product
 
 
 def to_bits(v) -> tuple[int, ...]:
@@ -107,3 +107,21 @@ def o_coset_leader(rows, g) -> tuple[int, str]:
     """The least (weight, 0/1 string) over the words of g + span(rows)."""
     words = (o_add(g, c) for c in o_codewords(rows))
     return min((o_weight(w), "".join(map(str, w))) for w in words)
+
+
+def o_equivalent(rows1, rows2, n: int) -> bool:
+    """Permutation equivalence by trying all n! coordinate permutations.
+
+    The spans are equal in dimension, and some permutation sends every row
+    of rows1 into the set of codewords of rows2.  Only for n <= 8.
+    """
+    if n > 8:
+        raise ValueError(f"brute-force equivalence is for n <= 8, got {n}")
+    rows1 = o_rref(rows1)
+    if len(rows1) != o_rank(rows2):
+        return False
+    words2 = set(o_codewords(o_rref(rows2)))
+    return any(
+        all(tuple(r[perm[i]] for i in range(n)) in words2 for r in rows1)
+        for perm in permutations(range(n))
+    )

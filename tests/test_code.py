@@ -15,6 +15,7 @@ from sdcodes.code import (
     WeightEnumerator,
     _information_set_generators,
     _level_minima,
+    _positions,
     extremal_bound,
     from_generator,
 )
@@ -252,6 +253,17 @@ class TestEnumeration:
         # two sweeps are not run here, since they would visit 2^30 words
         at_cap = from_generator(BitMatrix.identity(DEFAULT_ENUMERATION_CAP))
         assert at_cap.minimum_distance() == 1
+
+
+class TestPositions:
+    def test_every_index_of_a_value_in_order(self):
+        rng = random.Random(16)
+        for size in (0, 1, 2, 50, 300):
+            weights = bytes(rng.randrange(4) for _ in range(size))
+            for w in range(5):
+                assert list(_positions(weights, w)) == [j for j, x in enumerate(weights) if x == w]
+        # the first and the last index are found too
+        assert list(_positions(bytes([7, 1, 7, 7]), 7)) == [0, 2, 3]
 
 
 class TestSweepPastOneBlock:

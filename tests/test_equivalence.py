@@ -5,16 +5,16 @@ from collections import Counter
 import pytest
 
 from sdcodes import code, equivalence, gf2
-from sdcodes.code import EnumerationCapError, InternalConsistencyError, from_generator
+from sdcodes.code import EnumerationCapError, InternalConsistencyError, LinearCode, from_generator
 from sdcodes.equivalence import (
     CoordinatePermutation,
     apply_permutation,
     are_permutation_equivalent,
 )
 from sdcodes.gf2 import BitMatrix, BitVector
-from sdcodes.neighborhood import double_pair_code, neighborhood_of
+from sdcodes.neighborhood import double_pair_code, neighborhood_of, random_self_dual
 
-from oracles import o_codewords, o_weight, to_bits
+from oracles import o_codewords, o_equivalent, o_weight, to_bits
 
 
 @pytest.fixture(scope="module")
@@ -164,15 +164,16 @@ def o_column_coverage(c, top):
         for i, bit in enumerate(w):
             if bit:
                 profiles[i][o_weight(w)] += 1
-    return Counter(tuple(p[w] for w in weights) for p in profiles)
+    return [tuple(p[w] for w in weights) for p in profiles]
 
 
 def assert_profiles_match_oracle(c):
-    groups = equivalence._weight_groups(c.codewords()[1:])
-    weights = list(groups)
+    words = c.codewords()[1:]
+    weights = sorted({x.bit_count() for x in words})
     # every weight, and the weights up to the middle one
     for top in (weights[-1], weights[(len(weights) - 1) // 2]):
-        assert equivalence._column_profiles(c.n, groups, top) == o_column_coverage(c, top)
+        groups = [[x for x in words if x.bit_count() == w] for w in weights if w <= top]
+        assert equivalence._column_profiles(c.n, groups) == o_column_coverage(c, top)
 
 
 class TestColumnCoverage:
@@ -223,21 +224,154 @@ class TestOneSweepPerCode:
         assert sweeps == [8, 8]
 
     def test_weight_distribution_rejects_before_any_value_sort(self, monkeypatch, fixture_codes):
-        # grouping by weight sorts by key; c1's groups are sorted by value
-        # only once their sizes match those of c2
+        # c1's words are value-sorted one weight at a time, only once the
+        # weight distributions match and only as far as the basis reads
         value_sorts = []
 
         def tracked(words, **kw):
-            if "key" not in kw:
-                value_sorts.append(len(words))
+            value_sorts.append(len(words))
             return sorted(words, **kw)
 
+        def boom(*args):
+            raise AssertionError("called")
+
+        profiles = equivalence._column_profiles
         monkeypatch.setattr(equivalence, "sorted", tracked, raising=False)
+        monkeypatch.setattr(equivalence, "_column_profiles", boom)
         assert are_permutation_equivalent(fixture_codes["G1"], fixture_codes["G3"]) is None
         assert value_sorts == []
+        monkeypatch.setattr(equivalence, "_column_profiles", profiles)
         assert are_permutation_equivalent(fixture_codes["G1"], fixture_codes["G2"]) is not None
-        # the Golay code: its groups of weight 8, 12, 16 and 24, one sort each
-        assert value_sorts[:4] == [759, 2576, 759, 1]
+        # the Golay code's 759 words of weight 8 span it, so its groups of
+        # weight 12, 16 and 24 stay unsorted; then the witness's own check
+        assert value_sorts == [759, 24]
+
+
+def permuted(c, rng):
+    """c under a coordinate permutation drawn from rng."""
+    images = list(range(c.n))
+    rng.shuffle(images)
+    return apply_permutation(c, CoordinatePermutation(tuple(images)))
+
+
+def map_basis_calls(monkeypatch, c1, c2):
+    """The classes of each _map_basis call while deciding c1 against c2."""
+    calls, search = [], equivalence._map_basis
+
+    def spy(depth, classes, *rest):
+        calls.append(classes)
+        return search(depth, classes, *rest)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(equivalence, "_map_basis", spy)
+        are_permutation_equivalent(c1, c2)
+    return calls
+
+
+class TestProfilePartition:
+    """The basis search starts from one class of columns per coverage
+    profile.  No answer depends on it, so these tests count the search."""
+
+    def test_fewer_searches_than_from_one_class(self, monkeypatch):
+        # the walk32perm golden's pair: 1007 calls when every column shares
+        # one profile, 418 from the profile classes
+        a = random_self_dual(32, 12, 19)
+        b = permuted(a, random.Random(32))
+        partitioned = len(map_basis_calls(monkeypatch, a, b))
+        monkeypatch.setattr(equivalence, "_column_profiles", lambda n, groups: [()] * n)
+        flat = len(map_basis_calls(monkeypatch, a, b))
+        assert partitioned <= 418
+        assert partitioned < flat
+
+    def test_start_classes_are_the_oracle_profile_classes(self, monkeypatch):
+        split = 0
+        for seed in range(6):
+            a = random_self_dual(16, 4 + seed, seed)
+            b = permuted(a, random.Random(seed))
+            if a == b:
+                continue
+            calls = map_basis_calls(monkeypatch, a, b)
+            # the least weight whose words and the lighter ones span a: the
+            # heaviest weight of a basis read lightest first
+            words = a.codewords()[1:]
+            top = min(
+                w for w in range(17) if LinearCode(16, [x for x in words if x.bit_count() <= w]) == a
+            )
+            columns = {}
+            for i, p in enumerate(o_column_coverage(b, top)):
+                columns.setdefault(p, set()).add(i)
+            starts = [{i for i in range(16) if (m >> i) & 1} for _, m in calls[0]]
+            assert sorted(map(sorted, starts)) == sorted(map(sorted, columns.values()))
+            split += len(starts) > 1
+        assert split > 0
+
+
+# pairs with equal weight distributions that are not equivalent, the only
+# ones among all [6, 3] codes and two among the [7, 3] codes
+SAME_DISTRIBUTION = [
+    (["100111", "010100", "001100"], ["101000", "010010", "000101"]),
+    (["0101011", "0010001", "0000101"], ["1100000", "0001100", "0000011"]),
+    (["1001100", "0101111", "0010100"], ["1011000", "0110010", "0000101"]),
+]
+
+
+def code_of(rows):
+    return from_generator(BitMatrix.from_strings(rows))
+
+
+def assert_agrees_with_brute_force(c1, c2):
+    """The search's answer against all n! permutations; returns the answer."""
+    rows1, rows2 = ([to_bits(r) for r in c.generator] for c in (c1, c2))
+    expected = o_equivalent(rows1, rows2, c1.n)
+    witness = are_permutation_equivalent(c1, c2)
+    assert (witness is not None) == expected
+    return expected
+
+
+class TestBruteForceOracle:
+    """Equivalence or not, against an oracle that tries every permutation
+    with tuple arithmetic, at lengths up to 8."""
+
+    def test_random_linear_codes(self):
+        rng = random.Random(13)
+        answers = Counter()
+        for _ in range(60):
+            n = rng.randrange(2, 9)
+            k = rng.randrange(1, n + 1)
+            c1 = LinearCode(n, [rng.getrandbits(n) for _ in range(k)])
+            # half the time another random code, half a permuted copy
+            if rng.random() < 0.5:
+                c2 = LinearCode(n, [rng.getrandbits(n) for _ in range(k)])
+            else:
+                c2 = permuted(c1, rng)
+            answers[assert_agrees_with_brute_force(c1, c2)] += 1
+        assert answers[True] > 0 and answers[False] > 0
+
+    def test_self_dual_codes(self, e8):
+        # walk codes are permuted copies of i2^(n/2); at n = 8 also e8
+        rng = random.Random(14)
+        answers = Counter()
+        for n in (4, 6, 8):
+            codes = [random_self_dual(n, steps, seed) for seed in range(4) for steps in (1, 3)]
+            codes += [permuted(e8, rng) for _ in range(3)] if n == 8 else []
+            for c1 in codes:
+                c2 = rng.choice(codes)
+                same = assert_agrees_with_brute_force(c1, c2)
+                assert assert_agrees_with_brute_force(c1, permuted(c2, rng)) == same
+                answers[same] += 1
+        assert answers[True] > 0 and answers[False] > 0
+
+    def test_equal_weight_distributions(self):
+        rng = random.Random(15)
+        for rows1, rows2 in SAME_DISTRIBUTION:
+            # zero columns added to both up to length 8 keep them apart
+            for pad in range(9 - len(rows1[0])):
+                c1 = code_of([r + "0" * pad for r in rows1])
+                c2 = code_of([r + "0" * pad for r in rows2])
+                assert c1.weight_enumerator() == c2.weight_enumerator()
+                assert not assert_agrees_with_brute_force(c1, permuted(c2, rng))
+                assert not assert_agrees_with_brute_force(c2, permuted(c1, rng))
+                assert assert_agrees_with_brute_force(c1, permuted(c1, rng))
 
 
 class TestWitnessCheck:
