@@ -306,11 +306,11 @@ class TestProfilePartition:
         assert split > 0
 
 
-# pairs with equal weight distributions that are not equivalent, the only
-# ones among all [6, 3] codes and two among the [7, 3] codes
+# inequivalent pairs with equal weight distributions: the only one among
+# all [6, 3] codes, and the one among all [7, 3] codes that is not it with
+# a zero column added
 SAME_DISTRIBUTION = [
     (["100111", "010100", "001100"], ["101000", "010010", "000101"]),
-    (["0101011", "0010001", "0000101"], ["1100000", "0001100", "0000011"]),
     (["1001100", "0101111", "0010100"], ["1011000", "0110010", "0000101"]),
 ]
 
@@ -348,7 +348,7 @@ class TestBruteForceOracle:
         assert answers[True] > 0 and answers[False] > 0
 
     def test_self_dual_codes(self, e8):
-        # walk codes are permuted copies of i2^(n/2); at n = 8 also e8
+        # these walk codes are permuted copies of i2^(n/2); at n = 8 also e8
         rng = random.Random(14)
         answers = Counter()
         for n in (4, 6, 8):
