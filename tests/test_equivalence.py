@@ -273,8 +273,9 @@ class TestProfilePartition:
     profile.  No answer depends on it, so these tests count the search."""
 
     def test_fewer_searches_than_from_one_class(self, monkeypatch):
-        # the walk32perm golden's pair: 1007 calls when every column shares
-        # one profile, 418 from the profile classes
+        # the walk32perm golden's pair: 82 calls when every column shares
+        # one profile, 37 from the profile classes (1007 and 418 without
+        # the light-word cut)
         a = random_self_dual(32, 12, 19)
         b = permuted(a, random.Random(32))
         partitioned = len(map_basis_calls(monkeypatch, a, b))
@@ -304,6 +305,34 @@ class TestProfilePartition:
             assert sorted(map(sorted, starts)) == sorted(map(sorted, columns.values()))
             split += len(starts) > 1
         assert split > 0
+
+
+class TestLightWordCut:
+    """The search cuts a node whose classes meet c2's light words otherwise
+    than c1's classes meet c1's.  Only dead branches go, so the witness is
+    the one the uncut search finds; these tests count what is cut."""
+
+    @pytest.mark.parametrize(
+        "walk, perm, cut_at_most, uncut",
+        [((12, 19), 32, 37, 418), ((12, 1015), 0, 78, 1330), ((24, 1021), 0, 24, 810)],
+    )
+    def test_same_witness_from_far_fewer_searches(self, monkeypatch, walk, perm, cut_at_most, uncut):
+        a = random_self_dual(32, *walk)
+        b = permuted(a, random.Random(perm))
+        cut_calls = len(map_basis_calls(monkeypatch, a, b))
+        witness = are_permutation_equivalent(a, b)
+        # every node's meets equal: nothing is cut
+        monkeypatch.setattr(equivalence, "_meets", lambda masks, words: None)
+        assert len(map_basis_calls(monkeypatch, a, b)) == uncut
+        uncut_witness = are_permutation_equivalent(a, b)
+        assert witness is not None and uncut_witness == witness
+        assert cut_calls <= cut_at_most < uncut // 10
+
+    def test_meets_count_columns_of_each_mask(self):
+        words = [0b0111, 0b1100, 0b1010, 0b0111]
+        assert equivalence._meets([0b0011, 0b1100], words) == Counter(
+            {(2, 1): 2, (0, 2): 1, (1, 1): 1}
+        )
 
 
 # inequivalent pairs with equal weight distributions: the only one among
