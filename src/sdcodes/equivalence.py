@@ -9,13 +9,9 @@ that count the weight distribution.  Only the words up to the weight of the
 heaviest basis word are grouped by weight, since the search maps no heavier
 word; a column's coverage profile counts the words of each group covering
 it.  An equivalence keeps profiles, so the search starts from one class of
-columns per profile and refines it by column pattern.  At each node it also
-compares how the classes meet each code's light words, those no heavier than
-the middle basis word, and cuts the node when they differ: only dead
-branches go, so the witness is the one
-the uncut search finds, and the search no longer runs for a second or more
-on codes whose profiles leave few classes.  Any witness returned has been
-verified.
+columns per profile and refines it by column pattern, cutting a node whose
+classes meet the two codes' light words differently.  Any witness returned
+has been verified.
 """
 
 from __future__ import annotations
@@ -94,21 +90,16 @@ def _map_basis(depth: int, classes, basis, targets, by_weight, light, meets):
     order so that each depth's pattern multiset matches targets; or None.
 
     Equal multisets make the images a column permutation of the independent
-    basis rows, so the images are independent too.  A node whose classes
-    meet the light words of c2 otherwise than c1's classes meet c1's
-    (meets[depth]: c1's patterns and the meets of their classes) has no
-    leaf below it, since an equivalence found there would map each class
-    onto its counterpart and light words onto light words; so it is cut
-    without changing the first leaf found.  Once every class is one column
-    (meets[depth] is None) each depth admits one image at most, and nothing
-    is left to cut.
+    basis rows, so the images are independent too.  An equivalence below a
+    node maps each class onto its counterpart and light words onto light
+    words, so a node whose classes meet light words otherwise than c1's
+    (meets[depth]: c1's patterns and meets) is dead, and is cut.
     """
     if depth == len(basis):
         return classes
-    if meets[depth] is not None:
+    if depth < len(meets):
         patterns, meet = meets[depth]
-        by_pattern = dict(classes)
-        if _meets([by_pattern[p] for p in patterns], light) != meet:
+        if _meets(map(dict(classes).get, patterns), light) != meet:
             return None
     bit = 1 << depth
     masks = [m for _, m in classes]
@@ -188,21 +179,21 @@ def are_permutation_equivalent(
     for i, p in enumerate(prof2):
         start[ids[p]] |= 1 << i
 
-    # the light words, no heavier than the basis's middle word: enough to cut
-    # the search's dead branches early, few enough to weigh at every node
+    # light words, no heavier than the middle basis word, are few enough to
+    # weigh at every node; once every class is one column, each depth has
+    # one image at most and c1's meets stop
     mid = basis[k // 2].bit_count()
     light1, light2 = ([x for w, g in gs.items() if w <= mid for x in g] for gs in (groups1, groups2))
 
-    # column patterns of the basis, cumulatively per depth, and how c1's
-    # classes before each depth meet its light words
+    # column patterns of the basis, cumulatively per depth
     pats1 = [ids[p] for p in prof1]
     counters1, meets1 = [], []
     for d, b in enumerate(basis):
         classes1: dict[int, int] = {}
         for i, p in enumerate(pats1):
             classes1[p] = classes1.get(p, 0) | 1 << i
-        single = len(classes1) == n
-        meets1.append(None if single else (list(classes1), _meets(classes1.values(), light1)))
+        if len(classes1) < n:
+            meets1.append((list(classes1), _meets(classes1.values(), light1)))
         for i in range(n):
             pats1[i] |= ((b >> i) & 1) << d
         counters1.append(Counter(pats1))
