@@ -298,6 +298,12 @@ def _gray_words(rows: Sequence[int]) -> Iterator[int]:
     return chain.from_iterable(_gray_blocks(rows))
 
 
+def _gray_word(rows: Sequence[int], j: int) -> int:
+    """Word j of _gray_words(rows): the XOR of rows[b] over the set bits b of j ^ (j >> 1)."""
+    g = j ^ (j >> 1)
+    return reduce(xor, (r for b, r in enumerate(rows) if g >> b & 1), 0)
+
+
 def _positions(weights: bytes, w: int) -> Iterator[int]:
     """The indices at which weights holds w, found by bytes.find."""
     j = weights.find(w)

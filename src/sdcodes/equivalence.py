@@ -3,15 +3,15 @@
 Two codes are permutation equivalent when some relabeling of coordinates
 maps one onto the other.  The decision procedure is exact: cheap invariant
 rejections (weight distribution, column coverage profiles) followed by a
-depth-first search assigning images to a small-weight basis.  Each code's
-codewords are listed once, by one Gray sweep, and weighed once into bytes
-that count the weight distribution.  Only the words up to the weight of the
-heaviest basis word are grouped by weight, since the search maps no heavier
-word; a column's coverage profile counts the words of each group covering
-it.  An equivalence keeps profiles, so the search starts from one class of
-columns per profile and refines it by column pattern, cutting a node whose
-classes meet the two codes' light words differently.  Any witness returned
-has been verified.
+depth-first search assigning images to a small-weight basis.  Each code is
+swept once in Gray-code order and weighed into bytes that count the weight
+distribution; its 2^k words are not kept.  Only the words up to the weight
+of the heaviest basis word are rebuilt, from their Gray index, and grouped
+by weight, since the search maps no heavier word; a column's coverage
+profile counts the words of each group covering it.  An equivalence keeps
+profiles, so the search starts from one class of columns per profile and
+refines it by column pattern, cutting a node whose classes meet the two
+codes' light words differently.  Any witness returned has been verified.
 """
 
 from __future__ import annotations
@@ -20,7 +20,14 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
-from .code import EnumerationCapError, InternalConsistencyError, LinearCode, _positions
+from .code import (
+    EnumerationCapError,
+    InternalConsistencyError,
+    LinearCode,
+    _gray_word,
+    _gray_words,
+    _positions,
+)
 from .gf2 import BitVector, _insert_rref, _reduced
 
 EQUIVALENCE_MAX_LENGTH = 32
@@ -144,8 +151,8 @@ def are_permutation_equivalent(
     k = c1.k
     if k == 0 or c1 == c2:
         return CoordinatePermutation.identity(n)
-    words1, words2 = c1.codewords(), c2.codewords()
-    weights1, weights2 = bytes(map(int.bit_count, words1)), bytes(map(int.bit_count, words2))
+    # one Gray sweep per code, weighed into bytes; its 2^k words are not kept
+    weights1, weights2 = (bytes(map(int.bit_count, _gray_words(c.rows))) for c in (c1, c2))
     present = [w for w in range(1, n + 1) if w in weights1]
     # both codes have 2^k - 1 nonzero words, so matching counts at c1's
     # weights leave c2 no word of another weight
@@ -156,7 +163,7 @@ def are_permutation_equivalent(
     # (weight, word) order; each group is value-sorted once the basis reaches it
     groups1: dict[int, list[int]] = {}
     by_weight = (
-        groups1.setdefault(w, sorted([words1[j] for j in _positions(weights1, w)])) for w in present
+        groups1.setdefault(w, sorted([_gray_word(c1.rows, j) for j in _positions(weights1, w)])) for w in present
     )
     basis: list[int] = []
     span: list[int] = []
@@ -167,7 +174,7 @@ def are_permutation_equivalent(
                 break
             span = _insert_rref(span, w)
     # c2's words of the same weights, in sweep order within a weight
-    groups2 = {w: [words2[j] for j in _positions(weights2, w)] for w in groups1}
+    groups2 = {w: [_gray_word(c2.rows, j) for j in _positions(weights2, w)] for w in groups1}
     prof1, prof2 = (_column_profiles(n, g.values()) for g in (groups1, groups2))
     if Counter(prof1) != Counter(prof2):
         return None

@@ -13,6 +13,8 @@ from sdcodes.code import (
     EnumerationCapError,
     LinearCode,
     WeightEnumerator,
+    _gray_word,
+    _gray_words,
     _information_set_generators,
     _level_minima,
     _positions,
@@ -264,6 +266,15 @@ class TestPositions:
                 assert list(_positions(weights, w)) == [j for j, x in enumerate(weights) if x == w]
         # the first and the last index are found too
         assert list(_positions(bytes([7, 1, 7, 7]), 7)) == [0, 2, 3]
+
+
+class TestGrayWord:
+    def test_word_j_of_the_sweep(self):
+        # k = 17 runs the sweep in two blocks of 2^16 words
+        rng = random.Random(17)
+        for k in (0, 1, 5, 17):
+            rows = [rng.getrandbits(20) for _ in range(k)]
+            assert [_gray_word(rows, j) for j in range(1 << k)] == list(_gray_words(rows))
 
 
 class TestSweepPastOneBlock:

@@ -203,7 +203,7 @@ class TestColumnCoverage:
 class TestOneSweepPerCode:
     def test_one_codeword_list_per_code(self, monkeypatch, fixture_codes, e8e8, d16):
         # no weight enumerator and no shortened code: the weight distribution
-        # and the profiles come from the one sweep that lists the codewords
+        # and the profiles come from the one sweep of each code
         sweeps = []
         blocks = code._gray_blocks
 
