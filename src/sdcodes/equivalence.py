@@ -9,9 +9,10 @@ distribution; its 2^k words are not kept.  Only the words up to the weight
 of the heaviest basis word are rebuilt, from their Gray index, and grouped
 by weight, since the search maps no heavier word; a column's coverage
 profile counts the words of each group covering it.  An equivalence keeps
-profiles, so the search starts from one class of columns per profile and
-refines it by column pattern, cutting a node whose classes meet the two
-codes' light words differently.  Any witness returned has been verified.
+profiles, so the search pairs c1's and c2's columns of each profile and
+splits each pair by a basis word and its image, cutting a node whose pairs
+meet the two codes' light words differently.  Any witness returned has been
+verified.
 """
 
 from __future__ import annotations
@@ -91,34 +92,35 @@ def _meets(masks, words) -> Counter:
     return Counter(zip(*(list(map(int.bit_count, map(m.__and__, words))) for m in masks)))
 
 
-def _map_basis(depth: int, classes, basis, targets, by_weight, light, meets):
-    """The columns of the images, grouped by pattern as (pattern, column mask)
-    pairs, once images of basis[depth:] are chosen depth-first in codeword
-    order so that each depth's pattern multiset matches targets; or None.
+def _map_basis(depth: int, pairs, basis, by_weight, light1, light2, meets):
+    """c1's and c2's columns as (c1 mask, c2 mask) pairs of classes, once
+    images of basis[depth:] are chosen depth-first in codeword order so that
+    each meets every c2 class as its basis word meets the c1 class; or None.
 
-    Equal multisets make the images a column permutation of the independent
-    basis rows, so the images are independent too.  An equivalence below a
-    node maps each class onto its counterpart and light words onto light
-    words, so a node whose classes meet light words otherwise than c1's
-    (meets[depth]: c1's patterns and meets) is dead, and is cut.
+    Both masks of a pair split together and keep equal sizes, so the images
+    are a column permutation of the independent basis rows.  An equivalence
+    below a node maps each class onto its partner and light words onto light
+    words, so a node whose pairs meet light1 and light2 differently is dead,
+    and is cut.  c1's classes are the same at every node of a depth, so their
+    meets are weighed on the first visit and kept by depth in meets.
     """
     if depth == len(basis):
-        return classes
-    if depth < len(meets):
-        patterns, meet = meets[depth]
-        if _meets(map(dict(classes).get, patterns), light) != meet:
+        return pairs
+    # once every class is one column, each depth has one image at most
+    if any(m1 & (m1 - 1) for m1, _ in pairs):
+        if depth == len(meets):
+            meets.append(_meets([m1 for m1, _ in pairs], light1))
+        if _meets([m2 for _, m2 in pairs], light2) != meets[depth]:
             return None
-    bit = 1 << depth
-    masks = [m for _, m in classes]
-    # each class already has the target's size, so the number of its columns
-    # that the image sets decides the counts of both patterns it splits into
-    ones = [targets[depth][p | bit] for p, _ in classes]
-    for cand in by_weight.get(basis[depth].bit_count(), ()):
-        if list(map(int.bit_count, map(cand.__and__, masks))) == ones:
-            split = [(p | bit, m & cand) for p, m in classes]
-            split += [(p, m & ~cand) for p, m in classes]
+    b = basis[depth]
+    masks2 = [m2 for _, m2 in pairs]
+    ones = [(b & m1).bit_count() for m1, _ in pairs]
+    for cand in by_weight.get(b.bit_count(), ()):
+        if list(map(int.bit_count, map(cand.__and__, masks2))) == ones:
+            split = [(m1 & b, m2 & cand) for m1, m2 in pairs]
+            split += [(m1 & ~b, m2 & ~cand) for m1, m2 in pairs]
             found = _map_basis(
-                depth + 1, [c for c in split if c[1]], basis, targets, by_weight, light, meets
+                depth + 1, [p for p in split if p[0]], basis, by_weight, light1, light2, meets
             )
             if found is not None:
                 return found
@@ -179,39 +181,26 @@ def are_permutation_equivalent(
     if Counter(prof1) != Counter(prof2):
         return None
 
-    # an equivalence maps each column onto one of the same profile: number
-    # the profiles, and let each column's pattern start from its number
-    ids = {p: i << k for i, p in enumerate(dict.fromkeys(prof1))}
-    start = dict.fromkeys(ids.values(), 0)
-    for i, p in enumerate(prof2):
-        start[ids[p]] |= 1 << i
+    # an equivalence maps each column onto one of the same profile
+    start = {p: [0, 0] for p in prof1}
+    for i, (p1, p2) in enumerate(zip(prof1, prof2)):
+        start[p1][0] |= 1 << i
+        start[p2][1] |= 1 << i
 
     # light words, no heavier than the middle basis word, are few enough to
-    # weigh at every node; once every class is one column, each depth has
-    # one image at most and c1's meets stop
+    # weigh at every node
     mid = basis[k // 2].bit_count()
     light1, light2 = ([x for w, g in gs.items() if w <= mid for x in g] for gs in (groups1, groups2))
-
-    # column patterns of the basis, cumulatively per depth
-    pats1 = [ids[p] for p in prof1]
-    counters1, meets1 = [], []
-    for d, b in enumerate(basis):
-        classes1: dict[int, int] = {}
-        for i, p in enumerate(pats1):
-            classes1[p] = classes1.get(p, 0) | 1 << i
-        if len(classes1) < n:
-            meets1.append((list(classes1), _meets(classes1.values(), light1)))
-        for i in range(n):
-            pats1[i] |= ((b >> i) & 1) << d
-        counters1.append(Counter(pats1))
-
-    classes = _map_basis(0, list(start.items()), basis, counters1, groups2, light2, meets1)
+    classes = _map_basis(0, list(start.values()), basis, groups2, light1, light2, [])
     if classes is None:
         return None
 
-    # equal pattern multisets admit a column bijection realizing the map
-    slots = {p: [i for i in range(n) if (m >> i) & 1] for p, m in classes}
-    images = [slots[pat].pop() for pat in pats1]
+    # pairs of equal size admit a column bijection realizing the map
+    images = [0] * n
+    for m1, m2 in classes:
+        cols1, cols2 = ([i for i in range(n) if (m >> i) & 1] for m in (m1, m2))
+        for i, j in zip(cols1, reversed(cols2)):
+            images[i] = j
     witness = CoordinatePermutation(tuple(images))
     if apply_permutation(c1, witness) != c2:
         raise InternalConsistencyError("equivalence witness failed verification")
