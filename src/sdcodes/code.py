@@ -11,10 +11,11 @@ code, and stored with it; a code built by a neighbor step instead stores the
 result of an O(k) certificate that derives it from the stored result of the
 code it came from.
 Weight enumeration and codeword listing stream all 2^k codewords with one
-Gray-code sweep.  Minimum distance uses the Brouwer-Zimmermann search
-instead: it enumerates sums of few rows of generators that are systematic on
-disjoint information sets, and stops as soon as a lower bound on the weight
-of every codeword not yet seen reaches the lightest one found.  A hard
+Gray-code sweep.  The lightest words of a span come from the Brouwer-
+Zimmermann levels instead (_level_sums), for minimum distance and for the
+coset representatives of a neighborhood: sums of few rows of generators that
+are systematic on disjoint information sets, until a lower bound on the
+weight of every word not yet seen passes the lightest one found.  A hard
 dimension cap keeps both bounded and makes oversize requests an explicit
 error instead of a silent approximation.
 """
@@ -224,12 +225,12 @@ class LinearCode:
             step = 4
         else:
             step = 2
-        levels = [_level_minima(g) for g in _information_set_generators(self.rows)]
+        levels = [_level_sums(g) for g in _information_set_generators(self.rows)]
         m = len(levels)
         best = self.n
         for w in range(1, self.k + 1):
             for i, level in enumerate(levels, 1):
-                best = min(best, next(level))
+                best = min(best, min(map(int.bit_count, next(level))))
                 # the weight bound m*w + i, rounded up to a multiple of step
                 if best <= -(-(m * w + i) // step) * step:
                     return best
@@ -264,7 +265,7 @@ def _pairwise_orthogonal(rows: Sequence[int]) -> bool:
 
 
 _BLOCK_BITS = 16
-# row sums that _level_minima keeps per generator, bounding its memory
+# row sums that _level_sums keeps per generator, bounding its memory
 _LEVEL_WORDS = 1 << _BLOCK_BITS
 
 
@@ -342,8 +343,9 @@ def _information_set_generators(rows: Sequence[int]) -> list[list[int]]:
         used |= sum(pivots)
 
 
-def _level_minima(rows: Sequence[int]) -> Iterator[int]:
-    """For w = 1, 2, ..., len(rows), the least weight of a sum of w distinct rows.
+def _level_sums(rows: Sequence[int]) -> Iterator[Iterator[int]]:
+    """For w = 1, 2, ..., len(rows), the sums of w distinct rows, streamed;
+    each level is to be read before the next is drawn.
 
     The sums of s rows are kept as a base list ordered by highest row index,
     so below[j] of them use only rows before j, and those of s + 1 rows come
@@ -366,7 +368,7 @@ def _level_minima(rows: Sequence[int]) -> Iterator[int]:
                 map(reduce(xor, map(rows.__getitem__, t)).__xor__, islice(base, below[t[0]]))
                 for t in combinations(range(k), w - s)
             )
-        yield min(map(int.bit_count, chain.from_iterable(sums)))
+        yield chain.from_iterable(sums)
 
 
 def from_generator(m: BitMatrix) -> LinearCode:

@@ -8,11 +8,11 @@ three pairwise neighbors sharing c_max.  For lengths divisible by 8 exactly
 one of the three is Type I and the common subcode is its maximal doubly-even
 subcode, so the triple can be reconstructed from any one Type I member.
 
-As the all-ones word lies in c_max, each coset holds the complement of each
-of its words, so one Gray-code sweep of half of c_max, shifted into the three
-cosets, gives the canonical representative of each.  d(c_max) comes from the
-Brouwer-Zimmermann search and the singly-even verdict from the Type I
-representative, so no check enumerates the dual itself.
+A member's words outside c_max are those with odd product with another
+coset, so one Brouwer-Zimmermann search per member, on rows tagged with that
+product, finds the canonical representative of its coset and the member's
+distance.  The singly-even verdict comes from the Type I representative, so
+nothing is swept and no check enumerates the dual of c_max.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain, islice
+from itertools import islice
 from operator import or_, xor
 from typing import Iterator, Mapping
 
-from .code import CodeType, InternalConsistencyError, LinearCode, _gray_blocks, _positions
+from .code import CodeType, InternalConsistencyError, LinearCode, _information_set_generators, _level_sums
 from .gf2 import BitVector, _insert_rref, _kernel_rows, _to01
 
 
@@ -79,32 +79,37 @@ def _reversed_bits(v: int, n: int) -> int:
     return int(_to01(v, n), 2)
 
 
-def _coset_leaders(c_max: LinearCode, offsets: list[int]) -> list[tuple[int, int]]:
-    """The canonical representative of each coset offset + c_max, as (weight,
-    word) pairs in canonical order (minimum weight, then lexicographic).
+def _coset_leader(member: LinearCode, tag: int) -> tuple[int, int, int]:
+    """(w, x, d) from one Brouwer-Zimmermann search of member: the least
+    weight w of a word with odd product with tag, the least such word x of
+    weight w with its bits reversed, and the minimum distance d.
 
-    The rows of c_max XOR to the all-ones word, so a sweep of the span of all
-    rows but the last meets each coset word or its complement: a coset's
-    least weight w is min(lo, n - hi) over its swept weights, and the words
-    of weight w and the complements of those of weight n - w are its
-    candidates.
+    Each generator row becomes its bit reversal, so that integer order is
+    lexicographic order, shifted up over a tag bit holding its product with
+    tag.  A sum's ones count its tag, and member words have even weight, so
+    they are odd exactly on tagged sums.  Once w is below the bound of
+    LinearCode.minimum_distance on every word not yet seen, every tagged
+    word of weight w has been seen, and the lightest of all sums is d.
     """
-    n = c_max.n
-    ones = (1 << n) - 1
-    flipped = [_reversed_bits(r, n) for r in c_max.rows[:-1]]
-    flipped_offsets = [_reversed_bits(g, n) for g in offsets]
-    best = [(n + 1, 0)] * len(offsets)
-    for block in _gray_blocks(flipped):
-        words = list(block)
-        for i, g in enumerate(flipped_offsets):
-            weights = bytes(map(int.bit_count, map(g.__xor__, words)))
-            w = min(min(weights), n - max(weights))
-            if w <= best[i][0]:
-                lightest = (g ^ words[j] for j in _positions(weights, w))
-                heaviest = (g ^ ones ^ words[j] for j in _positions(weights, n - w))
-                x = min(chain(lightest, heaviest))
-                best[i] = min(best[i], (w, x))
-    return [(w, _reversed_bits(x, n)) for w, x in sorted(best)]
+    n = member.n
+    gens = [
+        [_reversed_bits(r, n) << 1 | (r & tag).bit_count() & 1 for r in g]
+        for g in _information_set_generators(member.rows)
+    ]
+    levels = [_level_sums(g) for g in gens]
+    m = len(levels)
+    best, least = (n + 2, 0), n + 2
+    for w in range(1, member.k + 1):
+        for i, level in enumerate(levels, 1):
+            for s in next(level):
+                ones = s.bit_count()
+                if ones < least:
+                    least = ones
+                if s & 1 and (ones, s) < best:
+                    best = (ones, s)
+            if best[0] - 1 < m * w + i:
+                return best[0] - 1, best[1] >> 1, least & ~1
+    return best[0] - 1, best[1] >> 1, least & ~1
 
 
 def neighborhood_containing(c_max: LinearCode) -> Neighborhood:
@@ -128,6 +133,8 @@ def neighborhood_containing(c_max: LinearCode) -> Neighborhood:
     # when it is their XOR
     if reduce(xor, c_max.rows) != (1 << n) - 1:
         raise InternalConsistencyError("c_max lacks the all-ones word")
+    # the members are searched only when c_max is within the enumeration cap
+    c_max._check_cap()
 
     # reduction against the RREF rows of c_max maps each coset to one word, so
     # two distinct nonzero reductions of dual rows generate dual / c_max
@@ -135,23 +142,22 @@ def neighborhood_containing(c_max: LinearCode) -> Neighborhood:
     if len(gammas) < 2:
         raise InternalConsistencyError("dual of c_max does not exceed c_max by dimension 2")
 
-    d_max = c_max.minimum_distance()
-    leaders = _coset_leaders(c_max, [gammas[0], gammas[1], gammas[0] ^ gammas[1]])
-
+    offsets = [gammas[0], gammas[1], gammas[0] ^ gammas[1]]
     # each extension is self-dual, as 1 lies in c_max; classify checks it
-    members = [LinearCode(n, _insert_rref(c_max.rows, rep)) for _, rep in leaders]
-    types = tuple(m.classify() for m in members)
+    members = [LinearCode(n, _insert_rref(c_max.rows, g)) for g in offsets]
+    types = [m.classify() for m in members]
     if sorted(t.value for t in types) != ["TypeI", "TypeII", "TypeII"]:
         raise InternalConsistencyError(
             f"expected one Type I and two Type II members, got {[t.value for t in types]}"
         )
-    # a coset's representative is one of its minimum-weight words
-    distances = tuple(min(d_max, w) for w, _ in leaders)
-    reps = tuple(BitVector(n, rep) for _, rep in leaders)
+    # dual(c_max) words have product 0 with c_max and 1 across two cosets
+    tags = offsets[1:] + offsets[:1]
+    found = sorted((*_coset_leader(m, g), m, t) for m, t, g in zip(members, types, tags))
+    _, words, distances, members, types = zip(*found)
     return Neighborhood(
         c_max=c_max,
-        members=(members[0], members[1], members[2]),
-        representatives=(reps[0], reps[1], reps[2]),
+        members=members,
+        representatives=tuple(BitVector(n, _reversed_bits(x, n)) for x in words),
         member_types=types,
         member_distances=distances,
     )

@@ -4,12 +4,12 @@ import sys
 
 import pytest
 
-from sdcodes import cli, code, gf2, neighborhood
+from sdcodes import cli, code, gf2
 from sdcodes.fixtures_io import fixture, serialize_matrix
 from sdcodes.gf2 import BitMatrix
 from sdcodes.neighborhood import random_self_dual
 
-from test_neighborhood import first_type1, refuse_sweep
+from test_neighborhood import first_type1, refuse_searches
 
 
 def run_cli(capsys, *argv):
@@ -145,16 +145,15 @@ class TestNeighborhood:
     def test_c_max_beyond_the_cap_exits_2(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "n64.txt"
         path.write_text(serialize_matrix(first_type1(64, 0).generator))
-        monkeypatch.setattr(neighborhood, "_gray_blocks", refuse_sweep)
+        refuse_searches(monkeypatch)
         status, out, err = run_cli(capsys, "neighborhood", str(path), "--json")
         assert status == 2 and out == ""
         assert err == "error: instance too large: dimension 31 exceeds enumeration cap 30\n"
 
-    def test_one_sweep_per_neighborhood(self, capsys, monkeypatch, tmp_path):
-        # the representatives come from one sweep of half of c_max: its 14
-        # rows left once the all-ones word is split off from its 15; d(c_max)
-        # comes from BZ, the singly-even verdict from the Type I
-        # representative, and the dual is not swept
+    def test_no_sweep_per_neighborhood(self, capsys, monkeypatch, tmp_path):
+        # representatives and member distances come from one Brouwer-Zimmermann
+        # search per member, the singly-even verdict from the Type I
+        # representative, and neither c_max nor its dual is swept
         sweeps = []
         blocks = code._gray_blocks
 
@@ -163,13 +162,12 @@ class TestNeighborhood:
             return blocks(rows)
 
         monkeypatch.setattr(code, "_gray_blocks", counted)
-        monkeypatch.setattr(neighborhood, "_gray_blocks", counted)
         path = tmp_path / "walk32.txt"
         path.write_text(serialize_matrix(random_self_dual(32, 12, 19).generator))
         status, out, _ = run_cli(capsys, "neighborhood", str(path), "--json")
         (record,) = json_lines(out)
         assert status == 1 and record["c_max_dimension"] == 15
-        assert sweeps == [14]
+        assert sweeps == []
 
 
 class TestNeighbors:

@@ -33,6 +33,17 @@ def refuse_sweep(rows):
     raise AssertionError(f"swept a code of dimension {len(rows)}")
 
 
+def refuse_search(rows):
+    raise AssertionError(f"searched the levels of {len(rows)} rows")
+
+
+def refuse_searches(monkeypatch):
+    """Make any Gray sweep or Brouwer-Zimmermann search raise."""
+    monkeypatch.setattr(code, "_gray_blocks", refuse_sweep)
+    monkeypatch.setattr(code, "_level_sums", refuse_search)
+    monkeypatch.setattr(neighborhood, "_level_sums", refuse_search)
+
+
 def refuse_pairwise(rows):
     raise AssertionError(f"pairwise pass over {len(rows)} rows")
 
@@ -230,7 +241,7 @@ class TestPreconditions:
 
     def test_c_max_beyond_the_cap_refused_before_any_sweep(self, monkeypatch):
         # n=64: c_max has dimension 31, above the enumeration cap of 30
-        monkeypatch.setattr(neighborhood, "_gray_blocks", refuse_sweep)
+        refuse_searches(monkeypatch)
         with pytest.raises(EnumerationCapError, match="dimension 31"):
             neighborhood_of(first_type1(64, 0))
 
@@ -523,58 +534,49 @@ class TestOneSweep:
 
 
 class TestCosetRepresentatives:
-    """The half sweep of c_max against an oracle that enumerates each whole
-    coset with tuple arithmetic: a representative is found either as a swept
-    coset word or only as the complement of one."""
+    """The Brouwer-Zimmermann search of each member against an oracle that
+    enumerates each whole coset of c_max with tuple arithmetic."""
 
     @pytest.fixture(scope="class")
-    def swept(self):
-        """(neighborhood, offsets passed to _coset_leaders) for the fixtures
-        and for walk codes at n = 8, 16 and 24."""
-        leaders, calls = neighborhood._coset_leaders, []
-
-        def spy(c_max, offsets):
-            calls.append(offsets)
-            return leaders(c_max, offsets)
-
+    def searched(self):
+        """(neighborhood, offset of each member's coset) for the fixtures and
+        for walk codes at n = 8, 16 and 24."""
         codes = [from_generator(fixture(name)) for name in ("G3", "G4")]
         codes += [c for n, count in ((8, 4), (16, 8), (24, 8)) for c in type1_walk_codes(n, count)]
         out = []
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(neighborhood, "_coset_leaders", spy)
-            for c in codes:
-                nb = neighborhood_of(c)
-                out.append((nb, calls.pop()))
+        for c in codes:
+            nb = neighborhood_of(c)
+            # any row of a member outside c_max offsets its coset
+            out.append((nb, [next(r for r in m.rows if nb.c_max._reduce(r)) for m in nb.members]))
         return out
 
-    def test_representatives_match_the_oracle(self, swept):
-        branches = set()
-        for nb, offsets in swept:
+    def test_representatives_match_the_oracle(self, searched):
+        for nb, offsets in searched:
             n, rows = nb.c_max.n, [to_bits(r) for r in nb.c_max.generator]
-            expected = sorted(o_coset_leader(rows, to_bits(BitVector(n, g))) for g in offsets)
+            expected = [o_coset_leader(rows, to_bits(BitVector(n, g))) for g in offsets]
             assert [(r.weight(), r.to01()) for r in nb.representatives] == expected
-            for g in offsets:
-                rep = next(r.bits for r in nb.representatives if nb.c_max._reduce(r.bits ^ g) == 0)
-                # found directly when it lies in g + the span of the swept rows
-                branches.add(gf2._reduced(nb.c_max.rows[:-1], rep ^ g) == 0)
-        assert branches == {True, False}
+            assert expected == sorted(expected) and len(set(offsets)) == 3
 
-    def test_offsets_shifted_by_all_ones_give_the_same_representatives(self, swept):
-        # every word found directly before is found only as a complement now
-        for nb, offsets in swept:
-            ones = (1 << nb.c_max.n) - 1
-            shifted = neighborhood._coset_leaders(nb.c_max, [g ^ ones for g in offsets])
-            assert [BitVector(nb.c_max.n, x) for _, x in shifted] == list(nb.representatives)
+    def test_either_other_offset_as_the_tag_agrees(self, searched):
+        # a member's words have odd product with either other offset exactly
+        # outside c_max; with its own offset no word is tagged
+        for nb, offsets in searched:
+            n = nb.c_max.n
+            for i, m in enumerate(nb.members):
+                found = {neighborhood._coset_leader(m, g) for j, g in enumerate(offsets) if j != i}
+                ((w, x, d),) = found
+                rep = BitVector(n, neighborhood._reversed_bits(x, n))
+                assert (rep, d) == (nb.representatives[i], nb.member_distances[i])
+                assert neighborhood._coset_leader(m, offsets[i])[0] > n
 
-    def test_c_max_distance_matches_the_oracle(self, swept):
-        for nb, _ in swept:
+    def test_c_max_distance_matches_the_oracle(self, searched):
+        for nb, _ in searched:
             rows = [to_bits(r) for r in nb.c_max.generator]
             assert nb.c_max.minimum_distance() == o_min_distance(rows)
 
     def test_missing_all_ones_is_refused_before_any_sweep(self, monkeypatch):
         bad = from_generator(BitMatrix.from_strings(["11110000", "00110011", "01010101"]))
-        monkeypatch.setattr(neighborhood, "_gray_blocks", refuse_sweep)
-        monkeypatch.setattr(code, "_gray_blocks", refuse_sweep)
+        refuse_searches(monkeypatch)
         with pytest.raises(InternalConsistencyError, match="all-ones"):
             neighborhood_containing(bad)
 
@@ -590,8 +592,9 @@ def type1_walk_codes(n, count):
 
 
 class TestDistanceCrossCheck:
-    """Two algorithms for one number: member distances come from the coset
-    sweep of dual(c_max), minimum_distance from the information-set search."""
+    """Member distances come from the tagged search of each member, and
+    minimum_distance from the untagged one; the levels are shared, so the
+    oracle distances of TestCosetRepresentatives back both."""
 
     def test_members_of_walk_neighborhoods(self):
         anchors = [random_self_dual(32, 12, 19)]
@@ -608,15 +611,15 @@ class TestDistanceCrossCheck:
         nb = neighborhood_of(random_self_dual(40, 10, 0))
         assert sorted(nb.member_distances) == [6, 8, 8]
         monkeypatch.setattr(code, "_gray_blocks", refuse_sweep)
-        levels = code._level_minima
+        levels = code._level_sums
         drawn = []
 
         def counted(rows):
-            for least in levels(rows):
-                drawn.append(least)
-                yield least
+            for sums in levels(rows):
+                drawn.append(len(rows))
+                yield sums
 
-        monkeypatch.setattr(code, "_level_minima", counted)
+        monkeypatch.setattr(code, "_level_sums", counted)
         for member, d in zip(nb.members, nb.member_distances):
             drawn.clear()
             assert member.k == 20 and member.minimum_distance() == d
@@ -627,3 +630,19 @@ class TestDistanceCrossCheck:
                 assert len(drawn) == 3
         with pytest.raises(AssertionError, match="swept"):
             nb.members[0].weight_enumerator()
+
+
+class TestPaperLength:
+    """n=56, the length of the paper's singly-even (56, 28, 12) question:
+    c_max has dimension 27, and no Gray sweep runs."""
+
+    def test_neighborhood_at_n56(self, monkeypatch):
+        monkeypatch.setattr(code, "_gray_blocks", refuse_sweep)
+        nb = neighborhood_of(random_self_dual(56, 20, 0))
+        assert nb.c_max.k == 27
+        for member, rep, d in zip(nb.members, nb.representatives, nb.member_distances):
+            assert member.minimum_distance() == d
+            assert member.contains(rep) and not nb.c_max.contains(rep)
+        for check in (verify_no_better_type1, verify_singly_even_range):
+            assert check(nb).passed is True
+        assert verify_distance2_coincidence(nb).passed is not False
