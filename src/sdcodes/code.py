@@ -11,10 +11,10 @@ code, and stored with it; a code built by a neighbor step instead stores the
 result of an O(k) certificate that derives it from the stored result of the
 code it came from.
 Weight enumeration and codeword listing stream all 2^k codewords with one
-Gray-code sweep.  The lightest words of a span come from the Brouwer-
-Zimmermann levels instead (_level_sums), for minimum distance and for the
-coset representatives of a neighborhood: sums of few rows of generators that
-are systematic on disjoint information sets, until a lower bound on the
+Gray-code sweep.  The lightest words of a span, for minimum distance and
+for the coset representatives of a neighborhood, come from the
+Brouwer-Zimmermann levels instead (_level_sums): sums of few rows of
+generators systematic on disjoint information sets, until a bound on the
 weight of every word not yet seen passes the lightest one found.  A hard
 dimension cap keeps both bounded and makes oversize requests an explicit
 error instead of a silent approximation.
@@ -344,15 +344,14 @@ def _information_set_generators(rows: Sequence[int]) -> list[list[int]]:
 
 
 def _level_sums(rows: Sequence[int]) -> Iterator[Iterator[int]]:
-    """For w = 1, 2, ..., len(rows), the sums of w distinct rows, streamed;
-    each level is to be read before the next is drawn.
+    """For w = 1, 2, ..., len(rows), a stream of the sums of w distinct rows.
 
     The sums of s rows are kept as a base list ordered by highest row index,
     so below[j] of them use only rows before j, and those of s + 1 rows come
     from it by one XOR map per row.  Once a level would pass _LEVEL_WORDS
     sums, the base stops growing: a sum of w rows is then a base sum XOR a
     sum of w - s rows t that all lie above the base sum's rows, so memory
-    stays at one base list while w grows.
+    stays at one base list while w grows.  Read each level before the next.
     """
     k = len(rows)
     base, below, s = [0], [1] * k, 0

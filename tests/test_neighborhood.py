@@ -592,9 +592,9 @@ def type1_walk_codes(n, count):
 
 
 class TestDistanceCrossCheck:
-    """Member distances come from the tagged search of each member, and
-    minimum_distance from the untagged one; the levels are shared, so the
-    oracle distances of TestCosetRepresentatives back both."""
+    """Member distances come from the tagged search of each member and
+    minimum_distance from the untagged one, on the same levels with other
+    stop rules, so the two must agree."""
 
     def test_members_of_walk_neighborhoods(self):
         anchors = [random_self_dual(32, 12, 19)]
