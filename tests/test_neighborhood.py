@@ -634,11 +634,17 @@ class TestDistanceCrossCheck:
 
 class TestPaperLength:
     """n=56, the length of the paper's singly-even (56, 28, 12) question:
-    c_max has dimension 27, and no Gray sweep runs."""
+    c_max has dimension 27, no Gray sweep runs, and minimum_distance runs
+    only in the checks."""
 
     def test_neighborhood_at_n56(self, monkeypatch):
+        def refuse_distance(c):
+            raise AssertionError(f"minimum_distance of a code of dimension {c.k}")
+
         monkeypatch.setattr(code, "_gray_blocks", refuse_sweep)
-        nb = neighborhood_of(random_self_dual(56, 20, 0))
+        with monkeypatch.context() as mp:
+            mp.setattr(LinearCode, "minimum_distance", refuse_distance)
+            nb = neighborhood_of(random_self_dual(56, 20, 0))
         assert nb.c_max.k == 27
         for member, rep, d in zip(nb.members, nb.representatives, nb.member_distances):
             assert member.minimum_distance() == d
