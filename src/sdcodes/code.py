@@ -12,12 +12,12 @@ result of an O(k) certificate that derives it from the stored result of the
 code it came from.
 Weight enumeration and codeword listing stream all 2^k codewords with one
 Gray-code sweep.  The lightest words of a span, for minimum distance and
-for the coset representatives of a neighborhood, come from the
-Brouwer-Zimmermann levels instead (_level_sums): sums of few rows of
-generators systematic on disjoint information sets, until a bound on the
-weight of every word not yet seen passes the lightest one found.  A hard
-dimension cap keeps both bounded and makes oversize requests an explicit
-error instead of a silent approximation.
+for the coset representatives of a neighborhood, come from one
+Brouwer-Zimmermann driver instead (_bz_rounds): rounds of sums of few rows
+of generators systematic on disjoint information sets, each with a bound on
+the weight of every word not yet seen.  A hard dimension cap keeps both
+bounded and makes oversize requests an explicit error instead of a silent
+approximation.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from functools import reduce
 from itertools import accumulate, chain, combinations, islice
 from math import comb
 from operator import xor
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .gf2 import (
     MAX_LENGTH,
@@ -45,7 +45,7 @@ DEFAULT_ENUMERATION_CAP = 30
 
 
 class EnumerationCapError(ValueError):
-    """Raised when an exhaustive codeword sweep would exceed the dimension cap."""
+    """Raised when a codeword sweep or a Brouwer-Zimmermann search would exceed the dimension cap."""
 
 
 class InternalConsistencyError(AssertionError):
@@ -203,37 +203,14 @@ class LinearCode:
         return list(_gray_words(self.rows))
 
     def minimum_distance(self) -> int:
-        """Smallest nonzero codeword weight, by Brouwer-Zimmermann search.
-
-        Each of m generators is systematic on its own information set, and
-        the sets are pairwise disjoint, so a codeword is the sum of the rows
-        of generator j picked by its ones on set j.  Round w sums every w
-        rows of each generator in turn.  A codeword missed so far has at
-        least w + 1 ones on each set already done in round w and at least w
-        on the rest; rounded up to the weight divisor of the code, that
-        bounds its weight.  The search stops once the lightest sum found is
-        within the bound, or after round k, which has seen every codeword.
-        A self-dual code has m >= 2: the complement of an information set of
-        C is one of its dual, C itself.
-        """
+        """Smallest nonzero codeword weight, from the rounds of _bz_rounds."""
         if self.k == 0:
             raise ValueError("the zero-dimensional code has no minimum distance")
-        self._check_cap()
-        if any(r.bit_count() & 1 for r in self.rows):
-            step = 1
-        elif all(r.bit_count() % 4 == 0 for r in self.rows) and self.is_self_orthogonal():
-            step = 4
-        else:
-            step = 2
-        levels = [_level_sums(g) for g in _information_set_generators(self.rows)]
-        m = len(levels)
         best = self.n
-        for w in range(1, self.k + 1):
-            for i, level in enumerate(levels, 1):
-                best = min(best, min(map(int.bit_count, next(level))))
-                # the weight bound m*w + i, rounded up to a multiple of step
-                if best <= -(-(m * w + i) // step) * step:
-                    return best
+        for sums, bound in _bz_rounds(self):
+            best = min(best, min(map(int.bit_count, sums)))
+            if best <= bound:
+                break
         return best
 
     def weight_enumerator(self) -> WeightEnumerator:
@@ -341,6 +318,35 @@ def _information_set_generators(rows: Sequence[int]) -> list[list[int]]:
             pivots.append(p)
         gens.append(basis)
         used |= sum(pivots)
+
+
+def _bz_rounds(code: LinearCode, lift: Callable[[int], int] | None = None) -> Iterator[tuple[Iterable[int], int]]:
+    """The Brouwer-Zimmermann search of code: (sums, bound) per generator per
+    round, sums read before the next is drawn; lift, a linear map, is applied
+    to every generator row first, so the sums are the lifts of the plain ones.
+
+    Each of m generators is systematic on its own information set, and the
+    sets are pairwise disjoint, so a codeword is the sum of the rows of
+    generator j picked by its ones on set j.  Round w sums every w rows of
+    each generator in turn, so after generator i a codeword missed so far has
+    at least w + 1 ones on each of sets 1..i and w on the rest.  bound is that
+    weight, m*w + i, rounded up to the weight divisor of the code (1, 2 or 4).
+    Round k sees every codeword.  A self-dual code has m >= 2: the complement
+    of an information set of C is one of its dual, C itself.
+    """
+    code._check_cap()
+    if any(r.bit_count() & 1 for r in code.rows):
+        step = 1
+    elif all(r.bit_count() % 4 == 0 for r in code.rows) and code.is_self_orthogonal():
+        step = 4
+    else:
+        step = 2
+    gens = _information_set_generators(code.rows)
+    levels = [_level_sums(g if lift is None else list(map(lift, g))) for g in gens]
+    m = len(levels)
+    for w in range(1, code.k + 1):
+        for i, level in enumerate(levels, 1):
+            yield next(level), -(-(m * w + i) // step) * step
 
 
 def _level_sums(rows: Sequence[int]) -> Iterator[Iterator[int]]:

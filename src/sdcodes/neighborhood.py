@@ -9,9 +9,9 @@ one of the three is Type I and the common subcode is its maximal doubly-even
 subcode, so the triple can be reconstructed from any one Type I member.
 
 A member's words outside c_max are those with odd product with another
-coset, so one Brouwer-Zimmermann search per member, on rows tagged with that
-product, finds the canonical representative of its coset and the member's
-distance.  The singly-even verdict comes from the Type I representative, so
+coset, so the Brouwer-Zimmermann rounds of each member (code._bz_rounds), on
+rows tagged with that product, find the canonical representative of its
+coset and the member's distance.  The singly-even verdict comes from the Type I representative, so
 nothing is swept and no check enumerates the dual of c_max.
 """
 
@@ -24,7 +24,7 @@ from itertools import islice
 from operator import or_, xor
 from typing import Iterator, Mapping
 
-from .code import CodeType, InternalConsistencyError, LinearCode, _information_set_generators, _level_sums
+from .code import CodeType, InternalConsistencyError, LinearCode, _bz_rounds
 from .gf2 import BitVector, _insert_rref, _kernel_rows, _to01
 
 
@@ -87,28 +87,21 @@ def _coset_leader(member: LinearCode, tag: int) -> tuple[int, int, int]:
     Each generator row becomes its bit reversal, so that integer order is
     lexicographic order, shifted up over a tag bit holding its product with
     tag.  A sum's ones count its tag, and member words have even weight, so
-    they are odd exactly on tagged sums.  Once w is below the bound of
-    LinearCode.minimum_distance on every word not yet seen, every tagged
-    word of weight w has been seen, and the lightest of all sums is d.
+    they are odd exactly on tagged sums.  Once w is below the round's bound
+    on every word not yet seen, every tagged word of weight w has been seen,
+    and the lightest of all sums is d.
     """
     n = member.n
-    gens = [
-        [_reversed_bits(r, n) << 1 | (r & tag).bit_count() & 1 for r in g]
-        for g in _information_set_generators(member.rows)
-    ]
-    levels = [_level_sums(g) for g in gens]
-    m = len(levels)
     best, least = (n + 2, 0), n + 2
-    for w in range(1, member.k + 1):
-        for i, level in enumerate(levels, 1):
-            for s in next(level):
-                ones = s.bit_count()
-                if ones < least:
-                    least = ones
-                if s & 1 and (ones, s) < best:
-                    best = (ones, s)
-            if best[0] - 1 < m * w + i:
-                return best[0] - 1, best[1] >> 1, least & ~1
+    for sums, bound in _bz_rounds(member, lambda r: _reversed_bits(r, n) << 1 | (r & tag).bit_count() & 1):
+        for s in sums:
+            ones = s.bit_count()
+            if ones < least:
+                least = ones
+            if s & 1 and (ones, s) < best:
+                best = (ones, s)
+        if best[0] - 1 < bound:
+            break
     return best[0] - 1, best[1] >> 1, least & ~1
 
 

@@ -7,7 +7,7 @@ from operator import xor
 
 import pytest
 
-from sdcodes import code
+from sdcodes import code, neighborhood
 from sdcodes.code import (
     DEFAULT_ENUMERATION_CAP,
     CodeType,
@@ -16,6 +16,7 @@ from sdcodes.code import (
     WeightEnumerator,
     _gray_word,
     _gray_words,
+    _bz_rounds,
     _information_set_generators,
     _level_sums,
     _positions,
@@ -423,6 +424,46 @@ class TestBrouwerZimmermann:
                 assert_distance_matches_oracles(c)
         for c in self_dual_pool()[::3]:
             assert_distance_matches_oracles(c)
+
+    def test_rounds_bound_every_word_not_yet_seen(self, monkeypatch):
+        # random codes at n <= 16 whose weight divisors are 1, 2 and 4, even
+        # codes that are not self-orthogonal among them, and walk codes
+        rng = random.Random(29)
+        codes = []
+        for i in range(150):
+            n = rng.randrange(4, 17)
+            rows = [r for r in (rng.getrandbits(n) for _ in range(3 * n)) if r.bit_count() % (1, 2, 4)[i % 3] == 0]
+            codes.append(LinearCode(n, rows[: rng.randrange(1, n // 2 + 3)]))
+        codes += [random_self_dual(n, 4 + seed, seed) for n in (8, 16, 24) for seed in range(8)]
+        lifts = []
+
+        def spy(c, lift=None):
+            lifts.append(lift)
+            return _bz_rounds(c, lift)
+
+        monkeypatch.setattr(neighborhood, "_bz_rounds", spy)
+        divisors, uneven_self_orthogonal = set(), 0
+        for c in filter(lambda c: c.k, codes):
+            words = set(_gray_words(c.rows)) - {0}
+            weights = {w.bit_count() for w in words}
+            divisors.add(next(d for d in (4, 2, 1) if all(w % d == 0 for w in weights)))
+            uneven_self_orthogonal += all(w % 2 == 0 for w in weights) and not c.is_self_orthogonal()
+            # (a) no word still unseen is lighter than the bound, and (b) the
+            # last round has seen every codeword
+            unseen = set(words)
+            for sums, bound in _bz_rounds(c):
+                sums = set(sums)
+                assert sums <= words
+                unseen -= sums
+                assert all(x.bit_count() >= bound for x in unseen)
+            assert not unseen
+            # (c) with the lift of _coset_leader, each round is the lift of the plain one
+            lifts.clear()
+            neighborhood._coset_leader(c, rng.getrandbits(c.n))
+            (lift,) = lifts
+            for (plain, bound), (lifted, lifted_bound) in zip(_bz_rounds(c), _bz_rounds(c, lift), strict=True):
+                assert Counter(map(lift, plain)) == Counter(lifted) and bound == lifted_bound
+        assert divisors == {1, 2, 4} and uneven_self_orthogonal >= 10
 
     @pytest.mark.parametrize("budget", [1, 12, 1 << 16])
     def test_every_level_against_row_subsets(self, monkeypatch, budget):

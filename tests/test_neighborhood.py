@@ -41,7 +41,6 @@ def refuse_searches(monkeypatch):
     """Make any Gray sweep or Brouwer-Zimmermann search raise."""
     monkeypatch.setattr(code, "_gray_blocks", refuse_sweep)
     monkeypatch.setattr(code, "_level_sums", refuse_search)
-    monkeypatch.setattr(neighborhood, "_level_sums", refuse_search)
 
 
 def refuse_pairwise(rows):
@@ -593,8 +592,8 @@ def type1_walk_codes(n, count):
 
 class TestDistanceCrossCheck:
     """Member distances come from the tagged search of each member and
-    minimum_distance from the untagged one, on the same levels with other
-    stop rules, so the two must agree."""
+    minimum_distance from the untagged one, on the same rounds, so the two
+    must agree."""
 
     def test_members_of_walk_neighborhoods(self):
         anchors = [random_self_dual(32, 12, 19)]
