@@ -13,7 +13,7 @@ code it came from.
 Weight enumeration and codeword listing stream all 2^k codewords with one
 Gray-code sweep.  The lightest words of a span, for minimum distance and
 for the coset representatives of a neighborhood, come from one
-Brouwer-Zimmermann driver instead (_bz_rounds): rounds of sums of few rows
+Brouwer-Zimmermann search instead (_bz_rounds): rounds of sums of few rows
 of generators systematic on disjoint information sets, each with a bound on
 the weight of every word not yet seen.  A hard dimension cap keeps both
 bounded and makes oversize requests an explicit error instead of a silent

@@ -9,10 +9,10 @@ one of the three is Type I and the common subcode is its maximal doubly-even
 subcode, so the triple can be reconstructed from any one Type I member.
 
 A member's words outside c_max are those with odd product with another
-coset, so the Brouwer-Zimmermann rounds of each member (code._bz_rounds), on
-rows tagged with that product, find the canonical representative of its
-coset and the member's distance.  The singly-even verdict comes from the Type I representative, so
-nothing is swept and no check enumerates the dual of c_max.
+coset, so the Brouwer-Zimmermann rounds (code._bz_rounds) of each member on
+rows tagged with that product find its coset's canonical representative and
+its distance.  The singly-even verdict comes from the Type I representative,
+so nothing is swept and no check enumerates the dual of c_max.
 """
 
 from __future__ import annotations
