@@ -11,8 +11,9 @@ code, and stored with it; a code built by a neighbor step instead stores the
 result of an O(k) certificate that derives it from the stored result of the
 code it came from.
 Weight enumeration and codeword listing stream all 2^k codewords with one
-Gray-code sweep.  The lightest words of a span, for minimum distance and
-for the coset representatives of a neighborhood, come from one
+Gray-code sweep.  The lightest words of a span, for minimum distance, for
+the coset representatives of a neighborhood and for the light words that
+the equivalence search maps (_words_by_weight), come from one
 Brouwer-Zimmermann search instead (_bz_rounds): rounds of sums of few rows
 of generators systematic on disjoint information sets, each with a bound on
 the weight of every word not yet seen.  A hard dimension cap keeps both
@@ -26,7 +27,7 @@ import enum
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, chain, combinations, islice
+from itertools import accumulate, chain, combinations, compress, islice
 from math import comb
 from operator import xor
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -276,18 +277,15 @@ def _gray_words(rows: Sequence[int]) -> Iterator[int]:
     return chain.from_iterable(_gray_blocks(rows))
 
 
-def _gray_word(rows: Sequence[int], j: int) -> int:
-    """Word j of _gray_words(rows): the XOR of rows[b] over the set bits b of j ^ (j >> 1)."""
-    g = j ^ (j >> 1)
-    return reduce(xor, (r for b, r in enumerate(rows) if g >> b & 1), 0)
-
-
-def _positions(weights: bytes, w: int) -> Iterator[int]:
-    """The indices at which weights holds w, found by bytes.find."""
-    j = weights.find(w)
-    while j >= 0:
-        yield j
-        j = weights.find(w, j + 1)
+def _gray_index(rows: Sequence[int], word: int) -> int:
+    """The index of word in _gray_words(rows), rows in RREF: bit b is the XOR
+    of word's bits at the pivots of rows[b:], the inverse Gray map of its
+    coefficients."""
+    j = 0
+    for b, r in enumerate(rows):
+        if word & r & -r:
+            j ^= (2 << b) - 1
+    return j
 
 
 def _information_set_generators(rows: Sequence[int]) -> list[list[int]]:
@@ -347,6 +345,23 @@ def _bz_rounds(code: LinearCode, lift: Callable[[int], int] | None = None) -> It
     for w in range(1, code.k + 1):
         for i, level in enumerate(levels, 1):
             yield next(level), -(-(m * w + i) // step) * step
+
+
+def _words_by_weight(code: LinearCode) -> Iterator[tuple[int, set[int]]]:
+    """(w, the set of nonzero codewords of weight w) for w = 1, 2, ..., n < 256.
+
+    Weight w is yielded once a round of _bz_rounds bounds every word not yet
+    drawn above it.  The sums are weighed into bytes and cut by weight with
+    bytes.translate, into sets, since one word can come from several
+    generators.  The last round has drawn every word: its bound is n + 1.
+    """
+    drawn, weights, w = [], bytearray(), 1
+    for sums, bound in chain(_bz_rounds(code), [((), code.n + 1)]):
+        drawn += sums
+        weights += bytes(map(int.bit_count, drawn[len(weights) :]))
+        while w < bound and w <= code.n:
+            yield w, set(compress(drawn, weights.translate(bytes(w) + b"\1" + bytes(255 - w))))
+            w += 1
 
 
 def _level_sums(rows: Sequence[int]) -> Iterator[Iterator[int]]:

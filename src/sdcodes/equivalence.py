@@ -2,13 +2,13 @@
 
 Two codes are permutation equivalent when some relabeling of coordinates
 maps one onto the other.  The decision procedure is exact: cheap invariant
-rejections (weight distribution, column coverage profiles) followed by a
-depth-first search assigning images to a small-weight basis.  Each code is
-swept once in Gray-code order and weighed into bytes that count the weight
-distribution; its 2^k words are not kept.  Only the words up to the weight
-of the heaviest basis word are rebuilt, from their Gray index, and grouped
-by weight, since the search maps no heavier word; a column's coverage
-profile counts the words of each group covering it.  An equivalence keeps
+rejections (low-weight counts, column coverage profiles) followed by a
+depth-first search assigning images to a small-weight basis.  No code is
+swept: both codes' words are read weight by weight, in step, from their
+Brouwer-Zimmermann rounds (code._words_by_weight), and only up to the
+weight of the heaviest basis word, since the search maps no heavier word;
+a count that differs on the way rejects the pair.  A column's coverage
+profile counts the words of each weight covering it.  An equivalence keeps
 profiles, so the search pairs c1's and c2's columns of each profile and
 splits each pair by a basis word and its image, cutting a node whose pairs
 meet the two codes' light words differently.  Any witness returned has been
@@ -19,15 +19,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from functools import partial
 
 from .code import (
     EnumerationCapError,
     InternalConsistencyError,
     LinearCode,
-    _gray_word,
-    _gray_words,
-    _positions,
+    _gray_index,
+    _words_by_weight,
 )
 from .gf2 import BitVector, _insert_rref, _reduced
 
@@ -83,8 +82,8 @@ def apply_permutation(c: LinearCode, p: CoordinatePermutation) -> LinearCode:
 
 
 def _column_profiles(n: int, groups) -> list[tuple[int, ...]]:
-    """Per column, how many words of each group cover it."""
-    return [tuple(sum(map((1 << i).__and__, g)) >> i for g in groups) for i in range(n)]
+    """Per column, how many words of each nonempty group cover it."""
+    return [tuple(sum(map((1 << i).__and__, g)) >> i for g in groups if g) for i in range(n)]
 
 
 def _meets(masks, words) -> Counter:
@@ -133,7 +132,8 @@ def are_permutation_equivalent(
     """A coordinate permutation mapping c1 onto c2, or None.
 
     Exact at desk scale: lengths up to 32 and dimensions up to 16, enforced
-    via EnumerationCapError.  A returned witness always satisfies
+    via EnumerationCapError; no 2^k sweep runs, so the dimension cap bounds
+    the basis search.  A returned witness always satisfies
     apply_permutation(c1, witness) == c2.
     """
     if c1.n != c2.n:
@@ -153,30 +153,25 @@ def are_permutation_equivalent(
     k = c1.k
     if k == 0 or c1 == c2:
         return CoordinatePermutation.identity(n)
-    # one Gray sweep per code, weighed into bytes; its 2^k words are not kept
-    weights1, weights2 = (bytes(map(int.bit_count, _gray_words(c.rows))) for c in (c1, c2))
-    present = [w for w in range(1, n + 1) if w in weights1]
-    # both codes have 2^k - 1 nonzero words, so matching counts at c1's
-    # weights leave c2 no word of another weight
-    if any(weights1.count(w) != weights2.count(w) for w in present):
-        return None
-
     # small-weight basis of c1, whose words have few candidate images, in
-    # (weight, word) order; each group is value-sorted once the basis reaches it
+    # (weight, word) order, read in step with c2 up to the heaviest basis
+    # word; c2's groups keep the order of its Gray sweep
     groups1: dict[int, list[int]] = {}
-    by_weight = (
-        groups1.setdefault(w, sorted([_gray_word(c1.rows, j) for j in _positions(weights1, w)])) for w in present
-    )
-    basis: list[int] = []
-    span: list[int] = []
-    for w in chain.from_iterable(by_weight):
-        if _reduced(span, w):
-            basis.append(w)
-            if len(basis) == k:
-                break
-            span = _insert_rref(span, w)
-    # c2's words of the same weights, in sweep order within a weight
-    groups2 = {w: [_gray_word(c2.rows, j) for j in _positions(weights2, w)] for w in groups1}
+    groups2: dict[int, list[int]] = {}
+    basis, span = [], []
+    for (w, words1), (_, words2) in zip(_words_by_weight(c1), _words_by_weight(c2)):
+        if len(words1) != len(words2):
+            return None
+        groups1[w] = sorted(words1)
+        groups2[w] = sorted(words2, key=partial(_gray_index, c2.rows))
+        for x in groups1[w]:
+            if _reduced(span, x):
+                basis.append(x)
+                if len(basis) == k:
+                    break
+                span = _insert_rref(span, x)
+        if len(basis) == k:
+            break
     prof1, prof2 = (_column_profiles(n, g.values()) for g in (groups1, groups2))
     if Counter(prof1) != Counter(prof2):
         return None

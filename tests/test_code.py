@@ -14,12 +14,12 @@ from sdcodes.code import (
     EnumerationCapError,
     LinearCode,
     WeightEnumerator,
-    _gray_word,
+    _gray_index,
     _gray_words,
     _bz_rounds,
     _information_set_generators,
     _level_sums,
-    _positions,
+    _words_by_weight,
     extremal_bound,
     from_generator,
 )
@@ -259,24 +259,13 @@ class TestEnumeration:
         assert at_cap.minimum_distance() == 1
 
 
-class TestPositions:
-    def test_every_index_of_a_value_in_order(self):
-        rng = random.Random(16)
-        for size in (0, 1, 2, 50, 300):
-            weights = bytes(rng.randrange(4) for _ in range(size))
-            for w in range(5):
-                assert list(_positions(weights, w)) == [j for j, x in enumerate(weights) if x == w]
-        # the first and the last index are found too
-        assert list(_positions(bytes([7, 1, 7, 7]), 7)) == [0, 2, 3]
-
-
-class TestGrayWord:
-    def test_word_j_of_the_sweep(self):
-        # k = 17 runs the sweep in two blocks of 2^16 words
+class TestGrayIndex:
+    def test_index_j_of_word_j_of_the_sweep(self):
         rng = random.Random(17)
-        for k in (0, 1, 5, 17):
-            rows = [rng.getrandbits(20) for _ in range(k)]
-            assert [_gray_word(rows, j) for j in range(1 << k)] == list(_gray_words(rows))
+        for k in range(11):
+            n = k + rng.randrange(12)
+            rows = LinearCode(n, [rng.getrandbits(n) for _ in range(k)]).rows
+            assert [_gray_index(rows, x) for x in _gray_words(rows)] == list(range(1 << len(rows)))
 
 
 class TestSweepPastOneBlock:
@@ -464,6 +453,27 @@ class TestBrouwerZimmermann:
             for (plain, bound), (lifted, lifted_bound) in zip(_bz_rounds(c), _bz_rounds(c, lift), strict=True):
                 assert Counter(map(lift, plain)) == Counter(lifted) and bound == lifted_bound
         assert divisors == {1, 2, 4} and uneven_self_orthogonal >= 10
+
+    def test_words_by_weight_against_the_sweep(self, fixture_codes):
+        # walk codes, the fixtures, random codes that are not self-orthogonal,
+        # and codes of k > n/2, with one information set, whose heaviest
+        # words lie past the bound of the last round
+        rng = random.Random(31)
+        codes = [random_self_dual(n, 4 + seed, seed) for n in (8, 16, 24) for seed in range(6)]
+        codes += fixture_codes.values()
+        for _ in range(60):
+            n = rng.randrange(2, 17)
+            codes.append(LinearCode(n, [rng.getrandbits(n) for _ in range(rng.randrange(1, n + 1))]))
+        past_last_bound = not_self_orthogonal = 0
+        for c in filter(lambda c: c.k, codes):
+            by_weight = [set() for _ in range(c.n + 1)]
+            for x in _gray_words(c.rows):
+                by_weight[x.bit_count()].add(x)
+            assert list(_words_by_weight(c)) == list(enumerate(by_weight))[1:]
+            *_, (_, last_bound) = _bz_rounds(c)
+            past_last_bound += any(by_weight[last_bound:])
+            not_self_orthogonal += not c.is_self_orthogonal()
+        assert past_last_bound >= 10 and not_self_orthogonal >= 30
 
     @pytest.mark.parametrize("budget", [1, 12, 1 << 16])
     def test_every_level_against_row_subsets(self, monkeypatch, budget):

@@ -200,51 +200,57 @@ class TestColumnCoverage:
             assert_profiles_match_oracle(fixture_codes[name])
 
 
-class TestOneSweepPerCode:
-    def test_one_codeword_list_per_code(self, monkeypatch, fixture_codes, e8e8, d16):
-        # no weight enumerator and no shortened code: the weight distribution
-        # and the profiles come from the one sweep of each code
-        sweeps = []
-        blocks = code._gray_blocks
+def drawn_weights(monkeypatch):
+    """Per code that the search streams, the weights it reads from _words_by_weight."""
+    drawn, stream = [], equivalence._words_by_weight
 
-        def counted(rows):
-            sweeps.append(len(rows))
-            return blocks(rows)
+    def spy(c):
+        weights = []
+        drawn.append(weights)
+        for w, words in stream(c):
+            weights.append(w)
+            yield w, words
 
+    monkeypatch.setattr(equivalence, "_words_by_weight", spy)
+    return drawn
+
+
+class TestLightWordsFromRounds:
+    def test_no_gray_sweep(self, monkeypatch, fixture_codes, e8e8, d16):
+        # no sweep, no weight enumerator and no shortened code: each code's
+        # groups come from its Brouwer-Zimmermann rounds, up to the heaviest
+        # basis weight of c1
         def boom(*args):
             raise AssertionError("called")
 
-        monkeypatch.setattr(code, "_gray_blocks", counted)
+        monkeypatch.setattr(code, "_gray_blocks", boom)
         monkeypatch.setattr(code.LinearCode, "weight_enumerator", boom)
         monkeypatch.setattr(gf2, "_kernel_rows", boom)
+        drawn = drawn_weights(monkeypatch)
         assert are_permutation_equivalent(fixture_codes["G1"], fixture_codes["G2"]) is not None
-        assert sweeps == [12, 12]
-        sweeps.clear()
+        # the Golay code's words of weight 8 span it
+        assert drawn == [list(range(1, 9))] * 2
+        drawn.clear()
         assert are_permutation_equivalent(e8e8, d16) is None
-        assert sweeps == [8, 8]
+        assert drawn == [list(range(1, 5))] * 2
 
-    def test_weight_distribution_rejects_before_any_value_sort(self, monkeypatch, fixture_codes):
-        # c1's words are value-sorted one weight at a time, only once the
-        # weight distributions match and only as far as the basis reads
-        value_sorts = []
-
-        def tracked(words, **kw):
-            value_sorts.append(len(words))
-            return sorted(words, **kw)
-
+    def test_light_count_rejects_before_the_profiles(self, monkeypatch, fixture_codes):
+        # the two codes are read in step, and both streams stop at the first
+        # weight whose counts differ, below the heaviest basis weight of c1
         def boom(*args):
             raise AssertionError("called")
 
-        profiles = equivalence._column_profiles
-        monkeypatch.setattr(equivalence, "sorted", tracked, raising=False)
         monkeypatch.setattr(equivalence, "_column_profiles", boom)
+        drawn = drawn_weights(monkeypatch)
+        # no word of weight 2 in the Golay code
         assert are_permutation_equivalent(fixture_codes["G1"], fixture_codes["G3"]) is None
-        assert value_sorts == []
-        monkeypatch.setattr(equivalence, "_column_profiles", profiles)
-        assert are_permutation_equivalent(fixture_codes["G1"], fixture_codes["G2"]) is not None
-        # the Golay code's 759 words of weight 8 span it, so its groups of
-        # weight 12, 16 and 24 stay unsorted; then the witness's own check
-        assert value_sorts == [759, 24]
+        assert drawn == [[1, 2]] * 2
+        drawn.clear()
+        # one word of weight 2 in each, then 16 and 12 words of weight 4; the
+        # basis of c1 would read on to weight 6
+        c1, c2 = random_self_dual(24, 3, 0), random_self_dual(24, 4, 1)
+        assert are_permutation_equivalent(c1, c2) is None
+        assert drawn == [[1, 2, 3, 4]] * 2
 
 
 def permuted(c, rng):
