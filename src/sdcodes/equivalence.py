@@ -6,20 +6,23 @@ rejections (low-weight counts, column coverage profiles) followed by a
 depth-first search assigning images to a small-weight basis.  No code is
 swept: both codes' words are read weight by weight, in step, from their
 Brouwer-Zimmermann rounds (code._words_by_weight), and only up to the
-weight of the heaviest basis word, since the search maps no heavier word;
-a count that differs on the way rejects the pair.  A column's coverage
-profile counts the words of each weight covering it.  An equivalence keeps
-profiles, so the search pairs c1's and c2's columns of each profile and
-splits each pair by a basis word and its image, cutting a node whose pairs
-meet the two codes' light words differently.  Any witness returned has been
-verified.
+weight of the heaviest basis word, since the search maps no heavier word.
+A column's coverage profile counts the words of each weight covering it;
+a count, or a multiset of profiles, that differs on the way rejects the
+pair.  An equivalence keeps profiles, so the search pairs c1's and c2's
+columns of each profile and splits each pair by a basis word and its
+image, cutting a node whose pairs meet the two codes' light words
+differently: in how many columns of each class a word covers, or in how
+many words of each such kind cover a column.  Any witness returned has
+been verified.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
+from operator import add
 
 from .code import (
     EnumerationCapError,
@@ -82,26 +85,66 @@ def apply_permutation(c: LinearCode, p: CoordinatePermutation) -> LinearCode:
 
 
 def _column_profiles(n: int, groups) -> list[tuple[int, ...]]:
-    """Per column, how many words of each nonempty group cover it."""
-    return [tuple(sum(map((1 << i).__and__, g)) >> i for g in groups if g) for i in range(n)]
+    """Per column, how many words of each nonempty group cover it: the
+    group's words are written out as bit strings, column i at n - 1 - i of
+    each, and each column's characters are counted at C speed."""
+    texts = ["".join(map(f"{{:0{n}b}}".format, g)) for g in groups if g]
+    return list(zip(*([t[n - 1 - i :: n].count("1") for i in range(n)] for t in texts)))
 
 
-def _meets(masks, words) -> Counter:
-    """Over words, the multiset of how many columns of each mask a word covers."""
-    return Counter(zip(*(list(map(int.bit_count, map(m.__and__, words))) for m in masks)))
+def _light(words: list[int], n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Light words as _meets reads them: the columns each covers, and the
+    words covering each column."""
+    columns = [[i for i in range(x.bit_length()) if x >> i & 1] for x in words]
+    covers: list[list[int]] = [[] for _ in range(n)]
+    for t, cols in enumerate(columns):
+        for i in cols:
+            covers[i].append(t)
+    return columns, covers
 
 
-def _map_basis(depth: int, pairs, basis, by_weight, light1, light2, meets):
+def _meets(masks, light) -> tuple[Counter, list[int]]:
+    """How classes meet the light words, in terms an equivalence keeps.
+
+    A word's count is how many columns of each mask it covers, as digits in
+    base n + 1; first comes the multiset of the words' counts.  A column's
+    color is how many words of each count cover it, as digits in base one
+    more than the number of words; second comes the multiset of the colors
+    of the columns in masks of three or more.  The counts fix the color of
+    a column alone in its mask; in masks of two, colors cut no search of
+    the benchmark's pool, and would be weighed at every node.
+    """
+    columns, covers = light
+    place, step, p = [0] * len(covers), len(covers) + 1, 1
+    for m in masks:
+        while m:
+            place[(m & -m).bit_length() - 1] = p
+            m &= m - 1
+        p *= step
+    counts = [sum(map(place.__getitem__, c)) for c in columns]
+    meets = Counter(counts)
+    big = sum(m for m in masks if m.bit_count() > 2)
+    if not big:
+        return meets, []
+    digits = {x: (len(columns) + 1) ** d for d, x in enumerate(sorted(meets))}
+    radix = list(map(digits.__getitem__, counts))
+    colors = (sum(map(radix.__getitem__, covers[i])) for i in range(len(covers)) if big >> i & 1)
+    return meets, sorted(colors)
+
+
+def _map_basis(depth: int, pairs, basis, by_weight, order, light1, light2, meets):
     """c1's and c2's columns as (c1 mask, c2 mask) pairs of classes, once
-    images of basis[depth:] are chosen depth-first in codeword order so that
-    each meets every c2 class as its basis word meets the c1 class; or None.
+    images of basis[depth:] are chosen depth-first, each from c2's words of
+    its weight in order, so that each meets every c2 class as its basis word
+    meets the c1 class; or None.
 
     Both masks of a pair split together and keep equal sizes, so the images
     are a column permutation of the independent basis rows.  An equivalence
     below a node maps each class onto its partner and light words onto light
-    words, so a node whose pairs meet light1 and light2 differently is dead,
-    and is cut.  c1's classes are the same at every node of a depth, so their
-    meets are weighed on the first visit and kept by depth in meets.
+    words, so a node whose pairs meet light1 and light2 differently
+    (_meets) is dead, and is cut.  c1's classes are the same at every node
+    of a depth, so their meets are weighed on the first visit and kept by
+    depth in meets.
     """
     if depth == len(basis):
         return pairs
@@ -114,13 +157,17 @@ def _map_basis(depth: int, pairs, basis, by_weight, light1, light2, meets):
     b = basis[depth]
     masks2 = [m2 for _, m2 in pairs]
     ones = [(b & m1).bit_count() for m1, _ in pairs]
-    for cand in by_weight.get(b.bit_count(), ()):
+    # an image covers the partner of each class inside b and misses that of
+    # each class outside it; only the words that do are put in order
+    whole = sum(m2 for m1, m2 in pairs if not m1 & ~b)
+    fixed = whole + sum(m2 for m1, m2 in pairs if not m1 & b)
+    images = (x for x in by_weight.get(b.bit_count(), ()) if x & fixed == whole)
+    for cand in sorted(images, key=order):
         if list(map(int.bit_count, map(cand.__and__, masks2))) == ones:
             split = [(m1 & b, m2 & cand) for m1, m2 in pairs]
             split += [(m1 & ~b, m2 & ~cand) for m1, m2 in pairs]
-            found = _map_basis(
-                depth + 1, [p for p in split if p[0]], basis, by_weight, light1, light2, meets
-            )
+            split = [p for p in split if p[0]]
+            found = _map_basis(depth + 1, split, basis, by_weight, order, light1, light2, meets)
             if found is not None:
                 return found
     return None
@@ -155,15 +202,22 @@ def are_permutation_equivalent(
         return CoordinatePermutation.identity(n)
     # small-weight basis of c1, whose words have few candidate images, in
     # (weight, word) order, read in step with c2 up to the heaviest basis
-    # word; c2's groups keep the order of its Gray sweep
+    # word; at each weight the counts, then the columns' profiles so far,
+    # must agree
     groups1: dict[int, list[int]] = {}
-    groups2: dict[int, list[int]] = {}
+    groups2: dict[int, set[int]] = {}
+    prof1 = prof2 = [()] * n
     basis, span = [], []
     for (w, words1), (_, words2) in zip(_words_by_weight(c1), _words_by_weight(c2)):
         if len(words1) != len(words2):
             return None
+        if words1:
+            prof1 = list(map(add, prof1, _column_profiles(n, [words1])))
+            prof2 = list(map(add, prof2, _column_profiles(n, [words2])))
+            if Counter(prof1) != Counter(prof2):
+                return None
         groups1[w] = sorted(words1)
-        groups2[w] = sorted(words2, key=partial(_gray_index, c2.rows))
+        groups2[w] = words2
         for x in groups1[w]:
             if _reduced(span, x):
                 basis.append(x)
@@ -172,9 +226,6 @@ def are_permutation_equivalent(
                 span = _insert_rref(span, x)
         if len(basis) == k:
             break
-    prof1, prof2 = (_column_profiles(n, g.values()) for g in (groups1, groups2))
-    if Counter(prof1) != Counter(prof2):
-        return None
 
     # an equivalence maps each column onto one of the same profile
     start = {p: [0, 0] for p in prof1}
@@ -185,8 +236,12 @@ def are_permutation_equivalent(
     # light words, no heavier than the middle basis word, are few enough to
     # weigh at every node
     mid = basis[k // 2].bit_count()
-    light1, light2 = ([x for w, g in gs.items() if w <= mid for x in g] for gs in (groups1, groups2))
-    classes = _map_basis(0, list(start.values()), basis, groups2, light1, light2, [])
+    light1, light2 = (
+        _light([x for w, g in gs.items() if w <= mid for x in g], n) for gs in (groups1, groups2)
+    )
+    # c2's candidates come in the order of its Gray sweep
+    order = cache(partial(_gray_index, c2.rows))
+    classes = _map_basis(0, list(start.values()), basis, groups2, order, light1, light2, [])
     if classes is None:
         return None
 

@@ -234,23 +234,39 @@ class TestLightWordsFromRounds:
         assert are_permutation_equivalent(e8e8, d16) is None
         assert drawn == [list(range(1, 5))] * 2
 
-    def test_light_count_rejects_before_the_profiles(self, monkeypatch, fixture_codes):
+    def test_light_count_rejects_before_profiling_its_weight(self, monkeypatch, fixture_codes):
         # the two codes are read in step, and both streams stop at the first
-        # weight whose counts differ, below the heaviest basis weight of c1
-        def boom(*args):
-            raise AssertionError("called")
+        # weight whose counts differ, below the heaviest basis weight of c1;
+        # column profiles are weighed only for the nonempty weights before it
+        profiled, profiles = [], equivalence._column_profiles
 
-        monkeypatch.setattr(equivalence, "_column_profiles", boom)
+        def spy(n, groups):
+            profiled.append([len(g) for g in groups])
+            return profiles(n, groups)
+
+        monkeypatch.setattr(equivalence, "_column_profiles", spy)
         drawn = drawn_weights(monkeypatch)
         # no word of weight 2 in the Golay code
         assert are_permutation_equivalent(fixture_codes["G1"], fixture_codes["G3"]) is None
-        assert drawn == [[1, 2]] * 2
+        assert drawn == [[1, 2]] * 2 and profiled == []
         drawn.clear()
         # one word of weight 2 in each, then 16 and 12 words of weight 4; the
         # basis of c1 would read on to weight 6
         c1, c2 = random_self_dual(24, 3, 0), random_self_dual(24, 4, 1)
         assert are_permutation_equivalent(c1, c2) is None
-        assert drawn == [[1, 2, 3, 4]] * 2
+        assert drawn == [[1, 2, 3, 4]] * 2 and profiled == [[1], [1]]
+
+    def test_profiles_reject_before_the_heaviest_basis_weight(self, monkeypatch):
+        # the goldens' n=32 pair with equal weight enumerators: its column
+        # profiles first differ at weight 6, while c1's words of weight 6 or
+        # less do not span it, so its basis would read on to weight 8
+        c1 = random_self_dual(32, 8, 2001)
+        c2 = permuted(random_self_dual(32, 12, 2001), random.Random(1))
+        light = [x for x in c1.codewords() if x.bit_count() <= 6]
+        assert LinearCode(32, light).k < c1.k
+        drawn = drawn_weights(monkeypatch)
+        assert are_permutation_equivalent(c1, c2) is None
+        assert drawn == [list(range(1, 7))] * 2
 
 
 def permuted(c, rng):
@@ -279,8 +295,8 @@ class TestProfilePartition:
     profile.  No answer depends on it, so these tests count the search."""
 
     def test_fewer_searches_than_from_one_class(self, monkeypatch):
-        # the walk32perm golden's pair: 82 calls when every column shares
-        # one profile, 37 from the profile classes (1007 and 418 without
+        # the walk32perm golden's pair: 31 calls when every column shares
+        # one profile, 26 from the profile classes (1007 and 418 without
         # the light-word cut)
         a = random_self_dual(32, 12, 19)
         b = permuted(a, random.Random(32))
@@ -334,11 +350,61 @@ class TestLightWordCut:
         assert witness is not None and uncut_witness == witness
         assert cut_calls <= cut_at_most < uncut // 10
 
+    def test_colors_cut_what_the_counts_leave(self, monkeypatch):
+        # the pairs above: searches with the counts and the colors, then
+        # with the counts alone
+        codes = [random_self_dual(32, *walk) for walk in [(12, 19), (12, 1015), (24, 1021)]]
+        pairs = [(a, permuted(a, random.Random(perm))) for a, perm in zip(codes, [32, 0, 0])]
+
+        def searches():
+            return [len(map_basis_calls(monkeypatch, a, b)) for a, b in pairs]
+
+        def witnesses():
+            return [are_permutation_equivalent(a, b) for a, b in pairs]
+
+        both, found = searches(), witnesses()
+        meets = equivalence._meets
+        monkeypatch.setattr(equivalence, "_meets", lambda masks, light: meets(masks, light)[0])
+        assert both == [26, 30, 24] and searches() == [37, 78, 24]
+        assert None not in found and witnesses() == found
+
     def test_meets_count_columns_of_each_mask(self):
         words = [0b0111, 0b1100, 0b1010, 0b0111]
-        assert equivalence._meets([0b0011, 0b1100], words) == Counter(
-            {(2, 1): 2, (0, 2): 1, (1, 1): 1}
-        )
+        light = equivalence._light(words, 4)
+        assert light[0] == [[0, 1, 2], [2, 3], [1, 3], [0, 1, 2]]
+        assert light[1] == [[0, 3], [0, 2, 3], [0, 1, 3], [1, 2]]
+        # counts in base 5, columns 0-1 then 2-3: 2 + 1*5, 0 + 2*5, 1 + 1*5;
+        # no mask of three columns or more, so no colors
+        assert equivalence._meets([0b0011, 0b1100], light) == (Counter({7: 2, 10: 1, 6: 1}), [])
+        # column 0, then columns 1-3: counts 1 + 2*5 and 0 + 2*5, which are
+        # the digits 5 and 1 of the colors of columns 1, 2 and 3
+        counts, colors = equivalence._meets([0b0001, 0b1110], light)
+        assert counts == Counter({11: 2, 10: 2})
+        assert colors == sorted([5 + 1 + 5, 5 + 1 + 5, 1 + 1])
+
+    def test_colors_tell_apart_equal_counts(self):
+        # two words of weight 2 in one class of four columns: sharing a
+        # column or not is the same count, and different colors
+        a, b = ([0b0011, 0b0101], [0b0011, 0b1100])
+        meets_a, meets_b = (equivalence._meets([0b1111], equivalence._light(w, 4)) for w in (a, b))
+        assert meets_a[0] == meets_b[0]
+        assert meets_a[1] != meets_b[1]
+
+    def test_meets_kept_by_a_column_permutation(self):
+        rng = random.Random(5)
+        for _ in range(30):
+            n = rng.randrange(3, 12)
+            words = [rng.getrandbits(n) | 1 for _ in range(rng.randrange(1, 9))]
+            cuts = sorted(rng.sample(range(1, n), rng.randrange(0, 3)))
+            masks = [((1 << hi) - 1) ^ ((1 << lo) - 1) for lo, hi in zip([0] + cuts, cuts + [n])]
+            images = list(range(n))
+            rng.shuffle(images)
+            move = CoordinatePermutation(tuple(images)).apply
+            moved = [move(BitVector(n, x)).bits for x in words]
+            rng.shuffle(moved)
+            assert equivalence._meets(masks, equivalence._light(words, n)) == equivalence._meets(
+                [move(BitVector(n, m)).bits for m in masks], equivalence._light(moved, n)
+            )
 
 
 # inequivalent pairs with equal weight distributions: the only one among
