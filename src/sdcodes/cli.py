@@ -249,8 +249,11 @@ def _cmd_search(args) -> int:
         if not track:
             continue
         ctype = str(code.classify())
-        d = code.minimum_distance()
         entry = best.get(ctype)
+        # each code is only asked whether it beats its type's best: past
+        # stop_at d is exact, and otherwise d <= best < --min-d, as the walk
+        # still runs, so the records and the --min-d stop are unchanged
+        d = code.minimum_distance(0 if entry is None else entry["d"])
         if entry is None or d > entry["d"]:
             best[ctype] = {"d": d, "step": step}
             if args.report_best:

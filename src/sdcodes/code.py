@@ -203,14 +203,17 @@ class LinearCode:
         self._check_cap()
         return list(_gray_words(self.rows))
 
-    def minimum_distance(self) -> int:
-        """Smallest nonzero codeword weight, from the rounds of _bz_rounds."""
+    def minimum_distance(self, stop_at: int = 0) -> int:
+        """Smallest nonzero codeword weight d, from the rounds of _bz_rounds: exact
+        past stop_at, else the weight of a row or sum seen, d <= w <= stop_at."""
         if self.k == 0:
             raise ValueError("the zero-dimensional code has no minimum distance")
-        best = self.n
+        best = min(map(int.bit_count, self.rows))
+        if best <= stop_at:
+            return best
         for sums, bound in _bz_rounds(self):
             best = min(best, min(map(int.bit_count, sums)))
-            if best <= bound:
+            if best <= max(bound, stop_at):
                 break
         return best
 
@@ -245,6 +248,9 @@ def _pairwise_orthogonal(rows: Sequence[int]) -> bool:
 _BLOCK_BITS = 16
 # row sums that _level_sums keeps per generator, bounding its memory
 _LEVEL_WORDS = 1 << _BLOCK_BITS
+# bytes.translate tables of weights: _ONLY[w] keeps only w, as 1; _ODD keeps odd ones, even to 255
+_ONLY = [bytes(w) + b"\1" + bytes(255 - w) for w in range(256)]
+_ODD = bytes(w if w & 1 else 255 for w in range(256))
 
 
 def _gray_blocks(rows: Sequence[int]) -> Iterator[Iterator[int]]:
@@ -360,7 +366,7 @@ def _words_by_weight(code: LinearCode) -> Iterator[tuple[int, set[int]]]:
         drawn += sums
         weights += bytes(map(int.bit_count, drawn[len(weights) :]))
         while w < bound and w <= code.n:
-            yield w, set(compress(drawn, weights.translate(bytes(w) + b"\1" + bytes(255 - w))))
+            yield w, set(compress(drawn, weights.translate(_ONLY[w])))
             w += 1
 
 

@@ -20,11 +20,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import islice
+from itertools import compress, islice
 from operator import or_, xor
 from typing import Iterator, Mapping
 
-from .code import CodeType, InternalConsistencyError, LinearCode, _bz_rounds
+from .code import _LEVEL_WORDS, _ODD, _ONLY, CodeType, InternalConsistencyError, LinearCode, _bz_rounds
 from .gf2 import BitVector, _insert_rref, _kernel_rows, _to01
 
 
@@ -87,19 +87,22 @@ def _coset_leader(member: LinearCode, tag: int) -> tuple[int, int, int]:
     Each generator row becomes its bit reversal, so that integer order is
     lexicographic order, shifted up over a tag bit holding its product with
     tag.  A sum's ones count its tag, and member words have even weight, so
-    they are odd exactly on tagged sums.  Once w is below the round's bound
-    on every word not yet seen, every tagged word of weight w has been seen,
-    and the lightest of all sums is d.
+    they are odd exactly on tagged sums.  The sums are weighed into bytes,
+    _LEVEL_WORDS at a time, and the lightest tagged ones are cut out by
+    bytes.translate.  Once w is below the round's bound on every word not yet
+    seen, every tagged word of weight w has been seen, and the lightest of
+    all sums is d.
     """
     n = member.n
     best, least = (n + 2, 0), n + 2
     for sums, bound in _bz_rounds(member, lambda r: _reversed_bits(r, n) << 1 | (r & tag).bit_count() & 1):
-        for s in sums:
-            ones = s.bit_count()
-            if ones < least:
-                least = ones
-            if s & 1 and (ones, s) < best:
-                best = (ones, s)
+        sums = iter(sums)
+        while chunk := list(islice(sums, _LEVEL_WORDS)):
+            ones = bytes(map(int.bit_count, chunk))
+            least = min(least, min(ones))
+            odd = min(ones.translate(_ODD))
+            if odd <= best[0]:
+                best = min(best, (odd, min(compress(chunk, ones.translate(_ONLY[odd])))))
         if best[0] - 1 < bound:
             break
     return best[0] - 1, best[1] >> 1, least & ~1

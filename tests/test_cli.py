@@ -1,13 +1,14 @@
 import json
 import subprocess
 import sys
+from itertools import islice
 
 import pytest
 
 from sdcodes import cli, code, gf2
 from sdcodes.fixtures_io import fixture, serialize_matrix
 from sdcodes.gf2 import BitMatrix
-from sdcodes.neighborhood import random_self_dual
+from sdcodes.neighborhood import random_self_dual, walk_self_dual
 
 from test_neighborhood import first_type1, refuse_searches
 
@@ -230,7 +231,65 @@ class TestEquivalent:
         assert "consistency check failed" in err
 
 
+def replay_search(n, steps, seed, min_d=None):
+    """The --json records of search, replayed with the exact distance of
+    every code of the walk, and whether each code could skip its rounds: it
+    does not beat its type's best and has a row no heavier than that best."""
+    records, best, skips, stopped = [], {}, [], False
+    for step, c in enumerate(islice(walk_self_dual(n, seed), steps + 1)):
+        ctype, d = str(c.classify()), c.minimum_distance()
+        entry = best.get(ctype)
+        improves = entry is None or d > entry["d"]
+        skips.append(not improves and min(map(int.bit_count, c.rows)) <= entry["d"])
+        if improves:
+            best[ctype] = {"d": d, "step": step}
+            records.append({"command": "search", "event": "improvement", "step": step, "type": ctype, "d": d})
+        if min_d is not None and d >= min_d:
+            stopped = True
+            break
+    records.append({
+        "command": "search", "event": "result", "n": n, "seed": seed, "steps": steps,
+        "steps_completed": step, "stopped_early": stopped,
+        "best": dict(sorted(best.items())), "exit_status": 0,
+    })
+    return records, skips
+
+
+# --min-d per length: reached by most walks below, not by all
+SEARCH_MIN_D = {16: 4, 24: 6, 32: 6, 40: 6, 48: 8, 56: 8}
+
+
 class TestSearch:
+    def test_records_match_a_replay_with_exact_distances(self, capsys):
+        stopped = []
+        for n, min_d in SEARCH_MIN_D.items():
+            steps = 40 if n <= 40 else 25
+            for seed in range(4):
+                for extra in ([], ["--min-d", str(min_d)]):
+                    status, out, _ = run_cli(capsys, "search", "--n", str(n), "--steps", str(steps),
+                                             "--seed", str(seed), "--json", *extra)
+                    expected, _ = replay_search(n, steps, seed, min_d if extra else None)
+                    assert status == 0 and json_lines(out) == expected
+                    if extra:
+                        stopped.append(expected[-1]["stopped_early"])
+        assert 0 < stopped.count(False) < stopped.count(True)
+
+    def test_codes_that_cannot_improve_build_no_information_sets(self, capsys, monkeypatch):
+        # one search draws rounds only for a code that beats its type's best
+        # or has no row of weight at most that best
+        _, skips = replay_search(40, 8, 1)
+        calls = []
+        generators = code._information_set_generators
+
+        def counted(rows):
+            calls.append(len(rows))
+            return generators(rows)
+
+        monkeypatch.setattr(code, "_information_set_generators", counted)
+        status, _, _ = run_cli(capsys, "search", "--n", "40", "--steps", "8", "--seed", "1", "--json")
+        assert status == 0
+        assert len(calls) == skips.count(False) < len(skips) == 9
+
     def test_deterministic_in_process(self, capsys):
         status1, out1, _ = run_cli(capsys, "search", "--n", "16", "--steps", "200",
                                    "--seed", "7", "--json")

@@ -489,6 +489,67 @@ class TestBrouwerZimmermann:
             assert [Counter(level) for level in _level_sums(rows)] == expected
 
 
+def assert_stop_at_matches_sweep(c):
+    """For every stop_at in 0..n: the exact d below it, else the weight of a
+    codeword between d and stop_at."""
+    weights = set(map(int.bit_count, _gray_words(c.rows))) - {0}
+    d = min(weights)
+    if c.k <= 12:
+        assert d == o_min_distance([to_bits(r) for r in c.generator])
+    for stop_at in range(c.n + 1):
+        got = c.minimum_distance(stop_at)
+        if stop_at < d:
+            assert got == d
+        else:
+            assert got in weights and d <= got <= stop_at
+
+
+class TestStopAt:
+    """minimum_distance(stop_at) only says whether d exceeds stop_at."""
+
+    def test_random_codes_with_zeroed_columns_and_odd_rows(self):
+        rng = random.Random(41)
+        odd_rows = 0
+        for _ in range(60):
+            n = rng.randrange(2, 15)
+            keep = rng.getrandbits(n)
+            c = LinearCode(n, [rng.getrandbits(n) & keep for _ in range(rng.randrange(1, n + 1))])
+            if c.k:
+                odd_rows += any(r.bit_count() & 1 for r in c.rows)
+                assert_stop_at_matches_sweep(c)
+        assert odd_rows >= 20
+
+    def test_codes_with_a_single_information_set(self):
+        rng = random.Random(42)
+        seen = 0
+        for _ in range(40):
+            n = rng.randrange(3, 15)
+            c = LinearCode(n, [rng.getrandbits(n) for _ in range(n // 2 + 1)])
+            if c.k and len(_information_set_generators(c.rows)) == 1:
+                seen += 1
+                assert_stop_at_matches_sweep(c)
+        assert seen >= 20
+
+    def test_walk_codes_and_fixtures(self, fixture_codes):
+        codes = [random_self_dual(n, 4 + seed, seed) for n in (8, 16, 24, 32) for seed in range(3)]
+        codes += [random_self_dual(40, 10, 0), *fixture_codes.values()]
+        for c in codes:
+            assert_stop_at_matches_sweep(c)
+
+    def test_a_light_row_draws_no_round(self, monkeypatch, fixture_codes):
+        def refuse(rows):
+            raise AssertionError(f"built information sets of {len(rows)} rows")
+
+        monkeypatch.setattr(code, "_information_set_generators", refuse)
+        codes = [random_self_dual(n, 6, 1) for n in (8, 16, 32, 40)] + list(fixture_codes.values())
+        for c in codes:
+            lightest = min(r.bit_count() for r in c.rows)
+            for stop_at in range(lightest, c.n + 1):
+                assert c.minimum_distance(stop_at) == lightest
+            with pytest.raises(AssertionError, match="information sets"):
+                c.minimum_distance(lightest - 1)
+
+
 class TestWeightEnumerator:
     def test_fixture_distribution_frozen(self, fixture_codes):
         assert fixture_codes["G1"].weight_enumerator().as_dict() == GOLAY_WE

@@ -556,6 +556,16 @@ class TestCosetRepresentatives:
             assert [(r.weight(), r.to01()) for r in nb.representatives] == expected
             assert expected == sorted(expected) and len(set(offsets)) == 3
 
+    def test_sums_weighed_in_small_chunks(self, monkeypatch, searched):
+        # chunks of 3 sums split every round past the first, so the least
+        # tagged word and the least weight are each taken over many chunks
+        monkeypatch.setattr(neighborhood, "_LEVEL_WORDS", 3)
+        for nb, _ in searched:
+            again = neighborhood_containing(nb.c_max)
+            assert again.representatives == nb.representatives
+            assert again.member_distances == nb.member_distances
+            assert again.members == nb.members
+
     def test_either_other_offset_as_the_tag_agrees(self, searched):
         # a member's words have odd product with either other offset exactly
         # outside c_max; with its own offset no word is tagged
