@@ -250,9 +250,8 @@ def _cmd_search(args) -> int:
             continue
         ctype = str(code.classify())
         entry = best.get(ctype)
-        # each code is only asked whether it beats its type's best: past
-        # stop_at d is exact, and otherwise d <= best < --min-d, as the walk
-        # still runs, so the records and the --min-d stop are unchanged
+        # asked only whether it beats its type's best, d is exact past it, else
+        # d <= best < --min-d as the walk runs: records and --min-d stop unchanged
         d = code.minimum_distance(0 if entry is None else entry["d"])
         if entry is None or d > entry["d"]:
             best[ctype] = {"d": d, "step": step}

@@ -248,8 +248,7 @@ def _pairwise_orthogonal(rows: Sequence[int]) -> bool:
 _BLOCK_BITS = 16
 # row sums that _level_sums keeps per generator, bounding its memory
 _LEVEL_WORDS = 1 << _BLOCK_BITS
-# bytes.translate tables of weights: _ONLY[w] keeps only w, as 1; _ODD keeps odd ones, even to 255
-_ONLY = [bytes(w) + b"\1" + bytes(255 - w) for w in range(256)]
+# a bytes.translate table: odd weights kept, even ones past any weight of a sum
 _ODD = bytes(w if w & 1 else 255 for w in range(256))
 
 
@@ -366,8 +365,13 @@ def _words_by_weight(code: LinearCode) -> Iterator[tuple[int, set[int]]]:
         drawn += sums
         weights += bytes(map(int.bit_count, drawn[len(weights) :]))
         while w < bound and w <= code.n:
-            yield w, set(compress(drawn, weights.translate(_ONLY[w])))
+            yield w, set(compress(drawn, weights.translate(_only(w))))
             w += 1
+
+
+def _only(w: int) -> bytes:
+    """The bytes.translate table that maps weight w to 1 and every other to 0."""
+    return bytes(w) + b"\1" + bytes(255 - w)
 
 
 def _level_sums(rows: Sequence[int]) -> Iterator[Iterator[int]]:

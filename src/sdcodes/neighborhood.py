@@ -24,7 +24,7 @@ from itertools import compress, islice
 from operator import or_, xor
 from typing import Iterator, Mapping
 
-from .code import _LEVEL_WORDS, _ODD, _ONLY, CodeType, InternalConsistencyError, LinearCode, _bz_rounds
+from .code import _LEVEL_WORDS, _ODD, CodeType, InternalConsistencyError, LinearCode, _bz_rounds, _only
 from .gf2 import BitVector, _insert_rref, _kernel_rows, _to01
 
 
@@ -102,7 +102,7 @@ def _coset_leader(member: LinearCode, tag: int) -> tuple[int, int, int]:
             least = min(least, min(ones))
             odd = min(ones.translate(_ODD))
             if odd <= best[0]:
-                best = min(best, (odd, min(compress(chunk, ones.translate(_ONLY[odd])))))
+                best = min(best, (odd, min(compress(chunk, ones.translate(_only(odd))))))
         if best[0] - 1 < bound:
             break
     return best[0] - 1, best[1] >> 1, least & ~1
