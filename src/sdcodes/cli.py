@@ -250,8 +250,8 @@ def _cmd_search(args) -> int:
             continue
         ctype = str(code.classify())
         entry = best.get(ctype)
-        # asked only whether it beats its type's best, d is exact past it, else
-        # d <= best < --min-d as the walk runs: records and --min-d stop unchanged
+        # asked only whether it beats its type's best: d is exact past it, else
+        # d <= best < --min-d while the walk runs, so records and stop match exact d
         d = code.minimum_distance(0 if entry is None else entry["d"])
         if entry is None or d > entry["d"]:
             best[ctype] = {"d": d, "step": step}
