@@ -1,7 +1,10 @@
 """Binary linear codes: duality, membership, distance, classification.
 
 A LinearCode is stored as its length and its canonical generator rows as
-ints (RREF, zero rows dropped), so code equality is literal row equality.
+ints (RREF, zero rows dropped), so code equality is literal row equality,
+with the pivot of each row (its lowest set bit), computed once per code:
+every reduction against the code's own rows, and the searches that need
+its information set, read them.
 Every RREF comes from the row-space moves of gf2: rows that are already in
 that form are kept without elimination, which lets a neighbor step build its
 code with O(k) row operations, and the dual and intersections are cut from
@@ -109,13 +112,17 @@ class LinearCode:
 
     rows holds the RREF generator as ints (bit i is coordinate i), zero rows
     dropped, so two codes are equal exactly when their rows are equal.
+    pivots holds the pivot of each row, its lowest set bit as a one-bit int:
+    kept from the constructor's RREF check, or computed once from the rows
+    that elimination built.
     """
 
-    __slots__ = ("n", "k", "rows", "_self_orthogonal")
+    __slots__ = ("n", "k", "rows", "pivots", "_self_orthogonal")
 
     n: int
     k: int
     rows: tuple[int, ...]
+    pivots: tuple[int, ...]
 
     def __init__(self, n: int, rows: Iterable[int]):
         rows = list(rows)
@@ -123,10 +130,11 @@ class LinearCode:
             raise ValueError(f"code length must be in [1, {MAX_LENGTH}], got {n}")
         if rows and (min(rows) < 0 or max(rows) >> n):
             raise ValueError(f"generator rows must fit in {n} bits")
-        reduced = _rref_ints(rows, n)
+        rows, pivots = _rref_ints(rows, n)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", len(reduced))
-        object.__setattr__(self, "rows", tuple(reduced))
+        object.__setattr__(self, "k", len(rows))
+        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "pivots", tuple(pivots))
         # the result of is_self_orthogonal, once it has run
         object.__setattr__(self, "_self_orthogonal", None)
 
@@ -179,7 +187,7 @@ class LinearCode:
 
     def _reduce(self, bits: int) -> int:
         """bits reduced against the RREF rows: zero at every pivot, same coset."""
-        return _reduced(self.rows, bits)
+        return _reduced(self.rows, bits, self.pivots)
 
     def intersection(self, other: LinearCode) -> LinearCode:
         """The code of vectors lying in both codes: the words of self orthogonal
@@ -282,28 +290,27 @@ def _gray_words(rows: Sequence[int]) -> Iterator[int]:
     return chain.from_iterable(_gray_blocks(rows))
 
 
-def _gray_index(rows: Sequence[int], word: int) -> int:
-    """The index of word in _gray_words(rows), rows in RREF: bit b is the XOR
-    of word's bits at the pivots of rows[b:], the inverse Gray map of its
-    coefficients."""
+def _gray_index(code: LinearCode, word: int) -> int:
+    """The index of word in _gray_words(code.rows): bit b is the XOR of word's
+    bits at the pivots of rows[b:], the inverse Gray map of its coefficients."""
     j = 0
-    for b, r in enumerate(rows):
-        if word & r & -r:
+    for b, p in enumerate(code.pivots):
+        if word & p:
             j ^= (2 << b) - 1
     return j
 
 
-def _information_set_generators(rows: Sequence[int]) -> list[list[int]]:
-    """Generators of the span of the RREF rows, each systematic on its own
-    information set; the first is rows itself, on their pivots.
+def _information_set_generators(code: LinearCode) -> list[list[int]]:
+    """Generators of code, each systematic on its own information set; the
+    first is its rows, on their pivots.
 
     The sets are pairwise disjoint and found greedily: each elimination
     takes its pivots only among columns no earlier set used, and the search
     ends at the first elimination that falls short of full rank.
     """
+    rows = code.rows
     gens = [list(rows)]
-    # the pivots of the RREF rows, as gf2 defines them
-    used = sum(r & -r for r in rows)
+    used = sum(code.pivots)
     while True:
         basis: list[int] = []
         pivots: list[int] = []
@@ -344,7 +351,7 @@ def _bz_rounds(code: LinearCode, lift: Callable[[int], int] | None = None) -> It
         step = 4
     else:
         step = 2
-    gens = _information_set_generators(code.rows)
+    gens = _information_set_generators(code)
     levels = [_level_sums(g if lift is None else list(map(lift, g))) for g in gens]
     m = len(levels)
     for w in range(1, code.k + 1):

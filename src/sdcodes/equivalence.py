@@ -240,7 +240,7 @@ def are_permutation_equivalent(
         _light([x for w, g in gs.items() if w <= mid for x in g], n) for gs in (groups1, groups2)
     )
     # c2's candidates come in the order of its Gray sweep
-    order = cache(partial(_gray_index, c2.rows))
+    order = cache(partial(_gray_index, c2))
     classes = _map_basis(0, list(start.values()), basis, groups2, order, light1, light2, [])
     if classes is None:
         return None

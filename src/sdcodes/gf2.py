@@ -7,7 +7,8 @@ weight).  Matrices are immutable tuples of equal-length vectors.
 This module builds every reduced row echelon form (RREF) in the library, on
 the raw ints.  The pivot of an RREF row is its lowest set bit.  Every row
 space is built from one check and two moves, each O(k) row operations:
-_is_rref accepts rows that are already reduced, _insert_rref adds one vector
+_rref_pivots accepts rows that are already reduced and returns their
+pivots, which a code keeps for its own reductions, _insert_rref adds one vector
 to a span, and _kernel_rows cuts a span down to the kernel of a linear
 functional.  Elimination is k inserts; a dual or an orthogonal complement is
 one cut per check, starting from the unit rows.
@@ -207,8 +208,9 @@ class BitMatrix:
         return f"BitMatrix({self.nrows}x{self.ncols})"
 
 
-def _is_rref(rows: list[int], ncols: int) -> bool:
-    """Whether rows are already the RREF of their span, as _eliminate builds it.
+def _rref_pivots(rows: list[int], ncols: int) -> list[int] | None:
+    """The pivots of rows when they are already the RREF of their span, as
+    _eliminate builds it, else None.
 
     That is: every row is nonzero, its pivot (lowest set bit) lies below
     ncols, the pivots strictly increase, and no row has a bit at another
@@ -216,22 +218,23 @@ def _is_rref(rows: list[int], ncols: int) -> bool:
     """
     pivots = [r & -r for r in rows]
     mask = sum(pivots)
-    return (
-        all(map(lt, [0, *pivots], pivots))
-        and not mask >> ncols
-        and all(r & mask == p for r, p in zip(rows, pivots))
-    )
+    ordered = all(map(lt, [0, *pivots], pivots)) and not mask >> ncols
+    return pivots if ordered and [r & mask for r in rows] == pivots else None
 
 
-def _rref_ints(rows: list[int], ncols: int) -> list[int]:
-    """The RREF rows of span(rows), zero rows dropped; rows fit in ncols bits.
+def _rref_ints(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
+    """The RREF rows of span(rows), zero rows dropped, and their pivots; rows
+    fit in ncols bits.
 
-    The reduced form of a row space is unique, so rows that pass _is_rref
-    come back as they are, without elimination.
+    The reduced form of a row space is unique, so rows that pass
+    _rref_pivots come back as they are, without elimination; the pivots of
+    eliminated rows are computed once from them.
     """
-    if _is_rref(rows, ncols):
-        return list(rows)
-    return _eliminate(rows)
+    pivots = _rref_pivots(rows, ncols)
+    if pivots is not None:
+        return list(rows), pivots
+    rows = _eliminate(rows)
+    return rows, [r & -r for r in rows]
 
 
 def _eliminate(rows: Iterable[int]) -> list[int]:
@@ -239,10 +242,11 @@ def _eliminate(rows: Iterable[int]) -> list[int]:
     return reduce(_insert_rref, rows, [])
 
 
-def _reduced(rows: Sequence[int], bits: int) -> int:
-    """bits reduced against RREF rows: zero at every pivot, same coset of their span."""
-    for row in rows:
-        if bits & (row & -row):
+def _reduced(rows: Sequence[int], bits: int, pivots: Sequence[int] | None = None) -> int:
+    """bits reduced against RREF rows: zero at every pivot, same coset of their
+    span.  pivots, when given, are the pivots of rows, as a code stores them."""
+    for row, p in zip(rows, pivots or [r & -r for r in rows]):
+        if bits & p:
             bits ^= row
     return bits
 
@@ -254,12 +258,13 @@ def _insert_rref(rows: Sequence[int], x: int) -> list[int]:
     q becomes a new pivot, x is added to the rows with a bit at q (their
     pivots lie below q, so they keep them) and x goes in by pivot order.
     """
-    x = _reduced(rows, x)
+    pivots = [r & -r for r in rows]
+    x = _reduced(rows, x, pivots)
     if not x:
         return list(rows)
     q = x & -x
     out = [r ^ x if r & q else r for r in rows]
-    out.insert(bisect_left(out, q, key=lambda r: r & -r), x)
+    out.insert(bisect_left(pivots, q), x)
     return out
 
 
@@ -276,7 +281,7 @@ def _kernel_rows(rows: Sequence[int], t: Sequence[int]) -> list[int]:
     """
     if 1 not in t:
         return list(rows)
-    j = max(i for i, v in enumerate(t) if v)
+    j = len(t) - 1 - t[::-1].index(1)
     return [r ^ rows[j] if t[i] else r for i, r in enumerate(rows) if i != j]
 
 
@@ -300,13 +305,13 @@ def rref(m: BitMatrix) -> tuple[BitMatrix, int, tuple[int, ...]]:
     Returns (rref matrix, rank, pivot columns).  The result is the unique
     canonical representative of the row space of m.
     """
-    reduced = _rref_ints(m.row_ints(), m.ncols)
+    reduced, pivots = _rref_ints(m.row_ints(), m.ncols)
     mat = BitMatrix([BitVector(m.ncols, bits) for bits in reduced], ncols=m.ncols)
-    return mat, len(reduced), tuple((r & -r).bit_length() - 1 for r in reduced)
+    return mat, len(reduced), tuple(p.bit_length() - 1 for p in pivots)
 
 
 def rank(m: BitMatrix) -> int:
-    return len(_rref_ints(m.row_ints(), m.ncols))
+    return len(_rref_ints(m.row_ints(), m.ncols)[0])
 
 
 def kernel_basis(m: BitMatrix) -> BitMatrix:

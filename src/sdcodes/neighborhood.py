@@ -25,7 +25,7 @@ from operator import or_, xor
 from typing import Iterator, Mapping
 
 from .code import _LEVEL_WORDS, _ODD, CodeType, InternalConsistencyError, LinearCode, _bz_rounds, _only
-from .gf2 import BitVector, _insert_rref, _kernel_rows, _to01
+from .gf2 import BitVector, _insert_rref, _kernel_rows
 
 
 def max_doubly_even_subcode(c: LinearCode) -> LinearCode:
@@ -73,10 +73,16 @@ class Neighborhood:
         return (pair[0], pair[1])
 
 
+# a bytes.translate table: each byte to the byte of its bits in reverse order
+_REV = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def _reversed_bits(v: int, n: int) -> int:
     # coordinate 0 becomes the most significant bit, so integer order on the
-    # result is lexicographic order on the 0/1 coordinate string
-    return int(_to01(v, n), 2)
+    # result is lexicographic order on the 0/1 coordinate string; the bytes
+    # are reversed in order by the byte order and in their bits by _REV
+    nb = (n + 7) // 8
+    return int.from_bytes(v.to_bytes(nb, "little").translate(_REV), "big") >> (8 * nb - n)
 
 
 def _coset_leader(member: LinearCode, tag: int) -> tuple[int, int, int]:
@@ -197,32 +203,33 @@ def _step_certified(c: LinearCode, x: int, out: LinearCode) -> bool:
     """Whether out is proved self-dual as a step from a self-dual c by an
     even-weight x.
 
-    True exactly when out has the dimension of c, every row of out lies in
-    c + <x>, and every row is orthogonal to x.  That proves self-duality:
-    rows a = u + x^i and b = v + x^j with u, v in c have a . b =
-    i (x . v) + j (u . x), and u . x = a . x = 0.  A row's coset of c is
-    read off at the pivots of c, which are zero in every other row of c;
-    the rows of a correct step have at most two of them set, so the check
-    costs O(k) row operations.  It reads only c, x and out, never the
-    helpers that built out.
+    True exactly when out has the dimension of c, every row of out is
+    orthogonal to x, and every row lies in c + <x>.  That proves
+    self-duality: rows a = u + x^i and b = v + x^j with u, v in c have
+    a . b = i (x . v) + j (u . x), and u . x = a . x = 0.  A row with pivot
+    p lies in c + <x> when its difference d from the row of c at p (0 if
+    none) does: when d, reduced at the pivots of c it hits, is 0 or the
+    reduction of x.  A correct step has at most four distinct differences:
+    0, the row of c that the kernel cut dropped, x reduced, and their sum.
+    Soundness rests on two facts only: every word added to a row of out is a
+    row of c, and c is self-orthogonal, as stored with it.  It reads only c,
+    x and out.
     """
-    if out.k != c.k:
+    if out.k != c.k or any((r & x).bit_count() & 1 for r in out.rows):
         return False
-    # the pivots of the RREF rows of c, as gf2 defines them
-    at_pivot = {r & -r: r for r in c.rows}
-    pivots = sum(at_pivot)
-    coset_x = c._reduce(x)
-    for r in out.rows:
-        if (r & x).bit_count() & 1:
-            return False
-        residue, hit = r, r & pivots
-        while hit:
-            p = hit & -hit
-            residue ^= at_pivot[p]
-            hit ^= p
-        if residue and residue != coset_x:
-            return False
-    return True
+    at_pivot = dict(zip(c.pivots, c.rows))
+    mask, coset_x = sum(c.pivots), c._reduce(x)
+    diffs = {r ^ at_pivot.get(p, 0) for r, p in zip(out.rows, out.pivots)}
+    return all(_cleared(d, d & mask, at_pivot) in (0, coset_x) for d in diffs)
+
+
+def _cleared(d: int, hit: int, at_pivot: Mapping[int, int]) -> int:
+    """d plus the row at_pivot[p] for each pivot p set in hit."""
+    while hit:
+        p = hit & -hit
+        d ^= at_pivot[p]
+        hit ^= p
+    return d
 
 
 def neighbor_step(c: LinearCode, x: BitVector) -> LinearCode:

@@ -23,7 +23,7 @@ from sdcodes.code import (
     extremal_bound,
     from_generator,
 )
-from sdcodes.gf2 import BitMatrix, BitVector, _insert_rref, _is_rref, _kernel_rows
+from sdcodes.gf2 import BitMatrix, BitVector, _insert_rref, _kernel_rows, _rref_pivots
 from sdcodes.neighborhood import double_pair_code, neighborhood_of, random_self_dual
 
 from oracles import (
@@ -96,6 +96,48 @@ def first_row_kernel(rows, t):
     return [r ^ rows[j] if t[i] else r for i, r in enumerate(rows) if i != j]
 
 
+class TestStoredPivots:
+    """Every construction path stores the pivots that gf2 defines: the lowest
+    set bit of each RREF row."""
+
+    def assert_pivots(self, c):
+        assert c.pivots == tuple(r & -r for r in c.rows)
+
+    def test_every_construction_path(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            c = random_code(rng, max_n=40, max_rows=14)
+            other = random_code(rng, max_n=c.n, max_rows=14)
+            other = LinearCode(c.n, [r & ((1 << c.n) - 1) for r in other.rows])
+            built = [
+                c,
+                LinearCode(c.n, c.rows),
+                LinearCode(c.n, reversed(c.rows)),
+                c.dual(),
+                c.intersection(other),
+                from_generator(c.generator),
+            ]
+            for d in built:
+                self.assert_pivots(d)
+            # the RREF input path keeps the rows and the pivots of its check
+            assert built[1].rows == c.rows and built[1].pivots == c.pivots
+        for n in range(2, 66, 8):
+            c = double_pair_code(n)
+            self.assert_pivots(c)
+            for x in (rng.getrandbits(n) for _ in range(8)):
+                if n > 2 and x.bit_count() % 2 == 0 and c._reduce(x):
+                    c = neighborhood.neighbor_step(c, BitVector(n, x))
+                    self.assert_pivots(c)
+
+    def test_reductions_and_gray_index_read_the_stored_pivots(self):
+        # a code whose stored pivots were cleared reduces nothing away
+        c = random_self_dual(16, 5, 2)
+        x = c.rows[0] ^ c.rows[3]
+        assert c._reduce(x) == 0 and _gray_index(c, x) != 0
+        object.__setattr__(c, "pivots", (0,) * c.k)
+        assert c._reduce(x) == x and _gray_index(c, x) == 0
+
+
 class TestRrefRowHelpers:
     def test_kernel_rows_stay_rref_and_span_the_same_subcode(self):
         rng = random.Random(21)
@@ -104,7 +146,7 @@ class TestRrefRowHelpers:
             rows = list(c.rows)
             t = [rng.getrandbits(1) for _ in rows]
             out = _kernel_rows(rows, t)
-            assert _is_rref(out, c.n)
+            assert _rref_pivots(out, c.n) is not None
             if 1 not in t:
                 assert out == rows
                 continue
@@ -121,7 +163,7 @@ class TestRrefRowHelpers:
             for x in (rng.getrandbits(c.n), inside, 0):
                 out = _insert_rref(c.rows, x)
                 assert out == oracle_rref(list(c.rows) + [x], c.n)
-                assert _is_rref(out, c.n)
+                assert _rref_pivots(out, c.n) is not None
 
 
 class TestSelfOrthogonalityStored:
@@ -134,7 +176,7 @@ class TestSelfOrthogonalityStored:
             assert not c.is_self_dual()
             assert c.classify() is CodeType.NOT_SELF_ORTHOGONAL
         assert c == twin and (hash(c), repr(c)) == before == (hash(twin), repr(twin))
-        for name in ("_self_orthogonal", "rows", "k"):
+        for name in ("_self_orthogonal", "rows", "pivots", "k"):
             with pytest.raises(AttributeError, match="immutable"):
                 setattr(c, name, True)
         assert not c.is_self_orthogonal()
@@ -174,7 +216,7 @@ class TestCutBuiltSpaces:
             c = LinearCode(n, rows)
             d = c.dual()
             original = [int_bits(r, n) for r in rows]
-            assert _is_rref(list(d.rows), n)
+            assert _rref_pivots(list(d.rows), n) is not None
             assert d.k == n - o_rank(original)
             assert all(o_orthogonal_all(original, int_bits(v, n)) for v in d.rows)
             assert d.dual() == c
@@ -188,7 +230,7 @@ class TestCutBuiltSpaces:
             other += [rng.getrandbits(n) for _ in range(rng.randrange(4))]
             a, b = LinearCode(n, rows), LinearCode(n, other)
             meet = a.intersection(b)
-            assert _is_rref(list(meet.rows), n)
+            assert _rref_pivots(list(meet.rows), n) is not None
 
             def words(c):
                 return set(o_codewords(o_rref([int_bits(r, n) for r in c.rows]))) | {(0,) * n}
@@ -264,8 +306,8 @@ class TestGrayIndex:
         rng = random.Random(17)
         for k in range(11):
             n = k + rng.randrange(12)
-            rows = LinearCode(n, [rng.getrandbits(n) for _ in range(k)]).rows
-            assert [_gray_index(rows, x) for x in _gray_words(rows)] == list(range(1 << len(rows)))
+            c = LinearCode(n, [rng.getrandbits(n) for _ in range(k)])
+            assert [_gray_index(c, x) for x in _gray_words(c.rows)] == list(range(1 << c.k))
 
 
 class TestSweepPastOneBlock:
@@ -356,7 +398,7 @@ class TestBrouwerZimmermann:
         for _ in range(40):
             n = rng.randrange(3, 15)
             c = LinearCode(n, [rng.getrandbits(n) for _ in range(n // 2 + 1)])
-            if c.k and len(_information_set_generators(c.rows)) == 1:
+            if c.k and len(_information_set_generators(c)) == 1:
                 seen += 1
                 assert_distance_matches_oracles(c)
         assert seen >= 20
@@ -380,7 +422,7 @@ class TestBrouwerZimmermann:
             c = LinearCode(n, [rng.getrandbits(n) for _ in range(rng.randrange(1, n + 1))])
             if not c.k:
                 continue
-            gens = _information_set_generators(c.rows)
+            gens = _information_set_generators(c)
             assert gens[0] == list(c.rows)
             used = 0
             for g in gens:
@@ -398,7 +440,7 @@ class TestBrouwerZimmermann:
         assert types == {CodeType.TYPE_I, CodeType.TYPE_II}
         for c in pool:
             assert c.is_self_dual()
-            assert len(_information_set_generators(c.rows)) >= 2
+            assert len(_information_set_generators(c)) >= 2
             assert_distance_matches_oracles(c)
 
     def test_deep_levels_past_the_level_budget(self, monkeypatch):
@@ -525,7 +567,7 @@ class TestStopAt:
         for _ in range(40):
             n = rng.randrange(3, 15)
             c = LinearCode(n, [rng.getrandbits(n) for _ in range(n // 2 + 1)])
-            if c.k and len(_information_set_generators(c.rows)) == 1:
+            if c.k and len(_information_set_generators(c)) == 1:
                 seen += 1
                 assert_stop_at_matches_sweep(c)
         assert seen >= 20
@@ -537,8 +579,8 @@ class TestStopAt:
             assert_stop_at_matches_sweep(c)
 
     def test_a_light_row_draws_no_round(self, monkeypatch, fixture_codes):
-        def refuse(rows):
-            raise AssertionError(f"built information sets of {len(rows)} rows")
+        def refuse(c):
+            raise AssertionError(f"built information sets of {c.k} rows")
 
         monkeypatch.setattr(code, "_information_set_generators", refuse)
         codes = [random_self_dual(n, 6, 1) for n in (8, 16, 32, 40)] + list(fixture_codes.values())

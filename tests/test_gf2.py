@@ -11,8 +11,8 @@ from sdcodes.gf2 import (
     BitVector,
     _dual_rows,
     _eliminate,
-    _is_rref,
     _rref_ints,
+    _rref_pivots,
     dot,
     kernel_basis,
     mu,
@@ -247,7 +247,7 @@ class TestCutBuiltKernel:
             n, rows = rows_with_dependencies(rng, 40)
             original = [int_bits(r, n) for r in rows]
             out = _dual_rows(rows, n)
-            assert _is_rref(out, n)
+            assert _rref_pivots(out, n) is not None
             assert len(out) == n - o_rank(original)
             assert all(o_orthogonal_all(original, int_bits(v, n)) for v in out)
             m = BitMatrix([BitVector(n, r) for r in rows], ncols=n)
@@ -264,25 +264,26 @@ class TestRrefFastPath:
             n = rng.randrange(1, 40)
             for rows in near_rref_inputs(rng, n):
                 full = oracle_rref(rows, n)
-                assert _rref_ints(rows, n) == _eliminate(rows) == full
+                assert _rref_ints(rows, n) == (full, [r & -r for r in full])
+                assert _eliminate(rows) == full
                 assert LinearCode(n, rows).rows == tuple(full)
                 # the test passes exactly when elimination changes nothing
-                assert _is_rref(rows, n) == (full == rows)
+                assert (_rref_pivots(rows, n) is not None) == (full == rows)
 
     def test_pivot_past_ncols_is_eliminated_away(self):
         # reduced as 8-bit rows, but the second pivot lies past 4 columns
         rows = [0b00000011, 0b00110000]
-        assert _is_rref(rows, 8)
-        assert not _is_rref(rows, 4)
+        assert _rref_pivots(rows, 8) == [0b00000001, 0b00010000]
+        assert _rref_pivots(rows, 4) is None
         # elimination keeps every bit; the length guard keeps such rows out
         with pytest.raises(ValueError, match="fit"):
             LinearCode(4, rows)
 
     def test_each_trap_is_caught(self):
-        assert _is_rref([0b001, 0b010], 3)
-        assert not _is_rref([0b010, 0b001], 3)
-        assert not _is_rref([0b011, 0b010], 3)
-        assert not _is_rref([0b001, 0, 0b010], 3)
-        assert not _is_rref([0b001, 0b001], 3)
-        assert _is_rref([], 3)
-        assert _rref_ints([], 3) == []
+        assert _rref_pivots([0b001, 0b010], 3) == [0b001, 0b010]
+        assert _rref_pivots([0b010, 0b001], 3) is None
+        assert _rref_pivots([0b011, 0b010], 3) is None
+        assert _rref_pivots([0b001, 0, 0b010], 3) is None
+        assert _rref_pivots([0b001, 0b001], 3) is None
+        assert _rref_pivots([], 3) == []
+        assert _rref_ints([], 3) == ([], [])

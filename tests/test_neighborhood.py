@@ -378,7 +378,9 @@ def draw(rng, n, wanted):
 
 class TestStepCertificate:
     """A step's self-duality is certified from that of c in O(k) row
-    operations; the pairwise pass over the rows is the oracle."""
+    operations; the pairwise pass over the rows is the oracle.  c and the
+    step are the only self-dual codes in c + <x>, so where a perturbed out
+    is neither, the verdict must equal the oracle's."""
 
     def certify(self, c, x, out):
         ok = neighborhood._step_certified(c, x, out)
@@ -386,6 +388,10 @@ class TestStepCertificate:
         if ok:
             assert out.k * 2 == out.n and code._pairwise_orthogonal(out.rows)
         return ok
+
+    @staticmethod
+    def oracle(c, out):
+        return out.k == c.k and code._pairwise_orthogonal(out.rows)
 
     def test_accepts_every_correct_step(self):
         for c, x, out, _ in certified_steps():
@@ -418,7 +424,8 @@ class TestStepCertificate:
                 bad = LinearCode(c.n, rows)
                 if bad.k == c.k:
                     break
-            assert not self.certify(c, x, bad)
+            # bad holds a word with a part of x, so it is not c
+            assert not self.certify(c, x, bad) and not self.oracle(c, bad)
 
     def test_rejects_another_step_vector(self):
         # the kernel rows of x with y in place of x, against either vector
@@ -430,6 +437,48 @@ class TestStepCertificate:
             assert bad.k == c.k
             assert not self.certify(c, x, bad)
             assert not self.certify(c, y, bad)
+            # the words orthogonal to the kernel rows of x are c + <x>
+            assert not self.oracle(c, bad)
+
+    def test_rejects_an_odd_row_orthogonal_to_x(self):
+        # outside c + <x>, as every word there is even: only its difference
+        # from the rows of c gives it away
+        for c, x, out, _ in certified_steps():
+            rng = random.Random(c.n)
+            w = draw(rng, c.n, lambda w: w.bit_count() % 2 == 1 and (w & x).bit_count() % 2 == 0)
+            rows = list(out.rows)
+            rows[rng.randrange(len(rows))] = w
+            bad = LinearCode(c.n, rows)
+            assert bad.k == c.k
+            assert not self.certify(c, x, bad) and not self.oracle(c, bad)
+
+    def test_rejects_a_wrong_dimension(self):
+        for c, x, out, _ in certified_steps():
+            for bad in (LinearCode(c.n, out.rows[1:]), LinearCode(c.n, [*out.rows, 1 << (c.n - 1)])):
+                assert not self.certify(c, x, bad) and not self.oracle(c, bad)
+
+    def test_at_most_four_differences_reduced(self, monkeypatch):
+        # a step's rows differ from the rows of c at their pivots by 0, the
+        # row of c that the kernel cut dropped, x reduced, or their sum
+        steps = [(c, x, out) for c, x, out, _ in certified_steps()]
+        c = random_self_dual(512, 3, 5)
+        rng = random.Random(5)
+        for _ in range(5):
+            x = step_vector(c, rng)
+            steps.append((c, x, neighbor_step(c, BitVector(c.n, x))))
+            c = steps[-1][2]
+        reductions = []
+        cleared = neighborhood._cleared
+
+        def counted(d, hit, at_pivot):
+            reductions[-1] += 1
+            return cleared(d, hit, at_pivot)
+
+        monkeypatch.setattr(neighborhood, "_cleared", counted)
+        for c, x, out in steps:
+            reductions.append(0)
+            assert self.certify(c, x, out)
+            assert 1 <= reductions[-1] <= 4
 
 
 class TestWalk:
@@ -588,6 +637,14 @@ class TestCosetRepresentatives:
         refuse_searches(monkeypatch)
         with pytest.raises(InternalConsistencyError, match="all-ones"):
             neighborhood_containing(bad)
+
+
+class TestReversedBits:
+    def test_matches_the_string_form(self):
+        rng = random.Random(80)
+        for n in range(1, 81):
+            for v in [0, (1 << n) - 1, 1, 1 << (n - 1)] + [rng.getrandbits(n) for _ in range(40)]:
+                assert neighborhood._reversed_bits(v, n) == int(gf2._to01(v, n), 2)
 
 
 def type1_walk_codes(n, count):
