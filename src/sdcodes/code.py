@@ -2,9 +2,9 @@
 
 A LinearCode is stored as its length and its canonical generator rows as
 ints (RREF, zero rows dropped), so code equality is literal row equality,
-with the pivot of each row (its lowest set bit), computed once per code:
-every reduction against the code's own rows, and the searches that need
-its information set, read them.
+and the pivot of each row (its lowest set bit), found once per code and
+read by every reduction against its rows, the Gray index and the
+information-set search.
 Every RREF comes from the row-space moves of gf2: rows that are already in
 that form are kept without elimination, which lets a neighbor step build its
 code with O(k) row operations, and the dual and intersections are cut from

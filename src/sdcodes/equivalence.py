@@ -31,7 +31,7 @@ from .code import (
     _gray_index,
     _words_by_weight,
 )
-from .gf2 import BitVector, _insert_rref, _reduced
+from .gf2 import BitVector, _insert_rref
 
 EQUIVALENCE_MAX_LENGTH = 32
 EQUIVALENCE_MAX_DIMENSION = 16
@@ -219,11 +219,12 @@ def are_permutation_equivalent(
         groups1[w] = sorted(words1)
         groups2[w] = words2
         for x in groups1[w]:
-            if _reduced(span, x):
+            grown = _insert_rref(span, x)
+            if len(grown) > len(span):
                 basis.append(x)
                 if len(basis) == k:
                     break
-                span = _insert_rref(span, x)
+                span = grown
         if len(basis) == k:
             break
 

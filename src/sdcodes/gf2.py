@@ -7,11 +7,11 @@ weight).  Matrices are immutable tuples of equal-length vectors.
 This module builds every reduced row echelon form (RREF) in the library, on
 the raw ints.  The pivot of an RREF row is its lowest set bit.  Every row
 space is built from one check and two moves, each O(k) row operations:
-_rref_pivots accepts rows that are already reduced and returns their
-pivots, which a code keeps for its own reductions, _insert_rref adds one vector
-to a span, and _kernel_rows cuts a span down to the kernel of a linear
-functional.  Elimination is k inserts; a dual or an orthogonal complement is
-one cut per check, starting from the unit rows.
+_rref_pivots accepts rows that are already reduced (and returns their
+pivots, which a code keeps), _insert_rref adds one vector to a span, and
+_kernel_rows cuts a span down to the kernel of a linear functional.
+Elimination is k inserts; a dual or an orthogonal complement is one cut per
+check, starting from the unit rows.
 """
 
 from __future__ import annotations
@@ -242,10 +242,10 @@ def _eliminate(rows: Iterable[int]) -> list[int]:
     return reduce(_insert_rref, rows, [])
 
 
-def _reduced(rows: Sequence[int], bits: int, pivots: Sequence[int] | None = None) -> int:
-    """bits reduced against RREF rows: zero at every pivot, same coset of their
-    span.  pivots, when given, are the pivots of rows, as a code stores them."""
-    for row, p in zip(rows, pivots or [r & -r for r in rows]):
+def _reduced(rows: Sequence[int], bits: int, pivots: Sequence[int]) -> int:
+    """bits reduced against RREF rows with the given pivots: zero at every
+    pivot, same coset of their span."""
+    for row, p in zip(rows, pivots):
         if bits & p:
             bits ^= row
     return bits

@@ -79,8 +79,9 @@ _REV = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 def _reversed_bits(v: int, n: int) -> int:
     # coordinate 0 becomes the most significant bit, so integer order on the
-    # result is lexicographic order on the 0/1 coordinate string; the bytes
-    # are reversed in order by the byte order and in their bits by _REV
+    # result is lexicographic order on the 0/1 coordinate string; read
+    # big-endian, the little-endian bytes come in reverse order, and _REV
+    # reverses the bits within each
     nb = (n + 7) // 8
     return int.from_bytes(v.to_bytes(nb, "little").translate(_REV), "big") >> (8 * nb - n)
 

@@ -333,16 +333,16 @@ class TestSearch:
 
     def test_no_distance_walk_does_each_job_once(self, capsys, monkeypatch):
         # each step reduces its step vector twice: _insert_rref against the
-        # 255 kernel rows, and the certificate's coset of x against c, each at
-        # pivots computed once, those of c as c stores them; the certificate's few row differences are cleared
+        # 255 kernel rows, and the certificate's coset of x against c, at the
+        # pivots c stores; the certificate's few row differences are cleared
         # only at the pivots they hit; the draw's outside-c test is read off
         # the step's products with the rows of c; only the final code is
         # classified
         reductions, classified = [], []
         reduced, classify = code._reduced, code.LinearCode.classify
 
-        def counted_reduced(rows, bits, pivots=None):
-            reductions.append((len(rows), pivots is not None))
+        def counted_reduced(rows, bits, pivots):
+            reductions.append(len(rows))
             return reduced(rows, bits, pivots)
 
         def counted_classify(self):
@@ -355,7 +355,7 @@ class TestSearch:
         status, out, _ = run_cli(capsys, "search", "--n", "512", "--steps", "30",
                                  "--no-distance", "--json")
         assert status == 0 and json_lines(out)[-1]["steps_completed"] == 30
-        assert reductions == [(255, True), (256, True)] * 30
+        assert reductions == [255, 256] * 30
         assert classified == [512]
 
     def test_no_distance_with_min_d_rejected(self, capsys):
