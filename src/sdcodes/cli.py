@@ -23,13 +23,7 @@ from .code import (
     from_generator,
 )
 from .equivalence import are_permutation_equivalent
-from .fixtures_io import (
-    FIXTURE_NAMES,
-    MatrixFormatError,
-    fixture,
-    parse_matrix,
-    serialize_matrix,
-)
+from .fixtures_io import FIXTURE_NAMES, MatrixFormatError, fixture, parse_matrix, serialize_matrix
 from .gf2 import _to01
 from .neighborhood import (
     _meet_dimension,
@@ -39,6 +33,9 @@ from .neighborhood import (
     verify_singly_even_range,
     walk_self_dual,
 )
+
+
+_INPUT_HELP = f"matrix file, '-' for stdin, or fixture:NAME ({', '.join(FIXTURE_NAMES)})"
 
 
 def _emit(args, record: dict, human: str):
@@ -57,8 +54,10 @@ def _spaced(rows: list[str]) -> str:
     return "\n".join(map(" ".join, rows))
 
 
-def _load_source(token: str) -> tuple[str, LinearCode]:
+def _load_source(token: str | None) -> tuple[str, LinearCode]:
     """Resolve one input token: '-' (stdin) first, then an existing path, then fixture:NAME."""
+    if token is None:
+        raise MatrixFormatError(f"an input is required: {_INPUT_HELP}")
     if token == "-":
         return "<stdin>", from_generator(parse_matrix(sys.stdin.read()))
     if os.path.exists(token):
@@ -69,18 +68,8 @@ def _load_source(token: str) -> tuple[str, LinearCode]:
     raise MatrixFormatError(f"no such file: {token}")
 
 
-def _load_single(args) -> tuple[str, LinearCode]:
-    if args.fixture is not None and args.input is not None:
-        raise MatrixFormatError("give either an input path or --fixture, not both")
-    if args.fixture is not None:
-        return args.fixture, from_generator(fixture(args.fixture))
-    if args.input is not None:
-        return _load_source(args.input)
-    raise MatrixFormatError("an input path, '-', or --fixture is required")
-
-
 def _cmd_info(args) -> int:
-    name, code = _load_single(args)
+    name, code = _load_source(args.input)
     we = code.weight_enumerator()
     d = we.min_positive_weight() if code.k > 0 else None
     ctype = code.classify()
@@ -105,7 +94,7 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_dual(args) -> int:
-    name, code = _load_single(args)
+    name, code = _load_source(args.input)
     dual = code.dual()
     record = {
         "command": "dual",
@@ -123,7 +112,7 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_neighborhood(args) -> int:
-    name, code = _load_single(args)
+    name, code = _load_source(args.input)
     nb = neighborhood_of(code)
     verdicts = [
         verify_no_better_type1(nb),
@@ -303,14 +292,7 @@ def _cmd_search(args) -> int:
 def _add_io_flags(p, single_input: bool):
     p.add_argument("--json", action="store_true", help="one JSON record per line")
     if single_input:
-        p.add_argument(
-            "input",
-            nargs="?",
-            help="matrix file, '-' for stdin, or fixture:NAME",
-        )
-        p.add_argument(
-            "--fixture", choices=FIXTURE_NAMES, help="use an embedded matrix"
-        )
+        p.add_argument("input", nargs="?", help=_INPUT_HELP)
 
 
 @functools.cache
@@ -338,14 +320,14 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("neighbors", help="whether two self-dual codes are neighbors")
     _add_io_flags(p, single_input=False)
-    p.add_argument("a", help="matrix file, '-', or fixture:NAME")
-    p.add_argument("b", help="matrix file, '-', or fixture:NAME")
+    p.add_argument("a", help=_INPUT_HELP)
+    p.add_argument("b", help=_INPUT_HELP)
     p.set_defaults(func=_cmd_neighbors)
 
     p = sub.add_parser("equivalent", help="permutation equivalence with witness")
     _add_io_flags(p, single_input=False)
-    p.add_argument("a", help="matrix file, '-', or fixture:NAME")
-    p.add_argument("b", help="matrix file, '-', or fixture:NAME")
+    p.add_argument("a", help=_INPUT_HELP)
+    p.add_argument("b", help=_INPUT_HELP)
     p.set_defaults(func=_cmd_equivalent)
 
     p = sub.add_parser("verify-paper", help="run all sixteen acceptance checks")

@@ -1,7 +1,7 @@
 """Plain-text generator matrix format and the six embedded length-24 fixtures.
 
 Format: optional header line "n k", then one row per line with n symbols from
-{0,1}, either contiguous or separated by single spaces.  The fixtures G1..G6
+{0,1}, either contiguous or separated by spaces.  The fixtures G1..G6
 are generator matrices of six self-dual (24,12) codes forming two
 neighborhoods {G1,G2,G3} and {G4,G5,G6}; within each triple the first eleven
 rows agree and span the common doubly-even subcode.
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .gf2 import BitMatrix, BitVector
+from .gf2 import BitMatrix, BitVector, _from01
 
 
 class MatrixFormatError(ValueError):
@@ -52,46 +52,26 @@ def parse_matrix(text: str | bytes) -> BitMatrix:
         lines = lines[1:]
 
     rows: list[BitVector] = []
-    ncols: int | None = None
-    offset = 2 if header else 1
-    for lineno, raw in enumerate(lines, start=offset):
+    for lineno, raw in enumerate(lines, start=2 if header else 1):
         stripped = raw.rstrip()
         if not stripped:
             raise MatrixFormatError(f"line {lineno}: blank line inside matrix data")
-        bits = 0
-        width = 0
-        for pos, ch in enumerate(stripped, start=1):
-            if ch == "1":
-                bits |= 1 << width
-                width += 1
-            elif ch == "0":
-                width += 1
-            elif ch == " ":
-                continue
-            else:
-                raise MatrixFormatError(
-                    f"line {lineno}, position {pos}: invalid symbol {ch!r}"
-                )
-        if width == 0:
-            raise MatrixFormatError(f"line {lineno}: no symbols found")
-        if ncols is None:
-            ncols = width
-        elif width != ncols:
+        try:
+            width, bits = _from01(stripped)
+        except ValueError as exc:
+            raise MatrixFormatError(f"line {lineno}, {exc}") from None
+        if rows and width != rows[0].length:
             raise MatrixFormatError(
-                f"line {lineno}: ragged row of {width} symbols, expected {ncols}"
+                f"line {lineno}: ragged row of {width} symbols, expected {rows[0].length}"
             )
-        rows.append(BitVector(ncols, bits))
+        rows.append(BitVector(width, bits))
 
-    if header is not None:
-        n, k = header
-        if ncols is None:
-            ncols = n
-        if k != len(rows) or n != ncols:
-            raise MatrixFormatError(
-                f"header says {n} x {k} but data is {ncols} x {len(rows)}"
-            )
-    if ncols is None:
-        raise MatrixFormatError("no matrix data found")
+    # without a header every line is a row or an error, so only a header leaves rows empty
+    ncols = rows[0].length if rows else header[0]
+    if header is not None and header != (ncols, len(rows)):
+        raise MatrixFormatError(
+            f"header says {header[0]} x {header[1]} but data is {ncols} x {len(rows)}"
+        )
     return BitMatrix(rows, ncols=ncols)
 
 

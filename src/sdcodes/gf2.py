@@ -58,14 +58,7 @@ class BitVector:
     @classmethod
     def from_string(cls, text: str) -> BitVector:
         """Parse '0'/'1' characters, ignoring spaces; leftmost char is coordinate 0."""
-        symbols = text.replace(" ", "")
-        bits = 0
-        for i, ch in enumerate(symbols):
-            if ch == "1":
-                bits |= 1 << i
-            elif ch != "0":
-                raise ValueError(f"invalid symbol {ch!r} in bit string")
-        return cls(len(symbols), bits)
+        return cls(*_from01(text))
 
     @classmethod
     def from_support(cls, length: int, support: Iterable[int]) -> BitVector:
@@ -121,6 +114,20 @@ class BitVector:
 def _to01(bits: int, n: int) -> str:
     """The row text of an n-bit word: coordinate 0 (bit 0) is the first character."""
     return format(bits, f"0{n}b")[::-1]
+
+
+def _from01(text: str) -> tuple[int, int]:
+    """The (width, bits) of a row text, spaces ignored: the inverse of _to01.
+
+    The symbols are checked and converted by str and int methods, with no
+    Python step per character; int's limit on digits does not apply to base
+    2, so rows of MAX_LENGTH symbols convert.
+    """
+    symbols = text.replace(" ", "")
+    if symbols.strip("01"):
+        pos = next(i for i, ch in enumerate(text, 1) if ch not in "01 ")
+        raise ValueError(f"position {pos}: invalid symbol {text[pos - 1]!r}")
+    return len(symbols), int(symbols[::-1] or "0", 2)
 
 
 def _check_lengths(a: BitVector, b: BitVector) -> None:

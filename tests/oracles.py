@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from itertools import permutations, product
 
+from sdcodes.fixtures_io import MatrixFormatError
+
 
 def to_bits(v) -> tuple[int, ...]:
     """Convert a library BitVector to a plain tuple of ints."""
@@ -125,3 +127,76 @@ def o_equivalent(rows1, rows2, n: int) -> bool:
         all(tuple(r[perm[i]] for i in range(n)) in words2 for r in rows1)
         for perm in permutations(range(n))
     )
+
+
+def o_row(text: str) -> tuple[int, ...]:
+    """The 0/1 symbols of a row text, one character at a time, spaces skipped."""
+    row = []
+    for pos, ch in enumerate(text, start=1):
+        if ch == "0" or ch == "1":
+            row.append(int(ch))
+        elif ch != " ":
+            raise ValueError(f"position {pos}: invalid symbol {ch!r}")
+    return tuple(row)
+
+
+def o_parse_matrix(text) -> tuple[int, list[tuple[int, ...]]]:
+    """(ncols, rows) of matrix text, read as parse_matrix reads it, with its
+    MatrixFormatError messages; rows of up to MAX_LENGTH symbols only."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise MatrixFormatError(f"matrix text must be ASCII: {exc}") from None
+    lines = text.split("\n")
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if not lines:
+        raise MatrixFormatError("empty input")
+
+    header = None
+    first = lines[0].split()
+    if first and not all(set(tok) <= {"0", "1"} for tok in first):
+        if len(first) != 2:
+            raise MatrixFormatError(
+                f"line 1: expected a data row of 0/1 symbols or a header 'n k', got {lines[0]!r}"
+            )
+        try:
+            header = (int(first[0]), int(first[1]))
+        except ValueError:
+            raise MatrixFormatError(f"line 1: malformed header {lines[0]!r}") from None
+        if header[0] < 1 or header[1] < 0:
+            raise MatrixFormatError(f"line 1: invalid header dimensions {header}")
+        lines = lines[1:]
+
+    rows = []
+    ncols = None
+    for lineno, raw in enumerate(lines, start=2 if header else 1):
+        stripped = raw.rstrip()
+        if not stripped:
+            raise MatrixFormatError(f"line {lineno}: blank line inside matrix data")
+        try:
+            row = o_row(stripped)
+        except ValueError as exc:
+            raise MatrixFormatError(f"line {lineno}, {exc}") from None
+        if not row:
+            raise MatrixFormatError(f"line {lineno}: no symbols found")
+        if ncols is None:
+            ncols = len(row)
+        elif len(row) != ncols:
+            raise MatrixFormatError(
+                f"line {lineno}: ragged row of {len(row)} symbols, expected {ncols}"
+            )
+        rows.append(row)
+
+    if header is not None:
+        n, k = header
+        if ncols is None:
+            ncols = n
+        if k != len(rows) or n != ncols:
+            raise MatrixFormatError(
+                f"header says {n} x {k} but data is {ncols} x {len(rows)}"
+            )
+    if ncols is None:
+        raise MatrixFormatError("no matrix data found")
+    return ncols, rows

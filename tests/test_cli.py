@@ -25,13 +25,13 @@ def json_lines(text):
 
 class TestInfo:
     def test_fixture_flag(self, capsys):
-        status, out, _ = run_cli(capsys, "info", "--fixture", "G3")
+        status, out, _ = run_cli(capsys, "info", "fixture:G3")
         assert status == 0
         assert "n=24 k=12 d=2" in out
         assert "type=TypeI" in out
 
     def test_json_keys(self, capsys):
-        status, out, _ = run_cli(capsys, "info", "--fixture", "G6", "--json")
+        status, out, _ = run_cli(capsys, "info", "fixture:G6", "--json")
         assert status == 0
         (record,) = json_lines(out)
         assert set(record) == {
@@ -53,9 +53,12 @@ class TestInfo:
         status, _, err = run_cli(capsys, "info")
         assert status == 2 and "required" in err
 
-    def test_both_inputs_rejected(self, capsys):
-        status, _, err = run_cli(capsys, "info", "fixture:G1", "--fixture", "G2")
-        assert status == 2 and "not both" in err
+    def test_fixture_option_removed(self, capsys):
+        # a fixture is named only by the input token fixture:NAME
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["info", "--fixture", "G3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --fixture" in capsys.readouterr().err
 
     def test_nonexistent_file(self, capsys):
         status, _, err = run_cli(capsys, "info", "/no/such/file")
@@ -74,7 +77,7 @@ class TestInfo:
 
 class TestDual:
     def test_self_dual_fixture_round_trips(self, capsys, fixture_codes):
-        status, out, _ = run_cli(capsys, "dual", "--fixture", "G2", "--json")
+        status, out, _ = run_cli(capsys, "dual", "fixture:G2", "--json")
         assert status == 0
         (record,) = json_lines(out)
         assert record["n"] == 24 and record["k"] == 12
@@ -83,7 +86,7 @@ class TestDual:
         assert from_generator(BitMatrix.from_strings(record["rows"])) == fixture_codes["G2"]
 
     def test_human_output_parses(self, capsys):
-        status, out, _ = run_cli(capsys, "dual", "--fixture", "G1")
+        status, out, _ = run_cli(capsys, "dual", "fixture:G1")
         assert status == 0
         from sdcodes import parse_matrix
 
@@ -104,7 +107,7 @@ class TestDual:
 
 class TestNeighborhood:
     def test_type1_fixture(self, capsys):
-        status, out, _ = run_cli(capsys, "neighborhood", "--fixture", "G3", "--json")
+        status, out, _ = run_cli(capsys, "neighborhood", "fixture:G3", "--json")
         assert status == 0
         (record,) = json_lines(out)
         assert record["c_max_dimension"] == 11
@@ -118,7 +121,7 @@ class TestNeighborhood:
         assert checks["singly_even_range"] is True
 
     def test_second_triple_verdicts(self, capsys):
-        status, out, _ = run_cli(capsys, "neighborhood", "--fixture", "G4", "--json")
+        status, out, _ = run_cli(capsys, "neighborhood", "fixture:G4", "--json")
         assert status == 0
         (record,) = json_lines(out)
         assert sorted(m["distance"] for m in record["members"]) == [4, 6, 8]
@@ -127,11 +130,11 @@ class TestNeighborhood:
         assert checks["distance2_coincidence"] is None
 
     def test_type2_input_exits_2(self, capsys):
-        status, _, err = run_cli(capsys, "neighborhood", "--fixture", "G1")
+        status, _, err = run_cli(capsys, "neighborhood", "fixture:G1")
         assert status == 2 and "Type I" in err
 
     def test_members_reingestible(self, capsys, fixture_codes):
-        status, out, _ = run_cli(capsys, "neighborhood", "--fixture", "G3", "--json")
+        status, out, _ = run_cli(capsys, "neighborhood", "fixture:G3", "--json")
         (record,) = json_lines(out)
         from sdcodes import BitMatrix, from_generator
 
@@ -426,10 +429,10 @@ class TestSubprocess:
         # the parser is built once per process; each call must still parse
         # as a fresh process does, also after a parse error
         runs = [
-            ["info", "--fixture", "G3", "--json"],
+            ["info", "fixture:G3", "--json"],
             ["search", "--n", "16", "--steps", "20", "--seed", "3", "--json"],
             ["search", "--n", "sixteen"],
-            ["info", "--fixture", "G4"],
+            ["info", "fixture:G4"],
             ["neighbors", "fixture:G1", "fixture:G2", "--json"],
             ["search", "--n", "16", "--steps", "20", "--seed", "4", "--no-distance"],
         ]

@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +12,8 @@ from sdcodes.fixtures_io import (
     serialize_matrix,
 )
 from sdcodes.gf2 import BitMatrix, BitVector
+
+from oracles import o_parse_matrix, o_row, to_bits
 
 
 @st.composite
@@ -67,6 +72,88 @@ class TestParse:
             parse_matrix("")
         with pytest.raises(MatrixFormatError, match="line 1"):
             parse_matrix("a b c\n")
+
+
+def random_matrix_text(rng: random.Random) -> str | bytes:
+    """Matrix text, mostly well formed, with the faults parse_matrix reports."""
+    ncols = rng.randint(1, 12)
+    rows = [[rng.randint(0, 1) for _ in range(ncols)] for _ in range(rng.randint(0, 5))]
+    if rows and rng.random() < 0.15:
+        ragged = rng.choice(rows)
+        if len(ragged) > 1 and rng.random() < 0.5:
+            ragged.pop()
+        else:
+            ragged.append(1)
+    lines = []
+    for row in rows:
+        style = rng.choice(("", " ", "mixed"))
+        if style == "mixed":
+            line = "".join(str(b) + " " * rng.choice((0, 0, 1, 2)) for b in row)
+        else:
+            line = style.join(map(str, row))
+        lines.append(" " * rng.choice((0, 0, 0, 1, 3)) + line)
+    header = rng.choice((None, None, "right", "wrong", "malformed"))
+    if header == "right":
+        lines.insert(0, f"{ncols} {len(rows)}")
+    elif header == "wrong":
+        lines.insert(0, f"{ncols + rng.choice((-1, 0, 1))} {len(rows) + rng.choice((-1, 1))}")
+    elif header == "malformed":
+        lines.insert(0, rng.choice(("a b", "3", "3 2 1", "x 2", "0 2", "3 -1", "-1 2")))
+    eol = rng.choice(("\n", "\r\n"))
+    text = eol.join(lines) + rng.choice(("", eol, eol * 3, eol + "  " + eol))
+    for _ in range(rng.choice((0, 0, 0, 1, 2))):
+        i = rng.randint(0, len(text))
+        text = text[:i] + rng.choice(("x", "\t", "2", "\u00fc", "\u0661", "\u00a0", "\n")) + text[i:]
+    return text.encode("utf-8") if rng.random() < 0.3 else text
+
+
+FAULTS = ("invalid symbol", "ragged", "blank line", "header", "ASCII", "empty input")
+
+
+def read_rows(text):
+    m = parse_matrix(text)
+    return m.ncols, [to_bits(r) for r in m.rows]
+
+
+def outcome(read, text):
+    """What read(text) returns, or the type and message of its ValueError."""
+    try:
+        return read(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestReferenceParser:
+    """parse_matrix and BitVector.from_string against the per-character
+    reader of tests/oracles.py: same rows, same errors."""
+
+    def test_same_matrices_and_errors(self):
+        rng = random.Random(19)
+        kinds = Counter()
+        for _ in range(12_000):
+            text = random_matrix_text(rng)
+            want = outcome(o_parse_matrix, text)
+            assert outcome(read_rows, text) == want, text
+            if isinstance(want[0], int):
+                kinds["matrix"] += 1
+            else:
+                kinds.update(fault for fault in FAULTS if fault in want[1])
+        # the texts draw every outcome often
+        assert min(kinds[k] for k in ("matrix", *FAULTS)) >= 100, kinds
+
+    def test_from_string_reads_the_same_bits(self):
+        rng = random.Random(20)
+        for _ in range(12_000):
+            text = random_matrix_text(rng)
+            if isinstance(text, bytes):
+                text = text.decode("utf-8")
+            for line in text.split("\n"):
+                want = outcome(o_row, line)
+                got = outcome(lambda t: to_bits(BitVector.from_string(t)), line)
+                if want == ():
+                    assert got[0] is ValueError and "vector length" in got[1]
+                else:
+                    assert got == want, line
 
 
 class TestSerialize:

@@ -7,12 +7,15 @@ from hypothesis import given, strategies as st
 
 from sdcodes.code import LinearCode
 from sdcodes.gf2 import (
+    MAX_LENGTH,
     BitMatrix,
     BitVector,
+    _from01,
     _dual_rows,
     _eliminate,
     _rref_ints,
     _rref_pivots,
+    _to01,
     dot,
     kernel_basis,
     mu,
@@ -77,6 +80,25 @@ class TestBitVector:
             BitVector.from_string("10a")
         with pytest.raises(ValueError):
             BitVector.from_support(3, [5])
+
+    def test_from_string_errors(self):
+        with pytest.raises(ValueError, match=r"^position 3: invalid symbol 'x'$"):
+            BitVector.from_string("10x")
+        for text in ("", "   "):
+            with pytest.raises(ValueError, match="vector length must be in"):
+                BitVector.from_string(text)
+
+    def test_from_string_at_max_length(self):
+        text = "1" + "0" * (MAX_LENGTH - 2) + "1"
+        v = BitVector.from_string(text)
+        assert v.length == MAX_LENGTH and v.bits == 1 | 1 << (MAX_LENGTH - 1)
+        assert BitVector.from_string(" ".join(text)) == v
+        with pytest.raises(ValueError, match="vector length must be in"):
+            BitVector.from_string(text + "0")
+
+    @given(bitvector(max_length=300))
+    def test_from01_inverts_to01(self, v):
+        assert _from01(_to01(v.bits, v.length)) == (v.length, v.bits)
 
     def test_indexing_and_iteration(self):
         v = BitVector.from_string("0110")

@@ -27,23 +27,23 @@ from sdcodes.neighborhood import random_self_dual
 # (argv, stdin producer or None, exit status, sha256 of stdout); an argv
 # token that names a FILES entry is read from a file written for the run
 GOLDENS = [
-    (["info", "--fixture", "G1"], None, 0,
+    (["info", "fixture:G1"], None, 0,
      "48ef025311914d7a70ecc7e5ff2aeb980d8a3ca50e4f5508d67c06f1bce73c51"),
-    (["info", "--fixture", "G2"], None, 0,
+    (["info", "fixture:G2"], None, 0,
      "cbe09ccbe6a07cb78c8bd10233c5965ec9c019c41c8bce9db08a57e6b7d929a7"),
-    (["info", "--fixture", "G3"], None, 0,
+    (["info", "fixture:G3"], None, 0,
      "78d60776e3037ac0e43023fc945fcdf473cc42136a1ba4143661512b458b080a"),
-    (["info", "--fixture", "G4"], None, 0,
+    (["info", "fixture:G4"], None, 0,
      "42152fd0a91b878c8d20f731c8061c2a6d2918bcf2cdb8bb58e66007219e1fb7"),
-    (["info", "--fixture", "G5"], None, 0,
+    (["info", "fixture:G5"], None, 0,
      "c2cd96269dbeff2624e8f20c3a1480e361c9bc68ecb44108f85cef36b1f7f0a1"),
-    (["info", "--fixture", "G6"], None, 0,
+    (["info", "fixture:G6"], None, 0,
      "5c5c16200523cee92538dd621f46b4f475ac0693c261606e23a251f924521804"),
-    (["dual", "--fixture", "G3"], None, 0,
+    (["dual", "fixture:G3"], None, 0,
      "4e313c1fa88b0164b1b5321ed35fb0e8b42370ec9923d7ffcdb1ba8763630516"),
-    (["neighborhood", "--fixture", "G3"], None, 0,
+    (["neighborhood", "fixture:G3"], None, 0,
      "ae649519118dbe83fd90b00293b95e28c5d341dfb1cec3e40cc88fbd86f142fb"),
-    (["neighborhood", "--fixture", "G4"], None, 0,
+    (["neighborhood", "fixture:G4"], None, 0,
      "78463e7dda18938d7437ebae3a69e62ae71de9d644b854016cdc1c9d8a64ae70"),
     (["neighbors", "fixture:G1", "fixture:G2"], None, 0,
      "1a5a4cb7afca86961ddbfd620e4244fff2ca6c5eaf463a2a92360139e4956a93"),
@@ -88,13 +88,13 @@ GOLDENS = [
 
 # the same shape as GOLDENS, run without --json
 HUMAN_GOLDENS = [
-    (["info", "--fixture", "G3"], None, 0,
+    (["info", "fixture:G3"], None, 0,
      "0aeaee4cb3b270183507251f53c1b978b1e418c3674e8d02d8db989f56354ae1"),
-    (["dual", "--fixture", "G3"], None, 0,
+    (["dual", "fixture:G3"], None, 0,
      "73734023824f22986d0087f4b95063fe9bf1d6badfb67b2985f0a089b9dbd50e"),
-    (["neighborhood", "--fixture", "G3"], None, 0,
+    (["neighborhood", "fixture:G3"], None, 0,
      "b88e5293d5d4f7fd561b3fffe3093054a43a20f42e8bd857ca5b774203543bec"),
-    (["neighborhood", "--fixture", "G4"], None, 0,
+    (["neighborhood", "fixture:G4"], None, 0,
      "9de58a027f2c5ea07fe9f1d9c3dbb1b4175734e98508ff96e25a84071a1829d1"),
     (["search", "--n", "32", "--steps", "12", "--seed", "19", "--report-best"], None, 0,
      "27f415c29c4f086e006c0563b69bcb66d8f8a1227fd56a83af299b0b55a60f3b"),
