@@ -19,9 +19,9 @@ the coset representatives of a neighborhood and for the light words that
 the equivalence search maps (_words_by_weight), come from one
 Brouwer-Zimmermann search instead (_bz_rounds): rounds of sums of few rows
 of generators systematic on disjoint information sets, each with a bound on
-the weight of every word not yet seen.  A hard dimension cap keeps both
-bounded and makes oversize requests an explicit error instead of a silent
-approximation.
+the weight of every word not yet seen.  One cap bounds both: a sweep or search
+that would draw over 2^DEFAULT_ENUMERATION_CAP words (2^k per sweep, C(k, w)
+per generator per round) is an explicit error, not a silent approximation.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ DEFAULT_ENUMERATION_CAP = 30
 
 
 class EnumerationCapError(ValueError):
-    """Raised when a codeword sweep or a Brouwer-Zimmermann search would exceed the dimension cap."""
+    """Raised before a sweep or search would draw over 2^DEFAULT_ENUMERATION_CAP words."""
 
 
 class InternalConsistencyError(AssertionError):
@@ -342,9 +342,9 @@ def _bz_rounds(code: LinearCode, lift: Callable[[int], int] | None = None) -> It
     at least w + 1 ones on each of sets 1..i and w on the rest.  bound is that
     weight, m*w + i, rounded up to the weight divisor of the code (1, 2 or 4).
     Round k sees every codeword.  A self-dual code has m >= 2: the complement
-    of an information set of C is one of its dual, C itself.
+    of an information set of C is one of its dual, C itself.  A round that
+    would take the sums drawn past 2^DEFAULT_ENUMERATION_CAP raises instead.
     """
-    code._check_cap()
     if any(r.bit_count() & 1 for r in code.rows):
         step = 1
     elif all(r.bit_count() % 4 == 0 for r in code.rows) and code.is_self_orthogonal():
@@ -354,7 +354,14 @@ def _bz_rounds(code: LinearCode, lift: Callable[[int], int] | None = None) -> It
     gens = _information_set_generators(code)
     levels = [_level_sums(g if lift is None else list(map(lift, g))) for g in gens]
     m = len(levels)
+    total = 0
     for w in range(1, code.k + 1):
+        total += m * comb(code.k, w)
+        if total > 1 << DEFAULT_ENUMERATION_CAP:
+            raise EnumerationCapError(
+                f"instance too large: round {w} of the Brouwer-Zimmermann search would bring "
+                f"the row sums drawn to {total}, past the enumeration cap 2^{DEFAULT_ENUMERATION_CAP}"
+            )
         for i, level in enumerate(levels, 1):
             yield next(level), -(-(m * w + i) // step) * step
 

@@ -136,8 +136,6 @@ def neighborhood_containing(c_max: LinearCode) -> Neighborhood:
     # when it is their XOR
     if reduce(xor, c_max.rows) != (1 << n) - 1:
         raise InternalConsistencyError("c_max lacks the all-ones word")
-    # the members are searched only when c_max is within the enumeration cap
-    c_max._check_cap()
 
     # reduction against the RREF rows of c_max maps each coset to one word, so
     # two distinct nonzero reductions of dual rows generate dual / c_max

@@ -10,8 +10,6 @@ from sdcodes.fixtures_io import fixture, serialize_matrix
 from sdcodes.gf2 import BitMatrix
 from sdcodes.neighborhood import random_self_dual, walk_self_dual
 
-from test_neighborhood import first_type1, refuse_searches
-
 
 def run_cli(capsys, *argv):
     status = cli.main(list(argv))
@@ -146,13 +144,14 @@ class TestNeighborhood:
             fixture_codes["G1"], fixture_codes["G2"], fixture_codes["G3"]
         }
 
-    def test_c_max_beyond_the_cap_exits_2(self, capsys, monkeypatch, tmp_path):
+    def test_c_max_beyond_the_sweep_cap_exits_0(self, capsys, tmp_path):
+        # n=64: c_max has dimension 31, past the sweep's cap of 30
         path = tmp_path / "n64.txt"
-        path.write_text(serialize_matrix(first_type1(64, 0).generator))
-        refuse_searches(monkeypatch)
-        status, out, err = run_cli(capsys, "neighborhood", str(path), "--json")
-        assert status == 2 and out == ""
-        assert err == "error: instance too large: dimension 31 exceeds enumeration cap 30\n"
+        path.write_text(serialize_matrix(random_self_dual(64, 21, 0).generator))
+        status, out, _ = run_cli(capsys, "neighborhood", str(path), "--json")
+        (record,) = json_lines(out)
+        assert status == 0 and record["c_max_dimension"] == 31
+        assert sorted(m["distance"] for m in record["members"]) == [6, 8, 8]
 
     def test_no_sweep_per_neighborhood(self, capsys, monkeypatch, tmp_path):
         # representatives and member distances come from one Brouwer-Zimmermann
@@ -370,12 +369,26 @@ class TestSearch:
         status, _, err = run_cli(capsys, "search", "--n", "10")
         assert status == 2 and "divisible by 8" in err
 
-    def test_cap_requires_no_distance(self, capsys):
-        status, _, err = run_cli(capsys, "search", "--n", "64")
-        assert status == 2 and "no-distance" in err
+    def test_distances_past_the_sweep_cap(self, capsys):
+        # k=32: each step's distance comes from a few Brouwer-Zimmermann rounds
+        status, out, _ = run_cli(capsys, "search", "--n", "64", "--steps", "3", "--json")
+        assert status == 0 and json_lines(out) == replay_search(64, 3, 0)[0]
         status, out, _ = run_cli(capsys, "search", "--n", "64", "--steps", "3",
                                  "--no-distance", "--json")
         assert status == 0
+
+    def test_exits_2_with_its_records_when_a_search_reaches_the_cap(self, capsys, monkeypatch):
+        # at a cap of 2^12 sums, the first code (k=24) that two rounds do not
+        # settle is refused before round 3, which would bring its sums to
+        # 2*(24 + 276 + 2024); the three records before it stay on stdout
+        monkeypatch.setattr(code, "DEFAULT_ENUMERATION_CAP", 12)
+        status, out, err = run_cli(capsys, "search", "--n", "48", "--steps", "20", "--json")
+        assert status == 2
+        assert [(r["event"], r["d"]) for r in json_lines(out)] == [("improvement", d) for d in (2, 4, 6)]
+        assert err == (
+            "error: instance too large: round 3 of the Brouwer-Zimmermann search would bring "
+            "the row sums drawn to 4648, past the enumeration cap 2^12\n"
+        )
 
 
 class TestVerifyPaper:

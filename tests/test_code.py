@@ -291,14 +291,13 @@ class TestEnumeration:
         assert all(words[i] ^ words[i + 1] in rows for i in range(len(words) - 1))
 
     def test_cap_enforced(self):
+        # the sweeps would visit 2^31 words; the distance search draws the 31
+        # sums of its first round and finds a weight-1 row
         c = from_generator(BitMatrix.identity(DEFAULT_ENUMERATION_CAP + 1))
-        for method in (c.codewords, c.minimum_distance, c.weight_enumerator):
+        for method in (c.codewords, c.weight_enumerator):
             with pytest.raises(EnumerationCapError, match="exceeds enumeration cap 30"):
                 method()
-        # at the cap the distance search finds a weight-1 row at once; the
-        # two sweeps are not run here, since they would visit 2^30 words
-        at_cap = from_generator(BitMatrix.identity(DEFAULT_ENUMERATION_CAP))
-        assert at_cap.minimum_distance() == 1
+        assert c.minimum_distance() == 1
 
 
 class TestGrayIndex:
@@ -529,6 +528,78 @@ class TestBrouwerZimmermann:
                 for w in range(1, len(rows) + 1)
             ]
             assert [Counter(level) for level in _level_sums(rows)] == expected
+
+
+def count_drawn_sums(monkeypatch):
+    """Wrap code._level_sums; the returned lists fill with the round of each
+    level built and of each sum read from it."""
+    built, drawn = [], []
+    level_sums = code._level_sums
+
+    def counted(rows):
+        for w, level in enumerate(level_sums(rows), 1):
+            built.append(w)
+            yield (drawn.append(w) or x for x in level)
+
+    monkeypatch.setattr(code, "_level_sums", counted)
+    return built, drawn
+
+
+class TestRowSumCap:
+    """_bz_rounds counts the sums it draws and refuses a round that would take
+    the count past 2^DEFAULT_ENUMERATION_CAP, before drawing any of it."""
+
+    def test_refused_before_the_round_that_would_pass_the_cap(self, monkeypatch):
+        # d=8 needs round 3 of two generators of 24 rows: the first two rounds
+        # draw 2*(24 + 276) = 600 sums, the third would bring them to 4648
+        c = random_self_dual(48, 20, 0)
+        assert c.k == 24 and len(_information_set_generators(c)) == 2
+        assert c.minimum_distance() == 8
+        monkeypatch.setattr(code, "DEFAULT_ENUMERATION_CAP", 12)
+        built, drawn = count_drawn_sums(monkeypatch)
+        with pytest.raises(EnumerationCapError) as refused:
+            c.minimum_distance()
+        assert str(refused.value) == (
+            "instance too large: round 3 of the Brouwer-Zimmermann search would bring "
+            "the row sums drawn to 4648, past the enumeration cap 2^12"
+        )
+        assert built == [1, 1, 2, 2] and Counter(drawn) == {1: 48, 2: 552}
+
+    def test_a_round_that_reaches_the_cap_exactly_is_drawn(self, monkeypatch):
+        # identity(32) has one information set: round 1 draws 32 = 2^5 sums
+        c = from_generator(BitMatrix.identity(32))
+        monkeypatch.setattr(code, "DEFAULT_ENUMERATION_CAP", 5)
+        assert c.minimum_distance() == 1
+        monkeypatch.setattr(code, "DEFAULT_ENUMERATION_CAP", 4)
+        with pytest.raises(EnumerationCapError, match=r"round 1 .* to 32, past the enumeration cap 2\^4$"):
+            c.minimum_distance()
+
+
+def permuted_copy(c, seed):
+    """c under a seeded coordinate permutation, built from rows mixed by
+    seeded row additions, so its information sets and rounds differ."""
+    rng = random.Random(seed)
+    images = list(range(c.n))
+    rng.shuffle(images)
+    rows = [sum(1 << images[i] for i in range(c.n) if r >> i & 1) for r in c.rows]
+    for i in range(len(rows)):
+        j = rng.randrange(len(rows) - 1)
+        rows[i] ^= rows[j + (j >= i)]
+    return LinearCode(c.n, rows)
+
+
+class TestPastTheSweepCap:
+    """Distances of codes of dimension 32 to 48, past any 2^30-word sweep,
+    checked against a permuted copy, whose search takes other rounds."""
+
+    @pytest.mark.parametrize("n", [64, 72, 80, 96])
+    def test_distance_invariant_under_permutation(self, n):
+        c = random_self_dual(n, 30, 0)
+        copy = permuted_copy(c, n)
+        assert c.k > DEFAULT_ENUMERATION_CAP and copy != c
+        assert _information_set_generators(copy) != _information_set_generators(c)
+        d = c.minimum_distance()
+        assert copy.minimum_distance() == d <= extremal_bound(n, c.classify())
 
 
 def assert_stop_at_matches_sweep(c):

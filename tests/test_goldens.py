@@ -84,6 +84,12 @@ GOLDENS = [
      "a874cc71e3f3b15ba53fcd1da14e1c25f35d4aa28b15ae85e65b4a6f483526c3"),
     (["equivalent", "walk2001-8.txt", "-"], "walk2001-12perm", 1,
      "cd4b8171c3036f3b520143cdd4d51e4341a834c61bf2f94f425dcf9bb3067a63"),
+    # n=64, past the sweep's cap of k=30: walk distances, and a Type I
+    # neighborhood whose c_max has dimension 31
+    (["search", "--n", "64", "--steps", "200", "--seed", "0"], None, 0,
+     "05424db25f54508d8ccbd217618b130f9f352b78e52e2f1ea98f69e0119dbcb5"),
+    (["neighborhood", "-"], "walk64", 0,
+     "b7e2af110327f6f9fd35c4603ae871d52aca02b24ee405a8803a213f2fb0e15f"),
 ]
 
 # the same shape as GOLDENS, run without --json
@@ -119,6 +125,7 @@ def permuted(code, seed):
 STDIN = {
     "walk32": lambda: serialize_matrix(random_self_dual(32, 12, 19).generator),
     "walk40": lambda: serialize_matrix(random_self_dual(40, 8, 1).generator),
+    "walk64": lambda: serialize_matrix(random_self_dual(64, 21, 0).generator),
     "G1perm": lambda: permuted(from_generator(fixture("G1")), 1),
     "G4perm": lambda: permuted(from_generator(fixture("G4")), 4),
     "walk32perm": lambda: permuted(random_self_dual(32, 12, 19), 32),

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from sdcodes import code, gf2, neighborhood
-from sdcodes.code import CodeType, EnumerationCapError, LinearCode, from_generator
+from sdcodes.code import CodeType, LinearCode, extremal_bound, from_generator
 from sdcodes.fixtures_io import fixture
 from sdcodes.gf2 import BitMatrix, BitVector
 from sdcodes.neighborhood import (
@@ -22,11 +22,7 @@ from sdcodes.neighborhood import (
 )
 
 from oracles import o_coset_leader, o_doubly_even_words, o_min_distance, to_bits
-from test_code import first_row_kernel
-
-
-def first_type1(n, seed):
-    return next(c for c in walk_self_dual(n, seed) if c.classify() is CodeType.TYPE_I)
+from test_code import first_row_kernel, permuted_copy
 
 
 def refuse_sweep(rows):
@@ -238,11 +234,15 @@ class TestPreconditions:
         with pytest.raises(InternalConsistencyError, match="all-ones"):
             neighborhood_containing(bad)
 
-    def test_c_max_beyond_the_cap_refused_before_any_sweep(self, monkeypatch):
-        # n=64: c_max has dimension 31, above the enumeration cap of 30
-        refuse_searches(monkeypatch)
-        with pytest.raises(EnumerationCapError, match="dimension 31"):
-            neighborhood_of(first_type1(64, 0))
+    def test_c_max_beyond_the_sweep_cap_needs_no_sweep(self, monkeypatch):
+        # n=64: c_max has dimension 31, past the sweep's cap of 30, and only
+        # the Brouwer-Zimmermann rounds of the members run
+        monkeypatch.setattr(code, "_gray_blocks", refuse_sweep)
+        nb = neighborhood_of(random_self_dual(64, 21, 0))
+        assert nb.c_max.k == 31
+        assert sorted(zip(map(str, nb.member_types), nb.member_distances)) == [
+            ("TypeI", 6), ("TypeII", 8), ("TypeII", 8)
+        ]
 
 
 class TestNeighborRelation:
@@ -699,9 +699,9 @@ class TestDistanceCrossCheck:
 
 
 class TestPaperLength:
-    """n=56, the length of the paper's singly-even (56, 28, 12) question:
-    c_max has dimension 27, no Gray sweep runs, and minimum_distance runs
-    only in the checks."""
+    """n=56 and n=72, the lengths of the paper's singly-even (56, 28, 12) and
+    doubly-even (72, 36, 16) questions: no Gray sweep runs, and at n=56
+    minimum_distance runs only in the checks."""
 
     def test_neighborhood_at_n56(self, monkeypatch):
         def refuse_distance(c):
@@ -718,3 +718,17 @@ class TestPaperLength:
         for check in (verify_no_better_type1, verify_singly_even_range):
             assert check(nb).passed is True
         assert verify_distance2_coincidence(nb).passed is not False
+
+    @pytest.mark.parametrize("n", [64, 72])
+    def test_neighborhood_invariant_under_permutation(self, monkeypatch, n):
+        # c_max has dimension 31 or 35; the permuted copy's members take
+        # other information sets, so their searches draw other rounds
+        monkeypatch.setattr(code, "_gray_blocks", refuse_sweep)
+        c = random_self_dual(n, 30, 0)
+        assert c.classify() is CodeType.TYPE_I
+        pairs, copy_pairs = (
+            sorted(zip(map(str, nb.member_types), nb.member_distances))
+            for nb in map(neighborhood_of, (c, permuted_copy(c, n)))
+        )
+        assert pairs == copy_pairs
+        assert all(d <= extremal_bound(n, CodeType(t)) for t, d in pairs)
