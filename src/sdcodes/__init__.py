@@ -35,7 +35,6 @@ from .neighborhood import (
     random_self_dual,
     verify_distance2_coincidence,
     verify_no_better_type1,
-    verify_singly_even_range,
     walk_self_dual,
 )
 
@@ -76,7 +75,6 @@ __all__ = [
     "serialize_matrix",
     "verify_distance2_coincidence",
     "verify_no_better_type1",
-    "verify_singly_even_range",
     "walk_self_dual",
     "weight",
 ]

@@ -28,7 +28,6 @@ from .neighborhood import (
     neighborhood_of,
     verify_distance2_coincidence,
     verify_no_better_type1,
-    verify_singly_even_range,
     walk_self_dual,
 )
 
@@ -115,7 +114,6 @@ def _cmd_neighborhood(args) -> int:
     verdicts = [
         verify_no_better_type1(nb),
         verify_distance2_coincidence(nb),
-        verify_singly_even_range(nb),
     ]
     failed = any(v.passed is False for v in verdicts)
     members = []

@@ -11,8 +11,7 @@ subcode, so the triple can be reconstructed from any one Type I member.
 A member's words outside c_max are those with odd product with another
 coset, so the Brouwer-Zimmermann rounds (code._bz_rounds) of each member on
 rows tagged with that product find its coset's canonical representative and
-its distance.  The singly-even verdict comes from the Type I representative,
-so nothing is swept and no check enumerates the dual of c_max.
+its distance; nothing is swept.
 """
 
 from __future__ import annotations
@@ -352,27 +351,3 @@ def verify_distance2_coincidence(nb: Neighborhood) -> Verdict:
         details={"type1_distance": d1, "type2_distances": [d2a, d2b]},
     )
 
-
-def verify_singly_even_range(nb: Neighborhood) -> Verdict:
-    """Singly-even words of dual(c_max) have weights in [d, n - d].
-
-    d is the minimum distance of the Type I member.  c_max and the Type II
-    cosets are doubly-even, so the singly-even words are the Type I coset:
-    2^(n/2-1) words, the lightest of the weight w_I of its representative and
-    the heaviest, their complements, of n - w_I.  d = min(d(c_max), w_I), so
-    the check holds by construction and enumerates nothing.
-    """
-    n = nb.c_max.n
-    d = nb.type1_distance()
-    lo = nb.representatives[nb.member_types.index(CodeType.TYPE_I)].weight()
-    return Verdict(
-        check="singly_even_range",
-        passed=d <= lo,
-        details={
-            "distance": d,
-            "length": n,
-            "min_singly_even": lo,
-            "max_singly_even": n - lo,
-            "count_singly_even": 1 << (n // 2 - 1),
-        },
-    )

@@ -114,9 +114,7 @@ class TestNeighborhood:
             "TypeI", "TypeII", "TypeII",
         ]
         checks = {v["check"]: v["passed"] for v in record["verdicts"]}
-        assert checks["no_better_type1"] is True
-        assert checks["distance2_coincidence"] is True
-        assert checks["singly_even_range"] is True
+        assert checks == {"no_better_type1": True, "distance2_coincidence": True}
 
     def test_second_triple_verdicts(self, capsys):
         status, out, _ = run_cli(capsys, "neighborhood", "fixture:G4", "--json")
@@ -155,8 +153,8 @@ class TestNeighborhood:
 
     def test_no_sweep_per_neighborhood(self, capsys, monkeypatch, tmp_path):
         # representatives and member distances come from one Brouwer-Zimmermann
-        # search per member, the singly-even verdict from the Type I
-        # representative, and neither c_max nor its dual is swept
+        # search per member, the verdicts from those distances, and neither
+        # c_max nor its dual is swept
         sweeps = []
         blocks = code._gray_blocks
 

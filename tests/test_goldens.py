@@ -42,9 +42,9 @@ GOLDENS = [
     (["dual", "fixture:G3"], None, 0,
      "4e313c1fa88b0164b1b5321ed35fb0e8b42370ec9923d7ffcdb1ba8763630516"),
     (["neighborhood", "fixture:G3"], None, 0,
-     "ae649519118dbe83fd90b00293b95e28c5d341dfb1cec3e40cc88fbd86f142fb"),
+     "45120f4db71f49ded5981433cc4723e1db4df114d472b5ad082aee5b20c709a2"),
     (["neighborhood", "fixture:G4"], None, 0,
-     "78463e7dda18938d7437ebae3a69e62ae71de9d644b854016cdc1c9d8a64ae70"),
+     "1ab97970067dba5222a87e5a71f6f59bface7eb3f1c0b26aa5d019e18848a84e"),
     (["neighbors", "fixture:G1", "fixture:G2"], None, 0,
      "1a5a4cb7afca86961ddbfd620e4244fff2ca6c5eaf463a2a92360139e4956a93"),
     (["equivalent", "fixture:G1", "fixture:G2"], None, 0,
@@ -61,7 +61,7 @@ GOLDENS = [
      "108243de4356c7b84ab23e320e3848e9e2777e4893c24887a996f9cda6950633"),
     # a valid Type I input whose no_better_type1 verdict fails (d=6 vs 4, 4)
     (["neighborhood", "-"], "walk32", 1,
-     "2f15833d9d68798c848e2912bb8426ec4ceb1f35c99ece44870591c9f666f58f"),
+     "0ece5574e52790b0b8e38bf23f293a9a880743b0dc1a9a447d4af1c00a244784"),
     # seeded coordinate permutations of a fixture: pins the DFS witness
     (["equivalent", "fixture:G1", "-"], "G1perm", 0,
      "ac1583f8205860e0d0fc024f60905dd2b6ab2de1d947a002017a470fdaf59f0f"),
@@ -77,7 +77,7 @@ GOLDENS = [
     # a Type I neighborhood at n=40: c_max has k=19, so its sweep spans
     # eight 2^16-word Gray blocks
     (["neighborhood", "-"], "walk40", 0,
-     "57ad36c36e0f9862cffefde005229badb6b2979988bf9c7eea69fdb3e86d3d05"),
+     "8b7d08b5fe949be6ba3ae68ddd9774806c785293dcbacf74a99c5fbbf9b8f2bb"),
     # n=32 walk codes: a seeded permutation of one (pins the witness), and
     # an inequivalent pair with equal weight enumerators
     (["equivalent", "walk32.txt", "-"], "walk32perm", 0,
@@ -89,7 +89,7 @@ GOLDENS = [
     (["search", "--n", "64", "--steps", "200", "--seed", "0"], None, 0,
      "05424db25f54508d8ccbd217618b130f9f352b78e52e2f1ea98f69e0119dbcb5"),
     (["neighborhood", "-"], "walk64", 0,
-     "b7e2af110327f6f9fd35c4603ae871d52aca02b24ee405a8803a213f2fb0e15f"),
+     "1b13c458690a87f98d040bbce8c2a786690ce1a5d1cfd677282eaefab9951a40"),
 ]
 
 # the same shape as GOLDENS, run without --json
@@ -99,9 +99,9 @@ HUMAN_GOLDENS = [
     (["dual", "fixture:G3"], None, 0,
      "73734023824f22986d0087f4b95063fe9bf1d6badfb67b2985f0a089b9dbd50e"),
     (["neighborhood", "fixture:G3"], None, 0,
-     "b88e5293d5d4f7fd561b3fffe3093054a43a20f42e8bd857ca5b774203543bec"),
+     "fa0ba53d8d7e2a7fdd7983829a9379afa6a884fa646d8a93842f222745bfd881"),
     (["neighborhood", "fixture:G4"], None, 0,
-     "9de58a027f2c5ea07fe9f1d9c3dbb1b4175734e98508ff96e25a84071a1829d1"),
+     "2e032ba2ade132aa6ab3ced91978c915c1bf6e324e8328e2edfbf98680491913"),
     (["search", "--n", "32", "--steps", "12", "--seed", "19", "--report-best"], None, 0,
      "27f415c29c4f086e006c0563b69bcb66d8f8a1227fd56a83af299b0b55a60f3b"),
     (["search", "--n", "64", "--steps", "30", "--no-distance", "--report-best"], None, 0,

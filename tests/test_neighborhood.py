@@ -17,7 +17,6 @@ from sdcodes.neighborhood import (
     random_self_dual,
     verify_distance2_coincidence,
     verify_no_better_type1,
-    verify_singly_even_range,
     walk_self_dual,
 )
 
@@ -523,53 +522,33 @@ class TestVerdicts:
         v2 = verify_distance2_coincidence(nb2)
         assert v2.passed is None
 
-    def test_singly_even_ranges_frozen(self, triples):
-        nb1, nb2 = triples
-        v1 = verify_singly_even_range(nb1)
-        assert v1.passed is True
-        assert v1.details["min_singly_even"] == 2
-        assert v1.details["max_singly_even"] == 22
-        assert v1.details["count_singly_even"] == 2048
-        v2 = verify_singly_even_range(nb2)
-        assert v2.passed is True
-        assert v2.details["min_singly_even"] == 6
-        assert v2.details["max_singly_even"] == 18
-        assert v2.details["count_singly_even"] == 2048
-
-    def test_singly_even_range_on_walk_neighborhoods(self):
+    def test_type1_bound_on_walk_neighborhoods(self):
         for seed in (3, 4):
             c = random_self_dual(16, 8, seed)
             if c.classify() is CodeType.TYPE_II:
                 continue
-            nb = neighborhood_of(c)
-            assert verify_no_better_type1(nb).passed is True
-            assert verify_singly_even_range(nb).passed is True
+            assert verify_no_better_type1(neighborhood_of(c)).passed is True
 
 
 class TestOneSweep:
-    """The singly-even verdict reads its details off the Type I
-    representative in closed form; an enumeration of the dual is the
-    oracle."""
+    """The singly-even words of dual(c_max) are the Type I coset, so the Type
+    I representative gives their least weight in closed form; an enumeration
+    of the dual is the oracle."""
 
     def test_singly_even_details_match_the_dual_sweep(self, triples):
         nbs = list(triples)
         nbs += [neighborhood_of(c) for n in (8, 16, 24, 32) for c in type1_walk_codes(n, 3)]
         nbs += [neighborhood_of(c) for c in type1_walk_codes(40, 1)]
         for nb in nbs:
+            n = nb.c_max.n
             oracle = nb.c_max.dual().weight_enumerator()
-            assert oracle.total() == 1 << (nb.c_max.n // 2 + 1)
+            assert oracle.total() == 1 << (n // 2 + 1)
             singly = {w: c for w, c in oracle.items() if w % 4 == 2}
-            n, d = nb.c_max.n, nb.type1_distance()
-            lo, hi = min(singly), max(singly)
-            v = verify_singly_even_range(nb)
-            assert v.passed is (d <= lo and hi <= n - d) is True
-            assert v.details == {
-                "distance": d,
-                "length": n,
-                "min_singly_even": lo,
-                "max_singly_even": hi,
-                "count_singly_even": sum(singly.values()),
-            }
+            w1 = nb.representatives[nb.member_types.index(CodeType.TYPE_I)].weight()
+            # 1 lies in c_max, so the heaviest are the complements of the lightest
+            assert (min(singly), max(singly)) == (w1, n - w1)
+            assert sum(singly.values()) == 1 << (n // 2 - 1)
+            assert nb.type1_distance() <= w1
 
     def test_verdict_enumerates_nothing(self, monkeypatch, triples):
         def refuse(self):
@@ -578,7 +557,8 @@ class TestOneSweep:
         monkeypatch.setattr(LinearCode, "dual", refuse)
         monkeypatch.setattr(LinearCode, "weight_enumerator", refuse)
         for nb in triples:
-            assert verify_singly_even_range(nb).passed is True
+            assert verify_no_better_type1(nb).passed is True
+            assert verify_distance2_coincidence(nb).passed is not False
 
 
 class TestCosetRepresentatives:
@@ -715,8 +695,7 @@ class TestPaperLength:
         for member, rep, d in zip(nb.members, nb.representatives, nb.member_distances):
             assert member.minimum_distance() == d
             assert member.contains(rep) and not nb.c_max.contains(rep)
-        for check in (verify_no_better_type1, verify_singly_even_range):
-            assert check(nb).passed is True
+        assert verify_no_better_type1(nb).passed is True
         assert verify_distance2_coincidence(nb).passed is not False
 
     @pytest.mark.parametrize("n", [64, 72])
