@@ -15,11 +15,12 @@ result of an O(k) certificate that derives it from the stored result of the
 code it came from.
 Weight enumeration and codeword listing stream all 2^k codewords with one
 Gray-code sweep.  The lightest words of a span, for minimum distance, for
-the coset representatives of a neighborhood and for the light words that
-the equivalence search maps (_words_by_weight), come from one
-Brouwer-Zimmermann search instead (_bz_rounds): rounds of sums of few rows
-of generators systematic on disjoint information sets, each with a bound on
-the weight of every word not yet seen.  One cap bounds both: a sweep or search
+the coset representatives of a neighborhood (_coset_leader) and for the
+light words that the equivalence search maps (_words_by_weight), come from
+one Brouwer-Zimmermann search instead (_bz_rounds), whose sums are weighed
+only here: rounds of sums of few rows of generators systematic on disjoint
+information sets, each with a bound on the weight of every word not yet
+seen.  One cap bounds both: a sweep or search
 that would draw over 2^DEFAULT_ENUMERATION_CAP words (2^k per sweep, C(k, w)
 per generator per round) is an explicit error, not a silent approximation.
 """
@@ -43,6 +44,7 @@ from .gf2 import (
     _orthogonal_rows,
     _reduced,
     _rref_ints,
+    _to01,
 )
 
 DEFAULT_ENUMERATION_CAP = 30
@@ -256,7 +258,7 @@ def _pairwise_orthogonal(rows: Sequence[int]) -> bool:
 _BLOCK_BITS = 16
 # row sums that _level_sums keeps per generator, bounding its memory
 _LEVEL_WORDS = 1 << _BLOCK_BITS
-# a bytes.translate table: odd weights kept, even ones past any weight of a sum
+# a bytes.translate table: odd weights kept, even ones past any tagged weight
 _ODD = bytes(w if w & 1 else 255 for w in range(256))
 
 
@@ -381,6 +383,42 @@ def _words_by_weight(code: LinearCode) -> Iterator[tuple[int, set[int]]]:
         while w < bound and w <= code.n:
             yield w, set(compress(drawn, weights.translate(_only(w))))
             w += 1
+
+
+def _coset_leader(code: LinearCode, tag: int) -> tuple[int, str, int]:
+    """(w, x, d) from one Brouwer-Zimmermann search of an even code: the least
+    weight w of a word with odd product with tag, the row text x of the least
+    such word of weight w, and the minimum distance d.
+
+    Each generator row is lifted to the int of its row text, so that integer
+    order is text order, shifted up over a tag bit holding its product with
+    tag; a sum's ones are odd exactly when it is tagged.  The sums are weighed
+    into bytes, _LEVEL_WORDS at a time, and the lightest tagged ones are cut
+    out by bytes.translate.  A byte holds weights to 254 (255 marks even ones
+    in _ODD), so a heavier sum raises.  Once w is below the round's bound,
+    every tagged word of weight w has been seen, and the lightest sum is d.
+    """
+    n = code.n
+    best, least = (n + 2, 0), n + 2
+    for sums, bound in _bz_rounds(code, lambda r: int(_to01(r, n), 2) << 1 | (r & tag).bit_count() & 1):
+        sums = iter(sums)
+        while chunk := list(islice(sums, _LEVEL_WORDS)):
+            try:
+                ones = bytes(map(int.bit_count, chunk))
+                if 255 in ones:
+                    raise ValueError
+            except ValueError:
+                raise EnumerationCapError(
+                    "instance too large: a row sum of the coset search weighs 255 or more "
+                    "with its tag bit, past the weight limit 254 of its byte weights"
+                ) from None
+            least = min(least, min(ones))
+            odd = min(ones.translate(_ODD))
+            if odd <= best[0]:
+                best = min(best, (odd, min(compress(chunk, ones.translate(_only(odd))))))
+        if best[0] - 1 < bound:
+            break
+    return best[0] - 1, format(best[1] >> 1, f"0{n}b"), least & ~1
 
 
 def _only(w: int) -> bytes:

@@ -9,9 +9,9 @@ one of the three is Type I and the common subcode is its maximal doubly-even
 subcode, so the triple can be reconstructed from any one Type I member.
 
 A member's words outside c_max are those with odd product with another
-coset, so the Brouwer-Zimmermann rounds (code._bz_rounds) of each member on
-rows tagged with that product find its coset's canonical representative and
-its distance; nothing is swept.
+coset, so one Brouwer-Zimmermann search of each member on rows tagged with
+that product (code._coset_leader) finds its coset's canonical
+representative and its distance; nothing is swept.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import compress, islice
+from itertools import islice
 from operator import or_, xor
 from typing import Iterator, Mapping
 
-from .code import _LEVEL_WORDS, _ODD, CodeType, InternalConsistencyError, LinearCode, _bz_rounds, _only
+from .code import CodeType, InternalConsistencyError, LinearCode, _coset_leader
 from .gf2 import BitVector, _insert_rref, _kernel_rows
 
 
@@ -72,48 +72,6 @@ class Neighborhood:
         return (pair[0], pair[1])
 
 
-# a bytes.translate table: each byte to the byte of its bits in reverse order
-_REV = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
-def _reversed_bits(v: int, n: int) -> int:
-    # coordinate 0 becomes the most significant bit, so integer order on the
-    # result is lexicographic order on the 0/1 coordinate string; read
-    # big-endian, the little-endian bytes come in reverse order, and _REV
-    # reverses the bits within each
-    nb = (n + 7) // 8
-    return int.from_bytes(v.to_bytes(nb, "little").translate(_REV), "big") >> (8 * nb - n)
-
-
-def _coset_leader(member: LinearCode, tag: int) -> tuple[int, int, int]:
-    """(w, x, d) from one Brouwer-Zimmermann search of member: the least
-    weight w of a word with odd product with tag, the least such word x of
-    weight w with its bits reversed, and the minimum distance d.
-
-    Each generator row becomes its bit reversal, so that integer order is
-    lexicographic order, shifted up over a tag bit holding its product with
-    tag.  A sum's ones count its tag, and member words have even weight, so
-    they are odd exactly on tagged sums.  The sums are weighed into bytes,
-    _LEVEL_WORDS at a time, and the lightest tagged ones are cut out by
-    bytes.translate.  Once w is below the round's bound on every word not yet
-    seen, every tagged word of weight w has been seen, and the lightest of
-    all sums is d.
-    """
-    n = member.n
-    best, least = (n + 2, 0), n + 2
-    for sums, bound in _bz_rounds(member, lambda r: _reversed_bits(r, n) << 1 | (r & tag).bit_count() & 1):
-        sums = iter(sums)
-        while chunk := list(islice(sums, _LEVEL_WORDS)):
-            ones = bytes(map(int.bit_count, chunk))
-            least = min(least, min(ones))
-            odd = min(ones.translate(_ODD))
-            if odd <= best[0]:
-                best = min(best, (odd, min(compress(chunk, ones.translate(_only(odd))))))
-        if best[0] - 1 < bound:
-            break
-    return best[0] - 1, best[1] >> 1, least & ~1
-
-
 def neighborhood_containing(c_max: LinearCode) -> Neighborhood:
     """Build the three self-dual extensions of a doubly-even c_max.
 
@@ -157,7 +115,7 @@ def neighborhood_containing(c_max: LinearCode) -> Neighborhood:
     return Neighborhood(
         c_max=c_max,
         members=members,
-        representatives=tuple(BitVector(n, _reversed_bits(x, n)) for x in words),
+        representatives=tuple(map(BitVector.from_string, words)),
         member_types=types,
         member_distances=distances,
     )

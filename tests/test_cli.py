@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from itertools import islice
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from sdcodes import cli, code, gf2
 from sdcodes.fixtures_io import fixture, serialize_matrix
 from sdcodes.gf2 import BitMatrix
-from sdcodes.neighborhood import random_self_dual, walk_self_dual
+from sdcodes.neighborhood import double_pair_code, random_self_dual, walk_self_dual
 
 
 def run_cli(capsys, *argv):
@@ -150,6 +151,17 @@ class TestNeighborhood:
         (record,) = json_lines(out)
         assert status == 0 and record["c_max_dimension"] == 31
         assert sorted(m["distance"] for m in record["members"]) == [6, 8, 8]
+
+    def test_heavy_coset_sums_refused_with_the_weight_limit(self, capsys, tmp_path):
+        # the double-pair code at n=512 has member sums of weight 256 and more,
+        # past what a byte holds; the search refuses them in its first rounds
+        path = tmp_path / "double512.txt"
+        path.write_text(serialize_matrix(double_pair_code(512).generator))
+        start = time.perf_counter()
+        status, out, err = run_cli(capsys, "neighborhood", str(path))
+        assert time.perf_counter() - start < 1
+        assert status == 2 and out == ""
+        assert "coset search weighs 255 or more" in err and "weight limit 254" in err
 
     def test_no_sweep_per_neighborhood(self, capsys, monkeypatch, tmp_path):
         # representatives and member distances come from one Brouwer-Zimmermann

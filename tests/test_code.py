@@ -471,7 +471,7 @@ class TestBrouwerZimmermann:
             lifts.append(lift)
             return _bz_rounds(c, lift)
 
-        monkeypatch.setattr(neighborhood, "_bz_rounds", spy)
+        monkeypatch.setattr(code, "_bz_rounds", spy)
         divisors, uneven_self_orthogonal = set(), 0
         for c in filter(lambda c: c.k, codes):
             words = set(_gray_words(c.rows)) - {0}
@@ -489,7 +489,7 @@ class TestBrouwerZimmermann:
             assert not unseen
             # (c) with the lift of _coset_leader, each round is the lift of the plain one
             lifts.clear()
-            neighborhood._coset_leader(c, rng.getrandbits(c.n))
+            code._coset_leader(c, rng.getrandbits(c.n))
             (lift,) = lifts
             for (plain, bound), (lifted, lifted_bound) in zip(_bz_rounds(c), _bz_rounds(c, lift), strict=True):
                 assert Counter(map(lift, plain)) == Counter(lifted) and bound == lifted_bound
@@ -573,6 +573,25 @@ class TestRowSumCap:
         monkeypatch.setattr(code, "DEFAULT_ENUMERATION_CAP", 4)
         with pytest.raises(EnumerationCapError, match=r"round 1 .* to 32, past the enumeration cap 2\^4$"):
             c.minimum_distance()
+
+
+class TestCosetWeightLimit:
+    """_coset_leader weighs sums into bytes with their tag bit, and refuses a
+    sum that weighs 255 or more instead of misreading it."""
+
+    @pytest.mark.parametrize("n,tag", [(254, 1), (256, 0), (300, 1)])
+    def test_heavy_sums_refused(self, n, tag):
+        # the all-ones row weighs n plus its tag: 255 is _ODD's mark of an
+        # even weight, and a weight past 255 does not fit a byte
+        with pytest.raises(EnumerationCapError, match="weight limit 254"):
+            code._coset_leader(LinearCode(n, [(1 << n) - 1]), tag)
+
+    def test_light_sums_at_any_length(self):
+        # on the first four coordinates the words are 1100, 0011 and 1111;
+        # of the two tagged by 1010 the least text wins, not the least int
+        c = LinearCode(400, [0b11, 0b1100])
+        assert code._coset_leader(c, 0b1) == (2, "11" + "0" * 398, 2)
+        assert code._coset_leader(c, 0b101) == (2, "0011" + "0" * 396, 2)
 
 
 def permuted_copy(c, seed):

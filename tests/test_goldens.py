@@ -74,8 +74,8 @@ GOLDENS = [
      "4a65787fc20fd58933f33b250946161b37a2635cde7bf7323d9a22b8d994a56e"),
     (["info", "-"], "walk40", 0,
      "8f3de16bafe5861f30a1fbf3a25a85288a2fb0f9dae88fca6e976a8adf1dfd14"),
-    # a Type I neighborhood at n=40: c_max has k=19, so its sweep spans
-    # eight 2^16-word Gray blocks
+    # a Type I neighborhood at n=40: c_max has k=19, and each member's
+    # representative and distance come from one Brouwer-Zimmermann search
     (["neighborhood", "-"], "walk40", 0,
      "8b7d08b5fe949be6ba3ae68ddd9774806c785293dcbacf74a99c5fbbf9b8f2bb"),
     # n=32 walk codes: a seeded permutation of one (pins the witness), and

@@ -588,7 +588,7 @@ class TestCosetRepresentatives:
     def test_sums_weighed_in_small_chunks(self, monkeypatch, searched):
         # chunks of 3 sums split every round past the first, so the least
         # tagged word and the least weight are each taken over many chunks
-        monkeypatch.setattr(neighborhood, "_LEVEL_WORDS", 3)
+        monkeypatch.setattr(code, "_LEVEL_WORDS", 3)
         for nb, _ in searched:
             again = neighborhood_containing(nb.c_max)
             assert again.representatives == nb.representatives
@@ -601,11 +601,12 @@ class TestCosetRepresentatives:
         for nb, offsets in searched:
             n = nb.c_max.n
             for i, m in enumerate(nb.members):
-                found = {neighborhood._coset_leader(m, g) for j, g in enumerate(offsets) if j != i}
+                found = {code._coset_leader(m, g) for j, g in enumerate(offsets) if j != i}
                 ((w, x, d),) = found
-                rep = BitVector(n, neighborhood._reversed_bits(x, n))
-                assert (rep, d) == (nb.representatives[i], nb.member_distances[i])
-                assert neighborhood._coset_leader(m, offsets[i])[0] > n
+                rep = nb.representatives[i]
+                assert (w, x, d) == (rep.weight(), rep.to01(), nb.member_distances[i])
+                assert len(x) == n and m.contains(BitVector.from_string(x))
+                assert code._coset_leader(m, offsets[i])[0] > n
 
     def test_c_max_distance_matches_the_oracle(self, searched):
         for nb, _ in searched:
@@ -617,14 +618,6 @@ class TestCosetRepresentatives:
         refuse_searches(monkeypatch)
         with pytest.raises(InternalConsistencyError, match="all-ones"):
             neighborhood_containing(bad)
-
-
-class TestReversedBits:
-    def test_matches_the_string_form(self):
-        rng = random.Random(80)
-        for n in range(1, 81):
-            for v in [0, (1 << n) - 1, 1, 1 << (n - 1)] + [rng.getrandbits(n) for _ in range(40)]:
-                assert neighborhood._reversed_bits(v, n) == int(gf2._to01(v, n), 2)
 
 
 def type1_walk_codes(n, count):
