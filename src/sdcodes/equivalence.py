@@ -207,7 +207,7 @@ def are_permutation_equivalent(
     groups1: dict[int, list[int]] = {}
     groups2: dict[int, set[int]] = {}
     prof1 = prof2 = [()] * n
-    basis, span = [], []
+    basis, span, pivots = [], [], []
     for (w, words1), (_, words2) in zip(_words_by_weight(c1), _words_by_weight(c2)):
         if len(words1) != len(words2):
             return None
@@ -219,12 +219,12 @@ def are_permutation_equivalent(
         groups1[w] = sorted(words1)
         groups2[w] = words2
         for x in groups1[w]:
-            grown = _insert_rref(span, x)
+            grown, grown_pivots = _insert_rref(span, pivots, x)
             if len(grown) > len(span):
                 basis.append(x)
                 if len(basis) == k:
                     break
-                span = grown
+                span, pivots = grown, grown_pivots
         if len(basis) == k:
             break
 

@@ -10,6 +10,9 @@ space is built from one check and two moves, each O(k) row operations:
 _rref_pivots accepts rows that are already reduced (and returns their
 pivots, which a code keeps), _insert_rref adds one vector to a span, and
 _kernel_rows cuts a span down to the kernel of a linear functional.
+_insert_rref reads the pivots of its rows from its caller, which holds them
+(a code stores them, elimination keeps them beside its rows), and returns
+the pivots of the result with its rows, so no pivot is computed twice.
 Elimination is k inserts; a dual or an orthogonal complement is one cut per
 check, starting from the unit rows.
 """
@@ -17,7 +20,6 @@ check, starting from the unit rows.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import reduce
 from operator import lt
 from typing import Iterable, Iterator, Sequence
 
@@ -119,12 +121,13 @@ def _to01(bits: int, n: int) -> str:
 def _from01(text: str) -> tuple[int, int]:
     """The (width, bits) of a row text, spaces ignored: the inverse of _to01.
 
-    The symbols are checked and converted by str and int methods, with no
-    Python step per character; int's limit on digits does not apply to base
-    2, so rows of MAX_LENGTH symbols convert.
+    The symbols are checked by str and bytes methods (ASCII, and nothing
+    left once bytes.translate deletes the 0s and 1s) and converted by int,
+    with no Python step per character; int's limit on digits does not apply
+    to base 2, so rows of MAX_LENGTH symbols convert.
     """
     symbols = text.replace(" ", "")
-    if symbols.strip("01"):
+    if not symbols.isascii() or symbols.encode().translate(None, b"01"):
         pos = next(i for i, ch in enumerate(text, 1) if ch not in "01 ")
         raise ValueError(f"position {pos}: invalid symbol {text[pos - 1]!r}")
     return len(symbols), int(symbols[::-1] or "0", 2)
@@ -234,19 +237,23 @@ def _rref_ints(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
     fit in ncols bits.
 
     The reduced form of a row space is unique, so rows that pass
-    _rref_pivots come back as they are, without elimination; the pivots of
-    eliminated rows are computed once from them.
+    _rref_pivots come back as they are, without elimination; elimination
+    keeps the pivots beside the rows it builds.
     """
     pivots = _rref_pivots(rows, ncols)
     if pivots is not None:
         return list(rows), pivots
-    rows = _eliminate(rows)
-    return rows, [r & -r for r in rows]
+    return _eliminate(rows)
 
 
-def _eliminate(rows: Iterable[int]) -> list[int]:
-    """Gauss-Jordan elimination: the rows inserted one at a time."""
-    return reduce(_insert_rref, rows, [])
+def _eliminate(rows: Iterable[int]) -> tuple[list[int], list[int]]:
+    """Gauss-Jordan elimination: the rows inserted one at a time; returns the
+    RREF rows and their pivots."""
+    out: list[int] = []
+    pivots: list[int] = []
+    for x in rows:
+        out, pivots = _insert_rref(out, pivots, x)
+    return out, pivots
 
 
 def _reduced(rows: Sequence[int], bits: int, pivots: Sequence[int]) -> int:
@@ -258,21 +265,25 @@ def _reduced(rows: Sequence[int], bits: int, pivots: Sequence[int]) -> int:
     return bits
 
 
-def _insert_rref(rows: Sequence[int], x: int) -> list[int]:
-    """RREF rows of span(rows) + x, from RREF rows, in O(k) row operations.
+def _insert_rref(
+    rows: Sequence[int], pivots: Sequence[int], x: int
+) -> tuple[list[int], list[int]]:
+    """RREF rows of span(rows) + x and their pivots, from RREF rows and their
+    pivots, in O(k) row operations.
 
-    x is reduced at the existing pivots; if anything is left, its lowest bit
-    q becomes a new pivot, x is added to the rows with a bit at q (their
-    pivots lie below q, so they keep them) and x goes in by pivot order.
+    x is reduced at the given pivots; if anything is left, its lowest bit q
+    becomes a new pivot, x is added to the rows with a bit at q (their
+    pivots lie below q, so they keep them) and x and q go in by pivot order.
+    The pivots are read, not computed again.
     """
-    pivots = [r & -r for r in rows]
     x = _reduced(rows, x, pivots)
     if not x:
-        return list(rows)
+        return list(rows), list(pivots)
     q = x & -x
+    i = bisect_left(pivots, q)
     out = [r ^ x if r & q else r for r in rows]
-    out.insert(bisect_left(pivots, q), x)
-    return out
+    out.insert(i, x)
+    return out, [*pivots[:i], q, *pivots[i:]]
 
 
 def _kernel_rows(rows: Sequence[int], t: Sequence[int]) -> list[int]:
@@ -288,8 +299,14 @@ def _kernel_rows(rows: Sequence[int], t: Sequence[int]) -> list[int]:
     """
     if 1 not in t:
         return list(rows)
-    j = len(t) - 1 - t[::-1].index(1)
+    j = _dropped(t)
     return [r ^ rows[j] if t[i] else r for i, r in enumerate(rows) if i != j]
+
+
+def _dropped(t: Sequence[int]) -> int:
+    """The index of the row that _kernel_rows drops for the values t, which
+    include a 1: the last row of value 1."""
+    return len(t) - 1 - t[::-1].index(1)
 
 
 def _orthogonal_rows(rows: Sequence[int], checks: Iterable[int]) -> list[int]:

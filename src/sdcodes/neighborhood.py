@@ -17,14 +17,15 @@ representative and its distance; nothing is swept.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import islice
-from operator import or_, xor
+from itertools import compress, count, islice
+from operator import ne, or_, xor
 from typing import Iterator, Mapping
 
 from .code import CodeType, InternalConsistencyError, LinearCode, _coset_leader
-from .gf2 import BitVector, _insert_rref, _kernel_rows
+from .gf2 import BitVector, _dropped, _insert_rref, _kernel_rows
 
 
 def max_doubly_even_subcode(c: LinearCode) -> LinearCode:
@@ -102,7 +103,7 @@ def neighborhood_containing(c_max: LinearCode) -> Neighborhood:
 
     offsets = [gammas[0], gammas[1], gammas[0] ^ gammas[1]]
     # each extension is self-dual, as 1 lies in c_max; classify checks it
-    members = [LinearCode(n, _insert_rref(c_max.rows, g)) for g in offsets]
+    members = [LinearCode(n, _insert_rref(c_max.rows, c_max.pivots, g)[0]) for g in offsets]
     types = [m.classify() for m in members]
     if sorted(t.value for t in types) != ["TypeI", "TypeII", "TypeII"]:
         raise InternalConsistencyError(
@@ -156,34 +157,64 @@ def _meet_dimension(c1: LinearCode, c2: LinearCode) -> int:
 
 
 def _step_certified(c: LinearCode, x: int, out: LinearCode) -> bool:
-    """Whether out is proved self-dual as a step from a self-dual c by an
-    even-weight x.
+    """Whether out is proved self-dual as a step from a self-dual c by x.
 
-    True exactly when out has the dimension of c, every row of out is
-    orthogonal to x, and every row lies in c + <x>.  That proves
-    self-duality: rows a = u + x^i and b = v + x^j with u, v in c have
-    a . b = i (x . v) + j (u . x), and u . x = a . x = 0.  A row with pivot
-    p lies in c + <x> when its difference d from the row of c at p (0 if
-    none) does: when d, reduced at the pivots of c it hits, is 0 or the
-    reduction of x.  A correct step has at most four distinct differences:
-    0, the row of c that the kernel cut dropped, x reduced, and their sum.
-    Soundness rests on two facts only: every word added to a row of out is a
-    row of c, and c is self-orthogonal, as stored with it.  It reads only c,
-    x and out.
+    True exactly when x has even weight, out has the dimension of c, every
+    row of out is orthogonal to x, and every row lies in c + <x>.  That
+    proves self-duality: rows a = u + x^i and b = v + x^j with u, v in c
+    have a . b = u . v + i (x . v) + j (u . x) + ij (x . x), where u . v = 0
+    as c is self-orthogonal, x . x = 0 as x is even, and so u . x = a . x = 0
+    and likewise x . v = 0.
+
+    A row with pivot p lies in c + <x> when its difference d from the row of
+    c at p (0 if none) does: when d, reduced at the pivots of c it hits, is
+    0 or the reduction of x.  The rows are paired by index, not looked up by
+    pivot (_partners), and the row of c at each hit pivot is found by
+    bisection (_cleared).  A correct step has at most four distinct
+    differences: 0, the row of c that the kernel cut dropped, x reduced, and
+    their sum.  Soundness rests on two facts only: every word added to a row
+    of out is a row of c, and c is self-orthogonal, as stored with it.  It
+    reads only c, x and out.
     """
-    if out.k != c.k or any((r & x).bit_count() & 1 for r in out.rows):
+    if x.bit_count() & 1 or out.k != c.k or any((r & x).bit_count() & 1 for r in out.rows):
         return False
-    at_pivot = dict(zip(c.pivots, c.rows))
+    partners = _partners(c, out.pivots)
+    if partners is None:
+        return False
     mask, coset_x = sum(c.pivots), c._reduce(x)
-    diffs = {r ^ at_pivot.get(p, 0) for r, p in zip(out.rows, out.pivots)}
-    return all(_cleared(d, d & mask, at_pivot) in (0, coset_x) for d in diffs)
+    diffs = set(map(xor, out.rows, partners))
+    return all(_cleared(d, d & mask, c) in (0, coset_x) for d in diffs)
 
 
-def _cleared(d: int, hit: int, at_pivot: Mapping[int, int]) -> int:
-    """d plus the row at_pivot[p] for each pivot p set in hit."""
+def _partners(c: LinearCode, pivots: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The row of c at each of k sorted pivots, 0 at a pivot c lacks, when
+    they are the pivots of c with at most one replaced; else None.
+
+    Two such tuples agree outside one block [lo, hi], and inside it one is
+    the other shifted by one place: the new pivot is pivots[lo] when it lies
+    below the one dropped, and pivots[hi] when above.  The block is found
+    and both shifts tried by comparisons at C speed, with no Python step
+    per row and no pivot hashed.
+    """
+    ours = c.pivots
+    if pivots == ours:
+        return c.rows
+    lo = next(compress(count(), map(ne, ours, pivots)))
+    hi = len(ours) - next(compress(count(1), map(ne, reversed(ours), reversed(pivots))))
+    rows = c.rows
+    if pivots[lo + 1 : hi + 1] == ours[lo:hi]:
+        return (*rows[:lo], 0, *rows[lo:hi], *rows[hi + 1 :])
+    if pivots[lo:hi] == ours[lo + 1 : hi + 1]:
+        return (*rows[:lo], *rows[lo + 1 : hi + 1], 0, *rows[hi + 1 :])
+    return None
+
+
+def _cleared(d: int, hit: int, c: LinearCode) -> int:
+    """d plus the row of c at each pivot set in hit, each found by bisection
+    on the sorted pivots of c."""
     while hit:
         p = hit & -hit
-        d ^= at_pivot[p]
+        d ^= c.rows[bisect_left(c.pivots, p)]
         hit ^= p
     return d
 
@@ -218,7 +249,10 @@ def _step(c: LinearCode, x: int) -> LinearCode | None:
     t = [(r & x).bit_count() & 1 for r in c.rows]
     if 1 not in t:
         return None
-    out = LinearCode(c.n, _insert_rref(_kernel_rows(c.rows, t), x))
+    # the kernel cut keeps every pivot of c but that of the row it drops
+    j = _dropped(t)
+    rows, _ = _insert_rref(_kernel_rows(c.rows, t), c.pivots[:j] + c.pivots[j + 1 :], x)
+    out = LinearCode(c.n, rows)
     if not _step_certified(c, x, out):
         raise InternalConsistencyError("neighbor step produced a non-self-dual code")
     object.__setattr__(out, "_self_orthogonal", True)

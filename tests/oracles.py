@@ -7,8 +7,10 @@ data layout, different algorithms, same answers.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import permutations, product
 
+from sdcodes.code import InternalConsistencyError, LinearCode
 from sdcodes.fixtures_io import MatrixFormatError
 
 
@@ -200,3 +202,52 @@ def o_parse_matrix(text) -> tuple[int, list[tuple[int, ...]]]:
     if ncols is None:
         raise MatrixFormatError("no matrix data found")
     return ncols, rows
+
+
+# The neighbor step on packed ints, as a reference for the library's: its
+# certificate pairs each row with the row of c at the same pivot through a
+# dict, and the insertion of x computes the pivots of the kernel rows from
+# them.  Only x of even weight is a step; the certificate does not check it.
+
+
+def o_step_certified(c, x: int, out) -> bool:
+    """out has the dimension of c, its rows are orthogonal to x, and each
+    row's difference from the row of c at its pivot, cleared at the pivots
+    of c it hits, is 0 or the reduction of x."""
+    if out.k != c.k or any((r & x).bit_count() & 1 for r in out.rows):
+        return False
+    at_pivot = dict(zip(c.pivots, c.rows))
+    mask, coset_x = sum(c.pivots), c._reduce(x)
+    diffs = {r ^ at_pivot.get(p, 0) for r, p in zip(out.rows, out.pivots)}
+    for d in diffs:
+        hit = d & mask
+        while hit:
+            p = hit & -hit
+            d ^= at_pivot[p]
+            hit ^= p
+        if d not in (0, coset_x):
+            return False
+    return True
+
+
+def o_step(c, x: int):
+    """The step of the self-dual c by the even x, or None when x lies in c:
+    the rows of value 1 cut by the last of them, x reduced against the rest
+    and inserted at its lowest bit, the result certified by o_step_certified."""
+    t = [(r & x).bit_count() & 1 for r in c.rows]
+    if 1 not in t:
+        return None
+    j = len(t) - 1 - t[::-1].index(1)
+    kernel = [r ^ c.rows[j] if t[i] else r for i, r in enumerate(c.rows) if i != j]
+    pivots = [r & -r for r in kernel]
+    y = x
+    for row, p in zip(kernel, pivots):
+        if y & p:
+            y ^= row
+    q = y & -y
+    rows = [r ^ y if r & q else r for r in kernel]
+    rows.insert(bisect_left(pivots, q), y)
+    out = LinearCode(c.n, rows)
+    if not o_step_certified(c, x, out):
+        raise InternalConsistencyError("reference step produced a non-self-dual code")
+    return out

@@ -161,9 +161,9 @@ class TestRrefRowHelpers:
             c = random_code(rng, max_n=40, max_rows=12)
             inside = reduce(xor, (r for r in c.rows if rng.getrandbits(1)), 0)
             for x in (rng.getrandbits(c.n), inside, 0):
-                out = _insert_rref(c.rows, x)
+                out, pivots = _insert_rref(c.rows, c.pivots, x)
                 assert out == oracle_rref(list(c.rows) + [x], c.n)
-                assert _rref_pivots(out, c.n) is not None
+                assert _rref_pivots(out, c.n) == pivots
 
 
 class TestSelfOrthogonalityStored:

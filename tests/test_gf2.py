@@ -287,7 +287,7 @@ class TestRrefFastPath:
             for rows in near_rref_inputs(rng, n):
                 full = oracle_rref(rows, n)
                 assert _rref_ints(rows, n) == (full, [r & -r for r in full])
-                assert _eliminate(rows) == full
+                assert _eliminate(rows) == (full, [r & -r for r in full])
                 assert LinearCode(n, rows).rows == tuple(full)
                 # the test passes exactly when elimination changes nothing
                 assert (_rref_pivots(rows, n) is not None) == (full == rows)

@@ -20,7 +20,14 @@ from sdcodes.neighborhood import (
     walk_self_dual,
 )
 
-from oracles import o_coset_leader, o_doubly_even_words, o_min_distance, to_bits
+from oracles import (
+    o_coset_leader,
+    o_doubly_even_words,
+    o_min_distance,
+    o_step,
+    o_step_certified,
+    to_bits,
+)
 from test_code import first_row_kernel, permuted_copy
 
 
@@ -305,6 +312,20 @@ class TestStepWithoutElimination:
                 assert stepped == LinearCode(n, old + [x])
                 c = stepped
 
+    def test_walks_match_the_dict_based_step(self):
+        # words drawn as walk_self_dual draws them, those in c included
+        for n, steps in [*((n, 6) for n in range(8, 129, 8)), (512, 6), (2048, 3)]:
+            rng = random.Random(n)
+            c = double_pair_code(n)
+            while steps:
+                x = rng.getrandbits(n)
+                if x.bit_count() % 2:
+                    continue
+                stepped = neighborhood._step(c, x)
+                assert stepped == o_step(c, x)
+                if stepped is not None:
+                    c, steps = stepped, steps - 1
+
     def test_walk_at_n512_eliminates_nothing(self, monkeypatch):
         monkeypatch.setattr(gf2, "_eliminate", refuse_elimination)
         c = random_self_dual(512, 3, 5)
@@ -340,8 +361,8 @@ class TestStepWithoutElimination:
     @pytest.mark.parametrize(
         "helper, wrong",
         [
-            ("_insert_rref", lambda rows, x: list(rows)),
-            ("_insert_rref", lambda rows, x: list(rows) + [x ^ 1]),
+            ("_insert_rref", lambda rows, pivots, x: (list(rows), list(pivots))),
+            ("_insert_rref", lambda rows, pivots, x: (list(rows) + [x ^ 1], list(pivots))),
             ("_kernel_rows", lambda rows, t: list(rows)),
             # rows of value 1 left as they are: wrong once two rows have value 1
             ("_kernel_rows", lambda rows, t: [r for i, r in enumerate(rows) if i != t.index(1)]),
@@ -386,6 +407,9 @@ class TestStepCertificate:
         # the certificate is sound: whatever it accepts is self-dual
         if ok:
             assert out.k * 2 == out.n and code._pairwise_orthogonal(out.rows)
+        # for a step vector of even weight, it agrees with the dict-based one
+        if x.bit_count() % 2 == 0:
+            assert ok == o_step_certified(c, x, out)
         return ok
 
     @staticmethod
@@ -456,9 +480,23 @@ class TestStepCertificate:
             for bad in (LinearCode(c.n, out.rows[1:]), LinearCode(c.n, [*out.rows, 1 << (c.n - 1)])):
                 assert not self.certify(c, x, bad) and not self.oracle(c, bad)
 
+    def test_rejects_an_odd_step_vector(self):
+        # the kernel rows of an odd x and x + u0, with u0 . x = 1, are
+        # orthogonal to x and lie in c + <x>, but x + u0 is odd, so the code
+        # is not self-orthogonal; the dict-based certificate accepts it
+        for c, _, _, _ in certified_steps():
+            rng = random.Random(c.n)
+            x = draw(rng, c.n, lambda w: w.bit_count() % 2 == 1)
+            t = [(r & x).bit_count() & 1 for r in c.rows]
+            u0 = c.rows[t.index(1)]
+            bad = LinearCode(c.n, first_row_kernel(c.rows, t) + [x ^ u0])
+            assert bad.k == c.k and o_step_certified(c, x, bad)
+            assert not self.certify(c, x, bad) and not self.oracle(c, bad)
+
     def test_at_most_four_differences_reduced(self, monkeypatch):
         # a step's rows differ from the rows of c at their pivots by 0, the
-        # row of c that the kernel cut dropped, x reduced, or their sum
+        # row of c that the kernel cut dropped, x reduced, or their sum; each
+        # of those has a bit at one pivot of c at most, the dropped row's
         steps = [(c, x, out) for c, x, out, _ in certified_steps()]
         c = random_self_dual(512, 3, 5)
         rng = random.Random(5)
@@ -466,18 +504,53 @@ class TestStepCertificate:
             x = step_vector(c, rng)
             steps.append((c, x, neighbor_step(c, BitVector(c.n, x))))
             c = steps[-1][2]
-        reductions = []
+        hits = []
         cleared = neighborhood._cleared
 
-        def counted(d, hit, at_pivot):
-            reductions[-1] += 1
-            return cleared(d, hit, at_pivot)
+        def counted(d, hit, c):
+            hits[-1].append(hit)
+            return cleared(d, hit, c)
 
         monkeypatch.setattr(neighborhood, "_cleared", counted)
         for c, x, out in steps:
-            reductions.append(0)
+            hits.append([])
             assert self.certify(c, x, out)
-            assert 1 <= reductions[-1] <= 4
+            assert 1 <= len(hits[-1]) <= 4
+            assert all(hit.bit_count() <= 1 for hit in hits[-1])
+
+    def test_rows_paired_at_equal_pivots_in_each_shape(self):
+        # the pivots of a step are those of c with the dropped one replaced by
+        # the new one, which is equal to it, below it or above it; in each
+        # shape every row is paired with the row of c at its pivot, or 0
+        shapes = set()
+        for c, x, out, _ in certified_steps():
+            dropped = sum(c.pivots) & ~sum(out.pivots)
+            new = sum(out.pivots) & ~sum(c.pivots)
+            shape = "equal" if not new else "below" if new < dropped else "above"
+            at_pivot = dict(zip(c.pivots, c.rows))
+            partners = neighborhood._partners(c, out.pivots)
+            assert partners == tuple(at_pivot.get(p, 0) for p in out.pivots)
+            assert self.certify(c, x, out)
+            shapes.add(shape)
+        assert shapes == {"equal", "below", "above"}
+
+    def test_rejects_pivots_changed_in_two_places(self):
+        # two steps from c, each replacing one pivot: where the result's
+        # pivots differ from those of c in two places, no shift in one block
+        # turns one tuple into the other
+        found = 0
+        for c, x, out, _ in certified_steps():
+            rng = random.Random(c.n + 1)
+            for _ in range(4):
+                y = step_vector(out, rng)
+                two = neighbor_step(out, BitVector(c.n, y))
+                if len(set(c.pivots) ^ set(two.pivots)) != 4:
+                    continue
+                found += 1
+                assert neighborhood._partners(c, two.pivots) is None
+                for v in (x, y):
+                    assert not self.certify(c, v, two)
+        assert found >= 20
 
 
 class TestWalk:
