@@ -116,10 +116,10 @@ class LinearCode:
     dropped, so two codes are equal exactly when their rows are equal.
     pivots holds the pivot of each row, its lowest set bit as a one-bit int:
     kept from the constructor's RREF check, or computed once from the rows
-    that elimination built.
+    that elimination built.  _pivot_mask, their sum, is kept beside them.
     """
 
-    __slots__ = ("n", "k", "rows", "pivots", "_self_orthogonal")
+    __slots__ = ("n", "k", "rows", "pivots", "_pivot_mask", "_self_orthogonal")
 
     n: int
     k: int
@@ -132,11 +132,12 @@ class LinearCode:
             raise ValueError(f"code length must be in [1, {MAX_LENGTH}], got {n}")
         if rows and (min(rows) < 0 or max(rows) >> n):
             raise ValueError(f"generator rows must fit in {n} bits")
-        rows, pivots = _rref_ints(rows, n)
+        rows, pivots, mask = _rref_ints(rows, n)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", len(rows))
         object.__setattr__(self, "rows", tuple(rows))
         object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "_pivot_mask", mask)
         # the result of is_self_orthogonal, once it has run
         object.__setattr__(self, "_self_orthogonal", None)
 
@@ -172,7 +173,8 @@ class LinearCode:
         immutable, so the pass runs once per code; later calls return the
         stored result.  A code built by neighborhood.neighbor_step or
         double_pair_code has it stored already, proved in O(k) row
-        operations, and runs no pass.
+        operations, and runs no pass; so has the maximal doubly-even
+        subcode of a Type I code, whose rows are sums of rows of that code.
         """
         if self._self_orthogonal is None:
             object.__setattr__(self, "_self_orthogonal", _pairwise_orthogonal(self.rows))
@@ -258,8 +260,6 @@ def _pairwise_orthogonal(rows: Sequence[int]) -> bool:
 _BLOCK_BITS = 16
 # row sums that _level_sums keeps per generator, bounding its memory
 _LEVEL_WORDS = 1 << _BLOCK_BITS
-# a bytes.translate table: odd weights kept, even ones past any tagged weight
-_ODD = bytes(w if w & 1 else 255 for w in range(256))
 
 
 def _gray_blocks(rows: Sequence[int]) -> Iterator[Iterator[int]]:
@@ -312,7 +312,7 @@ def _information_set_generators(code: LinearCode) -> list[list[int]]:
     """
     rows = code.rows
     gens = [list(rows)]
-    used = sum(code.pivots)
+    used = code._pivot_mask
     while True:
         basis: list[int] = []
         pivots: list[int] = []
@@ -393,10 +393,13 @@ def _coset_leader(code: LinearCode, tag: int) -> tuple[int, str, int]:
     Each generator row is lifted to the int of its row text, so that integer
     order is text order, shifted up over a tag bit holding its product with
     tag; a sum's ones are odd exactly when it is tagged.  The sums are weighed
-    into bytes, _LEVEL_WORDS at a time, and the lightest tagged ones are cut
-    out by bytes.translate.  A byte holds weights to 254 (255 marks even ones
-    in _ODD), so a heavier sum raises.  Once w is below the round's bound,
-    every tagged word of weight w has been seen, and the lightest sum is d.
+    into bytes, _LEVEL_WORDS at a time.  The least weight and the least odd
+    weight of a chunk are found by probing `w in ones` upward, each probe a
+    scan at C speed, and the lightest tagged sums are cut out by
+    bytes.translate.  Weights are kept to 254: a sum of 255 or more raises,
+    as one of 256 or more cannot be put in a byte.  Once w is below the
+    round's bound, every tagged word of weight w has been seen, and the
+    lightest sum is d.
     """
     n = code.n
     best, least = (n + 2, 0), n + 2
@@ -412,9 +415,11 @@ def _coset_leader(code: LinearCode, tag: int) -> tuple[int, str, int]:
                     "instance too large: a row sum of the coset search weighs 255 or more "
                     "with its tag bit, past the weight limit 254 of its byte weights"
                 ) from None
-            least = min(least, min(ones))
-            odd = min(ones.translate(_ODD))
-            if odd <= best[0]:
+            # each probe is a scan of the bytes at C speed; the least tagged
+            # weight is odd and no less than the least weight
+            least = next((w for w in range(1, least) if w in ones), least)
+            odd = next((w for w in range(least | 1, best[0] + 1, 2) if w in ones), 0)
+            if odd:
                 best = min(best, (odd, min(compress(chunk, ones.translate(_only(odd))))))
         if best[0] - 1 < bound:
             break
@@ -440,15 +445,16 @@ def _level_sums(rows: Sequence[int]) -> Iterator[Iterator[int]]:
     base, below, s = [0], [1] * k, 0
     for w in range(1, k + 1):
         if s == w - 1 and comb(k, w) <= _LEVEL_WORDS:
-            runs = [list(map(r.__xor__, islice(base, b))) for r, b in zip(rows, below)]
+            runs = [[r ^ v for v in islice(base, b)] for r, b in zip(rows, below)]
             base = list(chain.from_iterable(runs))
             below = list(accumulate(map(len, runs), initial=0))[:k]
             s = w
             sums = [base]
         else:
             sums = (
-                map(reduce(xor, map(rows.__getitem__, t)).__xor__, islice(base, below[t[0]]))
+                [u ^ v for v in islice(base, below[t[0]])]
                 for t in combinations(range(k), w - s)
+                for u in [reduce(xor, map(rows.__getitem__, t))]
             )
         yield chain.from_iterable(sums)
 

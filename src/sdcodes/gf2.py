@@ -8,8 +8,9 @@ This module builds every reduced row echelon form (RREF) in the library, on
 the raw ints.  The pivot of an RREF row is its lowest set bit.  Every row
 space is built from one check and two moves, each O(k) row operations:
 _rref_pivots accepts rows that are already reduced (and returns their
-pivots, which a code keeps), _insert_rref adds one vector to a span, and
-_kernel_rows cuts a span down to the kernel of a linear functional.
+pivots and the pivot mask, their sum, which a code keeps), _insert_rref
+adds one vector to a span, and _kernel_rows cuts a span down to the kernel
+of a linear functional.
 _insert_rref reads the pivots of its rows from its caller, which holds them
 (a code stores them, elimination keeps them beside its rows), and returns
 the pivots of the result with its rows, so no pivot is computed twice.
@@ -218,9 +219,9 @@ class BitMatrix:
         return f"BitMatrix({self.nrows}x{self.ncols})"
 
 
-def _rref_pivots(rows: list[int], ncols: int) -> list[int] | None:
-    """The pivots of rows when they are already the RREF of their span, as
-    _eliminate builds it, else None.
+def _rref_pivots(rows: list[int], ncols: int) -> tuple[list[int], int] | None:
+    """The pivots of rows and their sum, the pivot mask, when the rows are
+    already the RREF of their span, as _eliminate builds it, else None.
 
     That is: every row is nonzero, its pivot (lowest set bit) lies below
     ncols, the pivots strictly increase, and no row has a bit at another
@@ -229,21 +230,23 @@ def _rref_pivots(rows: list[int], ncols: int) -> list[int] | None:
     pivots = [r & -r for r in rows]
     mask = sum(pivots)
     ordered = all(map(lt, [0, *pivots], pivots)) and not mask >> ncols
-    return pivots if ordered and [r & mask for r in rows] == pivots else None
+    return (pivots, mask) if ordered and [r & mask for r in rows] == pivots else None
 
 
-def _rref_ints(rows: list[int], ncols: int) -> tuple[list[int], list[int]]:
-    """The RREF rows of span(rows), zero rows dropped, and their pivots; rows
-    fit in ncols bits.
+def _rref_ints(rows: list[int], ncols: int) -> tuple[list[int], list[int], int]:
+    """The RREF rows of span(rows), zero rows dropped, their pivots and the
+    pivot mask; rows fit in ncols bits.
 
     The reduced form of a row space is unique, so rows that pass
-    _rref_pivots come back as they are, without elimination; elimination
-    keeps the pivots beside the rows it builds.
+    _rref_pivots come back as they are, without elimination, with the mask
+    that the check summed; elimination keeps the pivots beside the rows it
+    builds.
     """
-    pivots = _rref_pivots(rows, ncols)
-    if pivots is not None:
-        return list(rows), pivots
-    return _eliminate(rows)
+    checked = _rref_pivots(rows, ncols)
+    if checked is not None:
+        return list(rows), *checked
+    rows, pivots = _eliminate(rows)
+    return rows, pivots, sum(pivots)
 
 
 def _eliminate(rows: Iterable[int]) -> tuple[list[int], list[int]]:
@@ -329,7 +332,7 @@ def rref(m: BitMatrix) -> tuple[BitMatrix, int, tuple[int, ...]]:
     Returns (rref matrix, rank, pivot columns).  The result is the unique
     canonical representative of the row space of m.
     """
-    reduced, pivots = _rref_ints(m.row_ints(), m.ncols)
+    reduced, pivots, _ = _rref_ints(m.row_ints(), m.ncols)
     mat = BitMatrix([BitVector(m.ncols, bits) for bits in reduced], ncols=m.ncols)
     return mat, len(reduced), tuple(p.bit_length() - 1 for p in pivots)
 

@@ -8,6 +8,10 @@ three pairwise neighbors sharing c_max.  For lengths divisible by 8 exactly
 one of the three is Type I and the common subcode is its maximal doubly-even
 subcode, so the triple can be reconstructed from any one Type I member.
 
+From a Type I member c the triple is built without the dual of c_max: the
+shadow vector v of c (a sum of pivots of c) lies in dual(c_max) outside c,
+so the other two members are the neighbor steps of c by v and by v + u, u
+a row of c outside c_max, each certified self-dual in O(k) row operations.
 A member's words outside c_max are those with odd product with another
 coset, so one Brouwer-Zimmermann search of each member on rows tagged with
 that product (code._coset_leader) finds its coset's canonical
@@ -37,11 +41,27 @@ def max_doubly_even_subcode(c: LinearCode) -> LinearCode:
     ct = c.classify()
     if ct is not CodeType.TYPE_I:
         raise ValueError(f"maximal doubly-even subcode requires a Type I code, got {ct}")
+    return _shadow_cut(c)[0]
+
+
+def _shadow_cut(c: LinearCode) -> tuple[LinearCode, int, int]:
+    """(c_max, v, u) of a Type I code c: its maximal doubly-even subcode, the
+    shadow vector v and the row u of c that the cut to c_max drops.
+
+    t_i = (weight(r_i) / 2) mod 2 on the RREF rows r_i of c, and c_max is
+    the kernel of that linear map, cut by _kernel_rows.  v is the sum of the
+    pivots p_i with t_i = 1: a row has a 1 at its own pivot and 0 at the
+    others, so v . r_j = t_j for every row, and v . x = (weight(x) / 2) mod 2
+    for every x in c.  So v is orthogonal to c_max but not to u, and lies in
+    dual(c_max) outside c = dual(c): in the shadow of c (Conway and Sloane
+    1990).  c_max is a subcode of the self-orthogonal c, stored as such.
+    """
     t = [(r.bit_count() >> 1) & 1 for r in c.rows]
     sub = LinearCode(c.n, _kernel_rows(c.rows, t))
     if sub.k != c.k - 1:
         raise InternalConsistencyError("doubly-even subcode has wrong dimension")
-    return sub
+    object.__setattr__(sub, "_self_orthogonal", True)
+    return sub, sum(compress(c.pivots, t)), c.rows[_dropped(t)]
 
 
 @dataclass(frozen=True)
@@ -79,7 +99,10 @@ def neighborhood_containing(c_max: LinearCode) -> Neighborhood:
     Requires length divisible by 8, dimension n/2 - 1, self-orthogonality,
     and doubly-even generator rows.  The extensions are guaranteed self-dual
     exactly when c_max contains the all-ones word; a violation means the
-    triple does not exist and raises InternalConsistencyError.
+    triple does not exist and raises InternalConsistencyError.  Two words of
+    dual(c_max) from different cosets are found by reducing its rows; one
+    anchor member is built from the first and proved self-dual by a pass,
+    and the other two are certified steps from it (_by_steps).
     """
     n = c_max.n
     if n % 8 != 0:
@@ -100,10 +123,53 @@ def neighborhood_containing(c_max: LinearCode) -> Neighborhood:
     gammas = list(dict.fromkeys(filter(None, map(c_max._reduce, c_max.dual().rows))))
     if len(gammas) < 2:
         raise InternalConsistencyError("dual of c_max does not exceed c_max by dimension 2")
+    # the anchor is self-dual, as 1 lies in c_max; its one pass proves it
+    # before any step is taken from it
+    anchor = LinearCode(n, _insert_rref(c_max.rows, c_max.pivots, gammas[0])[0])
+    if not anchor.is_self_dual():
+        raise InternalConsistencyError("anchor member of c_max is not self-dual")
+    return _by_steps(c_max, anchor, gammas[1], gammas[0])
 
-    offsets = [gammas[0], gammas[1], gammas[0] ^ gammas[1]]
-    # each extension is self-dual, as 1 lies in c_max; classify checks it
-    members = [LinearCode(n, _insert_rref(c_max.rows, c_max.pivots, g)[0]) for g in offsets]
+
+def neighborhood_of(c: LinearCode) -> Neighborhood:
+    """The neighborhood anchored at a Type I self-dual code.
+
+    The c_max shared by the triple is the maximal doubly-even subcode of c,
+    which exists only for Type I members; pass one of them.  The other two
+    members are the steps of c by the shadow vector v and by v + u
+    (_shadow_cut), each certified in O(k) row operations, so the pass that
+    checks c is self-dual is the only one, and no dual is built.
+    """
+    if not c.is_self_dual():
+        raise ValueError("neighborhood_of requires a self-dual code")
+    ct = c.classify()
+    if ct is CodeType.TYPE_II:
+        raise ValueError(
+            "neighborhood_of requires a Type I code; a Type II code is a member "
+            "of many triples, so reconstruction is anchored at the Type I member"
+        )
+    if c.n % 8 != 0:
+        raise ValueError(f"neighborhood construction requires length divisible by 8, got {c.n}")
+    c_max, v, u = _shadow_cut(c)
+    nb = _by_steps(c_max, c, v, u)
+    if c not in nb.members:
+        raise InternalConsistencyError("anchor code is missing from its own neighborhood")
+    return nb
+
+
+def _by_steps(c_max: LinearCode, c: LinearCode, x: int, u: int) -> Neighborhood:
+    """The neighborhood of c_max from one member c = c_max + <u>, self-dual
+    with its proof stored, and a word x of dual(c_max) outside c.
+
+    The words of c orthogonal to x, and to x + u, are those of c_max, as
+    u . x = 1: the cosets of c_max in its dual carry a nondegenerate form.
+    So the steps of c by x and by x + u are the other two members, c_max +
+    <x> and c_max + <x + u>, each certified by _step.
+    """
+    offsets = [u, x, x ^ u]
+    members = [c, _step(c, x), _step(c, x ^ u)]
+    if None in members:
+        raise InternalConsistencyError("step vector lies in the anchor member")
     types = [m.classify() for m in members]
     if sorted(t.value for t in types) != ["TypeI", "TypeII", "TypeII"]:
         raise InternalConsistencyError(
@@ -120,26 +186,6 @@ def neighborhood_containing(c_max: LinearCode) -> Neighborhood:
         member_types=types,
         member_distances=distances,
     )
-
-
-def neighborhood_of(c: LinearCode) -> Neighborhood:
-    """The neighborhood anchored at a Type I self-dual code.
-
-    The c_max shared by the triple is recovered as the maximal doubly-even
-    subcode of c, which exists only for Type I members; pass one of them.
-    """
-    if not c.is_self_dual():
-        raise ValueError("neighborhood_of requires a self-dual code")
-    ct = c.classify()
-    if ct is CodeType.TYPE_II:
-        raise ValueError(
-            "neighborhood_of requires a Type I code; a Type II code is a member "
-            "of many triples, so reconstruction is anchored at the Type I member"
-        )
-    nb = neighborhood_containing(max_doubly_even_subcode(c))
-    if c not in nb.members:
-        raise InternalConsistencyError("anchor code is missing from its own neighborhood")
-    return nb
 
 
 def are_neighbors(c1: LinearCode, c2: LinearCode) -> bool:
@@ -181,7 +227,7 @@ def _step_certified(c: LinearCode, x: int, out: LinearCode) -> bool:
     partners = _partners(c, out.pivots)
     if partners is None:
         return False
-    mask, coset_x = sum(c.pivots), c._reduce(x)
+    mask, coset_x = c._pivot_mask, c._reduce(x)
     diffs = set(map(xor, out.rows, partners))
     return all(_cleared(d, d & mask, c) in (0, coset_x) for d in diffs)
 

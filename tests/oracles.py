@@ -8,10 +8,16 @@ data layout, different algorithms, same answers.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import permutations, product
+from functools import reduce
+from itertools import accumulate, chain, combinations, compress, islice, permutations, product
+from math import comb
+from operator import xor
 
+from sdcodes import code
 from sdcodes.code import InternalConsistencyError, LinearCode
 from sdcodes.fixtures_io import MatrixFormatError
+from sdcodes.gf2 import BitVector, _to01
+from sdcodes.neighborhood import Neighborhood
 
 
 def to_bits(v) -> tuple[int, ...]:
@@ -251,3 +257,81 @@ def o_step(c, x: int):
     if not o_step_certified(c, x, out):
         raise InternalConsistencyError("reference step produced a non-self-dual code")
     return out
+
+
+# The neighborhood built the former way, as a reference for the shadow-vector
+# route: c_max cut from c by elimination, two offsets from the rows of its
+# whole dual, and each member built by insertion and proved self-dual by its
+# own pairwise pass.
+
+
+def o_neighborhood_of(c):
+    """The Neighborhood of a Type I c from dual(c_max), every member passed."""
+    n, rows = c.n, c.rows
+    halves = [(r.bit_count() // 2) % 2 for r in rows]
+    first = rows[halves.index(1)]
+    c_max = LinearCode(n, [r ^ first if h else r for r, h in zip(rows, halves) if r != first])
+    if c_max.k != n // 2 - 1 or not c_max.is_self_orthogonal():
+        raise InternalConsistencyError("reference c_max is wrong")
+    gammas = list(dict.fromkeys(filter(None, map(c_max._reduce, c_max.dual().rows))))
+    offsets = [gammas[0], gammas[1], gammas[0] ^ gammas[1]]
+    members = [LinearCode(n, (*c_max.rows, g)) for g in offsets]
+    types = [m.classify() for m in members]
+    if sorted(t.value for t in types) != ["TypeI", "TypeII", "TypeII"] or c not in members:
+        raise InternalConsistencyError("reference members are wrong")
+    tags = offsets[1:] + offsets[:1]
+    found = sorted((*code._coset_leader(m, g), m, t) for m, t, g in zip(members, types, tags))
+    _, words, distances, members, types = zip(*found)
+    return Neighborhood(
+        c_max=c_max,
+        members=members,
+        representatives=tuple(map(BitVector.from_string, words)),
+        member_types=types,
+        member_distances=distances,
+    )
+
+
+# The inner loop of the Brouwer-Zimmermann search as it was before list
+# comprehensions and byte probes: sums built by map over int.__xor__, the
+# least weights taken by min over every byte.  The cap on level words is read
+# from the library at each call, so a test that patches it patches both.
+
+
+def o_level_sums(rows):
+    """For w = 1..len(rows), the sums of w distinct rows, in the library's order."""
+    k = len(rows)
+    base, below, s = [0], [1] * k, 0
+    for w in range(1, k + 1):
+        if s == w - 1 and comb(k, w) <= code._LEVEL_WORDS:
+            runs = [list(map(r.__xor__, islice(base, b))) for r, b in zip(rows, below)]
+            base = list(chain.from_iterable(runs))
+            below = list(accumulate(map(len, runs), initial=0))[:k]
+            s = w
+            sums = [base]
+        else:
+            sums = (
+                map(reduce(xor, map(rows.__getitem__, t)).__xor__, islice(base, below[t[0]]))
+                for t in combinations(range(k), w - s)
+            )
+        yield chain.from_iterable(sums)
+
+
+_O_ODD = bytes(w if w & 1 else 255 for w in range(256))
+
+
+def o_coset_leader_min(c, tag):
+    """(w, x, d) of the library's coset search, with min over the bytes."""
+    n = c.n
+    best, least = (n + 2, 0), n + 2
+    for sums, bound in code._bz_rounds(c, lambda r: int(_to01(r, n), 2) << 1 | (r & tag).bit_count() & 1):
+        sums = iter(sums)
+        while chunk := list(islice(sums, code._LEVEL_WORDS)):
+            ones = bytes(map(int.bit_count, chunk))
+            least = min(least, min(ones))
+            odd = min(ones.translate(_O_ODD))
+            if odd <= best[0]:
+                only = bytes(odd) + b"\1" + bytes(255 - odd)
+                best = min(best, (odd, min(compress(chunk, ones.translate(only)))))
+        if best[0] - 1 < bound:
+            break
+    return best[0] - 1, format(best[1] >> 1, f"0{n}b"), least & ~1

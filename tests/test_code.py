@@ -28,6 +28,7 @@ from sdcodes.neighborhood import double_pair_code, neighborhood_of, random_self_
 
 from oracles import (
     o_codewords,
+    o_level_sums,
     o_member,
     o_min_distance,
     o_orthogonal_all,
@@ -102,6 +103,7 @@ class TestStoredPivots:
 
     def assert_pivots(self, c):
         assert c.pivots == tuple(r & -r for r in c.rows)
+        assert c._pivot_mask == sum(c.pivots)
 
     def test_every_construction_path(self):
         rng = random.Random(41)
@@ -137,6 +139,18 @@ class TestStoredPivots:
         object.__setattr__(c, "pivots", (0,) * c.k)
         assert c._reduce(x) == x and _gray_index(c, x) == 0
 
+    def test_certificate_and_information_sets_read_the_stored_mask(self):
+        # with the stored mask cleared, the second information set may reuse
+        # the pivots of the first, and no difference is cleared at them
+        c = random_self_dual(32, 9, 4)
+        x = next(x for x in random.Random(4).choices(range(1 << 32), k=99) if x.bit_count() % 2 == 0 and c._reduce(x))
+        out = neighborhood._step(c, x)
+        gens = _information_set_generators(c)
+        assert neighborhood._step_certified(c, x, out)
+        object.__setattr__(c, "_pivot_mask", 0)
+        assert _information_set_generators(c) != gens
+        assert not neighborhood._step_certified(c, x, out)
+
 
 class TestRrefRowHelpers:
     def test_kernel_rows_stay_rref_and_span_the_same_subcode(self):
@@ -163,7 +177,7 @@ class TestRrefRowHelpers:
             for x in (rng.getrandbits(c.n), inside, 0):
                 out, pivots = _insert_rref(c.rows, c.pivots, x)
                 assert out == oracle_rref(list(c.rows) + [x], c.n)
-                assert _rref_pivots(out, c.n) == pivots
+                assert _rref_pivots(out, c.n) == (pivots, sum(pivots))
 
 
 class TestSelfOrthogonalityStored:
@@ -516,6 +530,17 @@ class TestBrouwerZimmermann:
             not_self_orthogonal += not c.is_self_orthogonal()
         assert past_last_bound >= 10 and not_self_orthogonal >= 30
 
+    @pytest.mark.parametrize("budget", [1, 5, 12, 1 << 16])
+    def test_same_sums_in_the_same_order_as_the_map_form(self, monkeypatch, budget):
+        # the list comprehensions of both branches against the former maps,
+        # on walk code generators as _bz_rounds takes them and random rows
+        monkeypatch.setattr(code, "_LEVEL_WORDS", budget)
+        rng = random.Random(26)
+        gens = [g for c in (random_self_dual(16, 7, 1), random_self_dual(24, 9, 2)) for g in _information_set_generators(c)]
+        gens += [[rng.getrandbits(n) for _ in range(rng.randrange(1, 11))] for n in rng.choices(range(4, 20), k=10)]
+        for rows in gens:
+            assert [list(level) for level in _level_sums(rows)] == [list(level) for level in o_level_sums(rows)]
+
     @pytest.mark.parametrize("budget", [1, 12, 1 << 16])
     def test_every_level_against_row_subsets(self, monkeypatch, budget):
         monkeypatch.setattr(code, "_LEVEL_WORDS", budget)
@@ -581,8 +606,8 @@ class TestCosetWeightLimit:
 
     @pytest.mark.parametrize("n,tag", [(254, 1), (256, 0), (300, 1)])
     def test_heavy_sums_refused(self, n, tag):
-        # the all-ones row weighs n plus its tag: 255 is _ODD's mark of an
-        # even weight, and a weight past 255 does not fit a byte
+        # the all-ones row weighs n plus its tag: 255 is past the limit of
+        # 254, and a weight past 255 does not fit a byte
         with pytest.raises(EnumerationCapError, match="weight limit 254"):
             code._coset_leader(LinearCode(n, [(1 << n) - 1]), tag)
 

@@ -286,26 +286,28 @@ class TestRrefFastPath:
             n = rng.randrange(1, 40)
             for rows in near_rref_inputs(rng, n):
                 full = oracle_rref(rows, n)
-                assert _rref_ints(rows, n) == (full, [r & -r for r in full])
-                assert _eliminate(rows) == (full, [r & -r for r in full])
-                assert LinearCode(n, rows).rows == tuple(full)
+                pivots = [r & -r for r in full]
+                assert _rref_ints(rows, n) == (full, pivots, sum(pivots))
+                assert _eliminate(rows) == (full, pivots)
+                c = LinearCode(n, rows)
+                assert c.rows == tuple(full) and c._pivot_mask == sum(pivots)
                 # the test passes exactly when elimination changes nothing
                 assert (_rref_pivots(rows, n) is not None) == (full == rows)
 
     def test_pivot_past_ncols_is_eliminated_away(self):
         # reduced as 8-bit rows, but the second pivot lies past 4 columns
         rows = [0b00000011, 0b00110000]
-        assert _rref_pivots(rows, 8) == [0b00000001, 0b00010000]
+        assert _rref_pivots(rows, 8) == ([0b00000001, 0b00010000], 0b00010001)
         assert _rref_pivots(rows, 4) is None
         # elimination keeps every bit; the length guard keeps such rows out
         with pytest.raises(ValueError, match="fit"):
             LinearCode(4, rows)
 
     def test_each_trap_is_caught(self):
-        assert _rref_pivots([0b001, 0b010], 3) == [0b001, 0b010]
+        assert _rref_pivots([0b001, 0b010], 3) == ([0b001, 0b010], 0b011)
         assert _rref_pivots([0b010, 0b001], 3) is None
         assert _rref_pivots([0b011, 0b010], 3) is None
         assert _rref_pivots([0b001, 0, 0b010], 3) is None
         assert _rref_pivots([0b001, 0b001], 3) is None
-        assert _rref_pivots([], 3) == []
-        assert _rref_ints([], 3) == ([], [])
+        assert _rref_pivots([], 3) == ([], 0)
+        assert _rref_ints([], 3) == ([], [], 0)

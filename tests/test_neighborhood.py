@@ -1,4 +1,7 @@
+import dataclasses
 import random
+from functools import reduce
+from operator import xor
 
 import pytest
 
@@ -22,8 +25,12 @@ from sdcodes.neighborhood import (
 
 from oracles import (
     o_coset_leader,
+    o_coset_leader_min,
     o_doubly_even_words,
+    o_level_sums,
+    o_member,
     o_min_distance,
+    o_neighborhood_of,
     o_step,
     o_step_certified,
     to_bits,
@@ -691,6 +698,118 @@ class TestCosetRepresentatives:
         refuse_searches(monkeypatch)
         with pytest.raises(InternalConsistencyError, match="all-ones"):
             neighborhood_containing(bad)
+
+
+def shadow_route_codes(fixture_codes):
+    """Type I codes at n = 8..72: the fixtures G3 and G4, walk codes at n <= 48,
+    and walk codes at n = 56..72 whose searches are short."""
+    codes = [fixture_codes["G3"], fixture_codes["G4"]]
+    codes += [c for n in range(8, 49, 8) for c in type1_walk_codes(n, 3)]
+    codes += [random_self_dual(n, steps, seed) for n, steps, seed in ((56, 20, 0), (64, 12, 0), (72, 20, 1), (72, 30, 2))]
+    assert all(c.classify() is CodeType.TYPE_I for c in codes)
+    return codes
+
+
+class TestShadowRoute:
+    """neighborhood_of builds the two other members as steps of c by its
+    shadow vector v and by v + u; neighborhood_containing and the former
+    route through the whole dual of c_max are the references."""
+
+    @pytest.fixture(scope="class")
+    def codes(self, fixture_codes):
+        return shadow_route_codes(fixture_codes)
+
+    def test_equals_the_dual_routes_field_by_field(self, codes):
+        for c in codes:
+            nb = neighborhood_of(c)
+            for other in (neighborhood_containing(max_doubly_even_subcode(c)), o_neighborhood_of(c)):
+                for f in dataclasses.fields(nb):
+                    assert getattr(nb, f.name) == getattr(other, f.name), f.name
+                assert [m.rows for m in nb.members] == [m.rows for m in other.members]
+
+    def test_shadow_vector_against_its_definition(self, codes):
+        # Conway and Sloane (1990): v is a shadow vector of c when v . x is
+        # (weight(x) / 2) mod 2 on every x in c; shadow weights are n/2 mod 4
+        rng = random.Random(23)
+        for c in codes + [double_pair_code(2), random_self_dual(10, 6, 1), random_self_dual(14, 9, 2)]:
+            n = c.n
+            c_max, v, u = neighborhood._shadow_cut(c)
+            words = list(c.rows) + [reduce(xor, (r for r in c.rows if rng.getrandbits(1)), 0) for _ in range(40)]
+            assert all((v & x).bit_count() % 2 == x.bit_count() // 2 % 2 for x in words)
+            assert v.bit_count() % 4 == n // 2 % 4
+            if n <= 24:
+                assert not o_member([to_bits(r) for r in c.generator], to_bits(BitVector(n, v)))
+            assert c._reduce(v) != 0 and c_max._reduce(u) != 0 and c._reduce(u) == 0
+            assert not any((v & r).bit_count() & 1 for r in c_max.rows)
+
+    def test_one_pairwise_pass_and_no_dual(self, monkeypatch, codes):
+        passes, duals = [], []
+        pairwise, dual_rows = code._pairwise_orthogonal, gf2._dual_rows
+
+        def counted_pass(rows):
+            passes.append(tuple(rows))
+            return pairwise(rows)
+
+        def counted_dual(rows, n):
+            duals.append(tuple(rows))
+            return dual_rows(rows, n)
+
+        monkeypatch.setattr(code, "_pairwise_orthogonal", counted_pass)
+        monkeypatch.setattr(code, "_dual_rows", counted_dual)
+        monkeypatch.setattr(gf2, "_dual_rows", counted_dual)
+        for c in codes:
+            c = LinearCode(c.n, c.rows)
+            passes.clear()
+            duals.clear()
+            nb = neighborhood_of(c)
+            assert passes == [c.rows] and duals == []
+            # a c_max built afresh is passed once, and so is the one anchor
+            c_max = LinearCode(c.n, nb.c_max.rows)
+            passes.clear()
+            again = neighborhood_containing(c_max)
+            assert again == nb and duals == [c_max.rows]
+            assert len(passes) == 2 and passes[0] == c_max.rows
+            assert passes[1] in [m.rows for m in nb.members]
+
+    def test_a_step_vector_inside_c_is_refused(self):
+        c = random_self_dual(16, 8, 0)
+        c_max, v, u = neighborhood._shadow_cut(c)
+        assert neighborhood._by_steps(c_max, c, v, u) == neighborhood_of(c)
+        # u lies in c, so a step by it is no step
+        with pytest.raises(InternalConsistencyError, match="lies in the anchor"):
+            neighborhood._by_steps(c_max, c, u, v)
+
+
+class TestCosetSearchAgainstTheMinForm:
+    """_coset_leader probes its byte weights and _level_sums builds its sums
+    by list comprehensions; the former min and map forms, kept in oracles,
+    must give the same (w, x, d) and the same sums in the same order."""
+
+    @staticmethod
+    def members_and_tags(nb):
+        offsets = [next(r for r in m.rows if nb.c_max._reduce(r)) for m in nb.members]
+        return [(m, offsets[(i + 1) % 3]) for i, m in enumerate(nb.members)]
+
+    def assert_same(self, monkeypatch, nbs):
+        for nb in nbs:
+            for m, tag in self.members_and_tags(nb):
+                with monkeypatch.context() as mp:
+                    mp.setattr(code, "_level_sums", o_level_sums)
+                    expected = o_coset_leader_min(m, tag)
+                assert code._coset_leader(m, tag) == expected
+                if m.n <= 16:
+                    # a tag in the member tags nothing: every round is drawn
+                    assert code._coset_leader(m, m.rows[0]) == o_coset_leader_min(m, m.rows[0])
+
+    def test_members_of_walk_neighborhoods(self, monkeypatch, fixture_codes):
+        codes = shadow_route_codes(fixture_codes) + [random_self_dual(80, 40, 2)]
+        self.assert_same(monkeypatch, map(neighborhood_of, codes))
+
+    @pytest.mark.parametrize("budget", [3, 40])
+    def test_past_the_level_cap_and_in_many_chunks(self, monkeypatch, budget):
+        monkeypatch.setattr(code, "_LEVEL_WORDS", budget)
+        codes = [c for n in (8, 16, 24, 32) for c in type1_walk_codes(n, 2)]
+        self.assert_same(monkeypatch, map(neighborhood_of, codes))
 
 
 def type1_walk_codes(n, count):
