@@ -116,18 +116,10 @@ def _cmd_neighborhood(args) -> int:
         verify_distance2_coincidence(nb),
     ]
     failed = any(v.passed is False for v in verdicts)
-    members = []
-    lines = [f"n={nb.c_max.n} c_max_dimension={nb.c_max.k}"]
-    for i, (m, rep, t, d) in enumerate(
-        zip(nb.members, nb.representatives, nb.member_types, nb.member_distances), 1
-    ):
-        text, rows = rep.to01(), _matrix_rows(m)
-        members.append({"type": str(t), "distance": d, "representative": text, "rows": rows})
-        lines.append(f"member {i}: type={t} d={d} representative={text}")
-        lines.append(_spaced(rows))
-    for v in verdicts:
-        status = "pass" if v.passed else ("n/a" if v.passed is None else "FAIL")
-        lines.append(f"verdict {v.check}: {status}")
+    members = [
+        {"type": str(t), "distance": d, "representative": rep.to01(), "rows": _matrix_rows(m)}
+        for m, rep, t, d in zip(nb.members, nb.representatives, nb.member_types, nb.member_distances)
+    ]
     record = {
         "command": "neighborhood",
         "input": name,
@@ -140,8 +132,20 @@ def _cmd_neighborhood(args) -> int:
         ],
         "exit_status": 1 if failed else 0,
     }
-    _emit(args, record, "\n".join(lines))
+    _emit(args, record, "" if args.json else _neighborhood_text(record))
     return record["exit_status"]
+
+
+def _neighborhood_text(record: dict) -> str:
+    """The human output of neighborhood, read from its record."""
+    lines = [f"n={record['n']} c_max_dimension={record['c_max_dimension']}"]
+    for i, m in enumerate(record["members"], 1):
+        lines.append(f"member {i}: type={m['type']} d={m['distance']} representative={m['representative']}")
+        lines.append(_spaced(m["rows"]))
+    for v in record["verdicts"]:
+        status = "pass" if v["passed"] else ("n/a" if v["passed"] is None else "FAIL")
+        lines.append(f"verdict {v['check']}: {status}")
+    return "\n".join(lines)
 
 
 def _cmd_neighbors(args) -> int:

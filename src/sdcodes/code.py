@@ -14,15 +14,17 @@ code, and stored with it; a code built by a neighbor step instead stores the
 result of an O(k) certificate that derives it from the stored result of the
 code it came from.
 Weight enumeration and codeword listing stream all 2^k codewords with one
-Gray-code sweep.  The lightest words of a span, for minimum distance, for
-the coset representatives of a neighborhood (_coset_leader) and for the
-light words that the equivalence search maps (_words_by_weight), come from
-one Brouwer-Zimmermann search instead (_bz_rounds), whose sums are weighed
-only here: rounds of sums of few rows of generators systematic on disjoint
-information sets, each with a bound on the weight of every word not yet
-seen.  One cap bounds both: a sweep or search
-that would draw over 2^DEFAULT_ENUMERATION_CAP words (2^k per sweep, C(k, w)
-per generator per round) is an explicit error, not a silent approximation.
+Gray-code sweep.  The lightest words of a span, for minimum distance and
+for the light words that the equivalence search maps (_words_by_weight),
+come from one Brouwer-Zimmermann search instead (_bz_rounds), and the coset
+representatives of a neighborhood from one such search of its Type I
+member and of that member's shadow together (_shadow_leaders): rounds of
+sums of few rows of generators systematic on disjoint information sets,
+each with a bound on the weight of every word not yet seen.  The sums are
+weighed only here, in the lists that _level_sums built them in.  One cap
+bounds both: a sweep or search that would draw over 2^DEFAULT_ENUMERATION_CAP
+words (2^k per sweep, C(k, w) per generator per round and stream) is an
+explicit error, not a silent approximation.
 """
 
 from __future__ import annotations
@@ -31,10 +33,10 @@ import enum
 from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, chain, combinations, compress, islice
+from itertools import accumulate, chain, combinations, compress, islice, product
 from math import comb
 from operator import xor
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .gf2 import (
     MAX_LENGTH,
@@ -224,7 +226,7 @@ class LinearCode:
         if best <= stop_at:
             return best
         for sums, bound in _bz_rounds(self):
-            best = min(best, min(map(int.bit_count, sums)))
+            best = min(best, min(map(int.bit_count, chain.from_iterable(sums))))
             if best <= max(bound, stop_at):
                 break
         return best
@@ -302,16 +304,16 @@ def _gray_index(code: LinearCode, word: int) -> int:
     return j
 
 
-def _information_set_generators(code: LinearCode) -> list[list[int]]:
-    """Generators of code, each systematic on its own information set; the
-    first is its rows, on their pivots.
+def _information_set_generators(code: LinearCode) -> list[tuple[list[int], int]]:
+    """Generators of code, each systematic on its own information set, with
+    the mask of that set; the first is its rows, on their pivots.
 
     The sets are pairwise disjoint and found greedily: each elimination
     takes its pivots only among columns no earlier set used, and the search
     ends at the first elimination that falls short of full rank.
     """
     rows = code.rows
-    gens = [list(rows)]
+    gens = [(list(rows), code._pivot_mask)]
     used = code._pivot_mask
     while True:
         basis: list[int] = []
@@ -328,14 +330,23 @@ def _information_set_generators(code: LinearCode) -> list[list[int]]:
             basis = [b ^ r if b & p else b for b in basis]
             basis.append(r)
             pivots.append(p)
-        gens.append(basis)
-        used |= sum(pivots)
+        gens.append((basis, sum(pivots)))
+        used |= gens[-1][1]
 
 
-def _bz_rounds(code: LinearCode, lift: Callable[[int], int] | None = None) -> Iterator[tuple[Iterable[int], int]]:
+def _check_round(total: int, w: int) -> None:
+    """Refuse round w of a Brouwer-Zimmermann search, which would bring the
+    row sums drawn to total, when that passes 2^DEFAULT_ENUMERATION_CAP."""
+    if total > 1 << DEFAULT_ENUMERATION_CAP:
+        raise EnumerationCapError(
+            f"instance too large: round {w} of the Brouwer-Zimmermann search would bring "
+            f"the row sums drawn to {total}, past the enumeration cap 2^{DEFAULT_ENUMERATION_CAP}"
+        )
+
+
+def _bz_rounds(code: LinearCode) -> Iterator[tuple[Iterable[list[int]], int]]:
     """The Brouwer-Zimmermann search of code: (sums, bound) per generator per
-    round, sums read before the next is drawn; lift, a linear map, is applied
-    to every generator row first, so the sums are the lifts of the plain ones.
+    round, sums a level of _level_sums, read before the next is drawn.
 
     Each of m generators is systematic on its own information set, and the
     sets are pairwise disjoint, so a codeword is the sum of the rows of
@@ -353,17 +364,12 @@ def _bz_rounds(code: LinearCode, lift: Callable[[int], int] | None = None) -> It
         step = 4
     else:
         step = 2
-    gens = _information_set_generators(code)
-    levels = [_level_sums(g if lift is None else list(map(lift, g))) for g in gens]
+    levels = [_level_sums(g, 0) for g, _ in _information_set_generators(code)]
     m = len(levels)
     total = 0
     for w in range(1, code.k + 1):
         total += m * comb(code.k, w)
-        if total > 1 << DEFAULT_ENUMERATION_CAP:
-            raise EnumerationCapError(
-                f"instance too large: round {w} of the Brouwer-Zimmermann search would bring "
-                f"the row sums drawn to {total}, past the enumeration cap 2^{DEFAULT_ENUMERATION_CAP}"
-            )
+        _check_round(total, w)
         for i, level in enumerate(levels, 1):
             yield next(level), -(-(m * w + i) // step) * step
 
@@ -372,58 +378,142 @@ def _words_by_weight(code: LinearCode) -> Iterator[tuple[int, set[int]]]:
     """(w, the set of nonzero codewords of weight w) for w = 1, 2, ..., n < 256.
 
     Weight w is yielded once a round of _bz_rounds bounds every word not yet
-    drawn above it.  The sums are weighed into bytes and cut by weight with
-    bytes.translate, into sets, since one word can come from several
-    generators.  The last round has drawn every word: its bound is n + 1.
+    drawn above it.  The sums are weighed into bytes as built and cut by
+    weight with bytes.translate, into sets, since one word can come from
+    several generators.  The last round has drawn every word: its bound is
+    n + 1.
     """
     drawn, weights, w = [], bytearray(), 1
     for sums, bound in chain(_bz_rounds(code), [((), code.n + 1)]):
-        drawn += sums
-        weights += bytes(map(int.bit_count, drawn[len(weights) :]))
+        for chunk in sums:
+            drawn += chunk
+            weights += bytes(map(int.bit_count, chunk))
         while w < bound and w <= code.n:
             yield w, set(compress(drawn, weights.translate(_only(w))))
             w += 1
 
 
-def _coset_leader(code: LinearCode, tag: int) -> tuple[int, str, int]:
-    """(w, x, d) from one Brouwer-Zimmermann search of an even code: the least
-    weight w of a word with odd product with tag, the row text x of the least
-    such word of weight w, and the minimum distance d.
+Triple = tuple[int, str, int]
 
-    Each generator row is lifted to the int of its row text, so that integer
-    order is text order, shifted up over a tag bit holding its product with
-    tag; a sum's ones are odd exactly when it is tagged.  The sums are weighed
-    into bytes, _LEVEL_WORDS at a time.  The least weight and the least odd
-    weight of a chunk are found by probing `w in ones` upward, each probe a
-    scan at C speed, and the lightest tagged sums are cut out by
-    bytes.translate.  Weights are kept to 254: a sum of 255 or more raises,
-    as one of 256 or more cannot be put in a byte.  Once w is below the
-    round's bound, every tagged word of weight w has been seen, and the
-    lightest sum is d.
+
+def _shadow_leaders(c: LinearCode, v: int) -> tuple[Triple, Triple, Triple]:
+    """The (w, x, d) of c, of c_max + <v> and of c_max + <v + u>, from one
+    Brouwer-Zimmermann search of a Type I self-dual c of length n divisible
+    by 8 and of its shadow v + c, for any word v of that shadow.
+
+    c_max is the maximal doubly-even subcode of c and u a word of c outside
+    it.  For each of the three members of the neighborhood, w is the least
+    weight of its words outside c_max, x the row text of the least such word
+    of weight w, and d the member's minimum distance.
+
+    Tags.  On c, x -> v . x is x -> (weight(x) / 2) mod 2, so the words of c
+    with product 1 with v (tagged) are c minus c_max, of weights 2 mod 4, and
+    the untagged ones are c_max, of weights 0 mod 4.  Shadow words weigh n/2
+    = 0 mod 4, so v . v = 0 and (v + y) . v = y . v for y in c: the untagged
+    half of the shadow is v + c_max, the words of c_max + <v> outside c_max,
+    and the tagged half v + u + c_max, those of c_max + <v + u>.  Each row
+    is lifted to the int of its row text, so that integer order is text
+    order, shifted up over a tag bit that holds its product with v; a sum's
+    ones are then its weight plus its tag, 0 mod 4 when untagged, 3 mod 4
+    on c's tagged words and 1 mod 4 on the shadow's.
+
+    Streams.  Each of the m generators of _information_set_generators(c) is
+    systematic on its own information set I_j, pairwise disjoint.  c's
+    stream draws at round w of generator j the sums of w of its rows: every
+    word of c with exactly w ones on I_j.  The shadow's stream starts from
+    v_j, v plus the rows at its ones on I_j, so zero on I_j, and draws at
+    round w the sums of v_j and w rows: every shadow word with exactly w
+    ones on I_j, round 0 being {v_j}.  After a stream's round w of generator
+    i, with the later generators at round w - 1, a word of the stream that it
+    has not drawn has at least w + 1 ones on each of I_1..I_i and w on each
+    of the others, so it weighs at least B = m*w + i; rounded up, at least
+    B2, the next even number, if it lies in c, and at least B4, the next
+    multiple of 4, if it lies in c_max or in the shadow.  The two streams
+    step together until one stops.
+
+    Stops.  The shadow's stream stops once the least weight w_h drawn in
+    each half is below B4: every word of that weight in the half has been
+    drawn, so its least text is final.  c's stream stops once its least
+    tagged weight w_c is below B2 and c_max is known up to max w_h: either
+    its least drawn weight L is at most B4, and then it is c_max's distance,
+    or B4 >= max w_h, and then every word of c_max not drawn weighs at least
+    as much as either half's.  The w_h that c's stream reads are the least
+    drawn so far, which only fall, so the second case stays true.  A
+    member's distance is the least of c_max's and of its coset's least
+    weight, so the triples are (w_c, x_c, min(L, w_c)) and (w_h, x_h,
+    min(L, w_h)): in each stop case, and once every round is drawn, min(L, .)
+    is that least.
+
+    The sums are weighed into bytes as _level_sums built them, at most
+    _LEVEL_WORDS at a time; the least weights of each residue are found by
+    probing `w in ones` upward in steps of 4, each probe a scan at C speed,
+    and the lightest sums are cut out by bytes.translate.  Weights are kept
+    to 254 with the tag: a sum of 255 or more raises, as one of 256 or more
+    cannot be put in a byte.  The cap counts the sums of both streams, each
+    round in full as it starts.
     """
-    n = code.n
-    best, least = (n + 2, 0), n + 2
-    for sums, bound in _bz_rounds(code, lambda r: int(_to01(r, n), 2) << 1 | (r & tag).bit_count() & 1):
-        sums = iter(sums)
-        while chunk := list(islice(sums, _LEVEL_WORDS)):
-            try:
-                ones = bytes(map(int.bit_count, chunk))
-                if 255 in ones:
-                    raise ValueError
-            except ValueError:
-                raise EnumerationCapError(
-                    "instance too large: a row sum of the coset search weighs 255 or more "
-                    "with its tag bit, past the weight limit 254 of its byte weights"
-                ) from None
-            # each probe is a scan of the bytes at C speed; the least tagged
-            # weight is odd and no less than the least weight
-            least = next((w for w in range(1, least) if w in ones), least)
-            odd = next((w for w in range(least | 1, best[0] + 1, 2) if w in ones), 0)
-            if odd:
-                best = min(best, (odd, min(compress(chunk, ones.translate(_only(odd))))))
-        if best[0] - 1 < bound:
+    n, k = c.n, c.k
+
+    def lift(r: int) -> int:
+        return int(_to01(r, n), 2) << 1 | (r & v).bit_count() & 1
+
+    own, shadow = [], []
+    for rows, mask in _information_set_generators(c):
+        lifted = list(map(lift, rows))
+        # each row has one 1 on the set, at its own pivot
+        start = lift(reduce(xor, compress(rows, [r & mask & v for r in rows]), v))
+        own.append(chain([()], _level_sums(lifted, 0)))
+        shadow.append(chain([[[start]]], _level_sums(lifted, start)))
+    m = len(own)
+    least, tagged, halves = n + 2, (n + 2, 0), [(n + 2, 0), (n + 2, 0)]
+    searching, total = [True, True], 0
+    for w, i in product(range(k + 1), range(m)):
+        if not i:
+            total += ((w > 0) * searching[0] + searching[1]) * m * comb(k, w)
+            _check_round(total, w)
+        if searching[1]:
+            for chunk in next(shadow[i]):
+                ones = _weighed(chunk)
+                halves = [_lightest(chunk, ones, 4, halves[0]), _lightest(chunk, ones, 5, halves[1])]
+        if searching[0]:
+            for chunk in next(own[i]):
+                ones = _weighed(chunk)
+                least = next((x for x in range(4, min(least, 255), 4) if x in ones), least)
+                tagged = _lightest(chunk, ones, 3, tagged)
+        bound = m * w + i + 1
+        b2, b4 = -(-bound // 2) * 2, -(-bound // 4) * 4
+        searching = [
+            searching[0] and (tagged[0] - 1 >= b2 or least > b4 and max(h & ~1 for h, _ in halves) > b4),
+            searching[1] and (halves[0][0] >= b4 or halves[1][0] - 1 >= b4),
+        ]
+        if not any(searching):
             break
-    return best[0] - 1, format(best[1] >> 1, f"0{n}b"), least & ~1
+
+    def triple(ones: int, word: int) -> Triple:
+        return ones & ~1, format(word >> 1, f"0{n}b"), min(least, ones & ~1)
+
+    return triple(*tagged), triple(*halves[0]), triple(*halves[1])
+
+
+def _weighed(chunk: list[int]) -> bytes:
+    """The ones of each sum of chunk, as bytes; a sum of 255 or more raises."""
+    try:
+        ones = bytes(map(int.bit_count, chunk))
+        if 255 in ones:
+            raise ValueError
+    except ValueError:
+        raise EnumerationCapError(
+            "instance too large: a row sum of the coset search weighs 255 or more "
+            "with its tag bit, past the weight limit 254 of its byte weights"
+        ) from None
+    return ones
+
+
+def _lightest(chunk: list[int], ones: bytes, first: int, best: tuple[int, int]) -> tuple[int, int]:
+    """The least of best and the (ones, sum) of chunk whose ones lie in
+    first, first + 4, ..., up to best's, ties included, and to 254."""
+    w = next((w for w in range(first, min(best[0], 254) + 1, 4) if w in ones), 0)
+    return min(best, (w, min(compress(chunk, ones.translate(_only(w)))))) if w else best
 
 
 def _only(w: int) -> bytes:
@@ -431,32 +521,46 @@ def _only(w: int) -> bytes:
     return bytes(w) + b"\1" + bytes(255 - w)
 
 
-def _level_sums(rows: Sequence[int]) -> Iterator[Iterator[int]]:
-    """For w = 1, 2, ..., len(rows), a stream of the sums of w distinct rows.
+def _level_sums(rows: Sequence[int], start: int) -> Iterator[Iterable[list[int]]]:
+    """For w = 1, 2, ..., len(rows), the sums of start and w distinct rows, as
+    lists of at most _LEVEL_WORDS sums each, in the order they are built.
 
     The sums of s rows are kept as a base list ordered by highest row index,
     so below[j] of them use only rows before j, and those of s + 1 rows come
-    from it by one XOR map per row.  Once a level would pass _LEVEL_WORDS
-    sums, the base stops growing: a sum of w rows is then a base sum XOR a
-    sum of w - s rows t that all lie above the base sum's rows, so memory
-    stays at one base list while w grows.  Read each level before the next.
+    from it by one list comprehension per row.  Once a level would pass
+    _LEVEL_WORDS sums, the base stops growing: a sum of w rows is then a
+    base sum XOR a sum of w - s rows t that all lie above the base sum's
+    rows, so memory stays at one base list while w grows (_past_base).
+    Read each level before the next.
     """
     k = len(rows)
-    base, below, s = [0], [1] * k, 0
+    base, below, s = [start], [1] * k, 0
     for w in range(1, k + 1):
         if s == w - 1 and comb(k, w) <= _LEVEL_WORDS:
             runs = [[r ^ v for v in islice(base, b)] for r, b in zip(rows, below)]
             base = list(chain.from_iterable(runs))
             below = list(accumulate(map(len, runs), initial=0))[:k]
             s = w
-            sums = [base]
+            yield [base]
         else:
-            sums = (
-                [u ^ v for v in islice(base, below[t[0]])]
-                for t in combinations(range(k), w - s)
-                for u in [reduce(xor, map(rows.__getitem__, t))]
-            )
-        yield chain.from_iterable(sums)
+            yield _past_base(rows, base, below, s, w)
+
+
+def _past_base(rows: Sequence[int], base: list[int], below: list[int], s: int, w: int) -> Iterator[list[int]]:
+    """The sums of w rows from a base of sums of s rows, in lists of at most
+    _LEVEL_WORDS: each set t of w - s rows adds its sum u to the below[t[0]]
+    base sums under its first row, one list comprehension per list.  Only
+    rows from s up can be first: below[j] is 0 for j < s."""
+    group: list[tuple[int, int]] = []
+    size = 0
+    for t in combinations(range(s, len(rows)), w - s):
+        b = below[t[0]]
+        if size + b > _LEVEL_WORDS:
+            yield [u ^ x for u, a in group for x in islice(base, a)]
+            group, size = [], 0
+        group.append((reduce(xor, map(rows.__getitem__, t)), b))
+        size += b
+    yield [u ^ x for u, a in group for x in islice(base, a)]
 
 
 def from_generator(m: BitMatrix) -> LinearCode:

@@ -12,10 +12,11 @@ From a Type I member c the triple is built without the dual of c_max: the
 shadow vector v of c (a sum of pivots of c) lies in dual(c_max) outside c,
 so the other two members are the neighbor steps of c by v and by v + u, u
 a row of c outside c_max, each certified self-dual in O(k) row operations.
-A member's words outside c_max are those with odd product with another
-coset, so one Brouwer-Zimmermann search of each member on rows tagged with
-that product (code._coset_leader) finds its coset's canonical
-representative and its distance; nothing is swept.
+Their words outside c_max make up the shadow v + c, split into its two
+halves by the product with v, so one Brouwer-Zimmermann search of c and of
+v + c on the information sets of c, rows tagged with that product
+(code._shadow_leaders), finds each coset's canonical representative and
+each member's distance; nothing is swept.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from itertools import compress, count, islice
 from operator import ne, or_, xor
 from typing import Iterator, Mapping
 
-from .code import CodeType, InternalConsistencyError, LinearCode, _coset_leader
+from .code import CodeType, InternalConsistencyError, LinearCode, _shadow_leaders
 from .gf2 import BitVector, _dropped, _insert_rref, _kernel_rows
 
 
@@ -164,7 +165,10 @@ def _by_steps(c_max: LinearCode, c: LinearCode, x: int, u: int) -> Neighborhood:
     The words of c orthogonal to x, and to x + u, are those of c_max, as
     u . x = 1: the cosets of c_max in its dual carry a nondegenerate form.
     So the steps of c by x and by x + u are the other two members, c_max +
-    <x> and c_max + <x + u>, each certified by _step.
+    <x> and c_max + <x + u>, each certified by _step.  The shadow of the
+    Type I member is the union of the other two cosets, so the offset of
+    either is a word of it, and one search of that member and of its shadow
+    (code._shadow_leaders) gives all three triples.
     """
     offsets = [u, x, x ^ u]
     members = [c, _step(c, x), _step(c, x ^ u)]
@@ -175,9 +179,11 @@ def _by_steps(c_max: LinearCode, c: LinearCode, x: int, u: int) -> Neighborhood:
         raise InternalConsistencyError(
             f"expected one Type I and two Type II members, got {[t.value for t in types]}"
         )
-    # dual(c_max) words have product 0 with c_max and 1 across two cosets
-    tags = offsets[1:] + offsets[:1]
-    found = sorted((*_coset_leader(m, g), m, t) for m, t, g in zip(members, types, tags))
+    # the shadow's untagged half is the coset of the offset taken as v
+    one = types.index(CodeType.TYPE_I)
+    order = [one, *(j for j in range(3) if j != one)]
+    leaders = _shadow_leaders(members[one], offsets[order[1]])
+    found = sorted((*leaders[order.index(j)], members[j], types[j]) for j in range(3))
     _, words, distances, members, types = zip(*found)
     return Neighborhood(
         c_max=c_max,

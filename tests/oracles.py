@@ -13,7 +13,7 @@ from itertools import accumulate, chain, combinations, compress, islice, permuta
 from math import comb
 from operator import xor
 
-from sdcodes import code
+from sdcodes import code, neighborhood
 from sdcodes.code import InternalConsistencyError, LinearCode
 from sdcodes.fixtures_io import MatrixFormatError
 from sdcodes.gf2 import BitVector, _to01
@@ -279,8 +279,22 @@ def o_neighborhood_of(c):
     types = [m.classify() for m in members]
     if sorted(t.value for t in types) != ["TypeI", "TypeII", "TypeII"] or c not in members:
         raise InternalConsistencyError("reference members are wrong")
+    return o_ranked(c_max, members, types, offsets)
+
+
+def o_by_steps(c_max, c, x: int, u: int):
+    """The former neighborhood._by_steps: the library's certified steps of c
+    by x and by x + u, then one search per member (o_coset_leader_bz)."""
+    offsets = [u, x, x ^ u]
+    members = [c, neighborhood._step(c, x), neighborhood._step(c, x ^ u)]
+    return o_ranked(c_max, members, [m.classify() for m in members], offsets)
+
+
+def o_ranked(c_max, members, types, offsets):
+    """The Neighborhood of members c_max + <offsets[i]>, each searched on
+    rows tagged with the next offset and ordered by its (w, x, d)."""
     tags = offsets[1:] + offsets[:1]
-    found = sorted((*code._coset_leader(m, g), m, t) for m, t, g in zip(members, types, tags))
+    found = sorted((*o_coset_leader_bz(m, g), m, t) for m, t, g in zip(members, types, tags))
     _, words, distances, members, types = zip(*found)
     return Neighborhood(
         c_max=c_max,
@@ -291,10 +305,13 @@ def o_neighborhood_of(c):
     )
 
 
-# The inner loop of the Brouwer-Zimmermann search as it was before list
-# comprehensions and byte probes: sums built by map over int.__xor__, the
-# least weights taken by min over every byte.  The cap on level words is read
-# from the library at each call, so a test that patches it patches both.
+# The coset search as it was before one search of the Type I member and its
+# shadow gave all three members: one Brouwer-Zimmermann search per member on
+# its own information sets, rows lifted to their text with a tag bit, the
+# rounds' sums cut into chunks of _LEVEL_WORDS by islice.  o_coset_leader_bz
+# reads the library's levels, o_coset_leader_min the former map-built ones
+# and takes least weights by min over every byte.  The cap on level words is
+# read from the library at each call, so a test that patches it patches both.
 
 
 def o_level_sums(rows):
@@ -316,14 +333,62 @@ def o_level_sums(rows):
         yield chain.from_iterable(sums)
 
 
+def o_library_levels(rows):
+    """code._level_sums from 0, each level one flat stream."""
+    return map(chain.from_iterable, code._level_sums(rows, 0))
+
+
+def o_bz_rounds(c, lift, level_sums):
+    """(sums, bound) per generator per round of c's Brouwer-Zimmermann search,
+    each generator row lifted first and its levels drawn by level_sums."""
+    if any(r.bit_count() & 1 for r in c.rows):
+        step = 1
+    elif all(r.bit_count() % 4 == 0 for r in c.rows) and c.is_self_orthogonal():
+        step = 4
+    else:
+        step = 2
+    levels = [level_sums(list(map(lift, g))) for g, _ in code._information_set_generators(c)]
+    m = len(levels)
+    for w in range(1, c.k + 1):
+        for i, level in enumerate(levels, 1):
+            yield next(level), -(-(m * w + i) // step) * step
+
+
+def o_tag_lift(n: int, tag: int):
+    """Rows to the int of their text, over a bit of their product with tag."""
+    return lambda r: int(_to01(r, n), 2) << 1 | (r & tag).bit_count() & 1
+
+
+def o_coset_leader_bz(c, tag):
+    """(w, x, d) of an even code c: the least weight w of a word with odd
+    product with tag, the text x of the least such word of weight w, and the
+    minimum distance d; byte probes, as code._coset_leader had them."""
+    n = c.n
+    best, least = (n + 2, 0), n + 2
+    for sums, bound in o_bz_rounds(c, o_tag_lift(n, tag), o_library_levels):
+        sums = iter(sums)
+        while chunk := list(islice(sums, code._LEVEL_WORDS)):
+            ones = bytes(map(int.bit_count, chunk))
+            if 255 in ones:
+                raise ValueError("a sum weighs 255 or more with its tag bit")
+            least = next((w for w in range(1, least) if w in ones), least)
+            odd = next((w for w in range(least | 1, best[0] + 1, 2) if w in ones), 0)
+            if odd:
+                only = bytes(odd) + b"\1" + bytes(255 - odd)
+                best = min(best, (odd, min(compress(chunk, ones.translate(only)))))
+        if best[0] - 1 < bound:
+            break
+    return best[0] - 1, format(best[1] >> 1, f"0{n}b"), least & ~1
+
+
 _O_ODD = bytes(w if w & 1 else 255 for w in range(256))
 
 
 def o_coset_leader_min(c, tag):
-    """(w, x, d) of the library's coset search, with min over the bytes."""
+    """(w, x, d) as o_coset_leader_bz, on map-built levels with min over the bytes."""
     n = c.n
     best, least = (n + 2, 0), n + 2
-    for sums, bound in code._bz_rounds(c, lambda r: int(_to01(r, n), 2) << 1 | (r & tag).bit_count() & 1):
+    for sums, bound in o_bz_rounds(c, o_tag_lift(n, tag), o_level_sums):
         sums = iter(sums)
         while chunk := list(islice(sums, code._LEVEL_WORDS)):
             ones = bytes(map(int.bit_count, chunk))

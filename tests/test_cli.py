@@ -163,10 +163,34 @@ class TestNeighborhood:
         assert status == 2 and out == ""
         assert "coset search weighs 255 or more" in err and "weight limit 254" in err
 
+    def test_json_builds_no_human_text(self, capsys, monkeypatch):
+        # the spaced rows of the members are built only when they are printed
+        def refuse(rows):
+            raise AssertionError(f"built the human text of {len(rows)} rows")
+
+        monkeypatch.setattr(cli, "_spaced", refuse)
+        status, out, _ = run_cli(capsys, "neighborhood", "fixture:G4", "--json")
+        (record,) = json_lines(out)
+        assert status == 0 and len(record["members"]) == 3
+        with pytest.raises(AssertionError, match="human text"):
+            run_cli(capsys, "neighborhood", "fixture:G4")
+
+    def test_failed_verdict_in_the_human_text(self, capsys, tmp_path):
+        # d=6 against Type II distances 4 and 4: exit 1, the verdict printed
+        path = tmp_path / "walk32.txt"
+        path.write_text(serialize_matrix(random_self_dual(32, 12, 19).generator))
+        status, out, _ = run_cli(capsys, "neighborhood", str(path))
+        lines = out.splitlines()
+        assert status == 1 and lines[0] == "n=32 c_max_dimension=15"
+        assert lines[-2:] == ["verdict no_better_type1: FAIL", "verdict distance2_coincidence: n/a"]
+        assert [line.split()[:3] for line in lines if line.startswith("member")] == [
+            ["member", "1:", "type=TypeII"], ["member", "2:", "type=TypeII"], ["member", "3:", "type=TypeI"],
+        ]
+
     def test_no_sweep_per_neighborhood(self, capsys, monkeypatch, tmp_path):
         # representatives and member distances come from one Brouwer-Zimmermann
-        # search per member, the verdicts from those distances, and neither
-        # c_max nor its dual is swept
+        # search of the Type I member and its shadow, the verdicts from those
+        # distances, and neither c_max nor its dual is swept
         sweeps = []
         blocks = code._gray_blocks
 

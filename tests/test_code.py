@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from functools import reduce
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from operator import xor
 
@@ -436,14 +436,14 @@ class TestBrouwerZimmermann:
             if not c.k:
                 continue
             gens = _information_set_generators(c)
-            assert gens[0] == list(c.rows)
+            assert gens[0] == (list(c.rows), sum(c.pivots))
             used = 0
-            for g in gens:
+            for g, mask in gens:
                 assert LinearCode(n, g) == c
                 # each row owns one column of the set: zero there in every other row
                 pivots = [r & ~used & -(r & ~used) for r in g]
                 assert all(sum(bool(r & p) for r in g) == 1 for p in pivots)
-                assert used & sum(pivots) == 0
+                assert used & sum(pivots) == 0 and mask == sum(pivots)
                 used |= sum(pivots)
             assert len(gens) * c.k <= n
 
@@ -479,13 +479,6 @@ class TestBrouwerZimmermann:
             rows = [r for r in (rng.getrandbits(n) for _ in range(3 * n)) if r.bit_count() % (1, 2, 4)[i % 3] == 0]
             codes.append(LinearCode(n, rows[: rng.randrange(1, n // 2 + 3)]))
         codes += [random_self_dual(n, 4 + seed, seed) for n in (8, 16, 24) for seed in range(8)]
-        lifts = []
-
-        def spy(c, lift=None):
-            lifts.append(lift)
-            return _bz_rounds(c, lift)
-
-        monkeypatch.setattr(code, "_bz_rounds", spy)
         divisors, uneven_self_orthogonal = set(), 0
         for c in filter(lambda c: c.k, codes):
             words = set(_gray_words(c.rows)) - {0}
@@ -496,17 +489,11 @@ class TestBrouwerZimmermann:
             # last round has seen every codeword
             unseen = set(words)
             for sums, bound in _bz_rounds(c):
-                sums = set(sums)
+                sums = set(chain.from_iterable(sums))
                 assert sums <= words
                 unseen -= sums
                 assert all(x.bit_count() >= bound for x in unseen)
             assert not unseen
-            # (c) with the lift of _coset_leader, each round is the lift of the plain one
-            lifts.clear()
-            code._coset_leader(c, rng.getrandbits(c.n))
-            (lift,) = lifts
-            for (plain, bound), (lifted, lifted_bound) in zip(_bz_rounds(c), _bz_rounds(c, lift), strict=True):
-                assert Counter(map(lift, plain)) == Counter(lifted) and bound == lifted_bound
         assert divisors == {1, 2, 4} and uneven_self_orthogonal >= 10
 
     def test_words_by_weight_against_the_sweep(self, fixture_codes):
@@ -536,10 +523,13 @@ class TestBrouwerZimmermann:
         # on walk code generators as _bz_rounds takes them and random rows
         monkeypatch.setattr(code, "_LEVEL_WORDS", budget)
         rng = random.Random(26)
-        gens = [g for c in (random_self_dual(16, 7, 1), random_self_dual(24, 9, 2)) for g in _information_set_generators(c)]
+        gens = [g for c in (random_self_dual(16, 7, 1), random_self_dual(24, 9, 2)) for g, _ in _information_set_generators(c)]
         gens += [[rng.getrandbits(n) for _ in range(rng.randrange(1, 11))] for n in rng.choices(range(4, 20), k=10)]
         for rows in gens:
-            assert [list(level) for level in _level_sums(rows)] == [list(level) for level in o_level_sums(rows)]
+            got = [[chunk for chunk in level] for level in _level_sums(rows, 0)]
+            assert [list(chain.from_iterable(level)) for level in got] == [list(level) for level in o_level_sums(rows)]
+            # each level is weighed in the lists it was built in, none past the budget
+            assert all(0 < len(chunk) <= max(budget, 1) for level in got for chunk in level)
 
     @pytest.mark.parametrize("budget", [1, 12, 1 << 16])
     def test_every_level_against_row_subsets(self, monkeypatch, budget):
@@ -552,7 +542,7 @@ class TestBrouwerZimmermann:
                 Counter(reduce(xor, subset) for subset in combinations(rows, w))
                 for w in range(1, len(rows) + 1)
             ]
-            assert [Counter(level) for level in _level_sums(rows)] == expected
+            assert [Counter(chain.from_iterable(level)) for level in _level_sums(rows, 0)] == expected
 
 
 def count_drawn_sums(monkeypatch):
@@ -561,10 +551,10 @@ def count_drawn_sums(monkeypatch):
     built, drawn = [], []
     level_sums = code._level_sums
 
-    def counted(rows):
-        for w, level in enumerate(level_sums(rows), 1):
+    def counted(rows, start):
+        for w, level in enumerate(level_sums(rows, start), 1):
             built.append(w)
-            yield (drawn.append(w) or x for x in level)
+            yield (drawn.extend([w] * len(chunk)) or chunk for chunk in level)
 
     monkeypatch.setattr(code, "_level_sums", counted)
     return built, drawn
@@ -601,22 +591,32 @@ class TestRowSumCap:
 
 
 class TestCosetWeightLimit:
-    """_coset_leader weighs sums into bytes with their tag bit, and refuses a
-    sum that weighs 255 or more instead of misreading it."""
+    """_shadow_leaders weighs sums into bytes with their tag bit, and refuses
+    a sum that weighs 255 or more instead of misreading it."""
 
     @pytest.mark.parametrize("n,tag", [(254, 1), (256, 0), (300, 1)])
     def test_heavy_sums_refused(self, n, tag):
         # the all-ones row weighs n plus its tag: 255 is past the limit of
         # 254, and a weight past 255 does not fit a byte
         with pytest.raises(EnumerationCapError, match="weight limit 254"):
-            code._coset_leader(LinearCode(n, [(1 << n) - 1]), tag)
+            code._shadow_leaders(LinearCode(n, [(1 << n) - 1]), tag)
 
     def test_light_sums_at_any_length(self):
-        # on the first four coordinates the words are 1100, 0011 and 1111;
-        # of the two tagged by 1010 the least text wins, not the least int
-        c = LinearCode(400, [0b11, 0b1100])
-        assert code._coset_leader(c, 0b1) == (2, "11" + "0" * 398, 2)
-        assert code._coset_leader(c, 0b101) == (2, "0011" + "0" * 396, 2)
+        # e8^49 + i2^4 at n=400: c_max is e8^49 plus the doubly-even words of
+        # i2^4, and the shadow is e8^49 plus the words with one 1 in each of
+        # the last four pairs, so the neighborhood is that of i2^4 at n=8,
+        # padded; of the tagged words of weight 2, the least text is the
+        # last pair, not the least int
+        e8 = [0b11110000, 0b11001100, 0b10101010, 0b11111111]
+        rows = [r << 8 * j for j in range(49) for r in e8] + [0b11 << 392 + 2 * i for i in range(4)]
+        c = LinearCode(400, rows)
+        assert c.is_self_dual() and c.classify() is CodeType.TYPE_I
+        small = neighborhood_of(double_pair_code(8))
+        nb = neighborhood_of(c)
+        assert [r.to01() for r in nb.representatives] == ["0" * 392 + r.to01() for r in small.representatives]
+        assert nb.representatives[0].to01() == "0" * 398 + "11"
+        assert nb.member_distances == small.member_distances == (2, 4, 4)
+        assert nb.member_types == small.member_types
 
 
 def permuted_copy(c, seed):

@@ -6,7 +6,7 @@ from operator import xor
 import pytest
 
 from sdcodes import code, gf2, neighborhood
-from sdcodes.code import CodeType, LinearCode, extremal_bound, from_generator
+from sdcodes.code import CodeType, EnumerationCapError, LinearCode, extremal_bound, from_generator
 from sdcodes.fixtures_io import fixture
 from sdcodes.gf2 import BitMatrix, BitVector
 from sdcodes.neighborhood import (
@@ -24,10 +24,11 @@ from sdcodes.neighborhood import (
 )
 
 from oracles import (
+    o_by_steps,
     o_coset_leader,
+    o_coset_leader_bz,
     o_coset_leader_min,
     o_doubly_even_words,
-    o_level_sums,
     o_member,
     o_min_distance,
     o_neighborhood_of,
@@ -665,6 +666,11 @@ class TestCosetRepresentatives:
             assert [(r.weight(), r.to01()) for r in nb.representatives] == expected
             assert expected == sorted(expected) and len(set(offsets)) == 3
 
+    def test_distances_match_a_sweep_of_each_member(self, searched):
+        for nb, _ in searched:
+            swept = [m.weight_enumerator().min_positive_weight() for m in nb.members]
+            assert tuple(swept) == nb.member_distances
+
     def test_sums_weighed_in_small_chunks(self, monkeypatch, searched):
         # chunks of 3 sums split every round past the first, so the least
         # tagged word and the least weight are each taken over many chunks
@@ -681,12 +687,12 @@ class TestCosetRepresentatives:
         for nb, offsets in searched:
             n = nb.c_max.n
             for i, m in enumerate(nb.members):
-                found = {code._coset_leader(m, g) for j, g in enumerate(offsets) if j != i}
+                found = {o_coset_leader_bz(m, g) for j, g in enumerate(offsets) if j != i}
                 ((w, x, d),) = found
                 rep = nb.representatives[i]
                 assert (w, x, d) == (rep.weight(), rep.to01(), nb.member_distances[i])
                 assert len(x) == n and m.contains(BitVector.from_string(x))
-                assert code._coset_leader(m, offsets[i])[0] > n
+                assert o_coset_leader_bz(m, offsets[i])[0] > n
 
     def test_c_max_distance_matches_the_oracle(self, searched):
         for nb, _ in searched:
@@ -781,35 +787,30 @@ class TestShadowRoute:
 
 
 class TestCosetSearchAgainstTheMinForm:
-    """_coset_leader probes its byte weights and _level_sums builds its sums
-    by list comprehensions; the former min and map forms, kept in oracles,
-    must give the same (w, x, d) and the same sums in the same order."""
+    """_shadow_leaders probes its byte weights and _level_sums builds its
+    sums by list comprehensions; one search per member in the former min and
+    map forms, kept in oracles, must give each member the same (w, x, d)."""
 
     @staticmethod
     def members_and_tags(nb):
         offsets = [next(r for r in m.rows if nb.c_max._reduce(r)) for m in nb.members]
         return [(m, offsets[(i + 1) % 3]) for i, m in enumerate(nb.members)]
 
-    def assert_same(self, monkeypatch, nbs):
+    def assert_same(self, nbs):
         for nb in nbs:
-            for m, tag in self.members_and_tags(nb):
-                with monkeypatch.context() as mp:
-                    mp.setattr(code, "_level_sums", o_level_sums)
-                    expected = o_coset_leader_min(m, tag)
-                assert code._coset_leader(m, tag) == expected
-                if m.n <= 16:
-                    # a tag in the member tags nothing: every round is drawn
-                    assert code._coset_leader(m, m.rows[0]) == o_coset_leader_min(m, m.rows[0])
+            found = zip(nb.representatives, nb.member_distances)
+            for (m, tag), (rep, d) in zip(self.members_and_tags(nb), found, strict=True):
+                assert (rep.weight(), rep.to01(), d) == o_coset_leader_min(m, tag)
 
-    def test_members_of_walk_neighborhoods(self, monkeypatch, fixture_codes):
+    def test_members_of_walk_neighborhoods(self, fixture_codes):
         codes = shadow_route_codes(fixture_codes) + [random_self_dual(80, 40, 2)]
-        self.assert_same(monkeypatch, map(neighborhood_of, codes))
+        self.assert_same(map(neighborhood_of, codes))
 
     @pytest.mark.parametrize("budget", [3, 40])
     def test_past_the_level_cap_and_in_many_chunks(self, monkeypatch, budget):
         monkeypatch.setattr(code, "_LEVEL_WORDS", budget)
         codes = [c for n in (8, 16, 24, 32) for c in type1_walk_codes(n, 2)]
-        self.assert_same(monkeypatch, map(neighborhood_of, codes))
+        self.assert_same(map(neighborhood_of, codes))
 
 
 def type1_walk_codes(n, count):
@@ -845,8 +846,8 @@ class TestDistanceCrossCheck:
         levels = code._level_sums
         drawn = []
 
-        def counted(rows):
-            for sums in levels(rows):
+        def counted(rows, start):
+            for sums in levels(rows, start):
                 drawn.append(len(rows))
                 yield sums
 
@@ -896,3 +897,181 @@ class TestPaperLength:
         )
         assert pairs == copy_pairs
         assert all(d <= extremal_bound(n, CodeType(t)) for t, d in pairs)
+
+
+# (steps, walk seed) of the 36 Type I codes at n=32 that the benchmark's
+# neighborhood workload times, 12 each of distance 2, 4 and 6
+POOL_N32 = [
+    (10, 1), (8, 2), (11, 3), (11, 4), (17, 5), (20, 6), (13, 7), (11, 8), (15, 9),
+    (17, 10), (15, 11), (15, 12), (12, 13), (9, 14), (11, 15), (13, 16), (16, 17),
+    (10, 18), (10, 21), (10, 22), (19, 24), (19, 26), (18, 27), (16, 30), (8, 31),
+    (17, 33), (10, 87), (12, 124), (8, 198), (12, 217), (12, 218), (8, 246),
+    (8, 281), (14, 301), (11, 337), (11, 360),
+]
+
+
+def pool_codes():
+    return [random_self_dual(32, steps, seed) for steps, seed in POOL_N32]
+
+
+def c_max_by(c, x):
+    """The words of the self-dual c orthogonal to x, cut from its rows."""
+    return LinearCode(c.n, gf2._kernel_rows(c.rows, [(r & x).bit_count() & 1 for r in c.rows]))
+
+
+class TestOneSearchOfTheShadow:
+    """neighborhood_of takes all three members from one search of its Type I
+    member and of its shadow (code._shadow_leaders); the former route, the
+    same certified steps and one search per member (oracles.o_by_steps), is
+    the reference, field by field."""
+
+    @pytest.fixture(scope="class")
+    def codes(self):
+        """The 36 pool codes at n=32 and 301 Type I walk codes, 43 at each
+        n = 8, 16, ..., 56."""
+        return pool_codes() + [c for n in range(8, 57, 8) for c in type1_walk_codes(n, 43)]
+
+    @staticmethod
+    def assert_former_route(codes):
+        for c in codes:
+            nb = neighborhood_of(c)
+            c_max, v, u = neighborhood._shadow_cut(c)
+            former = o_by_steps(c_max, c, v, u)
+            for f in dataclasses.fields(nb):
+                assert getattr(nb, f.name) == getattr(former, f.name), f.name
+
+    def test_equals_the_former_route(self, codes):
+        assert len(codes) == 337 and {c.n for c in codes} == set(range(8, 57, 8))
+        self.assert_former_route(codes)
+
+    @pytest.mark.parametrize("budget", [3, 12])
+    def test_equals_the_former_route_in_small_lists(self, monkeypatch, codes, budget):
+        # past-base levels from the first round or two on, each weighed in
+        # many lists, on the 208 codes at n <= 32; the former route cuts the
+        # same levels by islice
+        monkeypatch.setattr(code, "_LEVEL_WORDS", budget)
+        self.assert_former_route([c for c in codes if c.n <= 32])
+
+    def test_containing_c_max_equals_the_type1_route(self, fixture_codes):
+        # the fixtures' c_max, and c_max cut from walk codes of both types by
+        # random even words: the anchor of neighborhood_containing is then
+        # often Type II, and the Type I member either of its steps
+        anchors = []
+        steps = neighborhood._by_steps
+
+        def spied(c_max, c, x, u):
+            nb = steps(c_max, c, x, u)
+            anchors.append((c.classify(), nb.type1().contains(BitVector(c.n, x))))
+            return nb
+
+        rng = random.Random(24)
+        codes = [fixture_codes[f"G{i}"] for i in range(1, 7)]
+        codes += [random_self_dual(n, 5 + seed, seed) for n in (16, 24, 32, 40, 48) for seed in range(8)]
+        cuts = []
+        for c in codes:
+            if c.classify() is CodeType.TYPE_I:
+                cuts.append((c, max_doubly_even_subcode(c)))
+            else:
+                # a Type II code is a member of every triple of a c_max in it
+                cuts += [(c, c_max_by(c, step_vector(c, rng))) for _ in range(3)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neighborhood, "_by_steps", spied)
+            found = [(c, neighborhood_containing(c_max)) for c, c_max in cuts]
+        for c, nb in found:
+            assert c in nb.members
+            other = neighborhood_of(nb.type1())
+            for f in dataclasses.fields(nb):
+                assert getattr(nb, f.name) == getattr(other, f.name), f.name
+        type2_anchors = [by_x for t, by_x in anchors if t is CodeType.TYPE_II]
+        assert len(type2_anchors) >= 20 and set(type2_anchors) == {True, False}
+
+
+class TestSearchWork:
+    """What one search of c and its shadow draws, counted exactly."""
+
+    def test_one_information_set_elimination(self, monkeypatch):
+        # one per neighborhood where the former route made three, one per
+        # member; neighborhood_containing eliminates its Type I member
+        calls = []
+        generators = code._information_set_generators
+
+        def counted(c):
+            calls.append(c)
+            return generators(c)
+
+        monkeypatch.setattr(code, "_information_set_generators", counted)
+        for c in pool_codes()[::4]:
+            calls.clear()
+            nb = neighborhood_of(c)
+            assert calls == [c]
+            calls.clear()
+            neighborhood_containing(LinearCode(c.n, nb.c_max.rows))
+            assert calls == [c]
+
+    def test_level_sums_drawn_over_the_pool(self, monkeypatch):
+        # the former route drew 165,744 level sums over the same 36 codes,
+        # 7,256 of them on a code with member distances (6, 8, 8); the round
+        # 0 of the shadow, one start word per generator, is not a level sum
+        drawn = []
+        levels = code._level_sums
+
+        def counted(rows, start):
+            for level in levels(rows, start):
+                yield (drawn.append(len(chunk)) or chunk for chunk in level)
+
+        monkeypatch.setattr(code, "_level_sums", counted)
+        per_code = []
+        for c in pool_codes():
+            drawn.clear()
+            nb = neighborhood_of(c)
+            per_code.append((nb.member_distances, sum(drawn)))
+        assert sum(n for _, n in per_code) == 115_220
+        assert per_code[3] == ((6, 8, 8), 4_044)
+        # c_max of distance 8 beyond both halves' 4: c's stream stops once
+        # its bound passes them, not at c_max's least weight (460 sums, and
+        # 480 by the former route)
+        c = random_self_dual(40, 10, 160)
+        drawn.clear()
+        nb = neighborhood_of(c)
+        assert (nb.member_distances, sum(drawn)) == ((2, 4, 4), 250)
+        assert nb.c_max.minimum_distance() == 8
+
+    def test_shadow_sums_weigh_n_over_2_mod_4(self, monkeypatch):
+        # every word of the shadow weighs n/2 mod 4 (Conway and Sloane 1990),
+        # and on c a word's tag bit is its weight halved, mod 2: each lifted
+        # sum is a word of weight w over its tag bit, so it has w + tag ones
+        streams = {}
+        levels = code._level_sums
+
+        def weighed(rows, start):
+            seen = streams.setdefault(bool(start), [start] if start else [])
+            for level in levels(rows, start):
+                yield (seen.extend(chunk) or chunk for chunk in level)
+
+        monkeypatch.setattr(code, "_level_sums", weighed)
+        codes = pool_codes()[::3] + type1_walk_codes(40, 3) + [random_self_dual(56, 20, 0)]
+        for c in codes:
+            streams.clear()
+            neighborhood_of(c)
+            shadow, own = streams[True], streams[False]
+            assert shadow and all((s >> 1).bit_count() % 4 == c.n // 2 % 4 for s in shadow)
+            assert own and all(s & 1 == (s >> 1).bit_count() // 2 % 2 for s in own)
+
+    def test_cap_counts_the_sums_of_both_streams(self, monkeypatch):
+        # n=32, two generators of 16 rows: the shadow's round 0 draws 2 sums,
+        # and each later round 2 * C(16, w) per stream.  Round 3 would bring
+        # the two streams to 2 + 4 * (16 + 120 + 560) = 2786 sums, past 2^11,
+        # where either alone (1394 or 1392) is not; c's stream stops in round
+        # 3, so round 4 brings only the shadow's 2 * 1820 more
+        c = random_self_dual(32, 11, 4)
+        assert neighborhood_of(c).member_distances == (6, 8, 8)
+        for cap, message in (
+            (11, "round 3 of the Brouwer-Zimmermann search would bring the row sums drawn to 2786, past the enumeration cap 2^11"),
+            (12, "round 4 of the Brouwer-Zimmermann search would bring the row sums drawn to 6426, past the enumeration cap 2^12"),
+        ):
+            monkeypatch.setattr(code, "DEFAULT_ENUMERATION_CAP", cap)
+            with pytest.raises(EnumerationCapError) as refused:
+                neighborhood_of(c)
+            assert str(refused.value) == "instance too large: " + message
+        monkeypatch.setattr(code, "DEFAULT_ENUMERATION_CAP", 13)
+        assert neighborhood_of(c).member_distances == (6, 8, 8)
