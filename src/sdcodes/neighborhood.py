@@ -6,9 +6,10 @@ dimension n/2 - 1 (with the all-ones word) the dual of c_max splits into
 c_max and three cosets, and each coset extends c_max to a self-dual code:
 three pairwise neighbors sharing c_max.  For lengths divisible by 8 exactly
 one of the three is Type I and the common subcode is its maximal doubly-even
-subcode, so the triple can be reconstructed from any one Type I member.
+subcode, so every triple is built from its Type I member: neighborhood_of
+takes it, and neighborhood_containing finds it by its weight mod 4.
 
-From a Type I member c the triple is built without the dual of c_max: the
+From the Type I member c the triple is built without the dual of c_max: the
 shadow vector v of c (a sum of pivots of c) lies in dual(c_max) outside c,
 so the other two members are the neighbor steps of c by v and by v + u, u
 a row of c outside c_max, each certified self-dual in O(k) row operations.
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import compress, count, islice
 from operator import ne, or_, xor
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 from .code import CodeType, InternalConsistencyError, LinearCode, _shadow_leaders
 from .gf2 import BitVector, _dropped, _insert_rref, _kernel_rows
@@ -100,10 +101,16 @@ def neighborhood_containing(c_max: LinearCode) -> Neighborhood:
     Requires length divisible by 8, dimension n/2 - 1, self-orthogonality,
     and doubly-even generator rows.  The extensions are guaranteed self-dual
     exactly when c_max contains the all-ones word; a violation means the
-    triple does not exist and raises InternalConsistencyError.  Two words of
-    dual(c_max) from different cosets are found by reducing its rows; one
-    anchor member is built from the first and proved self-dual by a pass,
-    and the other two are certified steps from it (_by_steps).
+    triple does not exist and raises InternalConsistencyError.
+
+    Reducing the rows of dual(c_max) gives two words g0 and g1 from
+    different cosets of c_max, and the three cosets are those of g0, g1 and
+    g0 + g1.  Every word of a coset g + c_max weighs wt(g) mod 4 (Conway and
+    Sloane 1990): wt(g + y) = wt(g) + wt(y) - 2|g & y| with wt(y) = 0 mod 4,
+    as c_max is doubly-even, and |g & y| = g . y = 0 mod 2, as g lies in
+    dual(c_max).  So the Type I member is c_max + <g> for the one g of the
+    three with weight 2 mod 4.  It is built from the rows of c_max, proved
+    self-dual by one pass, and the triple is neighborhood_of that member.
     """
     n = c_max.n
     if n % 8 != 0:
@@ -124,22 +131,31 @@ def neighborhood_containing(c_max: LinearCode) -> Neighborhood:
     gammas = list(dict.fromkeys(filter(None, map(c_max._reduce, c_max.dual().rows))))
     if len(gammas) < 2:
         raise InternalConsistencyError("dual of c_max does not exceed c_max by dimension 2")
-    # the anchor is self-dual, as 1 lies in c_max; its one pass proves it
+    g0, g1 = gammas[:2]
+    singly = [g for g in (g0, g1, g0 ^ g1) if g.bit_count() % 4 == 2]
+    if len(singly) != 1:
+        raise InternalConsistencyError(f"expected one coset of c_max of weight 2 mod 4, got {len(singly)}")
+    # the member is self-dual, as 1 lies in c_max; its one pass proves it
     # before any step is taken from it
-    anchor = LinearCode(n, _insert_rref(c_max.rows, c_max.pivots, gammas[0])[0])
-    if not anchor.is_self_dual():
-        raise InternalConsistencyError("anchor member of c_max is not self-dual")
-    return _by_steps(c_max, anchor, gammas[1], gammas[0])
+    member = LinearCode(n, _insert_rref(c_max.rows, c_max.pivots, singly[0])[0])
+    if not member.is_self_dual():
+        raise InternalConsistencyError("Type I member of c_max is not self-dual")
+    return neighborhood_of(member)
 
 
 def neighborhood_of(c: LinearCode) -> Neighborhood:
-    """The neighborhood anchored at a Type I self-dual code.
+    """The neighborhood of a Type I self-dual code.
 
     The c_max shared by the triple is the maximal doubly-even subcode of c,
-    which exists only for Type I members; pass one of them.  The other two
-    members are the steps of c by the shadow vector v and by v + u
-    (_shadow_cut), each certified in O(k) row operations, so the pass that
-    checks c is self-dual is the only one, and no dual is built.
+    which exists only for Type I members; pass one of them.  With v the
+    shadow vector of c and u the row that the cut to c_max drops
+    (_shadow_cut), u . v = 1, so the words of c orthogonal to v, and to
+    v + u, are those of c_max: the other two members, c_max + <v> and
+    c_max + <v + u>, are the steps of c by v and by v + u, built from the
+    rows of c_max and each certified in O(k) row operations (_extended).
+    The pass that checks c is self-dual is the only one, and no dual is
+    built.  A step vector in c would give c again, so the members must be
+    Type I, II, II, the order of the triples of code._shadow_leaders(c, v).
     """
     if not c.is_self_dual():
         raise ValueError("neighborhood_of requires a self-dual code")
@@ -152,39 +168,14 @@ def neighborhood_of(c: LinearCode) -> Neighborhood:
     if c.n % 8 != 0:
         raise ValueError(f"neighborhood construction requires length divisible by 8, got {c.n}")
     c_max, v, u = _shadow_cut(c)
-    nb = _by_steps(c_max, c, v, u)
-    if c not in nb.members:
-        raise InternalConsistencyError("anchor code is missing from its own neighborhood")
-    return nb
-
-
-def _by_steps(c_max: LinearCode, c: LinearCode, x: int, u: int) -> Neighborhood:
-    """The neighborhood of c_max from one member c = c_max + <u>, self-dual
-    with its proof stored, and a word x of dual(c_max) outside c.
-
-    The words of c orthogonal to x, and to x + u, are those of c_max, as
-    u . x = 1: the cosets of c_max in its dual carry a nondegenerate form.
-    So the steps of c by x and by x + u are the other two members, c_max +
-    <x> and c_max + <x + u>, each certified by _step.  The shadow of the
-    Type I member is the union of the other two cosets, so the offset of
-    either is a word of it, and one search of that member and of its shadow
-    (code._shadow_leaders) gives all three triples.
-    """
-    offsets = [u, x, x ^ u]
-    members = [c, _step(c, x), _step(c, x ^ u)]
-    if None in members:
-        raise InternalConsistencyError("step vector lies in the anchor member")
+    members = [c, *(_extended(c, x, c_max.rows, c_max.pivots) for x in (v, v ^ u))]
     types = [m.classify() for m in members]
-    if sorted(t.value for t in types) != ["TypeI", "TypeII", "TypeII"]:
+    if types != [CodeType.TYPE_I, CodeType.TYPE_II, CodeType.TYPE_II]:
         raise InternalConsistencyError(
             f"expected one Type I and two Type II members, got {[t.value for t in types]}"
         )
-    # the shadow's untagged half is the coset of the offset taken as v
-    one = types.index(CodeType.TYPE_I)
-    order = [one, *(j for j in range(3) if j != one)]
-    leaders = _shadow_leaders(members[one], offsets[order[1]])
-    found = sorted((*leaders[order.index(j)], members[j], types[j]) for j in range(3))
-    _, words, distances, members, types = zip(*found)
+    leaders, members, types = zip(*sorted(zip(_shadow_leaders(c, v), members, types)))
+    _, words, distances = zip(*leaders)
     return Neighborhood(
         c_max=c_max,
         members=members,
@@ -303,8 +294,13 @@ def _step(c: LinearCode, x: int) -> LinearCode | None:
         return None
     # the kernel cut keeps every pivot of c but that of the row it drops
     j = _dropped(t)
-    rows, _ = _insert_rref(_kernel_rows(c.rows, t), c.pivots[:j] + c.pivots[j + 1 :], x)
-    out = LinearCode(c.n, rows)
+    return _extended(c, x, _kernel_rows(c.rows, t), c.pivots[:j] + c.pivots[j + 1 :])
+
+
+def _extended(c: LinearCode, x: int, rows: Sequence[int], pivots: Sequence[int]) -> LinearCode:
+    """The step of the self-dual c by x, from the RREF rows and pivots of the
+    words of c orthogonal to x; proved self-dual by _step_certified."""
+    out = LinearCode(c.n, _insert_rref(rows, pivots, x)[0])
     if not _step_certified(c, x, out):
         raise InternalConsistencyError("neighbor step produced a non-self-dual code")
     object.__setattr__(out, "_self_orthogonal", True)

@@ -1,5 +1,7 @@
 import dataclasses
+import math
 import random
+import re
 from functools import reduce
 from operator import xor
 
@@ -777,13 +779,43 @@ class TestShadowRoute:
             assert len(passes) == 2 and passes[0] == c_max.rows
             assert passes[1] in [m.rows for m in nb.members]
 
-    def test_a_step_vector_inside_c_is_refused(self):
+    def test_a_step_vector_inside_c_is_refused(self, monkeypatch):
+        # with v and u swapped the first step vector, u, lies in c, so its
+        # step gives c again, and the exact member types refuse it
         c = random_self_dual(16, 8, 0)
         c_max, v, u = neighborhood._shadow_cut(c)
-        assert neighborhood._by_steps(c_max, c, v, u) == neighborhood_of(c)
-        # u lies in c, so a step by it is no step
-        with pytest.raises(InternalConsistencyError, match="lies in the anchor"):
-            neighborhood._by_steps(c_max, c, u, v)
+        monkeypatch.setattr(neighborhood, "_shadow_cut", lambda _: (c_max, u, v))
+        with pytest.raises(InternalConsistencyError, match=re.escape("got ['TypeI', 'TypeI', 'TypeII']")):
+            neighborhood_of(c)
+
+
+class TestCosetWeightsModFour:
+    """neighborhood_containing picks the Type I member as the coset of c_max
+    whose weight is 2 mod 4; a sweep of the whole dual of c_max checks the
+    fact it rests on, word by word."""
+
+    def test_each_coset_has_one_weight_mod_4(self, triples):
+        cases = [(nb.c_max, nb.type1()) for nb in triples]
+        for c in [c for n in (8, 16, 24) for c in type1_walk_codes(n, 8)]:
+            cases.append((max_doubly_even_subcode(c), c))
+        for c_max, type1 in cases:
+            residues = {}
+            for w in code._gray_words(c_max.dual().rows):
+                residues.setdefault(c_max._reduce(w), set()).add(w.bit_count() % 4)
+            assert len(residues) == 4 and residues.pop(0) == {0}
+            assert all(len(r) == 1 for r in residues.values())
+            singly = [g for g, r in residues.items() if r == {2}]
+            assert len(singly) == 1 and type1.contains(BitVector(c_max.n, singly[0]))
+
+    def test_no_coset_of_weight_2_mod_4_is_refused(self, monkeypatch, triples):
+        # two words outside dual(c_max), zero at its pivots, of weights 4, 4
+        # and 8: a dual that gave them would leave no Type I member
+        c_max = triples[0].c_max
+        free = [1 << i for i in range(c_max.n) if not c_max._pivot_mask >> i & 1]
+        rows = [sum(free[:4]), sum(free[4:8])]
+        monkeypatch.setattr(LinearCode, "dual", lambda self: LinearCode(self.n, rows))
+        with pytest.raises(InternalConsistencyError, match="of weight 2 mod 4, got 0"):
+            neighborhood_containing(c_max)
 
 
 class TestCosetSearchAgainstTheMinForm:
@@ -954,15 +986,14 @@ class TestOneSearchOfTheShadow:
 
     def test_containing_c_max_equals_the_type1_route(self, fixture_codes):
         # the fixtures' c_max, and c_max cut from walk codes of both types by
-        # random even words: the anchor of neighborhood_containing is then
-        # often Type II, and the Type I member either of its steps
-        anchors = []
-        steps = neighborhood._by_steps
+        # random even words: the code a c_max was cut from is then often
+        # Type II, and the one member passed is still the Type I one
+        passes = []
+        pairwise = code._pairwise_orthogonal
 
-        def spied(c_max, c, x, u):
-            nb = steps(c_max, c, x, u)
-            anchors.append((c.classify(), nb.type1().contains(BitVector(c.n, x))))
-            return nb
+        def counted(rows):
+            passes.append(tuple(rows))
+            return pairwise(rows)
 
         rng = random.Random(24)
         codes = [fixture_codes[f"G{i}"] for i in range(1, 7)]
@@ -974,16 +1005,24 @@ class TestOneSearchOfTheShadow:
             else:
                 # a Type II code is a member of every triple of a c_max in it
                 cuts += [(c, c_max_by(c, step_vector(c, rng))) for _ in range(3)]
+        found = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(neighborhood, "_by_steps", spied)
-            found = [(c, neighborhood_containing(c_max)) for c, c_max in cuts]
-        for c, nb in found:
+            mp.setattr(code, "_pairwise_orthogonal", counted)
+            for c, c_max in cuts:
+                passes.clear()
+                found.append((c, c_max, neighborhood_containing(c_max), list(passes)))
+        for c, c_max, nb, passed in found:
             assert c in nb.members
+            assert passed[-1] == tuple(nb.type1().rows) and set(passed) <= {tuple(c_max.rows), passed[-1]}
             other = neighborhood_of(nb.type1())
             for f in dataclasses.fields(nb):
                 assert getattr(nb, f.name) == getattr(other, f.name), f.name
-        type2_anchors = [by_x for t, by_x in anchors if t is CodeType.TYPE_II]
-        assert len(type2_anchors) >= 20 and set(type2_anchors) == {True, False}
+            assert [m.rows for m in nb.members] == [m.rows for m in other.members]
+        assert len(found) == 54 and sum(c.classify() is CodeType.TYPE_II for c, *_ in found) == 12
+        # the first coset word that the reduction of dual(c_max) gives is
+        # often of a Type II member, which the route does not pass
+        firsts = [(nb, next(filter(None, map(c_max._reduce, c_max.dual().rows)))) for _, c_max, nb, _ in found]
+        assert sum(not nb.type1().contains(BitVector(nb.c_max.n, g)) for nb, g in firsts) == 32
 
 
 class TestSearchWork:
@@ -1075,3 +1114,30 @@ class TestSearchWork:
             assert str(refused.value) == "instance too large: " + message
         monkeypatch.setattr(code, "DEFAULT_ENUMERATION_CAP", 13)
         assert neighborhood_of(c).member_distances == (6, 8, 8)
+
+
+class TestNeighborGraphCensus:
+    """A breadth-first search of the neighbor graph from double_pair_code(n),
+    over the steps by every even word, against counts from outside the
+    library: ∏_{i=1}^{n/2-1} (2^i + 1) self-dual codes of length n, of which
+    ∏_{i=0}^{n/2-2} (2^i + 1) are Type II when 8 | n (MacWilliams and
+    Sloane, ch. 19), and 2^{n/2} - 2 neighbors of each code."""
+
+    @pytest.mark.parametrize("n, total", [(2, 1), (4, 3), (6, 15), (8, 135)])
+    def test_counts(self, n, total):
+        assert total == math.prod(2**i + 1 for i in range(1, n // 2))
+        evens = [x for x in range(1 << n) if x.bit_count() % 2 == 0]
+        start = double_pair_code(n)
+        seen, queue = {start.rows: start}, [start]
+        for c in queue:
+            steps = {out.rows: out for x in evens if (out := neighborhood._step(c, x)) is not None}
+            assert len(steps) == 2 ** (n // 2) - 2
+            for rows, out in steps.items():
+                if rows not in seen:
+                    seen[rows] = out
+                    queue.append(out)
+        assert len(seen) == total
+        type2 = sum(c.classify() is CodeType.TYPE_II for c in seen.values())
+        assert type2 == (math.prod(2**i + 1 for i in range(n // 2 - 1)) if n % 8 == 0 else 0)
+        if n == 8:
+            assert type2 == 30
