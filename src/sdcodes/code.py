@@ -431,18 +431,28 @@ def _shadow_leaders(c: LinearCode, v: int) -> tuple[Triple, Triple, Triple]:
     multiple of 4, if it lies in c_max or in the shadow.  The two streams
     step together until one stops.
 
-    Stops.  The shadow's stream stops once the least weight w_h drawn in
-    each half is below B4: every word of that weight in the half has been
-    drawn, so its least text is final.  c's stream stops once its least
-    tagged weight w_c is below B2 and c_max is known up to max w_h: either
-    its least drawn weight L is at most B4, and then it is c_max's distance,
-    or B4 >= max w_h, and then every word of c_max not drawn weighs at least
-    as much as either half's.  The w_h that c's stream reads are the least
-    drawn so far, which only fall, so the second case stays true.  A
-    member's distance is the least of c_max's and of its coset's least
-    weight, so the triples are (w_c, x_c, min(L, w_c)) and (w_h, x_h,
-    min(L, w_h)): in each stop case, and once every round is drawn, min(L, .)
-    is that least.
+    Stops.  A least word x of weight w_x is settled once no word that its
+    stream has not drawn is lighter, or as light and before x in text order.
+    It is if w_x is below the bound b of its kind (B2 for c's tagged words,
+    B4 for each shadow half): every word of weight w_x has been drawn.  At
+    w_x = b it is if no word not drawn precedes x at all.  Such a word has
+    at least need_j ones on each I_j, w + 1 for j <= i and w for the rest,
+    and a word whose text precedes x's agrees with x above some 1-bit e of
+    the lifted x (before it in the text) and is 0 at e, so it has at most
+    |x & I_j above e| + |I_j below e| ones on I_j: if that is below need_j
+    for some j at every such e, none precedes x (_precedes_unseen, O(wt(x)
+    * m) popcounts, run only at equality).  A settled x stays settled, as
+    the bounds and needs only grow.  The shadow's stream stops once the
+    least words x_h of both halves are settled, of weights w_h.  c's stream
+    stops once its least tagged word x_c, of weight w_c, is settled and
+    c_max is known up to max w_h: either its least drawn weight L is at most
+    B4, and then it is c_max's distance, or B4 >= max w_h, and then every
+    word of c_max not drawn weighs at least as much as either half's.  The
+    w_h that c's stream reads are the least drawn so far, which only fall,
+    so the second case stays true.  A member's distance is the least of
+    c_max's and of its coset's least weight, so the triples are (w_c, x_c,
+    min(L, w_c)) and (w_h, x_h, min(L, w_h)): in each stop case, and once
+    every round is drawn, min(L, .) is that least.
 
     The sums are weighed into bytes as _level_sums built them, at most
     _LEVEL_WORDS at a time; the least weights of each residue are found by
@@ -454,17 +464,26 @@ def _shadow_leaders(c: LinearCode, v: int) -> tuple[Triple, Triple, Triple]:
     """
     n, k = c.n, c.k
 
-    def lift(r: int) -> int:
-        return int(_to01(r, n), 2) << 1 | (r & v).bit_count() & 1
+    def text(r: int) -> int:
+        return int(_to01(r, n), 2) << 1
 
-    own, shadow = [], []
+    def lift(r: int) -> int:
+        return text(r) | (r & v).bit_count() & 1
+
+    own, shadow, sets = [], [], []
     for rows, mask in _information_set_generators(c):
         lifted = list(map(lift, rows))
+        sets.append(text(mask))
         # each row has one 1 on the set, at its own pivot
         start = lift(reduce(xor, compress(rows, [r & mask & v for r in rows]), v))
         own.append(chain([()], _level_sums(lifted, 0)))
         shadow.append(chain([[[start]]], _level_sums(lifted, start)))
     m = len(own)
+
+    def open_at(found: tuple[int, int], b: int) -> bool:
+        # found's weight is above b, or at b with an unseen word before it
+        return found[0] & ~1 > b or found[0] & ~1 == b and not _precedes_unseen(found[1], sets, need)
+
     least, tagged, halves = n + 2, (n + 2, 0), [(n + 2, 0), (n + 2, 0)]
     searching, total = [True, True], 0
     for w, i in product(range(k + 1), range(m)):
@@ -482,9 +501,10 @@ def _shadow_leaders(c: LinearCode, v: int) -> tuple[Triple, Triple, Triple]:
                 tagged = _lightest(chunk, ones, 3, tagged)
         bound = m * w + i + 1
         b2, b4 = -(-bound // 2) * 2, -(-bound // 4) * 4
+        need = [w + 1] * (i + 1) + [w] * (m - i - 1)
         searching = [
-            searching[0] and (tagged[0] - 1 >= b2 or least > b4 and max(h & ~1 for h, _ in halves) > b4),
-            searching[1] and (halves[0][0] >= b4 or halves[1][0] - 1 >= b4),
+            searching[0] and (open_at(tagged, b2) or least > b4 and max(h & ~1 for h, _ in halves) > b4),
+            searching[1] and (open_at(halves[0], b4) or open_at(halves[1], b4)),
         ]
         if not any(searching):
             break
@@ -493,6 +513,24 @@ def _shadow_leaders(c: LinearCode, v: int) -> tuple[Triple, Triple, Triple]:
         return ones & ~1, format(word >> 1, f"0{n}b"), min(least, ones & ~1)
 
     return triple(*tagged), triple(*halves[0]), triple(*halves[1])
+
+
+def _precedes_unseen(x: int, sets: list[int], need: list[int]) -> bool:
+    """Whether no word with at least need[j] ones on each lifted information
+    set sets[j] has a text before that of the lifted word x.
+
+    A word y whose text precedes x's agrees with x above some 1-bit e of x's
+    text and is 0 at e, so it has at most |x & I_j above e| + |I_j below e|
+    ones on I_j; if at every such e that is below need[j] for some j, every
+    such y has too few.
+    """
+    rest = x & ~1
+    while rest:
+        e = rest & -rest
+        if not any(a > (x & -(e << 1) & s).bit_count() + (s & (e - 1)).bit_count() for s, a in zip(sets, need)):
+            return False
+        rest ^= e
+    return True
 
 
 def _weighed(chunk: list[int]) -> bytes:
@@ -526,20 +564,20 @@ def _level_sums(rows: Sequence[int], start: int) -> Iterator[Iterable[list[int]]
     lists of at most _LEVEL_WORDS sums each, in the order they are built.
 
     The sums of s rows are kept as a base list ordered by highest row index,
-    so below[j] of them use only rows before j, and those of s + 1 rows come
-    from it by one list comprehension per row.  Once a level would pass
+    so the first below[j] = C(j, s) of them use only rows before j, and those
+    of s + 1 rows come from it by one list comprehension over the rows, row j
+    added to each of its first below[j].  Once a level would pass
     _LEVEL_WORDS sums, the base stops growing: a sum of w rows is then a
     base sum XOR a sum of w - s rows t that all lie above the base sum's
     rows, so memory stays at one base list while w grows (_past_base).
     Read each level before the next.
     """
     k = len(rows)
-    base, below, s = [start], [1] * k, 0
+    base, s = [start], 0
     for w in range(1, k + 1):
+        below = [comb(j, s) for j in range(k)]
         if s == w - 1 and comb(k, w) <= _LEVEL_WORDS:
-            runs = [[r ^ v for v in islice(base, b)] for r, b in zip(rows, below)]
-            base = list(chain.from_iterable(runs))
-            below = list(accumulate(map(len, runs), initial=0))[:k]
+            base = [r ^ v for r, b in zip(rows, below) for v in islice(base, b)]
             s = w
             yield [base]
         else:

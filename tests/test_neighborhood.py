@@ -3,6 +3,7 @@ import math
 import random
 import re
 from functools import reduce
+from itertools import product
 from operator import xor
 
 import pytest
@@ -959,9 +960,12 @@ class TestOneSearchOfTheShadow:
 
     @pytest.fixture(scope="class")
     def codes(self):
-        """The 36 pool codes at n=32 and 301 Type I walk codes, 43 at each
-        n = 8, 16, ..., 56."""
-        return pool_codes() + [c for n in range(8, 57, 8) for c in type1_walk_codes(n, 43)]
+        """The 36 pool codes at n=32, 301 Type I walk codes, 43 at each
+        n = 8, 16, ..., 56, and the n=56 walk code of the CI step, whose
+        search draws 55,678 sums where closing a stream only below its
+        bound drew 174,433."""
+        walks = [c for n in range(8, 57, 8) for c in type1_walk_codes(n, 43)]
+        return pool_codes() + walks + [random_self_dual(56, 20, 0)]
 
     @staticmethod
     def assert_former_route(codes):
@@ -973,7 +977,7 @@ class TestOneSearchOfTheShadow:
                 assert getattr(nb, f.name) == getattr(former, f.name), f.name
 
     def test_equals_the_former_route(self, codes):
-        assert len(codes) == 337 and {c.n for c in codes} == set(range(8, 57, 8))
+        assert len(codes) == 338 and {c.n for c in codes} == set(range(8, 57, 8))
         self.assert_former_route(codes)
 
     @pytest.mark.parametrize("budget", [3, 12])
@@ -1049,23 +1053,18 @@ class TestSearchWork:
 
     def test_level_sums_drawn_over_the_pool(self, monkeypatch):
         # the former route drew 165,744 level sums over the same 36 codes,
-        # 7,256 of them on a code with member distances (6, 8, 8); the round
-        # 0 of the shadow, one start word per generator, is not a level sum
-        drawn = []
-        levels = code._level_sums
-
-        def counted(rows, start):
-            for level in levels(rows, start):
-                yield (drawn.append(len(chunk)) or chunk for chunk in level)
-
-        monkeypatch.setattr(code, "_level_sums", counted)
+        # 7,256 of them on a code with member distances (6, 8, 8), and one
+        # search that closed a stream only below its bound 115,220 and 4,044
+        # (TestTiesSettledByABound); the round 0 of the shadow, one start
+        # word per generator, is not a level sum
+        drawn = count_level_sums(monkeypatch)
         per_code = []
         for c in pool_codes():
             drawn.clear()
             nb = neighborhood_of(c)
             per_code.append((nb.member_distances, sum(drawn)))
-        assert sum(n for _, n in per_code) == 115_220
-        assert per_code[3] == ((6, 8, 8), 4_044)
+        assert sum(n for _, n in per_code) == 40_080
+        assert per_code[3] == ((6, 8, 8), 304)
         # c_max of distance 8 beyond both halves' 4: c's stream stops once
         # its bound passes them, not at c_max's least weight (460 sums, and
         # 480 by the former route)
@@ -1102,8 +1101,8 @@ class TestSearchWork:
         # the two streams to 2 + 4 * (16 + 120 + 560) = 2786 sums, past 2^11,
         # where either alone (1394 or 1392) is not; c's stream stops in round
         # 3, so round 4 brings only the shadow's 2 * 1820 more
-        c = random_self_dual(32, 11, 4)
-        assert neighborhood_of(c).member_distances == (6, 8, 8)
+        c = random_self_dual(32, 20, 6)
+        assert neighborhood_of(c).member_distances == (4, 4, 4)
         for cap, message in (
             (11, "round 3 of the Brouwer-Zimmermann search would bring the row sums drawn to 2786, past the enumeration cap 2^11"),
             (12, "round 4 of the Brouwer-Zimmermann search would bring the row sums drawn to 6426, past the enumeration cap 2^12"),
@@ -1113,7 +1112,92 @@ class TestSearchWork:
                 neighborhood_of(c)
             assert str(refused.value) == "instance too large: " + message
         monkeypatch.setattr(code, "DEFAULT_ENUMERATION_CAP", 13)
-        assert neighborhood_of(c).member_distances == (6, 8, 8)
+        assert neighborhood_of(c).member_distances == (4, 4, 4)
+
+
+class TestTiesSettledByABound:
+    """A stream whose least word x weighs exactly its round's bound closes
+    once no word that the stream has not drawn can precede x in text order:
+    such a word has at least need[j] ones on each information set I_j, and
+    code._precedes_unseen bounds the ones on I_j of every word before x."""
+
+    @staticmethod
+    def least_unseen(sets, need):
+        """The least int with at least need[j] ones on each of the disjoint
+        sets[j], None if there is none: the need[j] lowest bits of each, as
+        the bits of every other such int on each set add up to no less."""
+        if any(a > s.bit_count() for s, a in zip(sets, need)):
+            return None
+        return sum(sum(sorted(1 << b for b in range(s.bit_length()) if s >> b & 1)[:a]) for s, a in zip(sets, need))
+
+    def test_against_the_least_unseen_word(self):
+        # every split of 4 text bits over I_1, I_2 and neither, every need to
+        # 3 and every lifted word: x precedes every word with those ones
+        # exactly when its text is at most that of the least such word
+        for where in product(range(3), repeat=4):
+            sets = [sum(2 << b for b, j in enumerate(where) if j == i) for i in (1, 2)]
+            for need in product(range(4), repeat=2):
+                y = self.least_unseen(sets, need)
+                for x in range(32):
+                    expected = y is None or x >> 1 <= y >> 1
+                    assert code._precedes_unseen(x, sets, list(need)) == expected, (x, sets, need)
+
+    def test_a_stream_closes_at_its_bound(self, monkeypatch):
+        # the pool's (6, 8, 8) code: once a round's bound reaches a least
+        # weight, no word not yet drawn can precede its least word; waiting
+        # for the bound to pass it draws 4,044 sums, the same answer
+        c = random_self_dual(32, 11, 4)
+        drawn = count_level_sums(monkeypatch)
+        settled = spy_on_ties(monkeypatch)
+        nb = neighborhood_of(c)
+        assert (nb.member_distances, sum(drawn)) == ((6, 8, 8), 304)
+        assert any(final for _, final in settled)
+        drawn.clear()
+        monkeypatch.setattr(code, "_precedes_unseen", lambda x, sets, need: False)
+        assert neighborhood_of(c) == nb and sum(drawn) == 4_044
+        c_max, v, u = neighborhood._shadow_cut(c)
+        assert nb == o_by_steps(c_max, c, v, u)
+
+    def test_an_unseen_word_of_the_tied_weight_comes_first(self, monkeypatch):
+        # walk codes where, at a round whose bound a least weight reaches, a
+        # word not yet drawn of that weight precedes the least word drawn:
+        # the rule keeps the stream open, and a looser one would stop there
+        settled = spy_on_ties(monkeypatch)
+        for c in (random_self_dual(32, 10, 22), random_self_dual(16, 8, 387)):
+            settled.clear()
+            nb = neighborhood_of(c)
+            c_max, v, u = neighborhood._shadow_cut(c)
+            assert nb == o_by_steps(c_max, c, v, u)
+            leaders = {r.to01() for r in nb.representatives}
+            passed = [final for x, final in settled if format(x >> 1, f"0{c.n}b") not in leaders]
+            assert passed and not any(passed)
+
+
+def count_level_sums(monkeypatch):
+    """A list that gets the size of each list of sums _level_sums yields."""
+    drawn = []
+    levels = code._level_sums
+
+    def counted(rows, start):
+        for level in levels(rows, start):
+            yield (drawn.append(len(chunk)) or chunk for chunk in level)
+
+    monkeypatch.setattr(code, "_level_sums", counted)
+    return drawn
+
+
+def spy_on_ties(monkeypatch):
+    """A list that gets each lifted word that _precedes_unseen is asked
+    about, with its answer."""
+    settled = []
+    precedes = code._precedes_unseen
+
+    def spied(x, sets, need):
+        settled.append((x, precedes(x, sets, need)))
+        return settled[-1][1]
+
+    monkeypatch.setattr(code, "_precedes_unseen", spied)
+    return settled
 
 
 class TestNeighborGraphCensus:
