@@ -3,13 +3,14 @@ import math
 import random
 import re
 from functools import reduce
-from itertools import product
+from itertools import islice, product
 from operator import xor
 
 import pytest
 
 from sdcodes import code, gf2, neighborhood
 from sdcodes.code import CodeType, EnumerationCapError, LinearCode, extremal_bound, from_generator
+from sdcodes.equivalence import are_permutation_equivalent
 from sdcodes.fixtures_io import fixture
 from sdcodes.gf2 import BitMatrix, BitVector
 from sdcodes.neighborhood import (
@@ -39,7 +40,8 @@ from oracles import (
     o_step_certified,
     to_bits,
 )
-from test_code import first_row_kernel, permuted_copy
+from test_code import first_row_kernel, permuted_copy, self_dual_pool
+from test_equivalence import permuted
 
 
 def refuse_sweep(rows):
@@ -1073,6 +1075,34 @@ class TestSearchWork:
         nb = neighborhood_of(c)
         assert (nb.member_distances, sum(drawn)) == ((2, 4, 4), 250)
         assert nb.c_max.minimum_distance() == 8
+
+    def test_level_sums_drawn_by_distance_and_equivalence(self, monkeypatch):
+        # the other two readers of the rounds: minimum_distance over the
+        # pool and over the first 9 codes of a walk at n=40, and the light
+        # words of both codes of the two n=32 pairs that CI decides
+        pool = self_dual_pool()
+        walk = list(islice(walk_self_dual(40, 7), 9))
+        pairs = [
+            (random_self_dual(32, 18, 1033), permuted(random_self_dual(32, 18, 1033), random.Random(0))),
+            (random_self_dual(32, 8, 2001), permuted(random_self_dual(32, 12, 2001), random.Random(1))),
+        ]
+        drawn = count_level_sums(monkeypatch)
+
+        def distances(codes):
+            found = []
+            for c in codes:
+                drawn.clear()
+                found.append((c.minimum_distance(), sum(drawn)))
+            return found
+
+        per_code = distances(pool)
+        assert len(per_code) == 36 and sum(n for _, n in per_code) == 664
+        assert per_code[-3:] == [(6, 152), (4, 16), (8, 152)]
+        assert distances(walk) == [(2, 20)] * 4 + [(4, 20)] * 3 + [(4, 40), (6, 230)]
+        for (c1, c2), equivalent in zip(pairs, (True, False)):
+            drawn.clear()
+            assert (are_permutation_equivalent(c1, c2) is not None) == equivalent
+            assert sum(drawn) == 1_664
 
     def test_shadow_sums_weigh_n_over_2_mod_4(self, monkeypatch):
         # every word of the shadow weighs n/2 mod 4 (Conway and Sloane 1990),
