@@ -16,15 +16,16 @@ code it came from.
 Weight enumeration and codeword listing stream all 2^k codewords with one
 Gray-code sweep.  The lightest words of a span, for minimum distance and
 for the light words that the equivalence search maps (_words_by_weight),
-come from one Brouwer-Zimmermann search instead (_bz_rounds), and the coset
-representatives of a neighborhood from one such search of its Type I
-member and of that member's shadow together (_shadow_leaders): rounds of
-sums of few rows of generators systematic on disjoint information sets,
-each with a bound on the weight of every word not yet seen.  The sums are
-weighed only here, in the lists that _level_sums built them in.  One cap
-bounds both: a sweep or search that would draw over 2^DEFAULT_ENUMERATION_CAP
-words (2^k per sweep, C(k, w) per generator per round and stream) is an
-explicit error, not a silent approximation.
+and the coset representatives of a neighborhood (_shadow_leaders, one
+search of its Type I member and of that member's shadow) come from one
+Brouwer-Zimmermann driver instead (_bz_streams): rounds of sums of few rows
+of generators systematic on disjoint information sets, from 0 for a code or
+from one start word per generator for a coset, each with a bound on the
+weight of every word not yet drawn.  The sums are weighed only here, in the
+lists that _level_sums built them in.  One cap bounds both: a sweep or
+search that would draw over 2^DEFAULT_ENUMERATION_CAP words (2^k per
+sweep, C(k, w) per generator per round and stream) is an explicit error,
+not a silent approximation.
 """
 
 from __future__ import annotations
@@ -92,7 +93,10 @@ class WeightEnumerator:
         return sum(self.counts.values())
 
     def min_positive_weight(self) -> int:
-        return min(w for w in self.counts if w > 0)
+        least = min((w for w, c in self.counts.items() if w > 0 and c), default=0)
+        if not least:
+            raise ValueError("the weight enumerator counts no word of nonzero weight")
+        return least
 
     def as_dict(self) -> dict[int, int]:
         return dict(sorted(self.counts.items()))
@@ -218,8 +222,8 @@ class LinearCode:
         return list(_gray_words(self.rows))
 
     def minimum_distance(self, stop_at: int = 0) -> int:
-        """Smallest nonzero codeword weight d, from the rounds of _bz_rounds: exact
-        past stop_at, else the weight of a row or sum seen, d <= w <= stop_at."""
+        """Smallest nonzero codeword weight d, from _bz_streams over the code alone
+        (_bz_rounds): exact past stop_at, else the weight w of a word seen, d <= w <= stop_at."""
         if self.k == 0:
             raise ValueError("the zero-dimensional code has no minimum distance")
         best = min(map(int.bit_count, self.rows))
@@ -334,44 +338,59 @@ def _information_set_generators(code: LinearCode) -> list[tuple[list[int], int]]
         used |= gens[-1][1]
 
 
-def _check_round(total: int, w: int) -> None:
-    """Refuse round w of a Brouwer-Zimmermann search, which would bring the
-    row sums drawn to total, when that passes 2^DEFAULT_ENUMERATION_CAP."""
-    if total > 1 << DEFAULT_ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"instance too large: round {w} of the Brouwer-Zimmermann search would bring "
-            f"the row sums drawn to {total}, past the enumeration cap 2^{DEFAULT_ENUMERATION_CAP}"
-        )
+def _bz_streams(gens: list[list[int]], starts: list[list[int]], live: list[bool]) -> Iterator[tuple[int, int, list]]:
+    """The Brouwer-Zimmermann search of streams over gens, the m generators
+    of _information_set_generators, lifted alike: (w, i, sums) per round
+    w = 0..k and generator i, sums holding each stream's lists of the sums
+    drawn there, () for a stream stopped in live.
+
+    Generator j is systematic on its information set I_j, the sets pairwise
+    disjoint.  A stream starts from one word s_j per generator, zero on I_j:
+    0 for the code, or x plus the rows at its ones on I_j for a coset x + C.
+    A word y of the stream is s_j plus the rows at its ones on I_j (y + s_j
+    is the codeword with those ones), so round w of generator j draws the
+    words with w ones on I_j: the sums of s_j and w rows, s_j alone at w = 0
+    unless it is 0.  After round w of generator i, the later ones at w - 1,
+    a word not drawn has at least w + 1 ones on each of I_0..I_i and w on
+    the others: it weighs at least m*w + i + 1.  Round k draws every word.
+    A self-dual code has m >= 2: the complement of an information set of C
+    is one of its dual, C itself.
+
+    The caller stops a stream by clearing its flag in live, read before each
+    (w, i); the search ends when none is set.  The cap counts the sums of the
+    live streams, each round in full as it starts: one that would bring them
+    past 2^DEFAULT_ENUMERATION_CAP raises before any is drawn.
+    """
+    m, k = len(gens), len(gens[0])
+    levels = [[chain([[[s]] if s else ()], _level_sums(g, s)) for g, s in zip(gens, ss)] for ss in starts]
+    total = 0
+    for w, i in product(range(k + 1), range(m)):
+        if not any(live):
+            return
+        if not i:
+            total += sum(comb(k, w) for ss, on in zip(starts, live) if on for s in ss if w or s)
+            if total > 1 << DEFAULT_ENUMERATION_CAP:
+                raise EnumerationCapError(
+                    f"instance too large: round {w} of the Brouwer-Zimmermann search would bring "
+                    f"the row sums drawn to {total}, past the enumeration cap 2^{DEFAULT_ENUMERATION_CAP}"
+                )
+        yield w, i, [next(level[i]) if on else () for level, on in zip(levels, live)]
 
 
 def _bz_rounds(code: LinearCode) -> Iterator[tuple[Iterable[list[int]], int]]:
-    """The Brouwer-Zimmermann search of code: (sums, bound) per generator per
-    round, sums a level of _level_sums, read before the next is drawn.
-
-    Each of m generators is systematic on its own information set, and the
-    sets are pairwise disjoint, so a codeword is the sum of the rows of
-    generator j picked by its ones on set j.  Round w sums every w rows of
-    each generator in turn, so after generator i a codeword missed so far has
-    at least w + 1 ones on each of sets 1..i and w on the rest.  bound is that
-    weight, m*w + i, rounded up to the weight divisor of the code (1, 2 or 4).
-    Round k sees every codeword.  A self-dual code has m >= 2: the complement
-    of an information set of C is one of its dual, C itself.  A round that
-    would take the sums drawn past 2^DEFAULT_ENUMERATION_CAP raises instead.
-    """
+    """(sums, bound) per round w >= 1 of _bz_streams over code alone, bound
+    m*w + i + 1 rounded up to the weight divisor of the code (1, 2 or 4)."""
     if any(r.bit_count() & 1 for r in code.rows):
         step = 1
     elif all(r.bit_count() % 4 == 0 for r in code.rows) and code.is_self_orthogonal():
         step = 4
     else:
         step = 2
-    levels = [_level_sums(g, 0) for g, _ in _information_set_generators(code)]
-    m = len(levels)
-    total = 0
-    for w in range(1, code.k + 1):
-        total += m * comb(code.k, w)
-        _check_round(total, w)
-        for i, level in enumerate(levels, 1):
-            yield next(level), -(-(m * w + i) // step) * step
+    gens = [g for g, _ in _information_set_generators(code)]
+    m = len(gens)
+    for w, i, (sums,) in _bz_streams(gens, [[0] * m], [True]):
+        if w:
+            yield sums, -(-(m * w + i + 1) // step) * step
 
 
 def _words_by_weight(code: LinearCode) -> Iterator[tuple[int, set[int]]]:
@@ -417,30 +436,20 @@ def _shadow_leaders(c: LinearCode, v: int) -> tuple[Triple, Triple, Triple]:
     ones are then its weight plus its tag, 0 mod 4 when untagged, 3 mod 4
     on c's tagged words and 1 mod 4 on the shadow's.
 
-    Streams.  Each of the m generators of _information_set_generators(c) is
-    systematic on its own information set I_j, pairwise disjoint.  c's
-    stream draws at round w of generator j the sums of w of its rows: every
-    word of c with exactly w ones on I_j.  The shadow's stream starts from
-    v_j, v plus the rows at its ones on I_j, so zero on I_j, and draws at
-    round w the sums of v_j and w rows: every shadow word with exactly w
-    ones on I_j, round 0 being {v_j}.  After a stream's round w of generator
-    i, with the later generators at round w - 1, a word of the stream that it
-    has not drawn has at least w + 1 ones on each of I_1..I_i and w on each
-    of the others, so it weighs at least B = m*w + i; rounded up, at least
-    B2, the next even number, if it lies in c, and at least B4, the next
-    multiple of 4, if it lies in c_max or in the shadow.  The two streams
-    step together until one stops.
+    Streams.  _bz_streams draws two streams over the lifted generators of
+    c: c's from 0 and the shadow's from v_j, v plus the rows at its ones on
+    I_j.  After round w of generator i, a word that a stream has not drawn
+    weighs at least B = m*w + i + 1 (_bz_streams), so at least B2, the next
+    even number, if it lies in c, and B4, the next multiple of 4, if it lies
+    in c_max or in the shadow.
 
     Stops.  A least word x of weight w_x is settled once no word that its
     stream has not drawn is lighter, or as light and before x in text order.
     It is if w_x is below the bound b of its kind (B2 for c's tagged words,
     B4 for each shadow half): every word of weight w_x has been drawn.  At
-    w_x = b it is if no word not drawn precedes x at all.  Such a word has
+    w_x = b it is if no word not drawn precedes x at all: such a word has
     at least need_j ones on each I_j, w + 1 for j <= i and w for the rest,
-    and a word whose text precedes x's agrees with x above some 1-bit e of
-    the lifted x (before it in the text) and is 0 at e, so it has at most
-    |x & I_j above e| + |I_j below e| ones on I_j: if that is below need_j
-    for some j at every such e, none precedes x (_precedes_unseen, O(wt(x)
+    more than _precedes_unseen finds room for in any word before x (O(wt(x)
     * m) popcounts, run only at equality).  A settled x stays settled, as
     the bounds and needs only grow.  The shadow's stream stops once the
     least words x_h of both halves are settled, of weights w_h.  c's stream
@@ -459,10 +468,9 @@ def _shadow_leaders(c: LinearCode, v: int) -> tuple[Triple, Triple, Triple]:
     probing `w in ones` upward in steps of 4, each probe a scan at C speed,
     and the lightest sums are cut out by bytes.translate.  Weights are kept
     to 254 with the tag: a sum of 255 or more raises, as one of 256 or more
-    cannot be put in a byte.  The cap counts the sums of both streams, each
-    round in full as it starts.
+    cannot be put in a byte.
     """
-    n, k = c.n, c.k
+    n = c.n
 
     def text(r: int) -> int:
         return int(_to01(r, n), 2) << 1
@@ -470,44 +478,35 @@ def _shadow_leaders(c: LinearCode, v: int) -> tuple[Triple, Triple, Triple]:
     def lift(r: int) -> int:
         return text(r) | (r & v).bit_count() & 1
 
-    own, shadow, sets = [], [], []
+    gens, starts, sets = [], [], []
     for rows, mask in _information_set_generators(c):
-        lifted = list(map(lift, rows))
+        gens.append(list(map(lift, rows)))
         sets.append(text(mask))
         # each row has one 1 on the set, at its own pivot
-        start = lift(reduce(xor, compress(rows, [r & mask & v for r in rows]), v))
-        own.append(chain([()], _level_sums(lifted, 0)))
-        shadow.append(chain([[[start]]], _level_sums(lifted, start)))
-    m = len(own)
+        starts.append(lift(reduce(xor, compress(rows, [r & mask & v for r in rows]), v)))
+    m = len(gens)
 
     def open_at(found: tuple[int, int], b: int) -> bool:
         # found's weight is above b, or at b with an unseen word before it
         return found[0] & ~1 > b or found[0] & ~1 == b and not _precedes_unseen(found[1], sets, need)
 
     least, tagged, halves = n + 2, (n + 2, 0), [(n + 2, 0), (n + 2, 0)]
-    searching, total = [True, True], 0
-    for w, i in product(range(k + 1), range(m)):
-        if not i:
-            total += ((w > 0) * searching[0] + searching[1]) * m * comb(k, w)
-            _check_round(total, w)
-        if searching[1]:
-            for chunk in next(shadow[i]):
-                ones = _weighed(chunk)
-                halves = [_lightest(chunk, ones, 4, halves[0]), _lightest(chunk, ones, 5, halves[1])]
-        if searching[0]:
-            for chunk in next(own[i]):
-                ones = _weighed(chunk)
-                least = next((x for x in range(4, min(least, 255), 4) if x in ones), least)
-                tagged = _lightest(chunk, ones, 3, tagged)
+    live = [True, True]
+    for w, i, (own, shadow) in _bz_streams(gens, [[0] * m, starts], live):
+        for chunk in shadow:
+            ones = _weighed(chunk)
+            halves = [_lightest(chunk, ones, 4, halves[0]), _lightest(chunk, ones, 5, halves[1])]
+        for chunk in own:
+            ones = _weighed(chunk)
+            least = next((x for x in range(4, min(least, 255), 4) if x in ones), least)
+            tagged = _lightest(chunk, ones, 3, tagged)
         bound = m * w + i + 1
         b2, b4 = -(-bound // 2) * 2, -(-bound // 4) * 4
         need = [w + 1] * (i + 1) + [w] * (m - i - 1)
-        searching = [
-            searching[0] and (open_at(tagged, b2) or least > b4 and max(h & ~1 for h, _ in halves) > b4),
-            searching[1] and (open_at(halves[0], b4) or open_at(halves[1], b4)),
+        live[:] = [
+            live[0] and (open_at(tagged, b2) or least > b4 and max(h & ~1 for h, _ in halves) > b4),
+            live[1] and (open_at(halves[0], b4) or open_at(halves[1], b4)),
         ]
-        if not any(searching):
-            break
 
     def triple(ones: int, word: int) -> Triple:
         return ones & ~1, format(word >> 1, f"0{n}b"), min(least, ones & ~1)

@@ -15,9 +15,9 @@ so the other two members are the neighbor steps of c by v and by v + u, u
 a row of c outside c_max, each certified self-dual in O(k) row operations.
 Their words outside c_max make up the shadow v + c, split into its two
 halves by the product with v, so one Brouwer-Zimmermann search of c and of
-v + c on the information sets of c, rows tagged with that product
-(code._shadow_leaders), finds each coset's canonical representative and
-each member's distance; nothing is swept.
+v + c, two streams of the driver code._bz_streams with rows tagged by that
+product (code._shadow_leaders), finds each coset's canonical representative
+and each member's distance; nothing is swept.
 """
 
 from __future__ import annotations

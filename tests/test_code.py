@@ -17,6 +17,7 @@ from sdcodes.code import (
     _gray_index,
     _gray_words,
     _bz_rounds,
+    _bz_streams,
     _information_set_generators,
     _level_sums,
     _words_by_weight,
@@ -469,9 +470,11 @@ class TestBrouwerZimmermann:
         for c in self_dual_pool()[::3]:
             assert_distance_matches_oracles(c)
 
-    def test_rounds_bound_every_word_not_yet_seen(self, monkeypatch):
+    def test_rounds_bound_every_word_not_yet_seen(self):
         # random codes at n <= 16 whose weight divisors are 1, 2 and 4, even
-        # codes that are not self-orthogonal among them, and walk codes
+        # codes that are not self-orthogonal among them, and walk codes; each
+        # searched as two streams of _bz_streams, the code and a coset x + C
+        # of a random x, and as _bz_rounds, whose bounds are rounded up
         rng = random.Random(29)
         codes = []
         for i in range(150):
@@ -479,22 +482,35 @@ class TestBrouwerZimmermann:
             rows = [r for r in (rng.getrandbits(n) for _ in range(3 * n)) if r.bit_count() % (1, 2, 4)[i % 3] == 0]
             codes.append(LinearCode(n, rows[: rng.randrange(1, n // 2 + 3)]))
         codes += [random_self_dual(n, 4 + seed, seed) for n in (8, 16, 24) for seed in range(8)]
-        divisors, uneven_self_orthogonal = set(), 0
+        divisors, uneven_self_orthogonal, cosets = set(), 0, 0
         for c in filter(lambda c: c.k, codes):
             words = set(_gray_words(c.rows)) - {0}
             weights = {w.bit_count() for w in words}
             divisors.add(next(d for d in (4, 2, 1) if all(w % d == 0 for w in weights)))
             uneven_self_orthogonal += all(w % 2 == 0 for w in weights) and not c.is_self_orthogonal()
-            # (a) no word still unseen is lighter than the bound, and (b) the
-            # last round has seen every codeword
-            unseen = set(words)
-            for sums, bound in _bz_rounds(c):
-                sums = set(chain.from_iterable(sums))
-                assert sums <= words
-                unseen -= sums
-                assert all(x.bit_count() >= bound for x in unseen)
-            assert not unseen
-        assert divisors == {1, 2, 4} and uneven_self_orthogonal >= 10
+            # x outside C (0 if C is the whole space), reduced to zero on each
+            # information set I_j
+            x = next(filter(None, (c._reduce(rng.getrandbits(c.n)) for _ in range(64))), 0)
+            gens = _information_set_generators(c)
+            starts = [reduce(xor, (r for r in g if r & mask & x), x) for g, mask in gens]
+            assert all(s & mask == 0 for s, (_, mask) in zip(starts, gens))
+            streams = [words, {x ^ y for y in words | {0}} if x else set()]
+            cosets += bool(x)
+            # (a) each stream draws only its own words, (b) no word still
+            # unseen is lighter than the bound, and (c) the last round has
+            # seen every word
+            unseen, rounded, m = [set(words), set(streams[1])], _bz_rounds(c), len(gens)
+            for w, i, drawn in _bz_streams([g for g, _ in gens], [[0] * m, starts], [True, bool(x)]):
+                for stream, left, sums in zip(streams, unseen, drawn):
+                    sums = set(chain.from_iterable(sums))
+                    assert sums <= stream
+                    left -= sums
+                    assert all(y.bit_count() >= m * w + i + 1 for y in left)
+                if w:
+                    _, bound = next(rounded)
+                    assert all(y.bit_count() >= bound for y in unseen[0])
+            assert unseen == [set(), set()] and next(rounded, None) is None
+        assert divisors == {1, 2, 4} and uneven_self_orthogonal >= 10 and cosets >= 150
 
     def test_words_by_weight_against_the_sweep(self, fixture_codes):
         # walk codes, the fixtures, random codes that are not self-orthogonal,
@@ -561,7 +577,7 @@ def count_drawn_sums(monkeypatch):
 
 
 class TestRowSumCap:
-    """_bz_rounds counts the sums it draws and refuses a round that would take
+    """_bz_streams counts the sums it draws and refuses a round that would take
     the count past 2^DEFAULT_ENUMERATION_CAP, before drawing any of it."""
 
     def test_refused_before_the_round_that_would_pass_the_cap(self, monkeypatch):
@@ -723,6 +739,16 @@ class TestWeightEnumerator:
         we = fixture_codes["G3"].weight_enumerator()
         assert we.total() == 1 << 12
         assert we.min_positive_weight() == 2
+
+    def test_zero_code_has_no_min_positive_weight(self):
+        # the zero code counts only the word 0; a weight counted zero times,
+        # which the enumerator compares as absent, is not a least weight
+        zero = LinearCode(8, []).weight_enumerator()
+        assert zero == {0: 1}
+        for we in (zero, WeightEnumerator({0: 1, 2: 0})):
+            with pytest.raises(ValueError, match="no word of nonzero weight"):
+                we.min_positive_weight()
+        assert WeightEnumerator({0: 1, 2: 0, 4: 3}).min_positive_weight() == 4
 
     def test_symmetry_for_fixtures(self, fixture_codes):
         # the all-ones word flips each codeword, pairing weights w and n-w
