@@ -329,6 +329,46 @@ class TestProfilePartition:
         assert split > 0
 
 
+class TestSearchPinned:
+    """The basis search, node for node: how many _map_basis calls a pair
+    makes and the witness it returns.  A change to how a node is weighed,
+    and not to what is cut, keeps both."""
+
+    @pytest.mark.parametrize(
+        "walk, perm, calls, images",
+        [
+            ((10, 101), 1, 21, "9 31 10 11 28 1 3 15 25 13 26 19 30 16 27 0 21 29 6 14 20 23 12 4 5 17 24 2 7 22 18 8"),
+            ((12, 102), 2, 32, "3 26 7 21 24 12 0 14 6 18 4 2 22 5 1 20 11 27 15 29 10 30 23 9 31 8 28 25 13 19 17 16"),
+            ((14, 103), 3, 24, "9 24 14 10 28 1 5 3 22 21 13 12 23 16 27 6 7 29 8 25 0 26 2 30 20 31 19 18 15 17 11 4"),
+            ((16, 104), 4, 21, "8 5 19 20 26 13 6 10 22 29 14 18 28 21 25 11 16 7 1 30 17 27 0 24 2 4 31 12 23 3 9 15"),
+            ((18, 105), 5, 19, "4 23 24 2 26 10 18 27 22 9 19 8 6 20 13 15 29 3 5 1 7 14 0 31 17 30 28 21 25 11 12 16"),
+            ((20, 106), 6, 19, "27 8 24 0 14 10 3 13 22 31 2 5 11 1 19 25 28 12 6 30 7 17 26 4 15 18 9 23 16 29 21 20"),
+            ((22, 107), 7, 44, "19 8 28 10 27 5 7 22 3 2 9 17 23 25 21 31 24 29 4 1 26 18 11 0 15 14 16 13 12 6 30 20"),
+            ((24, 108), 8, 17, "30 5 0 13 31 27 28 22 8 4 21 3 20 26 9 14 1 24 19 29 18 16 7 10 12 15 23 6 25 2 11 17"),
+            ((8, 109), 9, 17, "0 6 19 17 31 21 3 24 25 1 27 23 30 12 10 2 29 28 20 22 16 8 11 13 18 15 4 5 14 7 26 9"),
+            ((10, 110), 10, 22, "22 4 14 15 8 0 1 13 6 10 26 19 29 2 18 5 16 9 20 31 3 7 24 23 27 12 30 17 11 28 25 21"),
+            # the CI step's permuted walk code
+            ((18, 1033), 0, 38, "3 7 29 20 19 5 0 10 14 26 17 21 27 23 2 22 4 25 6 18 11 30 9 12 15 16 8 1 13 28 31 24"),
+        ],
+    )
+    def test_permuted_walk_codes(self, monkeypatch, walk, perm, calls, images):
+        a = random_self_dual(32, *walk)
+        b = permuted(a, random.Random(perm))
+        assert len(map_basis_calls(monkeypatch, a, b)) == calls
+        assert are_permutation_equivalent(a, b).images == tuple(map(int, images.split()))
+
+    def test_inequivalent_pairs(self, monkeypatch, e8e8, d16):
+        # the CI step's pair is told apart by its column profiles, before
+        # any search; e8 + e8 and d16 only by exhausting it
+        a = random_self_dual(32, 8, 2001)
+        b = permuted(random_self_dual(32, 12, 2001), random.Random(1))
+        assert map_basis_calls(monkeypatch, a, b) == []
+        assert are_permutation_equivalent(a, b) is None
+        for c1, c2 in ((e8e8, d16), (d16, e8e8)):
+            assert len(map_basis_calls(monkeypatch, c1, c2)) == 29
+            assert are_permutation_equivalent(c1, c2) is None
+
+
 class TestLightWordCut:
     """The search cuts a node whose classes meet c2's light words otherwise
     than c1's classes meet c1's.  Only dead branches go, so the witness is
