@@ -314,12 +314,13 @@ def _information_set_generators(code: LinearCode) -> list[tuple[list[int], int]]
 
     The sets are pairwise disjoint and found greedily: each elimination
     takes its pivots only among columns no earlier set used, and the search
-    ends at the first elimination that falls short of full rank.
+    ends at the first elimination that falls short of full rank; a code of
+    dimension 0 has the one empty generator.
     """
     rows = code.rows
     gens = [(list(rows), code._pivot_mask)]
     used = code._pivot_mask
-    while True:
+    while rows:
         basis: list[int] = []
         pivots: list[int] = []
         for r in rows:
@@ -336,6 +337,7 @@ def _information_set_generators(code: LinearCode) -> list[tuple[list[int], int]]
             pivots.append(p)
         gens.append((basis, sum(pivots)))
         used |= gens[-1][1]
+    return gens
 
 
 def _bz_streams(gens: list[list[int]], starts: list[list[int]], live: list[bool]) -> Iterator[tuple[int, int, list]]:

@@ -13,13 +13,14 @@ pair.  An equivalence keeps profiles, so the search pairs c1's and c2's
 columns of each profile and splits each pair by a basis word and its
 image, cutting a node whose pairs meet the two codes' light words
 differently: in how many columns of each class a word covers, or in how
-many words of each such kind cover a column.  Any witness returned has
-been verified.
+many words of each such kind cover a column.  These multisets are compared
+as sorted lists, c2's counts before its colors, and a depth whose basis
+word splits no class is not weighed again.  Any witness returned has been
+verified.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
 from operator import add
@@ -70,10 +71,21 @@ class CoordinatePermutation:
         return BitVector(v.length, _permute_bits(v.bits, self.images))
 
 
+def _ones(x: int) -> list[int]:
+    """The positions of the set bits of x, lowest first."""
+    out = []
+    while x:
+        out.append((x & -x).bit_length() - 1)
+        x &= x - 1
+    return out
+
+
 def _permute_bits(bits: int, images: tuple[int, ...]) -> int:
     out = 0
-    for i, img in enumerate(images):
-        out |= ((bits >> i) & 1) << img
+    while bits:
+        low = bits & -bits
+        out |= 1 << images[low.bit_length() - 1]
+        bits ^= low
     return out
 
 
@@ -92,44 +104,46 @@ def _column_profiles(n: int, groups) -> list[tuple[int, ...]]:
     return list(zip(*([t[n - 1 - i :: n].count("1") for i in range(n)] for t in texts)))
 
 
-def _light(words: list[int], n: int) -> tuple[list[list[int]], list[list[int]]]:
-    """Light words as _meets reads them: the columns each covers, and the
-    words covering each column."""
-    columns = [[i for i in range(x.bit_length()) if x >> i & 1] for x in words]
+def _light(words: list[int], n: int) -> tuple[list[list[int]], list[list[int]], list[int], list[int]]:
+    """Light words as _meets reads them: the columns each covers, the words
+    covering each column, and the powers of n + 1 and of one more than the
+    number of words that _meets takes as digits."""
+    columns = list(map(_ones, words))
     covers: list[list[int]] = [[] for _ in range(n)]
     for t, cols in enumerate(columns):
         for i in cols:
             covers[i].append(t)
-    return columns, covers
+    return columns, covers, [(n + 1) ** d for d in range(n)], [(len(words) + 1) ** d for d in range(len(words))]
 
 
-def _meets(masks, light) -> tuple[Counter, list[int]]:
+def _meets(masks, light, known=None) -> tuple[list[int], list[int]]:
     """How classes meet the light words, in terms an equivalence keeps.
 
     A word's count is how many columns of each mask it covers, as digits in
-    base n + 1; first comes the multiset of the words' counts.  A column's
-    color is how many words of each count cover it, as digits in base one
-    more than the number of words; second comes the multiset of the colors
-    of the columns in masks of three or more.  The counts fix the color of
-    a column alone in its mask; in masks of two, colors cut no search of
-    the benchmark's pool, and would be weighed at every node.
+    base n + 1; first come the words' counts, sorted.  A column's color is
+    how many words of each count cover it, as digits in base one more than
+    the number of words; second come the sorted colors of the columns in
+    masks of three or more.  The counts fix the color of a column alone in
+    its mask; in masks of two, colors cut no search of the benchmark's pool,
+    and would be weighed at every node.  Sorted lists are equal exactly when
+    the multisets are.  Given known, the meets of the partner classes,
+    counts that differ from its counts come back without colors: they
+    already tell the two apart.
     """
-    columns, covers = light
-    place, step, p = [0] * len(covers), len(covers) + 1, 1
-    for m in masks:
+    columns, covers, powers, radices = light
+    place = [0] * len(covers)
+    for m, p in zip(masks, powers):
         while m:
             place[(m & -m).bit_length() - 1] = p
             m &= m - 1
-        p *= step
     counts = [sum(map(place.__getitem__, c)) for c in columns]
-    meets = Counter(counts)
+    meets = sorted(counts)
     big = sum(m for m in masks if m.bit_count() > 2)
-    if not big:
+    if not big or known is not None and meets != known[0]:
         return meets, []
-    digits = {x: (len(columns) + 1) ** d for d, x in enumerate(sorted(meets))}
+    digits = dict(zip(dict.fromkeys(meets), radices))
     radix = list(map(digits.__getitem__, counts))
-    colors = (sum(map(radix.__getitem__, covers[i])) for i in range(len(covers)) if big >> i & 1)
-    return meets, sorted(colors)
+    return meets, sorted(sum(map(radix.__getitem__, covers[i])) for i in _ones(big))
 
 
 def _map_basis(depth: int, pairs, basis, by_weight, order, light1, light2, meets):
@@ -144,23 +158,27 @@ def _map_basis(depth: int, pairs, basis, by_weight, order, light1, light2, meets
     words, so a node whose pairs meet light1 and light2 differently
     (_meets) is dead, and is cut.  c1's classes are the same at every node
     of a depth, so their meets are weighed on the first visit and kept by
-    depth in meets.
+    depth in meets.  A depth whose basis word splits none of them keeps them
+    on both sides, so its children's meets are those that just passed: None
+    in meets marks their depth, which weighs nothing.
     """
     if depth == len(basis):
         return pairs
+    masks2 = [m2 for _, m2 in pairs]
     # once every class is one column, each depth has one image at most
     if any(m1 & (m1 - 1) for m1, _ in pairs):
         if depth == len(meets):
             meets.append(_meets([m1 for m1, _ in pairs], light1))
-        if _meets([m2 for _, m2 in pairs], light2) != meets[depth]:
+        if meets[depth] is not None and _meets(masks2, light2, meets[depth]) != meets[depth]:
             return None
     b = basis[depth]
-    masks2 = [m2 for _, m2 in pairs]
     ones = [(b & m1).bit_count() for m1, _ in pairs]
     # an image covers the partner of each class inside b and misses that of
     # each class outside it; only the words that do are put in order
     whole = sum(m2 for m1, m2 in pairs if not m1 & ~b)
     fixed = whole + sum(m2 for m1, m2 in pairs if not m1 & b)
+    if fixed == sum(masks2) and len(meets) == depth + 1:
+        meets.append(None)
     images = (x for x in by_weight.get(b.bit_count(), ()) if x & fixed == whole)
     for cand in sorted(images, key=order):
         if list(map(int.bit_count, map(cand.__and__, masks2))) == ones:
@@ -214,7 +232,7 @@ def are_permutation_equivalent(
         if words1:
             prof1 = list(map(add, prof1, _column_profiles(n, [words1])))
             prof2 = list(map(add, prof2, _column_profiles(n, [words2])))
-            if Counter(prof1) != Counter(prof2):
+            if sorted(prof1) != sorted(prof2):
                 return None
         groups1[w] = sorted(words1)
         groups2[w] = words2
@@ -249,8 +267,7 @@ def are_permutation_equivalent(
     # pairs of equal size admit a column bijection realizing the map
     images = [0] * n
     for m1, m2 in classes:
-        cols1, cols2 = ([i for i in range(n) if (m >> i) & 1] for m in (m1, m2))
-        for i, j in zip(cols1, reversed(cols2)):
+        for i, j in zip(_ones(m1), reversed(_ones(m2))):
             images[i] = j
     witness = CoordinatePermutation(tuple(images))
     if apply_permutation(c1, witness) != c2:

@@ -533,6 +533,12 @@ class TestBrouwerZimmermann:
             not_self_orthogonal += not c.is_self_orthogonal()
         assert past_last_bound >= 10 and not_self_orthogonal >= 30
 
+    def test_zero_code_ends(self):
+        # no rows: one empty generator, and no word of any weight
+        zero = LinearCode(8, [])
+        assert _information_set_generators(zero) == [([], 0)]
+        assert list(_words_by_weight(zero)) == [(w, set()) for w in range(1, 9)]
+
     @pytest.mark.parametrize("budget", [1, 5, 12, 1 << 16])
     def test_same_sums_in_the_same_order_as_the_map_form(self, monkeypatch, budget):
         # the list comprehensions of both branches against the former maps,

@@ -368,6 +368,13 @@ class TestSearchPinned:
             assert len(map_basis_calls(monkeypatch, c1, c2)) == 29
             assert are_permutation_equivalent(c1, c2) is None
 
+    def test_classes_left_whole_by_the_basis(self):
+        # weight-2 words leave two classes of two columns after the last
+        # basis word; each is paired with its partner in reverse order
+        a = random_self_dual(16, 2, 0)
+        b = permuted(a, random.Random(0))
+        assert are_permutation_equivalent(a, b).images == (13, 10, 11, 1, 2, 12, 3, 5, 14, 15, 6, 0, 8, 4, 7, 9)
+
 
 class TestLightWordCut:
     """The search cuts a node whose classes meet c2's light words otherwise
@@ -384,7 +391,7 @@ class TestLightWordCut:
         cut_calls = len(map_basis_calls(monkeypatch, a, b))
         witness = are_permutation_equivalent(a, b)
         # every node's meets equal: nothing is cut
-        monkeypatch.setattr(equivalence, "_meets", lambda masks, words: None)
+        monkeypatch.setattr(equivalence, "_meets", lambda masks, words, known=None: None)
         assert len(map_basis_calls(monkeypatch, a, b)) == uncut
         uncut_witness = are_permutation_equivalent(a, b)
         assert witness is not None and uncut_witness == witness
@@ -404,9 +411,43 @@ class TestLightWordCut:
 
         both, found = searches(), witnesses()
         meets = equivalence._meets
-        monkeypatch.setattr(equivalence, "_meets", lambda masks, light: meets(masks, light)[0])
+        monkeypatch.setattr(equivalence, "_meets", lambda masks, light, known=None: meets(masks, light)[0])
         assert both == [26, 30, 24] and searches() == [37, 78, 24]
         assert None not in found and witnesses() == found
+
+    def test_depths_that_split_no_class_weigh_nothing(self, monkeypatch):
+        # c2's side is weighed at a node with a class of two columns or more
+        # exactly when the node's classes are not its parent's
+        search, meets = equivalence._map_basis, equivalence._meets
+        skipped = 0
+        for walk, perm in [((10, 101), 1), ((22, 107), 7), ((18, 1033), 0)]:
+            a = random_self_dual(32, *walk)
+            b = permuted(a, random.Random(perm))
+            nodes, weighed = [], []
+
+            def node(depth, pairs, *rest):
+                nodes.append((depth, {m1 for m1, _ in pairs}))
+                return search(depth, pairs, *rest)
+
+            def weigh(masks, light, known=None):
+                if known is not None:
+                    weighed.append(len(nodes) - 1)
+                return meets(masks, light, known)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(equivalence, "_map_basis", node)
+                mp.setattr(equivalence, "_meets", weigh)
+                assert are_permutation_equivalent(a, b) is not None
+            latest, expected = {}, []
+            for t, (depth, classes) in enumerate(nodes):
+                latest[depth] = classes
+                if any(m & (m - 1) for m in classes):
+                    if depth == 0 or classes != latest[depth - 1]:
+                        expected.append(t)
+                    else:
+                        skipped += 1
+            assert weighed == expected
+        assert skipped > 0
 
     def test_meets_count_columns_of_each_mask(self):
         words = [0b0111, 0b1100, 0b1010, 0b0111]
@@ -415,11 +456,11 @@ class TestLightWordCut:
         assert light[1] == [[0, 3], [0, 2, 3], [0, 1, 3], [1, 2]]
         # counts in base 5, columns 0-1 then 2-3: 2 + 1*5, 0 + 2*5, 1 + 1*5;
         # no mask of three columns or more, so no colors
-        assert equivalence._meets([0b0011, 0b1100], light) == (Counter({7: 2, 10: 1, 6: 1}), [])
+        assert equivalence._meets([0b0011, 0b1100], light) == ([6, 7, 7, 10], [])
         # column 0, then columns 1-3: counts 1 + 2*5 and 0 + 2*5, which are
         # the digits 5 and 1 of the colors of columns 1, 2 and 3
         counts, colors = equivalence._meets([0b0001, 0b1110], light)
-        assert counts == Counter({11: 2, 10: 2})
+        assert counts == [10, 10, 11, 11]
         assert colors == sorted([5 + 1 + 5, 5 + 1 + 5, 1 + 1])
 
     def test_colors_tell_apart_equal_counts(self):
@@ -445,6 +486,80 @@ class TestLightWordCut:
             assert equivalence._meets(masks, equivalence._light(words, n)) == equivalence._meets(
                 [move(BitVector(n, m)).bits for m in masks], equivalence._light(moved, n)
             )
+
+
+def o_meets(masks, words):
+    """_meets by its definition: the multiset of each word's tuple of counts
+    per mask, and the multiset, over the columns of masks of three or more,
+    of the multiset of the tuples of the words covering the column."""
+    kinds = [tuple((x & m).bit_count() for m in masks) for x in words]
+    big = [i for m in masks if m.bit_count() > 2 for i in range(m.bit_length()) if m >> i & 1]
+    colors = Counter(frozenset(Counter(t for t, x in zip(kinds, words) if x >> i & 1).items()) for i in big)
+    return Counter(kinds), colors
+
+
+class TestSetBitLoops:
+    """The loops over set bits against loops over every column."""
+
+    def test_permute_bits_per_coordinate(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            n = rng.randrange(0, 65)
+            images = list(range(n))
+            rng.shuffle(images)
+            for x in (0, (1 << n) - 1, rng.getrandbits(n) if n else 0):
+                expected = sum(((x >> i) & 1) << images[i] for i in range(n))
+                assert equivalence._permute_bits(x, tuple(images)) == expected
+
+    def test_light_columns_and_covers(self):
+        rng = random.Random(42)
+        for _ in range(100):
+            n = rng.randrange(1, 33)
+            words = [rng.getrandbits(n) for _ in range(rng.randrange(0, 12))]
+            columns, covers, *_ = equivalence._light(words, n)
+            assert columns == [[i for i in range(n) if x >> i & 1] for x in words]
+            assert covers == [[t for t, x in enumerate(words) if x >> i & 1] for i in range(n)]
+
+    def test_meets_equal_exactly_when_the_multisets_are(self):
+        rng = random.Random(43)
+        verdicts = Counter()
+        for _ in range(600):
+            n = rng.randrange(3, 13)
+            # a random partition of the columns, in classes of 1 to 5
+            columns, masks = list(range(n)), []
+            rng.shuffle(columns)
+            while columns:
+                size = rng.randrange(1, 6)
+                masks.append(sum(1 << i for i in columns[:size]))
+                columns = columns[size:]
+            words = [rng.getrandbits(n) for _ in range(rng.randrange(1, 7))]
+            # the other side: the same under a column permutation; or that
+            # with one bit of one word flipped; or words of the same counts
+            # in each mask, at other columns
+            images = list(range(n))
+            rng.shuffle(images)
+            moved = [equivalence._permute_bits(x, tuple(images)) for x in words]
+            moved_masks = [equivalence._permute_bits(m, tuple(images)) for m in masks]
+            rng.shuffle(moved)
+            change = rng.randrange(3)
+            if change == 1:
+                moved[0] ^= 1 << rng.randrange(n)
+            if change == 2:
+                cols = [[i for i in range(n) if m >> i & 1] for m in moved_masks]
+                moved = [
+                    sum(1 << i for c, m in zip(cols, moved_masks) for i in rng.sample(c, (x & m).bit_count()))
+                    for x in moved
+                ]
+            one = equivalence._meets(masks, equivalence._light(words, n))
+            other_light = equivalence._light(moved, n)
+            expected, got = o_meets(masks, words), o_meets(moved_masks, moved)
+            same = expected == got
+            assert (equivalence._meets(moved_masks, other_light) == one) == same
+            # with the first side's meets given, counts that differ end early
+            assert (equivalence._meets(moved_masks, other_light, one) == one) == same
+            verdicts[same, expected[0] == got[0]] += 1
+        # equal; unequal counts; equal counts told apart by the colors alone
+        assert min(verdicts[True, True], verdicts[False, False], verdicts[False, True]) > 50
 
 
 # inequivalent pairs with equal weight distributions: the only one among
