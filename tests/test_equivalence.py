@@ -369,8 +369,9 @@ class TestSearchPinned:
             assert are_permutation_equivalent(c1, c2) is None
 
     def test_classes_left_whole_by_the_basis(self):
-        # weight-2 words leave two classes of two columns after the last
-        # basis word; each is paired with its partner in reverse order
+        # two words of weight 2 in a self-dual code: two pairs of columns
+        # equal in every word, which no basis word splits; each class is
+        # mapped onto its partner in reverse order
         a = random_self_dual(16, 2, 0)
         b = permuted(a, random.Random(0))
         assert are_permutation_equivalent(a, b).images == (13, 10, 11, 1, 2, 12, 3, 5, 14, 15, 6, 0, 8, 4, 7, 9)
