@@ -11,12 +11,14 @@ A column's coverage profile counts the words of each weight covering it;
 a count, or a multiset of profiles, that differs on the way rejects the
 pair.  An equivalence keeps profiles, so the search pairs c1's and c2's
 columns of each profile and splits each pair by a basis word and its
-image, cutting a node whose pairs meet the two codes' light words
-differently: in how many columns of each class a word covers, or in how
-many words of each such kind cover a column.  These multisets are compared
-as sorted lists, c2's counts before its colors, and a depth whose basis
-word splits no class is not weighed again.  Any witness returned has been
-verified.
+image.  It also keeps how classes meet the two codes' light words: in how
+many columns of each class a word covers, and in how many words of each
+such kind cover a column, its color.  So the classes are split by color
+at the start and wherever a basis word splits one, and a split whose two
+sides meet the light words differently is cut.  These multisets are
+compared as sorted lists, c2's counts before its colors; c1's side is
+weighed once per depth, and a depth whose basis word splits no class
+weighs nothing.  Any witness returned has been verified.
 """
 
 from __future__ import annotations
@@ -105,9 +107,9 @@ def _column_profiles(n: int, groups) -> list[tuple[int, ...]]:
 
 
 def _light(words: list[int], n: int) -> tuple[list[list[int]], list[list[int]], list[int], list[int]]:
-    """Light words as _meets reads them: the columns each covers, the words
+    """Light words as _weigh reads them: the columns each covers, the words
     covering each column, and the powers of n + 1 and of one more than the
-    number of words that _meets takes as digits."""
+    number of words that _weigh takes as digits."""
     columns = list(map(_ones, words))
     covers: list[list[int]] = [[] for _ in range(n)]
     for t, cols in enumerate(columns):
@@ -116,19 +118,21 @@ def _light(words: list[int], n: int) -> tuple[list[list[int]], list[list[int]], 
     return columns, covers, [(n + 1) ** d for d in range(n)], [(len(words) + 1) ** d for d in range(len(words))]
 
 
-def _meets(masks, light, known=None) -> tuple[list[int], list[int]]:
-    """How classes meet the light words, in terms an equivalence keeps.
+def _weigh(masks, light, known=None):
+    """Classes split by how they meet the light words, in terms an
+    equivalence keeps.
 
     A word's count is how many columns of each mask it covers, as digits in
-    base n + 1; first come the words' counts, sorted.  A column's color is
-    how many words of each count cover it, as digits in base one more than
-    the number of words; second come the sorted colors of the columns in
-    masks of three or more.  The counts fix the color of a column alone in
-    its mask; in masks of two, colors cut no search of the benchmark's pool,
-    and would be weighed at every node.  Sorted lists are equal exactly when
-    the multisets are.  Given known, the meets of the partner classes,
-    counts that differ from its counts come back without colors: they
-    already tell the two apart.
+    base n + 1.  A column's color is how many words of each count cover it,
+    as digits in base one more than the number of words, and its tag is its
+    mask's digit and its color.  Alone, this returns the words' counts,
+    sorted; the columns' tags, sorted, which list each mask's colors in
+    ascending order, each as often as it occurs; and the masks in order,
+    each split into its columns of each color in that order.  Given known,
+    the partner masks' result, it returns None as soon as the counts, then
+    the tags, differ from known's, and otherwise only the split masks,
+    aligned with known's.  Sorted lists are equal exactly when the multisets
+    are.  The counts fix the color of a column alone in its mask.
     """
     columns, covers, powers, radices = light
     place = [0] * len(covers)
@@ -136,17 +140,25 @@ def _meets(masks, light, known=None) -> tuple[list[int], list[int]]:
         while m:
             place[(m & -m).bit_length() - 1] = p
             m &= m - 1
-    counts = [sum(map(place.__getitem__, c)) for c in columns]
+    get = place.__getitem__
+    counts = [sum(map(get, c)) for c in columns]
     meets = sorted(counts)
-    big = sum(m for m in masks if m.bit_count() > 2)
-    if not big or known is not None and meets != known[0]:
-        return meets, []
+    if known is not None and meets != known[0]:
+        return None
     digits = dict(zip(dict.fromkeys(meets), radices))
-    radix = list(map(digits.__getitem__, counts))
-    return meets, sorted(sum(map(radix.__getitem__, covers[i])) for i in _ones(big))
+    radix = list(map(digits.__getitem__, counts)).__getitem__
+    tags = list(zip(place, [sum(map(radix, c)) for c in covers]))
+    tally = sorted(tags)
+    if known is not None and tally != known[1]:
+        return None
+    split = dict.fromkeys(tally, 0)
+    for i, tag in enumerate(tags):
+        split[tag] |= 1 << i
+    classes = list(split.values())
+    return (meets, tally, classes) if known is None else classes
 
 
-def _map_basis(depth: int, pairs, basis, by_weight, order, light1, light2, meets):
+def _map_basis(depth: int, pairs, basis, by_weight, order, light1, light2, kept):
     """c1's and c2's columns as (c1 mask, c2 mask) pairs of classes, once
     images of basis[depth:] are chosen depth-first, each from c2's words of
     its weight in order, so that each meets every c2 class as its basis word
@@ -155,39 +167,43 @@ def _map_basis(depth: int, pairs, basis, by_weight, order, light1, light2, meets
     Both masks of a pair split together and keep equal sizes, so the images
     are a column permutation of the independent basis rows.  An equivalence
     below a node maps each class onto its partner and light words onto light
-    words, so a node whose pairs meet light1 and light2 differently
-    (_meets) is dead, and is cut.  c1's classes are the same at every node
-    of a depth, so their meets are weighed on the first visit and kept by
-    depth in meets.  A depth whose basis word splits none of them keeps them
-    on both sides, so its children's meets are those that just passed: None
-    in meets marks their depth, which weighs nothing.
+    words, so each column onto one of the same color: a child's halves are
+    split by color (_weigh), and a child whose halves meet light1 and light2
+    differently is dead, and is cut.  c1's halves are the same at every node
+    of a depth, so they are weighed on the first visit and kept by depth in
+    kept.  A depth whose basis word splits no class has one possible image,
+    the partners of the classes inside it, and its child the same classes.
+    No equivalence below a node is lost by a split or a cut, so the first
+    leaf in order, and the witness, are those of the search without colors.
     """
     if depth == len(basis):
         return pairs
-    masks2 = [m2 for _, m2 in pairs]
-    # once every class is one column, each depth has one image at most
-    if any(m1 & (m1 - 1) for m1, _ in pairs):
-        if depth == len(meets):
-            meets.append(_meets([m1 for m1, _ in pairs], light1))
-        if meets[depth] is not None and _meets(masks2, light2, meets[depth]) != meets[depth]:
-            return None
     b = basis[depth]
-    ones = [(b & m1).bit_count() for m1, _ in pairs]
+    words = by_weight.get(b.bit_count(), ())
+    masks2 = [m2 for _, m2 in pairs]
     # an image covers the partner of each class inside b and misses that of
     # each class outside it; only the words that do are put in order
     whole = sum(m2 for m1, m2 in pairs if not m1 & ~b)
     fixed = whole + sum(m2 for m1, m2 in pairs if not m1 & b)
-    if fixed == sum(masks2) and len(meets) == depth + 1:
-        meets.append(None)
-    images = (x for x in by_weight.get(b.bit_count(), ()) if x & fixed == whole)
-    for cand in sorted(images, key=order):
+    if fixed == sum(masks2):
+        # b splits no class: whole is its one possible image
+        if whole not in words:
+            return None
+        return _map_basis(depth + 1, pairs, basis, by_weight, order, light1, light2, kept)
+    inside = [m1 & c for c in (b, ~b) for m1, _ in pairs]
+    if depth not in kept:
+        kept[depth] = _weigh([m for m in inside if m], light1)
+    known = kept[depth]
+    ones = [(b & m1).bit_count() for m1, _ in pairs]
+    for cand in sorted((x for x in words if x & fixed == whole), key=order):
         if list(map(int.bit_count, map(cand.__and__, masks2))) == ones:
-            split = [(m1 & b, m2 & cand) for m1, m2 in pairs]
-            split += [(m1 & ~b, m2 & ~cand) for m1, m2 in pairs]
-            split = [p for p in split if p[0]]
-            found = _map_basis(depth + 1, split, basis, by_weight, order, light1, light2, meets)
-            if found is not None:
-                return found
+            halves = [m2 & c for c in (cand, ~cand) for m2 in masks2]
+            split = _weigh([m2 for m1, m2 in zip(inside, halves) if m1], light2, known)
+            if split is not None:
+                child = list(zip(known[2], split))
+                found = _map_basis(depth + 1, child, basis, by_weight, order, light1, light2, kept)
+                if found is not None:
+                    return found
     return None
 
 
@@ -260,7 +276,12 @@ def are_permutation_equivalent(
     )
     # c2's candidates come in the order of its Gray sweep
     order = cache(partial(_gray_index, c2))
-    classes = _map_basis(0, list(start.values()), basis, groups2, order, light1, light2, [])
+    # the profile classes split by color, once, before the search
+    known = _weigh([m1 for m1, _ in start.values()], light1)
+    split = _weigh([m2 for _, m2 in start.values()], light2, known)
+    if split is None:
+        return None
+    classes = _map_basis(0, list(zip(known[2], split)), basis, groups2, order, light1, light2, {})
     if classes is None:
         return None
 

@@ -137,6 +137,35 @@ def o_equivalent(rows1, rows2, n: int) -> bool:
     )
 
 
+def o_equivalent_by_rows(rows1, rows2, n: int) -> bool:
+    """Permutation equivalence by choosing images of rows1's rows among the
+    codewords of rows2, one row at a time.
+
+    Some permutation sends each of the first j rows onto its image exactly
+    when the columns of those rows and the columns of the images are equal
+    as multisets of j-tuples, so a choice whose columns differ is dropped.
+    Images of all rows, of equal dimension, span rows2's code.  For codes of
+    up to a few hundred words.
+    """
+    rows1 = o_rref(rows1)
+    if len(rows1) != o_rank(rows2):
+        return False
+    words2 = o_codewords(o_rref(rows2))
+
+    def columns(rows):
+        return sorted(tuple(r[i] for r in rows) for i in range(n))
+
+    def extend(images):
+        j = len(images)
+        if j == len(rows1):
+            return True
+        return any(
+            columns(rows1[: j + 1]) == columns(images + [w]) and extend(images + [w]) for w in words2
+        )
+
+    return extend([])
+
+
 def o_row(text: str) -> tuple[int, ...]:
     """The 0/1 symbols of a row text, one character at a time, spaces skipped."""
     row = []

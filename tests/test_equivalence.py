@@ -14,7 +14,7 @@ from sdcodes.equivalence import (
 from sdcodes.gf2 import BitMatrix, BitVector
 from sdcodes.neighborhood import double_pair_code, neighborhood_of, random_self_dual
 
-from oracles import o_codewords, o_equivalent, o_weight, to_bits
+from oracles import o_codewords, o_equivalent, o_equivalent_by_rows, o_weight, to_bits
 
 
 @pytest.fixture(scope="module")
@@ -269,6 +269,15 @@ class TestLightWordsFromRounds:
         assert drawn == [list(range(1, 7))] * 2
 
 
+def direct_sum(*codes):
+    """The codes side by side, the first on the lowest coordinates."""
+    rows, n = [], 0
+    for c in codes:
+        rows += [r << n for r in c.rows]
+        n += c.n
+    return LinearCode(n, rows)
+
+
 def permuted(c, rng):
     """c under a coordinate permutation drawn from rng."""
     images = list(range(c.n))
@@ -290,21 +299,29 @@ def map_basis_calls(monkeypatch, c1, c2):
     return calls
 
 
+def unweighed(masks, light, known=None):
+    """_weigh that splits and cuts nothing: the search without colors."""
+    return masks if known is not None else ([], [], masks)
+
+
 class TestProfilePartition:
     """The basis search starts from one class of columns per coverage
     profile.  No answer depends on it, so these tests count the search."""
 
     def test_fewer_searches_than_from_one_class(self, monkeypatch):
-        # the walk32perm golden's pair: 31 calls when every column shares
-        # one profile, 26 from the profile classes (1007 and 418 without
-        # the light-word cut)
+        # the walk32perm golden's pair, searched without colors: 1007 calls
+        # when every column shares one profile, 418 from the profile
+        # classes; split by colors, both make one call per depth
         a = random_self_dual(32, 12, 19)
         b = permuted(a, random.Random(32))
-        partitioned = len(map_basis_calls(monkeypatch, a, b))
-        monkeypatch.setattr(equivalence, "_column_profiles", lambda n, groups: [()] * n)
-        flat = len(map_basis_calls(monkeypatch, a, b))
-        assert partitioned <= 418
-        assert partitioned < flat
+        searches = []
+        for weigh in (equivalence._weigh, unweighed):
+            with monkeypatch.context() as mp:
+                mp.setattr(equivalence, "_weigh", weigh)
+                partitioned = len(map_basis_calls(mp, a, b))
+                mp.setattr(equivalence, "_column_profiles", lambda n, groups: [()] * n)
+                searches.append((partitioned, len(map_basis_calls(mp, a, b))))
+        assert searches == [(a.k + 1, a.k + 1), (418, 1007)]
 
     def test_start_classes_are_the_oracle_profile_classes(self, monkeypatch):
         split = 0
@@ -332,23 +349,25 @@ class TestProfilePartition:
 class TestSearchPinned:
     """The basis search, node for node: how many _map_basis calls a pair
     makes and the witness it returns.  A change to how a node is weighed,
-    and not to what is cut, keeps both."""
+    and not to what is cut or split, keeps both.  Split by colors, each pair
+    below makes one call per depth, the least a search that finds a witness
+    can make."""
 
     @pytest.mark.parametrize(
         "walk, perm, calls, images",
         [
-            ((10, 101), 1, 21, "9 31 10 11 28 1 3 15 25 13 26 19 30 16 27 0 21 29 6 14 20 23 12 4 5 17 24 2 7 22 18 8"),
-            ((12, 102), 2, 32, "3 26 7 21 24 12 0 14 6 18 4 2 22 5 1 20 11 27 15 29 10 30 23 9 31 8 28 25 13 19 17 16"),
-            ((14, 103), 3, 24, "9 24 14 10 28 1 5 3 22 21 13 12 23 16 27 6 7 29 8 25 0 26 2 30 20 31 19 18 15 17 11 4"),
-            ((16, 104), 4, 21, "8 5 19 20 26 13 6 10 22 29 14 18 28 21 25 11 16 7 1 30 17 27 0 24 2 4 31 12 23 3 9 15"),
-            ((18, 105), 5, 19, "4 23 24 2 26 10 18 27 22 9 19 8 6 20 13 15 29 3 5 1 7 14 0 31 17 30 28 21 25 11 12 16"),
-            ((20, 106), 6, 19, "27 8 24 0 14 10 3 13 22 31 2 5 11 1 19 25 28 12 6 30 7 17 26 4 15 18 9 23 16 29 21 20"),
-            ((22, 107), 7, 44, "19 8 28 10 27 5 7 22 3 2 9 17 23 25 21 31 24 29 4 1 26 18 11 0 15 14 16 13 12 6 30 20"),
+            ((10, 101), 1, 17, "9 31 10 11 28 1 3 15 25 13 26 19 30 16 27 0 21 29 6 14 20 23 12 4 5 17 24 2 7 22 18 8"),
+            ((12, 102), 2, 17, "3 26 7 21 24 12 0 14 6 18 4 2 22 5 1 20 11 27 15 29 10 30 23 9 31 8 28 25 13 19 17 16"),
+            ((14, 103), 3, 17, "9 24 14 10 28 1 5 3 22 21 13 12 23 16 27 6 7 29 8 25 0 26 2 30 20 31 19 18 15 17 11 4"),
+            ((16, 104), 4, 17, "8 5 19 20 26 13 6 10 22 29 14 18 28 21 25 11 16 7 1 30 17 27 0 24 2 4 31 12 23 3 9 15"),
+            ((18, 105), 5, 17, "4 23 24 2 26 10 18 27 22 9 19 8 6 20 13 15 29 3 5 1 7 14 0 31 17 30 28 21 25 11 12 16"),
+            ((20, 106), 6, 17, "27 8 24 0 14 10 3 13 22 31 2 5 11 1 19 25 28 12 6 30 7 17 26 4 15 18 9 23 16 29 21 20"),
+            ((22, 107), 7, 17, "19 8 28 10 27 5 7 22 3 2 9 17 23 25 21 31 24 29 4 1 26 18 11 0 15 14 16 13 12 6 30 20"),
             ((24, 108), 8, 17, "30 5 0 13 31 27 28 22 8 4 21 3 20 26 9 14 1 24 19 29 18 16 7 10 12 15 23 6 25 2 11 17"),
             ((8, 109), 9, 17, "0 6 19 17 31 21 3 24 25 1 27 23 30 12 10 2 29 28 20 22 16 8 11 13 18 15 4 5 14 7 26 9"),
-            ((10, 110), 10, 22, "22 4 14 15 8 0 1 13 6 10 26 19 29 2 18 5 16 9 20 31 3 7 24 23 27 12 30 17 11 28 25 21"),
+            ((10, 110), 10, 17, "22 4 14 15 8 0 1 13 6 10 26 19 29 2 18 5 16 9 20 31 3 7 24 23 27 12 30 17 11 28 25 21"),
             # the CI step's permuted walk code
-            ((18, 1033), 0, 38, "3 7 29 20 19 5 0 10 14 26 17 21 27 23 2 22 4 25 6 18 11 30 9 12 15 16 8 1 13 28 31 24"),
+            ((18, 1033), 0, 17, "3 7 29 20 19 5 0 10 14 26 17 21 27 23 2 22 4 25 6 18 11 30 9 12 15 16 8 1 13 28 31 24"),
         ],
     )
     def test_permuted_walk_codes(self, monkeypatch, walk, perm, calls, images):
@@ -359,14 +378,27 @@ class TestSearchPinned:
 
     def test_inequivalent_pairs(self, monkeypatch, e8e8, d16):
         # the CI step's pair is told apart by its column profiles, before
-        # any search; e8 + e8 and d16 only by exhausting it
+        # any search; e8 + e8 and d16 only by a search, whose first call
+        # finds no image of the first basis word whose halves' colors match
+        # (29 calls when colors only cut, and split
+        # no class)
         a = random_self_dual(32, 8, 2001)
         b = permuted(random_self_dual(32, 12, 2001), random.Random(1))
         assert map_basis_calls(monkeypatch, a, b) == []
         assert are_permutation_equivalent(a, b) is None
         for c1, c2 in ((e8e8, d16), (d16, e8e8)):
-            assert len(map_basis_calls(monkeypatch, c1, c2)) == 29
+            assert len(map_basis_calls(monkeypatch, c1, c2)) == 1
             assert are_permutation_equivalent(c1, c2) is None
+
+    def test_direct_sums_at_n24(self, monkeypatch, e8, d16):
+        # d16 + e8 against e8 + e8 + e8, which share their weight
+        # enumerators and column profiles, exhausts the search in one call
+        # (43 when colors only cut); the other way round takes thousands, and
+        # runs in CI
+        e8x3, d16e8 = direct_sum(e8, e8, e8), direct_sum(d16, e8)
+        assert e8x3.weight_enumerator() == d16e8.weight_enumerator()
+        assert len(map_basis_calls(monkeypatch, d16e8, e8x3)) == 1
+        assert are_permutation_equivalent(d16e8, e8x3) is None
 
     def test_classes_left_whole_by_the_basis(self):
         # two words of weight 2 in a self-dual code: two pairs of columns
@@ -378,9 +410,11 @@ class TestSearchPinned:
 
 
 class TestLightWordCut:
-    """The search cuts a node whose classes meet c2's light words otherwise
-    than c1's classes meet c1's.  Only dead branches go, so the witness is
-    the one the uncut search finds; these tests count what is cut."""
+    """The search splits each class by the colors of its columns and cuts a
+    split whose c2 side meets c2's light words otherwise than c1's side
+    meets c1's.  Only dead branches go, and no equivalence is lost by a
+    split, so the witness is the one the search without colors finds; these
+    tests count what is cut."""
 
     @pytest.mark.parametrize(
         "walk, perm, cut_at_most, uncut",
@@ -391,16 +425,18 @@ class TestLightWordCut:
         b = permuted(a, random.Random(perm))
         cut_calls = len(map_basis_calls(monkeypatch, a, b))
         witness = are_permutation_equivalent(a, b)
-        # every node's meets equal: nothing is cut
-        monkeypatch.setattr(equivalence, "_meets", lambda masks, words, known=None: None)
+        # no class split and no node cut
+        monkeypatch.setattr(equivalence, "_weigh", unweighed)
         assert len(map_basis_calls(monkeypatch, a, b)) == uncut
         uncut_witness = are_permutation_equivalent(a, b)
         assert witness is not None and uncut_witness == witness
-        assert cut_calls <= cut_at_most < uncut // 10
+        # one call per depth, and at most the calls when colors only cut
+        assert cut_calls == a.k + 1 <= cut_at_most < uncut // 10
 
     def test_colors_cut_what_the_counts_leave(self, monkeypatch):
         # the pairs above: searches with the counts and the colors, then
-        # with the counts alone
+        # with the counts alone, where no word covers a column and every
+        # color is 0
         codes = [random_self_dual(32, *walk) for walk in [(12, 19), (12, 1015), (24, 1021)]]
         pairs = [(a, permuted(a, random.Random(perm))) for a, perm in zip(codes, [32, 0, 0])]
 
@@ -411,44 +447,69 @@ class TestLightWordCut:
             return [are_permutation_equivalent(a, b) for a, b in pairs]
 
         both, found = searches(), witnesses()
-        meets = equivalence._meets
-        monkeypatch.setattr(equivalence, "_meets", lambda masks, light, known=None: meets(masks, light)[0])
-        assert both == [26, 30, 24] and searches() == [37, 78, 24]
+        weigh = equivalence._weigh
+
+        def counts_alone(masks, light, known=None):
+            columns, covers, *digits = light
+            return weigh(masks, (columns, [[]] * len(covers), *digits), known)
+
+        monkeypatch.setattr(equivalence, "_weigh", counts_alone)
+        assert both == [17, 17, 17] and searches() == [18, 21, 17]
         assert None not in found and witnesses() == found
 
-    def test_depths_that_split_no_class_weigh_nothing(self, monkeypatch):
-        # c2's side is weighed at a node with a class of two columns or more
-        # exactly when the node's classes are not its parent's
-        search, meets = equivalence._map_basis, equivalence._meets
-        skipped = 0
-        for walk, perm in [((10, 101), 1), ((22, 107), 7), ((18, 1033), 0)]:
-            a = random_self_dual(32, *walk)
-            b = permuted(a, random.Random(perm))
-            nodes, weighed = [], []
+    def test_depths_that_split_no_class_weigh_nothing(self, monkeypatch, e8e8, d16):
+        # node by node: a depth whose basis word splits no class makes one
+        # call, or none when its one image is not a word, and weighs
+        # nothing; at any other depth, c2's halves are weighed once for each
+        # candidate that passes the ones test, up to the one that leads to
+        # a witness; c1's side is weighed at the start and once for each
+        # depth that splits a class
+        search, weigh = equivalence._map_basis, equivalence._weigh
+        kinds = Counter()
+        for c1, c2 in [
+            (random_self_dual(32, 4, 2), permuted(random_self_dual(32, 4, 2), random.Random(2))),
+            (random_self_dual(32, 10, 101), permuted(random_self_dual(32, 10, 101), random.Random(1))),
+            (e8e8, d16),
+        ]:
+            # per open node: weighings of c1's side, of c2's side, and calls
+            frames, splitting = [[0, 0, 0]], set()
 
-            def node(depth, pairs, *rest):
-                nodes.append((depth, {m1 for m1, _ in pairs}))
-                return search(depth, pairs, *rest)
+            def node(depth, pairs, basis, by_weight, *rest):
+                frames[-1][2] += 1
+                frames.append([0, 0, 0])
+                found = search(depth, pairs, basis, by_weight, *rest)
+                own = frames.pop()
+                if depth == len(basis):
+                    assert own == [0, 0, 0]
+                    return found
+                b = basis[depth]
+                passing = [
+                    x
+                    for x in by_weight.get(b.bit_count(), ())
+                    if all((x & m2).bit_count() == (b & m1).bit_count() for m1, m2 in pairs)
+                ]
+                if not any(m1 & b and m1 & ~b for m1, _ in pairs):
+                    assert own == [0, 0, len(passing)] and len(passing) <= 1
+                    kinds["forced", found is not None] += 1
+                    return found
+                assert own[0] == (depth not in splitting)
+                splitting.add(depth)
+                assert own[2] <= own[1] <= len(passing)
+                assert own[1] == len(passing) if found is None else own[2] > 0
+                kinds["split", found is not None] += 1
+                return found
 
-            def weigh(masks, light, known=None):
-                if known is not None:
-                    weighed.append(len(nodes) - 1)
-                return meets(masks, light, known)
+            def weighing(masks, light, known=None):
+                frames[-1][known is not None] += 1
+                return weigh(masks, light, known)
 
             with monkeypatch.context() as mp:
                 mp.setattr(equivalence, "_map_basis", node)
-                mp.setattr(equivalence, "_meets", weigh)
-                assert are_permutation_equivalent(a, b) is not None
-            latest, expected = {}, []
-            for t, (depth, classes) in enumerate(nodes):
-                latest[depth] = classes
-                if any(m & (m - 1) for m in classes):
-                    if depth == 0 or classes != latest[depth - 1]:
-                        expected.append(t)
-                    else:
-                        skipped += 1
-            assert weighed == expected
-        assert skipped > 0
+                mp.setattr(equivalence, "_weigh", weighing)
+                are_permutation_equivalent(c1, c2)
+            assert frames == [[1, 1, 1]]
+        # each kind of node occurs, with and without a witness below it
+        assert len(kinds) == 4
 
     def test_meets_count_columns_of_each_mask(self):
         words = [0b0111, 0b1100, 0b1010, 0b0111]
@@ -456,21 +517,33 @@ class TestLightWordCut:
         assert light[0] == [[0, 1, 2], [2, 3], [1, 3], [0, 1, 2]]
         assert light[1] == [[0, 3], [0, 2, 3], [0, 1, 3], [1, 2]]
         # counts in base 5, columns 0-1 then 2-3: 2 + 1*5, 0 + 2*5, 1 + 1*5;
-        # no mask of three columns or more, so no colors
-        assert equivalence._meets([0b0011, 0b1100], light) == ([6, 7, 7, 10], [])
+        # their digits 1, 5 and 25 in sorted order give the colors 5 + 5,
+        # 5 + 1 + 5, 5 + 25 + 5 and 25 + 1 of columns 0 to 3, so each mask
+        # splits into its two columns, lower color first
+        assert equivalence._weigh([0b0011, 0b1100], light) == (
+            [6, 7, 7, 10],
+            [(1, 10), (1, 11), (5, 26), (5, 35)],
+            [0b0001, 0b0010, 0b1000, 0b0100],
+        )
         # column 0, then columns 1-3: counts 1 + 2*5 and 0 + 2*5, which are
-        # the digits 5 and 1 of the colors of columns 1, 2 and 3
-        counts, colors = equivalence._meets([0b0001, 0b1110], light)
-        assert counts == [10, 10, 11, 11]
-        assert colors == sorted([5 + 1 + 5, 5 + 1 + 5, 1 + 1])
+        # the digits 5 and 1 of the colors 5 + 1 + 5, 5 + 1 + 5 and 1 + 1
+        # of columns 1, 2 and 3; a column alone in its mask keeps it
+        assert equivalence._weigh([0b0001, 0b1110], light) == (
+            [10, 10, 11, 11],
+            [(1, 10), (5, 2), (5, 11), (5, 11)],
+            [0b0001, 0b1000, 0b0110],
+        )
 
     def test_colors_tell_apart_equal_counts(self):
         # two words of weight 2 in one class of four columns: sharing a
         # column or not is the same count, and different colors
         a, b = ([0b0011, 0b0101], [0b0011, 0b1100])
-        meets_a, meets_b = (equivalence._meets([0b1111], equivalence._light(w, 4)) for w in (a, b))
-        assert meets_a[0] == meets_b[0]
-        assert meets_a[1] != meets_b[1]
+        weighed_a, weighed_b = (equivalence._weigh([0b1111], equivalence._light(w, 4)) for w in (a, b))
+        assert weighed_a[0] == weighed_b[0]
+        assert weighed_a[1] != weighed_b[1]
+        assert equivalence._weigh([0b1111], equivalence._light(b, 4), weighed_a) is None
+        # the shared column 0 apart from columns 1 and 2, and column 3
+        assert weighed_a[2] == [0b1000, 0b0110, 0b0001]
 
     def test_meets_kept_by_a_column_permutation(self):
         rng = random.Random(5)
@@ -484,18 +557,24 @@ class TestLightWordCut:
             move = CoordinatePermutation(tuple(images)).apply
             moved = [move(BitVector(n, x)).bits for x in words]
             rng.shuffle(moved)
-            assert equivalence._meets(masks, equivalence._light(words, n)) == equivalence._meets(
-                [move(BitVector(n, m)).bits for m in masks], equivalence._light(moved, n)
-            )
-
+            moved_masks = [move(BitVector(n, m)).bits for m in masks]
+            counts, pairs, classes = equivalence._weigh(masks, equivalence._light(words, n))
+            moved_classes = [move(BitVector(n, m)).bits for m in classes]
+            other_light = equivalence._light(moved, n)
+            assert equivalence._weigh(moved_masks, other_light) == (counts, pairs, moved_classes)
+            assert equivalence._weigh(moved_masks, other_light, (counts, pairs, classes)) == moved_classes
 
 def o_meets(masks, words):
-    """_meets by its definition: the multiset of each word's tuple of counts
-    per mask, and the multiset, over the columns of masks of three or more,
-    of the multiset of the tuples of the words covering the column."""
+    """_weigh by its definition: the multiset of each word's tuple of counts
+    per mask; and per column, its mask's index and its color, the multiset
+    of the tuples of the words covering it."""
     kinds = [tuple((x & m).bit_count() for m in masks) for x in words]
-    big = [i for m in masks if m.bit_count() > 2 for i in range(m.bit_length()) if m >> i & 1]
-    colors = Counter(frozenset(Counter(t for t, x in zip(kinds, words) if x >> i & 1).items()) for i in big)
+    colors = {
+        i: (j, frozenset(Counter(t for t, x in zip(kinds, words) if x >> i & 1).items()))
+        for j, m in enumerate(masks)
+        for i in range(m.bit_length())
+        if m >> i & 1
+    }
     return Counter(kinds), colors
 
 
@@ -551,13 +630,24 @@ class TestSetBitLoops:
                     sum(1 << i for c, m in zip(cols, moved_masks) for i in rng.sample(c, (x & m).bit_count()))
                     for x in moved
                 ]
-            one = equivalence._meets(masks, equivalence._light(words, n))
+            one = equivalence._weigh(masks, equivalence._light(words, n))
             other_light = equivalence._light(moved, n)
-            expected, got = o_meets(masks, words), o_meets(moved_masks, moved)
+            (kinds, colors), (moved_kinds, moved_colors) = o_meets(masks, words), o_meets(moved_masks, moved)
+            expected, got = (kinds, Counter(colors.values())), (moved_kinds, Counter(moved_colors.values()))
             same = expected == got
-            assert (equivalence._meets(moved_masks, other_light) == one) == same
-            # with the first side's meets given, counts that differ end early
-            assert (equivalence._meets(moved_masks, other_light, one) == one) == same
+            assert (equivalence._weigh(moved_masks, other_light)[:2] == one[:2]) == same
+            # with the first side's result given, the other side's classes
+            # or None: counts that differ end before the colors
+            split = equivalence._weigh(moved_masks, other_light, one)
+            assert (split is not None) == same
+            # each class is the columns of one mask and one color, and is
+            # paired with the same mask's columns of the same color
+            groups = {}
+            for i, color in colors.items():
+                groups[color] = groups.get(color, 0) | 1 << i
+            assert sorted(one[2]) == sorted(groups.values())
+            for m, moved_m in zip(one[2], split or []):
+                assert {colors[i] for i in equivalence._ones(m)} == {moved_colors[i] for i in equivalence._ones(moved_m)}
             verdicts[same, expected[0] == got[0]] += 1
         # equal; unequal counts; equal counts told apart by the colors alone
         assert min(verdicts[True, True], verdicts[False, False], verdicts[False, True]) > 50
@@ -629,6 +719,40 @@ class TestBruteForceOracle:
                 assert not assert_agrees_with_brute_force(c1, permuted(c2, rng))
                 assert not assert_agrees_with_brute_force(c2, permuted(c1, rng))
                 assert assert_agrees_with_brute_force(c1, permuted(c1, rng))
+
+
+class TestSplitKeepsWitnesses:
+    """Colors are kept by every equivalence that maps each class onto its
+    partner, so a split by colors loses none: the search returns the
+    witness of the search without colors, and None exactly when an oracle
+    finds no equivalence."""
+
+    def test_random_pairs(self, monkeypatch, e8, e8e8, d16):
+        rng = random.Random(44)
+        i2 = LinearCode(2, [0b11])
+        pairs = [(e8e8, permuted(d16, rng)), (d16, permuted(e8e8, rng))]
+        for n in range(8, 25, 2):
+            # walk codes a few steps from the double-pair code, which has
+            # n/2 pairs of equal columns, and i2 summed with e8
+            codes = [random_self_dual(n, rng.randrange(1, 6), rng.randrange(1000)) for _ in range(3)]
+            codes += [direct_sum(*[i2] * (n // 2 - 4), e8)] if n > 8 else []
+            for c in codes:
+                pairs += [(c, permuted(c, rng)), (c, permuted(rng.choice(codes), rng))]
+        answers, equal_columns = Counter(), 0
+        for c1, c2 in pairs:
+            witness = are_permutation_equivalent(c1, c2)
+            with monkeypatch.context() as mp:
+                mp.setattr(equivalence, "_weigh", unweighed)
+                assert are_permutation_equivalent(c1, c2) == witness
+            if c1.n <= 12:
+                rows1, rows2 = ([to_bits(r) for r in c.generator] for c in (c1, c2))
+                assert o_equivalent_by_rows(rows1, rows2, c1.n) == (witness is not None)
+                if c1.n <= 8:
+                    assert o_equivalent(rows1, rows2, c1.n) == (witness is not None)
+            answers[witness is not None, c1.n <= 12] += 1
+            # a word of weight 2 in a self-dual code is a pair of equal columns
+            equal_columns += any(x.bit_count() == 2 for x in c1.codewords())
+        assert len(pairs) >= 40 and len(answers) == 4 and equal_columns > len(pairs) // 2
 
 
 class TestWitnessCheck:
