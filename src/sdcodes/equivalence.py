@@ -190,15 +190,15 @@ def _map_basis(depth: int, pairs, basis, by_weight, order, light1, light2, kept)
         if whole not in words:
             return None
         return _map_basis(depth + 1, pairs, basis, by_weight, order, light1, light2, kept)
-    inside = [m1 & c for c in (b, ~b) for m1, _ in pairs]
+    halves1 = [m1 & c for c in (b, ~b) for m1, _ in pairs]
     if depth not in kept:
-        kept[depth] = _weigh([m for m in inside if m], light1)
+        kept[depth] = _weigh([m1 for m1 in halves1 if m1], light1)
     known = kept[depth]
     ones = [(b & m1).bit_count() for m1, _ in pairs]
     for cand in sorted((x for x in words if x & fixed == whole), key=order):
         if list(map(int.bit_count, map(cand.__and__, masks2))) == ones:
-            halves = [m2 & c for c in (cand, ~cand) for m2 in masks2]
-            split = _weigh([m2 for m1, m2 in zip(inside, halves) if m1], light2, known)
+            halves2 = [m2 & c for c in (cand, ~cand) for m2 in masks2]
+            split = _weigh([m2 for m1, m2 in zip(halves1, halves2) if m1], light2, known)
             if split is not None:
                 child = list(zip(known[2], split))
                 found = _map_basis(depth + 1, child, basis, by_weight, order, light1, light2, kept)

@@ -330,7 +330,17 @@ class TestProfilePartition:
             b = permuted(a, random.Random(seed))
             if a == b:
                 continue
-            calls = map_basis_calls(monkeypatch, a, b)
+            # the masks of the search's first weighing of b's side
+            starts, weigh = [], equivalence._weigh
+
+            def spy(masks, light, known=None):
+                if known is not None and not starts:
+                    starts.extend({i for i in range(16) if (m >> i) & 1} for m in masks)
+                return weigh(masks, light, known)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(equivalence, "_weigh", spy)
+                are_permutation_equivalent(a, b)
             # the least weight whose words and the lighter ones span a: the
             # heaviest weight of a basis read lightest first
             words = a.codewords()[1:]
@@ -340,7 +350,6 @@ class TestProfilePartition:
             columns = {}
             for i, p in enumerate(o_column_coverage(b, top)):
                 columns.setdefault(p, set()).add(i)
-            starts = [{i for i in range(16) if (m >> i) & 1} for _, m in calls[0]]
             assert sorted(map(sorted, starts)) == sorted(map(sorted, columns.values()))
             split += len(starts) > 1
         assert split > 0
@@ -465,7 +474,7 @@ class TestLightWordCut:
         # a witness; c1's side is weighed at the start and once for each
         # depth that splits a class
         search, weigh = equivalence._map_basis, equivalence._weigh
-        kinds = Counter()
+        kinds, totals = Counter(), []
         for c1, c2 in [
             (random_self_dual(32, 4, 2), permuted(random_self_dual(32, 4, 2), random.Random(2))),
             (random_self_dual(32, 10, 101), permuted(random_self_dual(32, 10, 101), random.Random(1))),
@@ -501,15 +510,27 @@ class TestLightWordCut:
 
             def weighing(masks, light, known=None):
                 frames[-1][known is not None] += 1
+                totals[-1][known is not None] += 1
                 return weigh(masks, light, known)
 
+            totals.append([0, 0])
             with monkeypatch.context() as mp:
                 mp.setattr(equivalence, "_map_basis", node)
                 mp.setattr(equivalence, "_weigh", weighing)
                 are_permutation_equivalent(c1, c2)
             assert frames == [[1, 1, 1]]
+        # the weighings of c1's side and of c2's: the classes split by color
+        # let fewer candidates pass the ones test
+        assert totals == [[14, 537], [4, 4], [2, 29]]
         # each kind of node occurs, with and without a witness below it
         assert len(kinds) == 4
+
+    def test_a_forced_image_must_be_a_word(self):
+        # one column per class: the basis word splits none, and its one
+        # image, the partners of columns 0 and 1, must be one of c2's words
+        pairs = [(1 << i, 1 << (3 - i)) for i in range(4)]
+        for words, found in (({0b0110}, None), ({0b0110, 0b1100}, pairs)):
+            assert equivalence._map_basis(0, pairs, [0b0011], {2: words}, None, None, None, {}) == found
 
     def test_meets_count_columns_of_each_mask(self):
         words = [0b0111, 0b1100, 0b1010, 0b0111]
@@ -646,8 +667,9 @@ class TestSetBitLoops:
             for i, color in colors.items():
                 groups[color] = groups.get(color, 0) | 1 << i
             assert sorted(one[2]) == sorted(groups.values())
+            ones = equivalence._ones
             for m, moved_m in zip(one[2], split or []):
-                assert {colors[i] for i in equivalence._ones(m)} == {moved_colors[i] for i in equivalence._ones(moved_m)}
+                assert {colors[i] for i in ones(m)} == {moved_colors[i] for i in ones(moved_m)}
             verdicts[same, expected[0] == got[0]] += 1
         # equal; unequal counts; equal counts told apart by the colors alone
         assert min(verdicts[True, True], verdicts[False, False], verdicts[False, True]) > 50
