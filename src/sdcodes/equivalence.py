@@ -1,22 +1,19 @@
 """Permutation equivalence of binary linear codes, with explicit witnesses.
 
 Two codes are permutation equivalent when some relabeling of coordinates
-maps one onto the other.  The decision procedure is exact: cheap invariant
-rejections (low-weight counts, column coverage profiles) followed by a
-depth-first search assigning images to a small-weight basis.  No code is
-swept: both codes' words are read weight by weight, in step, from their
+maps one onto the other.  The decision procedure is exact: a depth-first
+search assigns images to a small-weight basis.  No code is swept: both
+codes' words are read weight by weight, in step, from their
 Brouwer-Zimmermann rounds (code._words_by_weight), and only up to the
-weight of the heaviest basis word, since the search maps no heavier word.
-A column's coverage profile counts the words of each weight covering it;
-a count, or a multiset of profiles, that differs on the way rejects the
-pair.  An equivalence keeps profiles, so the search pairs c1's and c2's
-columns of each profile and splits each pair by a basis word and its
-image.  It also keeps how classes meet the two codes' light words: in how
-many columns of each class a word covers, and in how many words of each
-such kind cover a column, its color.  So the classes are split by color
-at the start and wherever a basis word splits one, and a split whose two
-sides meet the light words differently is cut.  These multisets are
-compared as sorted lists, c2's counts before its colors; c1's side is
+weight of the heaviest basis word, since the search maps no heavier word;
+a count that differs on the way rejects the pair.  An equivalence keeps
+how classes of columns meet the two codes' light words: in how many
+columns of each class a word covers, and in how many words of each such
+kind cover a column, its color.  So the search starts from one class of
+all columns split by color, where a word's kind is its weight, splits each
+pair of classes by a basis word and its image and then by color, and cuts
+a split whose two sides meet the light words differently.  These multisets
+are compared as sorted lists, c2's counts before its colors; c1's side is
 weighed once per depth, and a depth whose basis word splits no class
 weighs nothing.  Any witness returned has been verified.
 """
@@ -25,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, partial
-from operator import add
 
 from .code import (
     EnumerationCapError,
@@ -96,14 +92,6 @@ def apply_permutation(c: LinearCode, p: CoordinatePermutation) -> LinearCode:
     if c.n != len(p.images):
         raise ValueError(f"length mismatch: {c.n} != {len(p.images)}")
     return LinearCode(c.n, [_permute_bits(r, p.images) for r in c.rows])
-
-
-def _column_profiles(n: int, groups) -> list[tuple[int, ...]]:
-    """Per column, how many words of each nonempty group cover it: the
-    group's words are written out as bit strings, column i at n - 1 - i of
-    each, and each column's characters are counted at C speed."""
-    texts = ["".join(map(f"{{:0{n}b}}".format, g)) for g in groups if g]
-    return list(zip(*([t[n - 1 - i :: n].count("1") for i in range(n)] for t in texts)))
 
 
 def _light(words: list[int], n: int) -> tuple[list[list[int]], list[list[int]], list[int], list[int]]:
@@ -213,8 +201,9 @@ def are_permutation_equivalent(
     """A coordinate permutation mapping c1 onto c2, or None.
 
     Exact at desk scale: lengths up to 32 and dimensions up to 16, enforced
-    via EnumerationCapError; no 2^k sweep runs, so the dimension cap bounds
-    the basis search.  A returned witness always satisfies
+    via EnumerationCapError.  No 2^k sweep runs, but neither cap bounds the
+    basis search, which on some [24, 12] pairs visits hundreds of thousands
+    of nodes.  A returned witness always satisfies
     apply_permutation(c1, witness) == c2.
     """
     if c1.n != c2.n:
@@ -236,20 +225,13 @@ def are_permutation_equivalent(
         return CoordinatePermutation.identity(n)
     # small-weight basis of c1, whose words have few candidate images, in
     # (weight, word) order, read in step with c2 up to the heaviest basis
-    # word; at each weight the counts, then the columns' profiles so far,
-    # must agree
+    # word; at each weight the counts must agree
     groups1: dict[int, list[int]] = {}
     groups2: dict[int, set[int]] = {}
-    prof1 = prof2 = [()] * n
     basis, span, pivots = [], [], []
     for (w, words1), (_, words2) in zip(_words_by_weight(c1), _words_by_weight(c2)):
         if len(words1) != len(words2):
             return None
-        if words1:
-            prof1 = list(map(add, prof1, _column_profiles(n, [words1])))
-            prof2 = list(map(add, prof2, _column_profiles(n, [words2])))
-            if sorted(prof1) != sorted(prof2):
-                return None
         groups1[w] = sorted(words1)
         groups2[w] = words2
         for x in groups1[w]:
@@ -262,12 +244,6 @@ def are_permutation_equivalent(
         if len(basis) == k:
             break
 
-    # an equivalence maps each column onto one of the same profile
-    start = {p: [0, 0] for p in prof1}
-    for i, (p1, p2) in enumerate(zip(prof1, prof2)):
-        start[p1][0] |= 1 << i
-        start[p2][1] |= 1 << i
-
     # light words, no heavier than the middle basis word, are few enough to
     # weigh at every node
     mid = basis[k // 2].bit_count()
@@ -276,9 +252,10 @@ def are_permutation_equivalent(
     )
     # c2's candidates come in the order of its Gray sweep
     order = cache(partial(_gray_index, c2))
-    # the profile classes split by color, once, before the search
-    known = _weigh([m1 for m1, _ in start.values()], light1)
-    split = _weigh([m2 for _, m2 in start.values()], light2, known)
+    # one class of all columns, split by color: each column's count of
+    # light words of each weight
+    known = _weigh([(1 << n) - 1], light1)
+    split = _weigh([(1 << n) - 1], light2, known)
     if split is None:
         return None
     classes = _map_basis(0, list(zip(known[2], split)), basis, groups2, order, light1, light2, {})

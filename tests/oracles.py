@@ -166,6 +166,19 @@ def o_equivalent_by_rows(rows1, rows2, n: int) -> bool:
     return extend([])
 
 
+def o_column_coverage(c, top):
+    """Per column, how many codewords of each nonzero weight up to top cover
+    it, counted word by word."""
+    words = o_codewords([to_bits(r) for r in c.generator])
+    weights = sorted({o_weight(w) for w in words if 0 < o_weight(w) <= top})
+    profiles = [{} for _ in range(c.n)]
+    for w in words:
+        for i, bit in enumerate(w):
+            if bit:
+                profiles[i][o_weight(w)] = profiles[i].get(o_weight(w), 0) + 1
+    return [tuple(p.get(w, 0) for w in weights) for p in profiles]
+
+
 def o_row(text: str) -> tuple[int, ...]:
     """The 0/1 symbols of a row text, one character at a time, spaces skipped."""
     row = []

@@ -14,7 +14,7 @@ from sdcodes.equivalence import (
 from sdcodes.gf2 import BitMatrix, BitVector
 from sdcodes.neighborhood import double_pair_code, neighborhood_of, random_self_dual
 
-from oracles import o_codewords, o_equivalent, o_equivalent_by_rows, o_weight, to_bits
+from oracles import o_column_coverage, o_equivalent, o_equivalent_by_rows, to_bits
 
 
 @pytest.fixture(scope="module")
@@ -154,26 +154,27 @@ class TestDecision:
         assert are_permutation_equivalent(z, z) == CoordinatePermutation.identity(4)
 
 
-def o_column_coverage(c, top):
-    """Per column, how many codewords of each nonzero weight up to top cover
-    it, counted word by word."""
-    words = o_codewords([to_bits(r) for r in c.generator])
-    weights = sorted({o_weight(w) for w in words if 0 < o_weight(w) <= top})
-    profiles = [Counter() for _ in range(c.n)]
-    for w in words:
-        for i, bit in enumerate(w):
-            if bit:
-                profiles[i][o_weight(w)] += 1
-    return [tuple(p[w] for w in weights) for p in profiles]
+def profile_classes(c, top):
+    """The masks of c's columns of equal coverage profile over its words of
+    weight up to top, by the oracle, sorted."""
+    columns = {}
+    for i, p in enumerate(o_column_coverage(c, top)):
+        columns[p] = columns.get(p, 0) | 1 << i
+    return sorted(columns.values())
 
 
-def assert_profiles_match_oracle(c):
+def assert_root_split_matches_oracle(c):
+    """The search's first weighing, of one class of all columns against the
+    words up to some weight: with one mask a word's count is its weight, and
+    a column's color its coverage profile."""
     words = c.codewords()[1:]
     weights = sorted({x.bit_count() for x in words})
     # every weight, and the weights up to the middle one
     for top in (weights[-1], weights[(len(weights) - 1) // 2]):
-        groups = [[x for x in words if x.bit_count() == w] for w in weights if w <= top]
-        assert equivalence._column_profiles(c.n, groups) == o_column_coverage(c, top)
+        light = [x for x in words if x.bit_count() <= top]
+        counts, _, classes = equivalence._weigh([(1 << c.n) - 1], equivalence._light(light, c.n))
+        assert counts == sorted(x.bit_count() for x in light)
+        assert sorted(classes) == profile_classes(c, top)
 
 
 class TestColumnCoverage:
@@ -192,12 +193,12 @@ class TestColumnCoverage:
             zero_columns += n - bin(mask).count("1")
             # two nonzero weights or more: the middle limit leaves some out
             partial += len(c.weight_enumerator().counts) > 2
-            assert_profiles_match_oracle(c)
+            assert_root_split_matches_oracle(c)
         assert zero_columns > 0 and partial > 0
 
     def test_fixtures(self, fixture_codes):
         for name in ("G3", "G4"):
-            assert_profiles_match_oracle(fixture_codes[name])
+            assert_root_split_matches_oracle(fixture_codes[name])
 
 
 def drawn_weights(monkeypatch):
@@ -237,36 +238,38 @@ class TestLightWordsFromRounds:
     def test_light_count_rejects_before_profiling_its_weight(self, monkeypatch, fixture_codes):
         # the two codes are read in step, and both streams stop at the first
         # weight whose counts differ, below the heaviest basis weight of c1;
-        # column profiles are weighed only for the nonempty weights before it
-        profiled, profiles = [], equivalence._column_profiles
+        # no column is weighed
+        weighed, weigh = [], equivalence._weigh
 
-        def spy(n, groups):
-            profiled.append([len(g) for g in groups])
-            return profiles(n, groups)
+        def spy(masks, light, known=None):
+            weighed.append(masks)
+            return weigh(masks, light, known)
 
-        monkeypatch.setattr(equivalence, "_column_profiles", spy)
+        monkeypatch.setattr(equivalence, "_weigh", spy)
         drawn = drawn_weights(monkeypatch)
         # no word of weight 2 in the Golay code
         assert are_permutation_equivalent(fixture_codes["G1"], fixture_codes["G3"]) is None
-        assert drawn == [[1, 2]] * 2 and profiled == []
+        assert drawn == [[1, 2]] * 2
         drawn.clear()
         # one word of weight 2 in each, then 16 and 12 words of weight 4; the
         # basis of c1 would read on to weight 6
         c1, c2 = random_self_dual(24, 3, 0), random_self_dual(24, 4, 1)
         assert are_permutation_equivalent(c1, c2) is None
-        assert drawn == [[1, 2, 3, 4]] * 2 and profiled == [[1], [1]]
+        assert drawn == [[1, 2, 3, 4]] * 2 and weighed == []
 
-    def test_profiles_reject_before_the_heaviest_basis_weight(self, monkeypatch):
-        # the goldens' n=32 pair with equal weight enumerators: its column
-        # profiles first differ at weight 6, while c1's words of weight 6 or
-        # less do not span it, so its basis would read on to weight 8
+    def test_colors_reject_after_the_heaviest_basis_weight(self, monkeypatch):
+        # the goldens' n=32 pair with equal weight enumerators: c1's words
+        # of weight 6 or less do not span it, so both codes are read on to
+        # weight 8, and the first weighing of all columns tells them apart
+        # before any search
         c1 = random_self_dual(32, 8, 2001)
         c2 = permuted(random_self_dual(32, 12, 2001), random.Random(1))
         light = [x for x in c1.codewords() if x.bit_count() <= 6]
         assert LinearCode(32, light).k < c1.k
         drawn = drawn_weights(monkeypatch)
+        assert map_basis_calls(monkeypatch, c1, c2) == []
+        assert drawn == [list(range(1, 9))] * 2
         assert are_permutation_equivalent(c1, c2) is None
-        assert drawn == [list(range(1, 7))] * 2
 
 
 def direct_sum(*codes):
@@ -305,23 +308,21 @@ def unweighed(masks, light, known=None):
 
 
 class TestProfilePartition:
-    """The basis search starts from one class of columns per coverage
-    profile.  No answer depends on it, so these tests count the search."""
+    """The basis search starts from one class of all columns, split by
+    color, which for one class is a column's coverage profile over the light
+    words.  No answer depends on it, so these tests count the search."""
 
     def test_fewer_searches_than_from_one_class(self, monkeypatch):
-        # the walk32perm golden's pair, searched without colors: 1007 calls
-        # when every column shares one profile, 418 from the profile
-        # classes; split by colors, both make one call per depth
+        # the walk32perm golden's pair: split by colors, one call per depth;
+        # searched from one class of all columns without colors, 1007 calls
         a = random_self_dual(32, 12, 19)
         b = permuted(a, random.Random(32))
         searches = []
         for weigh in (equivalence._weigh, unweighed):
             with monkeypatch.context() as mp:
                 mp.setattr(equivalence, "_weigh", weigh)
-                partitioned = len(map_basis_calls(mp, a, b))
-                mp.setattr(equivalence, "_column_profiles", lambda n, groups: [()] * n)
-                searches.append((partitioned, len(map_basis_calls(mp, a, b))))
-        assert searches == [(a.k + 1, a.k + 1), (418, 1007)]
+                searches.append(len(map_basis_calls(mp, a, b)))
+        assert searches == [a.k + 1, 1007]
 
     def test_start_classes_are_the_oracle_profile_classes(self, monkeypatch):
         split = 0
@@ -330,27 +331,28 @@ class TestProfilePartition:
             b = permuted(a, random.Random(seed))
             if a == b:
                 continue
-            # the masks of the search's first weighing of b's side
+            # b's classes from the search's first weighing of b's side
             starts, weigh = [], equivalence._weigh
 
             def spy(masks, light, known=None):
+                classes = weigh(masks, light, known)
                 if known is not None and not starts:
-                    starts.extend({i for i in range(16) if (m >> i) & 1} for m in masks)
-                return weigh(masks, light, known)
+                    starts.extend(classes)
+                return classes
 
             with monkeypatch.context() as mp:
                 mp.setattr(equivalence, "_weigh", spy)
                 are_permutation_equivalent(a, b)
-            # the least weight whose words and the lighter ones span a: the
-            # heaviest weight of a basis read lightest first
+            # the light words weigh no more than the middle word of a basis
+            # read lightest first: the least weight whose words and the
+            # lighter ones span more than k // 2 dimensions
             words = a.codewords()[1:]
-            top = min(
-                w for w in range(17) if LinearCode(16, [x for x in words if x.bit_count() <= w]) == a
+            mid = min(
+                w
+                for w in range(17)
+                if LinearCode(16, [x for x in words if x.bit_count() <= w]).k > a.k // 2
             )
-            columns = {}
-            for i, p in enumerate(o_column_coverage(b, top)):
-                columns.setdefault(p, set()).add(i)
-            assert sorted(map(sorted, starts)) == sorted(map(sorted, columns.values()))
+            assert sorted(starts) == profile_classes(b, mid)
             split += len(starts) > 1
         assert split > 0
 
@@ -386,8 +388,8 @@ class TestSearchPinned:
         assert are_permutation_equivalent(a, b).images == tuple(map(int, images.split()))
 
     def test_inequivalent_pairs(self, monkeypatch, e8e8, d16):
-        # the CI step's pair is told apart by its column profiles, before
-        # any search; e8 + e8 and d16 only by a search, whose first call
+        # the CI step's pair is told apart by the colors of all columns,
+        # before any search; e8 + e8 and d16 only by a search, whose first call
         # finds no image of the first basis word whose halves' colors match
         # (29 calls when colors only cut, and split
         # no class)
@@ -409,6 +411,27 @@ class TestSearchPinned:
         assert len(map_basis_calls(monkeypatch, d16e8, e8x3)) == 1
         assert are_permutation_equivalent(d16e8, e8x3) is None
 
+    @pytest.mark.parametrize(
+        "one, other, calls",
+        [
+            ((1000, 158), (1000, 159), 1),
+            ((1000, 24), (1001, 46), 2),
+            ((1000, 11), (1000, 22), 2),
+            ((1001, 35), (1001, 50), 2),
+            ((1000, 23), (1000, 30), 2),
+        ],
+    )
+    def test_walk_pairs_with_equal_enumerators(self, monkeypatch, one, other, calls):
+        # n=32 walk codes, as (seed, steps), that the first weighing of all
+        # columns leaves together: the first depth or two of the search
+        # tell them apart, whatever the permutation
+        a, b = (random_self_dual(32, steps, seed) for seed, steps in (one, other))
+        assert a.weight_enumerator() == b.weight_enumerator()
+        for perm in range(3):
+            moved = permuted(b, random.Random(perm))
+            assert len(map_basis_calls(monkeypatch, a, moved)) == calls
+            assert are_permutation_equivalent(a, moved) is None
+
     def test_classes_left_whole_by_the_basis(self):
         # two words of weight 2 in a self-dual code: two pairs of columns
         # equal in every word, which no basis word splits; each class is
@@ -416,6 +439,36 @@ class TestSearchPinned:
         a = random_self_dual(16, 2, 0)
         b = permuted(a, random.Random(0))
         assert are_permutation_equivalent(a, b).images == (13, 10, 11, 1, 2, 12, 3, 5, 14, 15, 6, 0, 8, 4, 7, 9)
+
+
+def weight4_components(c):
+    """Sizes of the classes of c's words of weight 4 linked by shared
+    columns, in ascending order."""
+    words, sizes = [x for x in c.codewords() if x.bit_count() == 4], []
+    while words:
+        cover, size = words[0], 0
+        while (touching := [x for x in words if x & cover]) and len(touching) > size:
+            size = len(touching)
+            for x in touching:
+                cover |= x
+        sizes.append(size)
+        words = [x for x in words if not x & cover]
+    return sorted(sizes)
+
+
+class TestUnboundedSearch:
+    def test_n24_walk_pair_told_apart_by_neighborhoods(self):
+        # two [24, 12, 4] codes with equal weight enumerators, within both
+        # caps, which the basis search tells apart only by exhausting it:
+        # 280,891 calls, too many for these tests (CI runs it).  A
+        # permutation that maps one code onto the other maps its unique
+        # c_max, and so its neighborhood, onto the other's; the Type II
+        # members of one are e8 + e8 + e8 (three classes of 14 words of
+        # weight 4) and another, and of the other d16+ + e8 (14 and 28)
+        a, b = random_self_dual(24, 80, 1001), random_self_dual(24, 81, 1001)
+        assert a.k == b.k == 12 and a.weight_enumerator() == b.weight_enumerator()
+        shapes = [sorted(map(weight4_components, neighborhood_of(c).type2())) for c in (a, b)]
+        assert shapes == [[[6, 6, 6], [14, 14, 14]], [[6, 6, 6], [14, 28]]]
 
 
 class TestLightWordCut:
@@ -427,7 +480,7 @@ class TestLightWordCut:
 
     @pytest.mark.parametrize(
         "walk, perm, cut_at_most, uncut",
-        [((12, 19), 32, 37, 418), ((12, 1015), 0, 78, 1330), ((24, 1021), 0, 24, 810)],
+        [((12, 19), 32, 37, 1007), ((12, 1015), 0, 78, 3714), ((24, 1021), 0, 24, 810)],
     )
     def test_same_witness_from_far_fewer_searches(self, monkeypatch, walk, perm, cut_at_most, uncut):
         a = random_self_dual(32, *walk)
@@ -463,7 +516,7 @@ class TestLightWordCut:
             return weigh(masks, (columns, [[]] * len(covers), *digits), known)
 
         monkeypatch.setattr(equivalence, "_weigh", counts_alone)
-        assert both == [17, 17, 17] and searches() == [18, 21, 17]
+        assert both == [17, 17, 17] and searches() == [22, 50, 17]
         assert None not in found and witnesses() == found
 
     def test_depths_that_split_no_class_weigh_nothing(self, monkeypatch, e8e8, d16):
@@ -521,7 +574,7 @@ class TestLightWordCut:
             assert frames == [[1, 1, 1]]
         # the weighings of c1's side and of c2's: the classes split by color
         # let fewer candidates pass the ones test
-        assert totals == [[14, 537], [4, 4], [2, 29]]
+        assert totals == [[14, 537], [5, 8], [2, 29]]
         # each kind of node occurs, with and without a witness below it
         assert len(kinds) == 4
 
