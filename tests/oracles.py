@@ -8,6 +8,7 @@ data layout, different algorithms, same answers.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from functools import reduce
 from itertools import accumulate, chain, combinations, compress, islice, permutations, product
 from math import comb
@@ -171,12 +172,12 @@ def o_column_coverage(c, top):
     it, counted word by word."""
     words = o_codewords([to_bits(r) for r in c.generator])
     weights = sorted({o_weight(w) for w in words if 0 < o_weight(w) <= top})
-    profiles = [{} for _ in range(c.n)]
+    profiles = [Counter() for _ in range(c.n)]
     for w in words:
         for i, bit in enumerate(w):
             if bit:
-                profiles[i][o_weight(w)] = profiles[i].get(o_weight(w), 0) + 1
-    return [tuple(p.get(w, 0) for w in weights) for p in profiles]
+                profiles[i][o_weight(w)] += 1
+    return [tuple(p[w] for w in weights) for p in profiles]
 
 
 def o_row(text: str) -> tuple[int, ...]:
