@@ -189,24 +189,18 @@ def _cmd_equivalent(args) -> int:
 
 
 def _cmd_verify_paper(args) -> int:
-    from .verification import VerificationContext, iter_checks
+    from .verification import CHECKS, VerificationContext
 
     ctx = VerificationContext()
     failed = 0
-    total = 0
-    for result in iter_checks(ctx):
-        total += 1
-        if not result.passed:
-            failed += 1
+    total = len(CHECKS)
+    for criterion, check, fn in CHECKS:
+        passed, details = fn(ctx)
+        failed += not passed
         _emit(
             args,
-            {
-                "criterion": result.criterion,
-                "check": result.check,
-                "passed": result.passed,
-                "details": dict(result.details),
-            },
-            f"{'ok  ' if result.passed else 'FAIL'} {result.criterion:2d} {result.check}",
+            {"criterion": criterion, "check": check, "passed": passed, "details": dict(details)},
+            f"{'ok  ' if passed else 'FAIL'} {criterion:2d} {check}",
         )
     record = {
         "command": "verify-paper",

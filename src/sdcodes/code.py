@@ -43,6 +43,7 @@ from .gf2 import (
     MAX_LENGTH,
     BitMatrix,
     BitVector,
+    _check_lengths,
     _dual_rows,
     _orthogonal_rows,
     _reduced,
@@ -147,8 +148,10 @@ class LinearCode:
         # the result of is_self_orthogonal, once it has run
         object.__setattr__(self, "_self_orthogonal", None)
 
-    def __setattr__(self, name: str, value) -> None:
+    def __setattr__(self, name: str, value=None) -> None:
         raise AttributeError("LinearCode is immutable")
+
+    __delattr__ = __setattr__
 
     @property
     def generator(self) -> BitMatrix:
@@ -191,8 +194,7 @@ class LinearCode:
 
     def contains(self, v: BitVector) -> bool:
         """Row-space membership, decided by reducing v against the RREF generator."""
-        if v.length != self.n:
-            raise ValueError(f"length mismatch: {v.length} != {self.n}")
+        _check_lengths(v.length, self.n)
         return self._reduce(v.bits) == 0
 
     def _reduce(self, bits: int) -> int:
@@ -203,8 +205,7 @@ class LinearCode:
         """The code of vectors lying in both codes: the words of self orthogonal
         to every row of dual(other), cut from the rows of self one check at a
         time, already reduced."""
-        if self.n != other.n:
-            raise ValueError(f"length mismatch: {self.n} != {other.n}")
+        _check_lengths(self.n, other.n)
         return LinearCode(self.n, _orthogonal_rows(self.rows, other.dual().rows))
 
     # -- exhaustive sweeps --------------------------------------------------

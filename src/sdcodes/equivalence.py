@@ -30,7 +30,7 @@ from .code import (
     _gray_index,
     _words_by_weight,
 )
-from .gf2 import BitVector, _insert_rref
+from .gf2 import BitVector, _check_lengths, _insert_rref
 
 EQUIVALENCE_MAX_LENGTH = 32
 EQUIVALENCE_MAX_DIMENSION = 16
@@ -64,8 +64,7 @@ class CoordinatePermutation:
         return CoordinatePermutation(tuple(other.images[i] for i in self.images))
 
     def apply(self, v: BitVector) -> BitVector:
-        if v.length != len(self.images):
-            raise ValueError(f"length mismatch: {v.length} != {len(self.images)}")
+        _check_lengths(v.length, len(self.images))
         return BitVector(v.length, _permute_bits(v.bits, self.images))
 
 
@@ -89,8 +88,7 @@ def _permute_bits(bits: int, images: tuple[int, ...]) -> int:
 
 def apply_permutation(c: LinearCode, p: CoordinatePermutation) -> LinearCode:
     """The code with coordinates relabeled by p."""
-    if c.n != len(p.images):
-        raise ValueError(f"length mismatch: {c.n} != {len(p.images)}")
+    _check_lengths(c.n, len(p.images))
     return LinearCode(c.n, [_permute_bits(r, p.images) for r in c.rows])
 
 
@@ -206,8 +204,7 @@ def are_permutation_equivalent(
     of nodes.  A returned witness always satisfies
     apply_permutation(c1, witness) == c2.
     """
-    if c1.n != c2.n:
-        raise ValueError(f"length mismatch: {c1.n} != {c2.n}")
+    _check_lengths(c1.n, c2.n)
     n = c1.n
     if n > EQUIVALENCE_MAX_LENGTH:
         raise EnumerationCapError(

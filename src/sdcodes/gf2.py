@@ -2,7 +2,8 @@
 
 Vectors are immutable and store their coordinates in a single Python int
 (coordinate i of n lives in bit i, so popcount over the int is the Hamming
-weight).  Matrices are immutable tuples of equal-length vectors.
+weight).  Matrices are immutable tuples of equal-length vectors.  Both are
+frozen dataclasses, compared and hashed by value.
 
 This module builds every reduced row echelon form (RREF) in the library, on
 the raw ints.  The pivot of an RREF row is its lowest set bit.  Every row
@@ -21,12 +22,14 @@ check, starting from the unit rows.
 from __future__ import annotations
 
 from bisect import bisect_left
+from dataclasses import dataclass
 from operator import lt
 from typing import Iterable, Iterator, Sequence
 
 MAX_LENGTH = 1 << 16
 
 
+@dataclass(frozen=True)
 class BitVector:
     """A length-n vector over GF(2), packed into one int.
 
@@ -34,21 +37,14 @@ class BitVector:
     (leftmost), matching the usual generator-matrix layout.
     """
 
-    __slots__ = ("length", "bits")
-
     length: int
-    bits: int
+    bits: int = 0
 
-    def __init__(self, length: int, bits: int = 0):
-        if not 1 <= length <= MAX_LENGTH:
-            raise ValueError(f"vector length must be in [1, {MAX_LENGTH}], got {length}")
-        if bits < 0 or bits >> length:
+    def __post_init__(self):
+        if not 1 <= self.length <= MAX_LENGTH:
+            raise ValueError(f"vector length must be in [1, {MAX_LENGTH}], got {self.length}")
+        if self.bits < 0 or self.bits >> self.length:
             raise ValueError("bits outside the declared length must be zero")
-        object.__setattr__(self, "length", length)
-        object.__setattr__(self, "bits", bits)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("BitVector is immutable")
 
     @classmethod
     def zeros(cls, length: int) -> BitVector:
@@ -92,23 +88,15 @@ class BitVector:
         return (self.bits >> i) & 1
 
     def __xor__(self, other: BitVector) -> BitVector:
-        _check_lengths(self, other)
+        _check_lengths(self.length, other.length)
         return BitVector(self.length, self.bits ^ other.bits)
 
     # GF(2) addition is XOR; both spellings work.
     __add__ = __xor__
 
     def __and__(self, other: BitVector) -> BitVector:
-        _check_lengths(self, other)
+        _check_lengths(self.length, other.length)
         return BitVector(self.length, self.bits & other.bits)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BitVector):
-            return NotImplemented
-        return self.length == other.length and self.bits == other.bits
-
-    def __hash__(self) -> int:
-        return hash((self.length, self.bits))
 
     def __repr__(self) -> str:
         return f"BitVector({self.to01()!r})"
@@ -134,9 +122,10 @@ def _from01(text: str) -> tuple[int, int]:
     return len(symbols), int(symbols[::-1] or "0", 2)
 
 
-def _check_lengths(a: BitVector, b: BitVector) -> None:
-    if a.length != b.length:
-        raise ValueError(f"length mismatch: {a.length} != {b.length}")
+def _check_lengths(a: int, b: int) -> None:
+    """The one length guard: operands of lengths a and b must agree."""
+    if a != b:
+        raise ValueError(f"length mismatch: {a} != {b}")
 
 
 def weight(v: BitVector) -> int:
@@ -146,7 +135,7 @@ def weight(v: BitVector) -> int:
 
 def mu(a: BitVector, b: BitVector) -> int:
     """Number of coordinates where both a and b are 1."""
-    _check_lengths(a, b)
+    _check_lengths(a.length, b.length)
     return (a.bits & b.bits).bit_count()
 
 
@@ -155,16 +144,19 @@ def dot(a: BitVector, b: BitVector) -> int:
     return mu(a, b) & 1
 
 
+@dataclass(frozen=True)
 class BitMatrix:
-    """An ordered list of equal-length BitVectors."""
+    """An ordered list of equal-length BitVectors.
 
-    __slots__ = ("ncols", "rows")
+    rows may be any iterable; it is stored as a tuple, and ncols, required
+    only when there are no rows, as the rows' length.
+    """
 
-    ncols: int
     rows: tuple[BitVector, ...]
+    ncols: int | None = None
 
-    def __init__(self, rows: Iterable[BitVector], ncols: int | None = None):
-        rows = tuple(rows)
+    def __post_init__(self):
+        rows, ncols = tuple(self.rows), self.ncols
         if rows:
             width = rows[0].length
             if ncols is not None and ncols != width:
@@ -177,11 +169,8 @@ class BitMatrix:
             raise ValueError("ncols is required for a matrix with no rows")
         if not 1 <= ncols <= MAX_LENGTH:
             raise ValueError(f"ncols must be in [1, {MAX_LENGTH}], got {ncols}")
-        object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("BitMatrix is immutable")
+        object.__setattr__(self, "ncols", ncols)
 
     @classmethod
     def from_strings(cls, lines: Iterable[str], ncols: int | None = None) -> BitMatrix:
@@ -206,14 +195,6 @@ class BitMatrix:
 
     def __getitem__(self, i: int) -> BitVector:
         return self.rows[i]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BitMatrix):
-            return NotImplemented
-        return self.ncols == other.ncols and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash((self.ncols, self.rows))
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.nrows}x{self.ncols})"

@@ -31,7 +31,7 @@ from operator import ne, or_, xor
 from typing import Iterator, Mapping, Sequence
 
 from .code import CodeType, InternalConsistencyError, LinearCode, _shadow_leaders
-from .gf2 import BitVector, _dropped, _insert_rref, _kernel_rows
+from .gf2 import BitVector, _check_lengths, _dropped, _insert_rref, _kernel_rows
 
 
 def max_doubly_even_subcode(c: LinearCode) -> LinearCode:
@@ -192,8 +192,7 @@ def are_neighbors(c1: LinearCode, c2: LinearCode) -> bool:
 
 def _meet_dimension(c1: LinearCode, c2: LinearCode) -> int:
     """The dimension of the intersection of two self-dual codes of one length."""
-    if c1.n != c2.n:
-        raise ValueError(f"length mismatch: {c1.n} != {c2.n}")
+    _check_lengths(c1.n, c2.n)
     if not (c1.is_self_dual() and c2.is_self_dual()):
         raise ValueError("are_neighbors requires self-dual codes")
     return c1.intersection(c2).k
@@ -276,8 +275,7 @@ def neighbor_step(c: LinearCode, x: BitVector) -> LinearCode:
     """
     if not c.is_self_dual():
         raise ValueError("neighbor_step requires a self-dual code")
-    if x.length != c.n:
-        raise ValueError(f"length mismatch: {x.length} != {c.n}")
+    _check_lengths(x.length, c.n)
     if x.weight() % 2 != 0:
         raise ValueError("step vector must have even weight")
     out = _step(c, x.bits)

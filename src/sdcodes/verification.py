@@ -11,9 +11,8 @@ record per check.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Mapping
+from typing import Callable
 
 from .code import CodeType, LinearCode, extremal_bound, from_generator
 from .equivalence import apply_permutation, are_permutation_equivalent
@@ -32,14 +31,6 @@ EXPECTED_DISTANCES = {"G1": 8, "G2": 8, "G3": 2, "G4": 6, "G5": 4, "G6": 8}
 GOLAY_WEIGHT_DISTRIBUTION = {0: 1, 8: 759, 12: 2576, 16: 759, 24: 1}
 RANDOM_WALK_LENGTHS = (8, 16, 24)
 RANDOM_NEIGHBORHOODS_PER_LENGTH = 100
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    criterion: int
-    check: str
-    passed: bool
-    details: Mapping[str, object]
 
 
 class VerificationContext:
@@ -406,10 +397,3 @@ CHECKS: list[tuple[int, str, Callable]] = [
     (15, "matrix_roundtrip", _check_matrix_roundtrip),
     (16, "search_determinism", _check_search_determinism),
 ]
-
-
-def iter_checks(ctx: VerificationContext | None = None) -> Iterator[CheckResult]:
-    ctx = ctx or VerificationContext()
-    for num, name, fn in CHECKS:
-        passed, details = fn(ctx)
-        yield CheckResult(num, name, passed, details)

@@ -197,6 +197,25 @@ class TestSelfOrthogonalityStored:
         assert not c.is_self_orthogonal()
 
 
+class TestValueSemantics:
+    def test_no_field_assigned_added_or_deleted(self):
+        c = LinearCode(4, [0b0011, 0b1100])
+        fields = ("n", "k", "rows", "pivots", "_pivot_mask", "_self_orthogonal")
+        for name in fields:
+            for change in (lambda: setattr(c, name, 1), lambda: delattr(c, name)):
+                with pytest.raises(AttributeError, match="^LinearCode is immutable$"):
+                    change()
+        with pytest.raises(AttributeError, match="^LinearCode is immutable$"):
+            c.extra = 1
+        assert hash(c) == hash(LinearCode(4, [0b1111, 0b1100]))
+
+    def test_equal_and_hashed_by_value(self):
+        c, twin = LinearCode(4, [0b0011, 0b1100]), LinearCode(4, [0b1111, 0b1100])
+        assert c == twin and hash(c) == hash(twin)
+        assert c != LinearCode(5, c.rows) and c != LinearCode(4, c.rows[:1])
+        assert c != (4, c.rows) and c != c.rows and c != 4
+
+
 class TestDual:
     def test_dual_is_orthogonal_complement(self):
         rng = random.Random(11)

@@ -391,8 +391,7 @@ class TestSearchPinned:
         # the CI step's pair is told apart by the colors of all columns,
         # before any search; e8 + e8 and d16 only by a search, whose first call
         # finds no image of the first basis word whose halves' colors match
-        # (29 calls when colors only cut, and split
-        # no class)
+        # (also the one call when colors only cut, and split no class)
         a = random_self_dual(32, 8, 2001)
         b = permuted(random_self_dual(32, 12, 2001), random.Random(1))
         assert map_basis_calls(monkeypatch, a, b) == []
@@ -404,8 +403,8 @@ class TestSearchPinned:
     def test_direct_sums_at_n24(self, monkeypatch, e8, d16):
         # d16 + e8 against e8 + e8 + e8, which share their weight
         # enumerators and column profiles, exhausts the search in one call
-        # (43 when colors only cut); the other way round takes thousands, and
-        # runs in CI
+        # (also when colors only cut); the other way round takes thousands,
+        # and runs in CI
         e8x3, d16e8 = direct_sum(e8, e8, e8), direct_sum(d16, e8)
         assert e8x3.weight_enumerator() == d16e8.weight_enumerator()
         assert len(map_basis_calls(monkeypatch, d16e8, e8x3)) == 1
@@ -479,21 +478,33 @@ class TestLightWordCut:
     tests count what is cut."""
 
     @pytest.mark.parametrize(
-        "walk, perm, cut_at_most, uncut",
-        [((12, 19), 32, 37, 1007), ((12, 1015), 0, 78, 3714), ((24, 1021), 0, 24, 810)],
+        "walk, perm, unsplit, uncut",
+        [((12, 19), 32, 17, 1007), ((12, 1015), 0, 17, 3714), ((24, 1021), 0, 17, 810)],
     )
-    def test_same_witness_from_far_fewer_searches(self, monkeypatch, walk, perm, cut_at_most, uncut):
+    def test_same_witness_from_far_fewer_searches(self, monkeypatch, walk, perm, unsplit, uncut):
         a = random_self_dual(32, *walk)
         b = permuted(a, random.Random(perm))
         cut_calls = len(map_basis_calls(monkeypatch, a, b))
         witness = are_permutation_equivalent(a, b)
+        weigh = equivalence._weigh
+
+        def cut_only(masks, light, known=None):
+            weighed = weigh(masks, light, known)
+            if weighed is None:
+                return None
+            return masks if known is not None else (*weighed[:2], masks)
+
+        # nodes cut as colors cut them, and no class split
+        monkeypatch.setattr(equivalence, "_weigh", cut_only)
+        assert len(map_basis_calls(monkeypatch, a, b)) == unsplit
+        assert are_permutation_equivalent(a, b) == witness
         # no class split and no node cut
         monkeypatch.setattr(equivalence, "_weigh", unweighed)
         assert len(map_basis_calls(monkeypatch, a, b)) == uncut
         uncut_witness = are_permutation_equivalent(a, b)
         assert witness is not None and uncut_witness == witness
-        # one call per depth, and at most the calls when colors only cut
-        assert cut_calls == a.k + 1 <= cut_at_most < uncut // 10
+        # one call per depth, as many as when colors only cut
+        assert cut_calls == a.k + 1 == unsplit < uncut // 10
 
     def test_colors_cut_what_the_counts_leave(self, monkeypatch):
         # the pairs above: searches with the counts and the colors, then

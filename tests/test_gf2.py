@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sdcodes.code import LinearCode
+from sdcodes.equivalence import CoordinatePermutation, apply_permutation, are_permutation_equivalent
 from sdcodes.gf2 import (
     MAX_LENGTH,
     BitMatrix,
@@ -23,6 +24,7 @@ from sdcodes.gf2 import (
     rref,
     weight,
 )
+from sdcodes.neighborhood import _meet_dimension, double_pair_code, neighbor_step
 
 from oracles import o_dot, o_mu, o_orthogonal_all, o_rank, o_rref, o_weight, to_bits
 
@@ -143,6 +145,74 @@ class TestBitVector:
     @given(bitvector())
     def test_support_round_trip(self, v):
         assert BitVector.from_support(v.length, v.support()) == v
+
+
+class TestValueTypes:
+    """BitVector and BitMatrix are values: frozen, and compared and hashed
+    by their fields."""
+
+    @pytest.mark.parametrize(
+        "value, fields",
+        [(BitVector(3, 0b101), ("length", "bits")), (BitMatrix.identity(3), ("rows", "ncols"))],
+        ids=["vector", "matrix"],
+    )
+    def test_frozen(self, value, fields):
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert all(hasattr(value, name) for name in fields) and not hasattr(value, "extra")
+
+    def test_equal_and_hashed_by_value(self):
+        v, m = BitVector(3, 0b101), BitMatrix.identity(3)
+        assert v == BitVector(3, 0b101) and hash(v) == hash(BitVector(3, 0b101))
+        assert m == BitMatrix.identity(3) and hash(m) == hash(BitMatrix.identity(3))
+        assert BitMatrix([], ncols=3) != BitMatrix([], ncols=4)
+        assert m != BitMatrix(m.rows[:2], ncols=3)
+        for value, fields in ((v, (3, 0b101)), (m, (m.rows, 3))):
+            assert value != fields and all(value != f for f in fields)
+
+    def test_matrix_from_any_iterable_of_rows(self):
+        rows = [BitVector(4, 0b0011), BitVector(4, 0b0110)]
+        built = {BitMatrix(rows), BitMatrix(tuple(rows)), BitMatrix(r for r in rows)}
+        assert len(built) == 1 and built.pop().rows == tuple(rows)
+
+
+C8, C16 = double_pair_code(8), double_pair_code(16)
+V3, V4 = BitVector(3, 0b101), BitVector(4, 0b0011)
+
+
+class TestLengthGuard:
+    """Every operation on operands of two lengths names them, in order."""
+
+    @pytest.mark.parametrize(
+        "call, a, b",
+        [
+            (lambda: V3 ^ V4, 3, 4),
+            (lambda: V4 + V3, 4, 3),
+            (lambda: V3 & V4, 3, 4),
+            (lambda: mu(V4, V3), 4, 3),
+            (lambda: dot(V3, V4), 3, 4),
+            (lambda: C8.contains(BitVector(16, 1)), 16, 8),
+            (lambda: C16.intersection(C8), 16, 8),
+            (lambda: CoordinatePermutation.identity(8).apply(V4), 4, 8),
+            (lambda: apply_permutation(C16, CoordinatePermutation.identity(8)), 16, 8),
+            (lambda: are_permutation_equivalent(C8, C16), 8, 16),
+            (lambda: _meet_dimension(C16, C8), 16, 8),
+            (lambda: neighbor_step(C8, BitVector(16, 0b11)), 16, 8),
+        ],
+        ids=[
+            "xor", "add", "and", "mu", "dot", "contains", "intersection", "apply",
+            "apply_permutation", "are_permutation_equivalent", "meet_dimension", "neighbor_step",
+        ],
+    )
+    def test_exact_message(self, call, a, b):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"length mismatch: {a} != {b}"
 
 
 class TestBitMatrix:
