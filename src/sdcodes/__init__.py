@@ -6,7 +6,6 @@ from .code import (
     EnumerationCapError,
     InternalConsistencyError,
     LinearCode,
-    WeightEnumerator,
     extremal_bound,
     from_generator,
 )
@@ -25,7 +24,6 @@ from .fixtures_io import (
 from .gf2 import BitMatrix, BitVector, dot, kernel_basis, mu, rank, rref, weight
 from .neighborhood import (
     Neighborhood,
-    Verdict,
     are_neighbors,
     double_pair_code,
     max_doubly_even_subcode,
@@ -52,8 +50,6 @@ __all__ = [
     "LinearCode",
     "MatrixFormatError",
     "Neighborhood",
-    "Verdict",
-    "WeightEnumerator",
     "apply_permutation",
     "are_neighbors",
     "are_permutation_equivalent",

@@ -68,7 +68,7 @@ def _load_source(token: str | None) -> tuple[str, LinearCode]:
 def _cmd_info(args) -> int:
     name, code = _load_source(args.input)
     we = code.weight_enumerator()
-    d = we.min_positive_weight() if code.k > 0 else None
+    d = min((w for w in we if w), default=None)
     ctype = code.classify()
     record = {
         "command": "info",
@@ -111,11 +111,7 @@ def _cmd_dual(args) -> int:
 def _cmd_neighborhood(args) -> int:
     name, code = _load_source(args.input)
     nb = neighborhood_of(code)
-    verdicts = [
-        verify_no_better_type1(nb),
-        verify_distance2_coincidence(nb),
-    ]
-    failed = any(v.passed is False for v in verdicts)
+    verdicts = [verify_no_better_type1(nb), verify_distance2_coincidence(nb)]
     members = [
         {"type": str(t), "distance": d, "representative": rep.to01(), "rows": _matrix_rows(m)}
         for m, rep, t, d in zip(nb.members, nb.representatives, nb.member_types, nb.member_distances)
@@ -126,11 +122,8 @@ def _cmd_neighborhood(args) -> int:
         "n": nb.c_max.n,
         "c_max_dimension": nb.c_max.k,
         "members": members,
-        "verdicts": [
-            {"check": v.check, "passed": v.passed, "details": dict(v.details)}
-            for v in verdicts
-        ],
-        "exit_status": 1 if failed else 0,
+        "verdicts": verdicts,
+        "exit_status": 1 if any(v["passed"] is False for v in verdicts) else 0,
     }
     _emit(args, record, "" if args.json else _neighborhood_text(record))
     return record["exit_status"]

@@ -32,12 +32,11 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, chain, combinations, compress, islice, product
 from math import comb
 from operator import xor
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .gf2 import (
     MAX_LENGTH,
@@ -72,48 +71,6 @@ class CodeType(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-@dataclass(frozen=True)
-class WeightEnumerator:
-    """Weight distribution: maps weight w to the number of codewords of weight w.
-
-    Only weights with nonzero counts are stored; lookups elsewhere return 0.
-    Compares equal to plain dicts with the same nonzero entries.
-    """
-
-    counts: Mapping[int, int]
-
-    def __getitem__(self, w: int) -> int:
-        return self.counts.get(w, 0)
-
-    def items(self):
-        return sorted(self.counts.items())
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def min_positive_weight(self) -> int:
-        least = min((w for w, c in self.counts.items() if w > 0 and c), default=0)
-        if not least:
-            raise ValueError("the weight enumerator counts no word of nonzero weight")
-        return least
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(sorted(self.counts.items()))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, WeightEnumerator):
-            other = other.counts
-        if isinstance(other, Mapping):
-            return {w: c for w, c in self.counts.items() if c} == {
-                w: c for w, c in other.items() if c
-            }
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        # zero counts are ignored, as by __eq__
-        return hash(tuple(sorted((w, c) for w, c in self.counts.items() if c)))
 
 
 class LinearCode:
@@ -236,11 +193,12 @@ class LinearCode:
                 break
         return best
 
-    def weight_enumerator(self) -> WeightEnumerator:
-        """Full weight distribution via the same Gray-code sweep."""
+    def weight_enumerator(self) -> Counter[int]:
+        """Full weight distribution via the same Gray-code sweep: the number of
+        codewords of each weight, nonzero counts only, in weight order."""
         self._check_cap()
         counts = Counter(map(int.bit_count, _gray_words(self.rows)))
-        return WeightEnumerator(dict(sorted(counts.items())))
+        return Counter(dict(sorted(counts.items())))
 
     def classify(self) -> CodeType:
         """Type of the code, decided from generator rows only (no enumeration).

@@ -30,10 +30,12 @@ from .code import (
     _gray_index,
     _words_by_weight,
 )
-from .gf2 import BitVector, _check_lengths, _insert_rref
+from .gf2 import BitVector, _check_lengths, _insert_rref, _ones
 
 EQUIVALENCE_MAX_LENGTH = 32
 EQUIVALENCE_MAX_DIMENSION = 16
+# light words that c2's weighings may read in one search, the root's included
+EQUIVALENCE_WORD_BUDGET = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -66,15 +68,6 @@ class CoordinatePermutation:
     def apply(self, v: BitVector) -> BitVector:
         _check_lengths(v.length, len(self.images))
         return BitVector(v.length, _permute_bits(v.bits, self.images))
-
-
-def _ones(x: int) -> list[int]:
-    """The positions of the set bits of x, lowest first."""
-    out = []
-    while x:
-        out.append((x & -x).bit_length() - 1)
-        x &= x - 1
-    return out
 
 
 def _permute_bits(bits: int, images: tuple[int, ...]) -> int:
@@ -144,7 +137,7 @@ def _weigh(masks, light, known=None):
     return (meets, tally, classes) if known is None else classes
 
 
-def _map_basis(depth: int, pairs, basis, by_weight, order, light1, light2, kept):
+def _map_basis(depth: int, pairs, basis, by_weight, order, light1, light2, kept, spent):
     """c1's and c2's columns as (c1 mask, c2 mask) pairs of classes, once
     images of basis[depth:] are chosen depth-first, each from c2's words of
     its weight in order, so that each meets every c2 class as its basis word
@@ -161,6 +154,8 @@ def _map_basis(depth: int, pairs, basis, by_weight, order, light1, light2, kept)
     the partners of the classes inside it, and its child the same classes.
     No equivalence below a node is lost by a split or a cut, so the first
     leaf in order, and the witness, are those of the search without colors.
+    spent[0] counts the light words that c2's weighings have read; one that
+    would bring it past EQUIVALENCE_WORD_BUDGET raises EnumerationCapError.
     """
     if depth == len(basis):
         return pairs
@@ -175,7 +170,7 @@ def _map_basis(depth: int, pairs, basis, by_weight, order, light1, light2, kept)
         # b splits no class: whole is its one possible image
         if whole not in words:
             return None
-        return _map_basis(depth + 1, pairs, basis, by_weight, order, light1, light2, kept)
+        return _map_basis(depth + 1, pairs, basis, by_weight, order, light1, light2, kept, spent)
     halves1 = [m1 & c for c in (b, ~b) for m1, _ in pairs]
     if depth not in kept:
         kept[depth] = _weigh([m1 for m1 in halves1 if m1], light1)
@@ -184,10 +179,16 @@ def _map_basis(depth: int, pairs, basis, by_weight, order, light1, light2, kept)
     for cand in sorted((x for x in words if x & fixed == whole), key=order):
         if list(map(int.bit_count, map(cand.__and__, masks2))) == ones:
             halves2 = [m2 & c for c in (cand, ~cand) for m2 in masks2]
+            spent[0] += len(light2[0])
+            if spent[0] > EQUIVALENCE_WORD_BUDGET:
+                raise EnumerationCapError(
+                    f"equivalence search budget exceeded: c2's weighings would read {spent[0]} "
+                    f"light words, past the budget {EQUIVALENCE_WORD_BUDGET}"
+                )
             split = _weigh([m2 for m1, m2 in zip(halves1, halves2) if m1], light2, known)
             if split is not None:
                 child = list(zip(known[2], split))
-                found = _map_basis(depth + 1, child, basis, by_weight, order, light1, light2, kept)
+                found = _map_basis(depth + 1, child, basis, by_weight, order, light1, light2, kept, spent)
                 if found is not None:
                     return found
     return None
@@ -199,10 +200,11 @@ def are_permutation_equivalent(
     """A coordinate permutation mapping c1 onto c2, or None.
 
     Exact at desk scale: lengths up to 32 and dimensions up to 16, enforced
-    via EnumerationCapError.  No 2^k sweep runs, but neither cap bounds the
-    basis search, which on some [24, 12] pairs visits hundreds of thousands
-    of nodes.  A returned witness always satisfies
-    apply_permutation(c1, witness) == c2.
+    via EnumerationCapError.  No 2^k sweep runs.  The basis search, which on
+    some [24, 12] pairs visits hundreds of thousands of nodes, is bounded by
+    the light words its weighings of c2 read (EQUIVALENCE_WORD_BUDGET): past
+    it, EnumerationCapError, not an answer.  A returned witness always
+    satisfies apply_permutation(c1, witness) == c2.
     """
     _check_lengths(c1.n, c2.n)
     n = c1.n
@@ -255,7 +257,7 @@ def are_permutation_equivalent(
     split = _weigh([(1 << n) - 1], light2, known)
     if split is None:
         return None
-    classes = _map_basis(0, list(zip(known[2], split)), basis, groups2, order, light1, light2, {})
+    classes = _map_basis(0, list(zip(known[2], split)), basis, groups2, order, light1, light2, {}, [len(light2[0])])
     if classes is None:
         return None
 

@@ -73,7 +73,7 @@ class BitVector:
         return self.bits.bit_count()
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.length) if (self.bits >> i) & 1)
+        return tuple(_ones(self.bits))
 
     def to01(self) -> str:
         """The coordinates as '0'/'1' characters, coordinate 0 first."""
@@ -100,6 +100,15 @@ class BitVector:
 
     def __repr__(self) -> str:
         return f"BitVector({self.to01()!r})"
+
+
+def _ones(x: int) -> list[int]:
+    """The positions of the set bits of x, lowest first."""
+    out = []
+    while x:
+        out.append((x & -x).bit_length() - 1)
+        x &= x - 1
+    return out
 
 
 def _to01(bits: int, n: int) -> str:

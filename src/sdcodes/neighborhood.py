@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, count, islice
 from operator import ne, or_, xor
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .code import CodeType, InternalConsistencyError, LinearCode, _shadow_leaders
 from .gf2 import BitVector, _check_lengths, _dropped, _insert_rref, _kernel_rows
@@ -353,39 +353,31 @@ def random_self_dual(n: int, steps: int, seed: int) -> LinearCode:
     return next(islice(walk_self_dual(n, seed), steps, None))
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of one structural check; passed is None when not applicable."""
-
-    check: str
-    passed: bool | None
-    details: Mapping[str, object] = field(default_factory=dict)
-
-
-def verify_no_better_type1(nb: Neighborhood) -> Verdict:
-    """Type I member distance never beats both Type II member distances."""
+def verify_no_better_type1(nb: Neighborhood) -> dict:
+    """Type I member distance never beats both Type II member distances, as
+    the record {"check", "passed", "details"} that neighborhood --json prints."""
     d1 = nb.type1_distance()
     d2a, d2b = nb.type2_distances()
-    return Verdict(
-        check="no_better_type1",
-        passed=d1 <= max(d2a, d2b),
-        details={"type1_distance": d1, "type2_distances": [d2a, d2b]},
-    )
+    return {
+        "check": "no_better_type1",
+        "passed": d1 <= max(d2a, d2b),
+        "details": {"type1_distance": d1, "type2_distances": [d2a, d2b]},
+    }
 
 
-def verify_distance2_coincidence(nb: Neighborhood) -> Verdict:
-    """When the Type I member has distance 2 the Type II distances coincide."""
+def verify_distance2_coincidence(nb: Neighborhood) -> dict:
+    """When the Type I member has distance 2 the Type II distances coincide,
+    as a record like verify_no_better_type1's; passed is None when d1 != 2."""
     d1 = nb.type1_distance()
     d2a, d2b = nb.type2_distances()
     if d1 != 2:
-        return Verdict(
-            check="distance2_coincidence",
-            passed=None,
-            details={"type1_distance": d1, "note": "not applicable"},
-        )
-    return Verdict(
-        check="distance2_coincidence",
-        passed=d2a == d2b,
-        details={"type1_distance": d1, "type2_distances": [d2a, d2b]},
-    )
-
+        return {
+            "check": "distance2_coincidence",
+            "passed": None,
+            "details": {"type1_distance": d1, "note": "not applicable"},
+        }
+    return {
+        "check": "distance2_coincidence",
+        "passed": d2a == d2b,
+        "details": {"type1_distance": d1, "type2_distances": [d2a, d2b]},
+    }

@@ -145,8 +145,8 @@ def _check_type1_distance_bound(ctx: VerificationContext):
     for nb in ctx.all_neighborhoods():
         v = verify_no_better_type1(nb)
         checked += 1
-        if not v.passed:
-            failures.append(dict(v.details))
+        if not v["passed"]:
+            failures.append(v["details"])
     nb1, nb2 = ctx.fixture_neighborhoods
     return not failures, {
         "neighborhoods_checked": checked,
@@ -161,11 +161,11 @@ def _check_distance2_coincidence(ctx: VerificationContext):
     failures = []
     for nb in ctx.all_neighborhoods():
         v = verify_distance2_coincidence(nb)
-        if v.passed is None:
+        if v["passed"] is None:
             continue
         applicable += 1
-        if not v.passed:
-            failures.append(dict(v.details))
+        if not v["passed"]:
+            failures.append(v["details"])
     nb1, _ = ctx.fixture_neighborhoods
     first_applies = nb1.type1_distance() == 2
     return first_applies and not failures, {
@@ -292,7 +292,7 @@ def _check_fixture_equivalence(ctx: VerificationContext):
 
 
 def _check_golay_weight_distribution(ctx: VerificationContext):
-    got = ctx.fixture_codes["G1"].weight_enumerator().as_dict()
+    got = dict(ctx.fixture_codes["G1"].weight_enumerator())
     expected = GOLAY_WEIGHT_DISTRIBUTION
     return got == expected, {
         "expected": {str(k): v for k, v in expected.items()},

@@ -9,7 +9,14 @@ import pytest
 from sdcodes import cli, code, gf2
 from sdcodes.fixtures_io import fixture, serialize_matrix
 from sdcodes.gf2 import BitMatrix
-from sdcodes.neighborhood import double_pair_code, random_self_dual, walk_self_dual
+from sdcodes.neighborhood import (
+    double_pair_code,
+    neighborhood_of,
+    random_self_dual,
+    verify_distance2_coincidence,
+    verify_no_better_type1,
+    walk_self_dual,
+)
 
 
 def run_cli(capsys, *argv):
@@ -125,6 +132,16 @@ class TestNeighborhood:
         checks = {v["check"]: v["passed"] for v in record["verdicts"]}
         assert checks["no_better_type1"] is True
         assert checks["distance2_coincidence"] is None
+
+    def test_verdicts_are_the_records_of_the_checks(self, capsys, tmp_path):
+        # passed, n/a and failed: the two checks' dicts, printed as they are
+        path = tmp_path / "walk32.txt"
+        path.write_text(serialize_matrix(random_self_dual(32, 12, 19).generator))
+        for source in ("fixture:G3", "fixture:G4", str(path)):
+            _, out, _ = run_cli(capsys, "neighborhood", source, "--json")
+            (record,) = json_lines(out)
+            nb = neighborhood_of(cli._load_source(source)[1])
+            assert record["verdicts"] == [verify_no_better_type1(nb), verify_distance2_coincidence(nb)]
 
     def test_type2_input_exits_2(self, capsys):
         status, _, err = run_cli(capsys, "neighborhood", "fixture:G1")
@@ -265,6 +282,14 @@ class TestEquivalent:
         status, out, err = run_cli(capsys, "equivalent", "fixture:G1", "fixture:G2", "--json")
         assert status == 1 and out == ""
         assert "consistency check failed" in err
+
+    def test_search_past_its_budget_exits_2(self, capsys, monkeypatch):
+        from sdcodes import equivalence
+
+        monkeypatch.setattr(equivalence, "EQUIVALENCE_WORD_BUDGET", 10)
+        status, out, err = run_cli(capsys, "equivalent", "fixture:G1", "fixture:G2", "--json")
+        assert status == 2 and out == ""
+        assert err.startswith("error: equivalence search budget exceeded") and "past the budget 10" in err
 
 
 def replay_search(n, steps, seed, min_d=None):

@@ -13,7 +13,6 @@ from sdcodes.code import (
     CodeType,
     EnumerationCapError,
     LinearCode,
-    WeightEnumerator,
     _gray_index,
     _gray_words,
     _bz_rounds,
@@ -749,8 +748,11 @@ class TestStopAt:
 
 
 class TestWeightEnumerator:
+    """The weight distribution is a Counter of the nonzero counts, built in
+    weight order."""
+
     def test_fixture_distribution_frozen(self, fixture_codes):
-        assert fixture_codes["G1"].weight_enumerator().as_dict() == GOLAY_WE
+        assert dict(fixture_codes["G1"].weight_enumerator()) == GOLAY_WE
         assert fixture_codes["G6"].weight_enumerator() == GOLAY_WE
 
     def test_matches_oracle_on_random_codes(self):
@@ -758,41 +760,38 @@ class TestWeightEnumerator:
         for _ in range(15):
             c = random_code(rng, max_n=12)
             expected = o_weight_counts([to_bits(r) for r in c.generator])
-            assert c.weight_enumerator().as_dict() == expected
+            assert dict(c.weight_enumerator()) == expected
 
     def test_total_is_code_size(self, fixture_codes):
         we = fixture_codes["G3"].weight_enumerator()
         assert we.total() == 1 << 12
-        assert we.min_positive_weight() == 2
-
-    def test_zero_code_has_no_min_positive_weight(self):
-        # the zero code counts only the word 0; a weight counted zero times,
-        # which the enumerator compares as absent, is not a least weight
-        zero = LinearCode(8, []).weight_enumerator()
-        assert zero == {0: 1}
-        for we in (zero, WeightEnumerator({0: 1, 2: 0})):
-            with pytest.raises(ValueError, match="no word of nonzero weight"):
-                we.min_positive_weight()
-        assert WeightEnumerator({0: 1, 2: 0, 4: 3}).min_positive_weight() == 4
+        assert min(w for w in we if w) == 2
 
     def test_symmetry_for_fixtures(self, fixture_codes):
         # the all-ones word flips each codeword, pairing weights w and n-w
         for c in fixture_codes.values():
-            we = c.weight_enumerator().as_dict()
+            we = c.weight_enumerator()
             assert all(we[w] == we[24 - w] for w in we)
 
-    def test_mapping_interface(self):
-        we = WeightEnumerator({0: 1, 4: 3})
-        assert we[4] == 3 and we[2] == 0
-        assert we == {0: 1, 4: 3}
-        assert we != {0: 1}
+    def test_mapping_interface(self, fixture_codes):
+        we = LinearCode(8, [0b1111, 0b11110000]).weight_enumerator()
+        assert type(we) is Counter
+        # a missing weight reads 0 and is not stored by the read
+        assert we[4] == 2 and we[2] == 0 and 2 not in we
+        # equal to the dict of its nonzero counts, and to no other
+        assert we == {0: 1, 4: 2, 8: 1}
+        assert we != {0: 1, 4: 2} and we != {0: 1, 2: 0, 4: 2, 8: 1}
+        assert we.total() == 4
+        # items in weight order, every count nonzero
+        for c in fixture_codes.values():
+            items = list(c.weight_enumerator().items())
+            assert items == sorted(items) and all(n for _, n in items)
 
-    def test_zero_counts_hash_as_they_compare(self):
-        padded = WeightEnumerator({0: 1, 2: 0, 4: 3})
-        plain = WeightEnumerator({0: 1, 4: 3})
-        assert padded == plain
-        assert hash(padded) == hash(plain)
-        assert len({padded, plain}) == 1
+    def test_zero_counts_compare_as_absent(self):
+        # between Counters, a weight counted zero times equals one not counted
+        padded = Counter({0: 1, 2: 0, 4: 3})
+        assert padded == Counter({0: 1, 4: 3})
+        assert LinearCode(8, []).weight_enumerator() == Counter({0: 1, 2: 0})
 
 
 class TestClassification:

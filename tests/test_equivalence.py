@@ -192,7 +192,7 @@ class TestColumnCoverage:
                 continue
             zero_columns += n - bin(mask).count("1")
             # two nonzero weights or more: the middle limit leaves some out
-            partial += len(c.weight_enumerator().counts) > 2
+            partial += len(c.weight_enumerator()) > 2
             assert_root_split_matches_oracle(c)
         assert zero_columns > 0 and partial > 0
 
@@ -440,6 +440,37 @@ class TestSearchPinned:
         assert are_permutation_equivalent(a, b).images == (13, 10, 11, 1, 2, 12, 3, 5, 14, 15, 6, 0, 8, 4, 7, 9)
 
 
+class TestWordBudget:
+    """The basis search counts the light words that its weighings of c2
+    read, the root's included, and raises past EQUIVALENCE_WORD_BUDGET."""
+
+    def test_exhausted_direct_sums_read_a_pinned_count(self, monkeypatch, e8, d16):
+        # e8 + e8 + e8 against d16 + e8: 39,187 weighings of 42 light words
+        # each exhaust the search, within the budget
+        spent, search = [], equivalence._map_basis
+
+        def spy(*args):
+            spent.append(args[-1])
+            return search(*args)
+
+        monkeypatch.setattr(equivalence, "_map_basis", spy)
+        assert are_permutation_equivalent(direct_sum(e8, e8, e8), direct_sum(d16, e8)) is None
+        assert spent[0][0] == 1_645_854 < equivalence.EQUIVALENCE_WORD_BUDGET
+        assert all(s is spent[0] for s in spent)
+
+    def test_a_lowered_budget_raises_with_the_count(self, monkeypatch, e8e8, d16):
+        # e8 + e8 against d16 reads 812 light words in all: a budget of 812
+        # lets the search end, and one less stops it at its last weighing
+        monkeypatch.setattr(equivalence, "EQUIVALENCE_WORD_BUDGET", 812)
+        assert are_permutation_equivalent(e8e8, d16) is None
+        monkeypatch.setattr(equivalence, "EQUIVALENCE_WORD_BUDGET", 811)
+        with pytest.raises(EnumerationCapError, match="would read 812 light words, past the budget 811"):
+            are_permutation_equivalent(e8e8, d16)
+        # a search within the budget answers as before
+        a = random_self_dual(32, 10, 101)
+        assert are_permutation_equivalent(a, permuted(a, random.Random(1))) is not None
+
+
 def weight4_components(c):
     """Sizes of the classes of c's words of weight 4 linked by shared
     columns, in ascending order."""
@@ -594,7 +625,7 @@ class TestLightWordCut:
         # image, the partners of columns 0 and 1, must be one of c2's words
         pairs = [(1 << i, 1 << (3 - i)) for i in range(4)]
         for words, found in (({0b0110}, None), ({0b0110, 0b1100}, pairs)):
-            assert equivalence._map_basis(0, pairs, [0b0011], {2: words}, None, None, None, {}) == found
+            assert equivalence._map_basis(0, pairs, [0b0011], {2: words}, None, None, None, {}, [0]) == found
 
     def test_meets_count_columns_of_each_mask(self):
         words = [0b0111, 0b1100, 0b1010, 0b0111]
@@ -731,7 +762,7 @@ class TestSetBitLoops:
             for i, color in colors.items():
                 groups[color] = groups.get(color, 0) | 1 << i
             assert sorted(one[2]) == sorted(groups.values())
-            ones = equivalence._ones
+            ones = gf2._ones
             for m, moved_m in zip(one[2], split or []):
                 assert {colors[i] for i in ones(m)} == {moved_colors[i] for i in ones(moved_m)}
             verdicts[same, expected[0] == got[0]] += 1

@@ -146,6 +146,14 @@ class TestBitVector:
     def test_support_round_trip(self, v):
         assert BitVector.from_support(v.length, v.support()) == v
 
+    def test_support_lists_set_bits_at_every_length(self):
+        # the set-bit loop against a loop over every coordinate, up to 4096
+        rng = random.Random(7)
+        for n in (1, 2, 63, 64, 65, 511, 4096):
+            for bits in (0, 1 << (n - 1), (1 << n) - 1, rng.getrandbits(n), 1 << rng.randrange(n)):
+                expected = tuple(i for i in range(n) if bits >> i & 1)
+                assert BitVector(n, bits).support() == expected
+
 
 class TestValueTypes:
     """BitVector and BitMatrix are values: frozen, and compared and hashed

@@ -190,7 +190,7 @@ class TestLength8:
         dp8 = double_pair_code(8)
         nb = neighborhood_of(dp8)
         v = verify_distance2_coincidence(nb)
-        assert v.passed is True
+        assert v["passed"] is True
 
 
 class TestDoublePairCertificate:
@@ -597,23 +597,23 @@ class TestVerdicts:
     def test_type1_bound_on_fixtures(self, triples):
         for nb in triples:
             v = verify_no_better_type1(nb)
-            assert v.passed is True
-            d1 = v.details["type1_distance"]
-            assert d1 <= max(v.details["type2_distances"])
+            assert v["passed"] is True
+            d1 = v["details"]["type1_distance"]
+            assert d1 <= max(v["details"]["type2_distances"])
 
     def test_distance2_applicability(self, triples):
         nb1, nb2 = triples
         v1 = verify_distance2_coincidence(nb1)
-        assert v1.passed is True and v1.details["type2_distances"] == [8, 8]
+        assert v1["passed"] is True and v1["details"]["type2_distances"] == [8, 8]
         v2 = verify_distance2_coincidence(nb2)
-        assert v2.passed is None
+        assert v2["passed"] is None
 
     def test_type1_bound_on_walk_neighborhoods(self):
         for seed in (3, 4):
             c = random_self_dual(16, 8, seed)
             if c.classify() is CodeType.TYPE_II:
                 continue
-            assert verify_no_better_type1(neighborhood_of(c)).passed is True
+            assert verify_no_better_type1(neighborhood_of(c))["passed"] is True
 
 
 class TestOneSweep:
@@ -643,8 +643,8 @@ class TestOneSweep:
         monkeypatch.setattr(LinearCode, "dual", refuse)
         monkeypatch.setattr(LinearCode, "weight_enumerator", refuse)
         for nb in triples:
-            assert verify_no_better_type1(nb).passed is True
-            assert verify_distance2_coincidence(nb).passed is not False
+            assert verify_no_better_type1(nb)["passed"] is True
+            assert verify_distance2_coincidence(nb)["passed"] is not False
 
 
 class TestCosetRepresentatives:
@@ -673,7 +673,7 @@ class TestCosetRepresentatives:
 
     def test_distances_match_a_sweep_of_each_member(self, searched):
         for nb, _ in searched:
-            swept = [m.weight_enumerator().min_positive_weight() for m in nb.members]
+            swept = [min(w for w in m.weight_enumerator() if w) for m in nb.members]
             assert tuple(swept) == nb.member_distances
 
     def test_sums_weighed_in_small_chunks(self, monkeypatch, searched):
@@ -916,8 +916,8 @@ class TestPaperLength:
         for member, rep, d in zip(nb.members, nb.representatives, nb.member_distances):
             assert member.minimum_distance() == d
             assert member.contains(rep) and not nb.c_max.contains(rep)
-        assert verify_no_better_type1(nb).passed is True
-        assert verify_distance2_coincidence(nb).passed is not False
+        assert verify_no_better_type1(nb)["passed"] is True
+        assert verify_distance2_coincidence(nb)["passed"] is not False
 
     @pytest.mark.parametrize("n", [64, 72])
     def test_neighborhood_invariant_under_permutation(self, monkeypatch, n):
