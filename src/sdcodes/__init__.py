@@ -21,7 +21,7 @@ from .fixtures_io import (
     parse_matrix,
     serialize_matrix,
 )
-from .gf2 import BitMatrix, BitVector, dot, kernel_basis, mu, rank, rref, weight
+from .gf2 import BitMatrix, BitVector
 from .neighborhood import (
     Neighborhood,
     are_neighbors,
@@ -53,24 +53,18 @@ __all__ = [
     "apply_permutation",
     "are_neighbors",
     "are_permutation_equivalent",
-    "dot",
     "double_pair_code",
     "extremal_bound",
     "fixture",
     "from_generator",
-    "kernel_basis",
     "max_doubly_even_subcode",
-    "mu",
     "neighbor_step",
     "neighborhood_containing",
     "neighborhood_of",
     "parse_matrix",
     "random_self_dual",
-    "rank",
-    "rref",
     "serialize_matrix",
     "verify_distance2_coincidence",
     "verify_no_better_type1",
     "walk_self_dual",
-    "weight",
 ]

@@ -13,19 +13,18 @@ Self-orthogonality is decided by one pass over all pairs of rows, once per
 code, and stored with it; a code built by a neighbor step instead stores the
 result of an O(k) certificate that derives it from the stored result of the
 code it came from.
-Weight enumeration and codeword listing stream all 2^k codewords with one
-Gray-code sweep.  The lightest words of a span, for minimum distance and
-for the light words that the equivalence search maps (_words_by_weight),
-and the coset representatives of a neighborhood (_shadow_leaders, one
-search of its Type I member and of that member's shadow) come from one
-Brouwer-Zimmermann driver instead (_bz_streams): rounds of sums of few rows
-of generators systematic on disjoint information sets, from 0 for a code or
-from one start word per generator for a coset, each with a bound on the
-weight of every word not yet drawn.  The sums are weighed only here, in the
-lists that _level_sums built them in.  One cap bounds both: a sweep or
-search that would draw over 2^DEFAULT_ENUMERATION_CAP words (2^k per
-sweep, C(k, w) per generator per round and stream) is an explicit error,
-not a silent approximation.
+Weight enumeration streams all 2^k codewords with one Gray-code sweep.
+The lightest words of a span, for minimum distance and for the light words
+that the equivalence search maps (_words_by_weight), and the coset
+representatives of a neighborhood (_shadow_leaders, one search of its Type I
+member and of that member's shadow) come from one Brouwer-Zimmermann driver
+instead (_bz_streams): rounds of sums of few rows of generators systematic
+on disjoint information sets, from 0 for a code or from one start word per
+generator for a coset, each with a bound on the weight of every word not
+yet drawn.  The sums are weighed only here, in the lists that _level_sums
+built them in.  One cap bounds both: a sweep or search that would draw over
+2^DEFAULT_ENUMERATION_CAP words (2^k per sweep, C(k, w) per generator per
+round and stream) is an explicit error, not a silent approximation.
 """
 
 from __future__ import annotations
@@ -167,18 +166,6 @@ class LinearCode:
 
     # -- exhaustive sweeps --------------------------------------------------
 
-    def _check_cap(self) -> None:
-        if self.k > DEFAULT_ENUMERATION_CAP:
-            raise EnumerationCapError(
-                f"instance too large: dimension {self.k} exceeds enumeration cap "
-                f"{DEFAULT_ENUMERATION_CAP}"
-            )
-
-    def codewords(self) -> list[int]:
-        """All 2^k codewords as raw ints, in Gray-code order (starts at 0)."""
-        self._check_cap()
-        return list(_gray_words(self.rows))
-
     def minimum_distance(self, stop_at: int = 0) -> int:
         """Smallest nonzero codeword weight d, from _bz_streams over the code alone
         (_bz_rounds): exact past stop_at, else the weight w of a word seen, d <= w <= stop_at."""
@@ -194,9 +181,13 @@ class LinearCode:
         return best
 
     def weight_enumerator(self) -> Counter[int]:
-        """Full weight distribution via the same Gray-code sweep: the number of
+        """Full weight distribution via one Gray-code sweep: the number of
         codewords of each weight, nonzero counts only, in weight order."""
-        self._check_cap()
+        if self.k > DEFAULT_ENUMERATION_CAP:
+            raise EnumerationCapError(
+                f"instance too large: dimension {self.k} exceeds enumeration cap "
+                f"{DEFAULT_ENUMERATION_CAP}"
+            )
         counts = Counter(map(int.bit_count, _gray_words(self.rows)))
         return Counter(dict(sorted(counts.items())))
 
@@ -567,11 +558,15 @@ def from_generator(m: BitMatrix) -> LinearCode:
 
 
 def extremal_bound(n: int, code_type: CodeType) -> int:
-    """Upper bound on the minimum distance of a self-dual code of length n."""
+    """Upper bound on the minimum distance of a self-dual code of length n.
+
+    Type I: the lesser of 2*floor(n/8) + 2 and Rains' bound for every
+    self-dual code, 4*floor(n/24) + 4, or + 6 when n = 22 mod 24 (Rains 1998).
+    """
     if n < 1:
         raise ValueError("length must be positive")
     if code_type is CodeType.TYPE_I:
-        return 2 * (n // 8) + 2
+        return min(2 * (n // 8) + 2, 4 * (n // 24) + (6 if n % 24 == 22 else 4))
     if code_type is CodeType.TYPE_II:
         if n % 8:
             raise ValueError(f"doubly-even self-dual codes require 8 | n, got n={n}")

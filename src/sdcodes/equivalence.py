@@ -30,7 +30,7 @@ from .code import (
     _gray_index,
     _words_by_weight,
 )
-from .gf2 import BitVector, _check_lengths, _insert_rref, _ones
+from .gf2 import _check_lengths, _insert_rref, _ones
 
 EQUIVALENCE_MAX_LENGTH = 32
 EQUIVALENCE_MAX_DIMENSION = 16
@@ -40,34 +40,22 @@ EQUIVALENCE_WORD_BUDGET = 4_000_000
 
 @dataclass(frozen=True)
 class CoordinatePermutation:
-    """A bijection of coordinate positions; images[i] is where i is sent."""
+    """A bijection of coordinate positions; images[i] is where i is sent.
+
+    images may be any iterable; it is stored as a tuple.
+    """
 
     images: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(n)):
+        images = tuple(self.images)
+        if sorted(images) != list(range(len(images))):
             raise ValueError("images must be a permutation of 0..n-1")
+        object.__setattr__(self, "images", images)
 
     @classmethod
     def identity(cls, n: int) -> CoordinatePermutation:
-        return cls(tuple(range(n)))
-
-    def inverse(self) -> CoordinatePermutation:
-        inv = [0] * len(self.images)
-        for i, img in enumerate(self.images):
-            inv[img] = i
-        return CoordinatePermutation(tuple(inv))
-
-    def then(self, other: CoordinatePermutation) -> CoordinatePermutation:
-        """Composition: self first, then other."""
-        if len(self.images) != len(other.images):
-            raise ValueError("cannot compose permutations of different sizes")
-        return CoordinatePermutation(tuple(other.images[i] for i in self.images))
-
-    def apply(self, v: BitVector) -> BitVector:
-        _check_lengths(v.length, len(self.images))
-        return BitVector(v.length, _permute_bits(v.bits, self.images))
+        return cls(range(n))
 
 
 def _permute_bits(bits: int, images: tuple[int, ...]) -> int:
@@ -266,7 +254,7 @@ def are_permutation_equivalent(
     for m1, m2 in classes:
         for i, j in zip(_ones(m1), reversed(_ones(m2))):
             images[i] = j
-    witness = CoordinatePermutation(tuple(images))
+    witness = CoordinatePermutation(images)
     if apply_permutation(c1, witness) != c2:
         raise InternalConsistencyError("equivalence witness failed verification")
     return witness

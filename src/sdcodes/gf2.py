@@ -47,10 +47,6 @@ class BitVector:
             raise ValueError("bits outside the declared length must be zero")
 
     @classmethod
-    def zeros(cls, length: int) -> BitVector:
-        return cls(length, 0)
-
-    @classmethod
     def ones(cls, length: int) -> BitVector:
         return cls(length, (1 << length) - 1)
 
@@ -59,21 +55,9 @@ class BitVector:
         """Parse '0'/'1' characters, ignoring spaces; leftmost char is coordinate 0."""
         return cls(*_from01(text))
 
-    @classmethod
-    def from_support(cls, length: int, support: Iterable[int]) -> BitVector:
-        bits = 0
-        for i in support:
-            if not 0 <= i < length:
-                raise ValueError(f"support index {i} out of range for length {length}")
-            bits |= 1 << i
-        return cls(length, bits)
-
     def weight(self) -> int:
         """Number of nonzero coordinates."""
         return self.bits.bit_count()
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(_ones(self.bits))
 
     def to01(self) -> str:
         """The coordinates as '0'/'1' characters, coordinate 0 first."""
@@ -137,22 +121,6 @@ def _check_lengths(a: int, b: int) -> None:
         raise ValueError(f"length mismatch: {a} != {b}")
 
 
-def weight(v: BitVector) -> int:
-    """Hamming weight of v."""
-    return v.bits.bit_count()
-
-
-def mu(a: BitVector, b: BitVector) -> int:
-    """Number of coordinates where both a and b are 1."""
-    _check_lengths(a.length, b.length)
-    return (a.bits & b.bits).bit_count()
-
-
-def dot(a: BitVector, b: BitVector) -> int:
-    """Mod-2 scalar product."""
-    return mu(a, b) & 1
-
-
 @dataclass(frozen=True)
 class BitMatrix:
     """An ordered list of equal-length BitVectors.
@@ -180,14 +148,6 @@ class BitMatrix:
             raise ValueError(f"ncols must be in [1, {MAX_LENGTH}], got {ncols}")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "ncols", ncols)
-
-    @classmethod
-    def from_strings(cls, lines: Iterable[str], ncols: int | None = None) -> BitMatrix:
-        return cls([BitVector.from_string(s) for s in lines], ncols=ncols)
-
-    @classmethod
-    def identity(cls, n: int) -> BitMatrix:
-        return cls([BitVector(n, 1 << i) for i in range(n)])
 
     @property
     def nrows(self) -> int:
@@ -314,24 +274,3 @@ def _orthogonal_rows(rows: Sequence[int], checks: Iterable[int]) -> list[int]:
 def _dual_rows(rows: Iterable[int], n: int) -> list[int]:
     """RREF rows of {x : x . r = 0 for every r in rows}, cut from the n unit rows."""
     return _orthogonal_rows([1 << i for i in range(n)], rows)
-
-
-def rref(m: BitMatrix) -> tuple[BitMatrix, int, tuple[int, ...]]:
-    """Reduced row echelon form over GF(2), zero rows dropped.
-
-    Returns (rref matrix, rank, pivot columns).  The result is the unique
-    canonical representative of the row space of m.
-    """
-    reduced, pivots, _ = _rref_ints(m.row_ints(), m.ncols)
-    mat = BitMatrix([BitVector(m.ncols, bits) for bits in reduced], ncols=m.ncols)
-    return mat, len(reduced), tuple(p.bit_length() - 1 for p in pivots)
-
-
-def rank(m: BitMatrix) -> int:
-    return len(_rref_ints(m.row_ints(), m.ncols)[0])
-
-
-def kernel_basis(m: BitMatrix) -> BitMatrix:
-    """RREF basis of {x : m . x^T = 0}; has ncols - rank(m) rows."""
-    basis = _dual_rows(m.row_ints(), m.ncols)
-    return BitMatrix([BitVector(m.ncols, bits) for bits in basis], ncols=m.ncols)

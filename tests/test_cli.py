@@ -8,7 +8,7 @@ import pytest
 
 from sdcodes import cli, code, gf2
 from sdcodes.fixtures_io import fixture, serialize_matrix
-from sdcodes.gf2 import BitMatrix
+from sdcodes.gf2 import BitMatrix, BitVector
 from sdcodes.neighborhood import (
     double_pair_code,
     neighborhood_of,
@@ -87,9 +87,9 @@ class TestDual:
         assert status == 0
         (record,) = json_lines(out)
         assert record["n"] == 24 and record["k"] == 12
-        from sdcodes import BitMatrix, from_generator
+        from sdcodes import from_generator, parse_matrix
 
-        assert from_generator(BitMatrix.from_strings(record["rows"])) == fixture_codes["G2"]
+        assert from_generator(parse_matrix("\n".join(record["rows"]))) == fixture_codes["G2"]
 
     def test_human_output_parses(self, capsys):
         status, out, _ = run_cli(capsys, "dual", "fixture:G1")
@@ -101,7 +101,7 @@ class TestDual:
 
     def test_zero_dimensional_dual(self, capsys, tmp_path):
         path = tmp_path / "identity10.txt"
-        path.write_text(serialize_matrix(BitMatrix.identity(10)))
+        path.write_text(serialize_matrix(BitMatrix([BitVector(10, 1 << i) for i in range(10)])))
         status, out, _ = run_cli(capsys, "dual", str(path), "--json")
         assert status == 0
         (record,) = json_lines(out)
@@ -150,10 +150,10 @@ class TestNeighborhood:
     def test_members_reingestible(self, capsys, fixture_codes):
         status, out, _ = run_cli(capsys, "neighborhood", "fixture:G3", "--json")
         (record,) = json_lines(out)
-        from sdcodes import BitMatrix, from_generator
+        from sdcodes import from_generator, parse_matrix
 
         members = {
-            from_generator(BitMatrix.from_strings(m["rows"]))
+            from_generator(parse_matrix("\n".join(m["rows"])))
             for m in record["members"]
         }
         assert members == {
@@ -375,10 +375,10 @@ class TestSearch:
                                  "--seed", "3", "--report-best", "--json")
         assert status == 0
         final = json_lines(out)[-1]
-        from sdcodes import BitMatrix, from_generator
+        from sdcodes import from_generator, parse_matrix
 
         for ctype, entry in final["best"].items():
-            code = from_generator(BitMatrix.from_strings(entry["rows"]))
+            code = from_generator(parse_matrix("\n".join(entry["rows"])))
             assert code.is_self_dual()
             assert str(code.classify()) == ctype
             assert code.minimum_distance() == entry["d"]

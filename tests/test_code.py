@@ -23,6 +23,7 @@ from sdcodes.code import (
     extremal_bound,
     from_generator,
 )
+from sdcodes.fixtures_io import parse_matrix
 from sdcodes.gf2 import BitMatrix, BitVector, _insert_rref, _kernel_rows, _rref_pivots
 from sdcodes.neighborhood import double_pair_code, neighborhood_of, random_self_dual
 
@@ -67,12 +68,12 @@ class TestCanonicalForm:
         assert hash(from_generator(BitMatrix(mixed, ncols=24))) == hash(g1)
 
     def test_rank_deficient_input_drops_rows(self):
-        m = BitMatrix.from_strings(["1100", "0110", "1010"])
+        m = parse_matrix("1100\n0110\n1010")
         c = from_generator(m)
         assert c.k == 2
 
     def test_zero_code(self):
-        c = from_generator(BitMatrix.from_strings(["0000"]))
+        c = from_generator(parse_matrix("0000"))
         assert c.k == 0
         with pytest.raises(ValueError):
             c.minimum_distance()
@@ -283,7 +284,7 @@ class TestMembership:
 
     def test_length_mismatch(self, fixture_codes):
         with pytest.raises(ValueError, match="length mismatch"):
-            fixture_codes["G1"].contains(BitVector.zeros(23))
+            fixture_codes["G1"].contains(BitVector(23))
 
 
 class TestIntersection:
@@ -312,24 +313,27 @@ class TestEnumeration:
     def test_codewords_count_and_distinct(self):
         rng = random.Random(14)
         c = random_code(rng, max_n=14)
-        words = c.codewords()
+        words = list(_gray_words(c.rows))
         assert len(words) == 1 << c.k
         assert len(set(words)) == len(words)
         assert words[0] == 0
+        if c.k:
+            expected = o_codewords([to_bits(r) for r in c.generator])
+            assert {int_bits(w, c.n) for w in words} == set(expected)
 
     def test_gray_order_steps_by_one_generator_row(self, fixture_codes):
         c = fixture_codes["G5"]
         rows = set(c.generator.row_ints())
-        words = c.codewords()
+        words = list(_gray_words(c.rows))
         assert all(words[i] ^ words[i + 1] in rows for i in range(len(words) - 1))
 
     def test_cap_enforced(self):
-        # the sweeps would visit 2^31 words; the distance search draws the 31
+        # the sweep would visit 2^31 words; the distance search draws the 31
         # sums of its first round and finds a weight-1 row
-        c = from_generator(BitMatrix.identity(DEFAULT_ENUMERATION_CAP + 1))
-        for method in (c.codewords, c.weight_enumerator):
-            with pytest.raises(EnumerationCapError, match="exceeds enumeration cap 30"):
-                method()
+        k = DEFAULT_ENUMERATION_CAP + 1
+        c = LinearCode(k, [1 << i for i in range(k)])
+        with pytest.raises(EnumerationCapError, match="exceeds enumeration cap 30"):
+            c.weight_enumerator()
         assert c.minimum_distance() == 1
 
 
@@ -346,8 +350,8 @@ class TestSweepPastOneBlock:
     """The sweep runs in blocks of 2^16 words; these codes need several."""
 
     def test_identity_17_enumerates_the_whole_space(self):
-        c = from_generator(BitMatrix.identity(17))
-        assert set(c.codewords()) == set(range(1 << 17))
+        c = LinearCode(17, [1 << i for i in range(17)])
+        assert set(_gray_words(c.rows)) == set(range(1 << 17))
         assert c.weight_enumerator() == {w: comb(17, w) for w in range(18)}
         assert c.minimum_distance() == 1
 
@@ -363,7 +367,7 @@ class TestSweepPastOneBlock:
             c = LinearCode(40, [rng.getrandbits(40) for _ in range(18)])
             if c.k == 18:
                 break
-        words = c.codewords()
+        words = list(_gray_words(c.rows))
         assert len(words) == 1 << 18 and words[0] == 0
         rows = set(c.rows)
         assert all(a ^ b in rows for a, b in zip(words, words[1:]))
@@ -394,7 +398,7 @@ class TestMinimumDistance:
 
 def assert_distance_matches_oracles(c):
     d = c.minimum_distance()
-    assert d == min(w.bit_count() for w in c.codewords()[1:])
+    assert d == min(w.bit_count() for w in _gray_words(c.rows) if w)
     # the tuple oracle re-encodes each message bit by bit: kept to k <= 12
     if c.k <= 12:
         assert d == o_min_distance([to_bits(r) for r in c.generator])
@@ -622,7 +626,7 @@ class TestRowSumCap:
 
     def test_a_round_that_reaches_the_cap_exactly_is_drawn(self, monkeypatch):
         # identity(32) has one information set: round 1 draws 32 = 2^5 sums
-        c = from_generator(BitMatrix.identity(32))
+        c = LinearCode(32, [1 << i for i in range(32)])
         monkeypatch.setattr(code, "DEFAULT_ENUMERATION_CAP", 5)
         assert c.minimum_distance() == 1
         monkeypatch.setattr(code, "DEFAULT_ENUMERATION_CAP", 4)
@@ -800,12 +804,12 @@ class TestClassification:
             assert fixture_codes[name].classify() is t
 
     def test_not_self_orthogonal(self):
-        c = from_generator(BitMatrix.from_strings(["100", "010"]))
+        c = from_generator(parse_matrix("100\n010"))
         assert c.classify() is CodeType.NOT_SELF_ORTHOGONAL
         assert not c.is_self_dual()
 
     def test_self_orthogonal_only(self):
-        c = from_generator(BitMatrix.from_strings(["11110000"]))
+        c = from_generator(parse_matrix("11110000"))
         assert c.classify() is CodeType.SELF_ORTHOGONAL_ONLY
 
     def test_type_strings(self):
@@ -818,9 +822,12 @@ class TestExtremalBound:
         assert extremal_bound(24, CodeType.TYPE_I) == 8
         assert extremal_bound(24, CodeType.TYPE_II) == 8
         assert extremal_bound(8, CodeType.TYPE_II) == 4
-        assert extremal_bound(16, CodeType.TYPE_I) == 6
         assert extremal_bound(72, CodeType.TYPE_II) == 16
-        assert extremal_bound(72, CodeType.TYPE_I) == 20
+        # Type I: the lesser of 2*floor(n/8) + 2 and Rains' bound for every
+        # self-dual code (Rains 1998): 4*floor(n/24) + 4, or + 6 when
+        # n = 22 mod 24
+        type1 = {2: 2, 16: 4, 22: 6, 46: 10, 56: 12, 72: 16}
+        assert {n: extremal_bound(n, CodeType.TYPE_I) for n in type1} == type1
 
     def test_type2_needs_multiple_of_8(self):
         with pytest.raises(ValueError):

@@ -5,12 +5,20 @@ from collections import Counter
 import pytest
 
 from sdcodes import code, equivalence, gf2
-from sdcodes.code import EnumerationCapError, InternalConsistencyError, LinearCode, from_generator
+from sdcodes.code import (
+    EnumerationCapError,
+    InternalConsistencyError,
+    LinearCode,
+    _gray_words,
+    from_generator,
+)
 from sdcodes.equivalence import (
     CoordinatePermutation,
+    _permute_bits,
     apply_permutation,
     are_permutation_equivalent,
 )
+from sdcodes.fixtures_io import parse_matrix
 from sdcodes.gf2 import BitMatrix, BitVector
 from sdcodes.neighborhood import double_pair_code, neighborhood_of, random_self_dual
 
@@ -45,20 +53,22 @@ class TestCoordinatePermutation:
         with pytest.raises(ValueError):
             CoordinatePermutation((0, 0, 1))
 
+    def test_list_and_tuple_built_are_equal(self):
+        p = CoordinatePermutation([1, 0])
+        assert p == CoordinatePermutation((1, 0)) and hash(p) == hash(CoordinatePermutation((1, 0)))
+        assert p.images == (1, 0) and CoordinatePermutation.identity(2).images == (0, 1)
+
     def test_identity_and_inverse(self):
-        p = CoordinatePermutation((2, 0, 1, 3))
-        assert p.then(p.inverse()) == CoordinatePermutation.identity(4)
-        assert p.inverse().then(p) == CoordinatePermutation.identity(4)
+        images, inverse = (2, 0, 1, 3), (1, 2, 0, 3)
+        for bits in range(16):
+            assert _permute_bits(bits, CoordinatePermutation.identity(4).images) == bits
+            assert _permute_bits(_permute_bits(bits, images), inverse) == bits
+            assert _permute_bits(_permute_bits(bits, inverse), images) == bits
 
     def test_apply_moves_coordinates(self):
-        p = CoordinatePermutation((2, 0, 1))
-        v = BitVector.from_string("100")
-        assert p.apply(v).to01() == "001"
-        assert p.apply(BitVector.from_string("010")).to01() == "100"
-
-    def test_apply_length_checked(self):
-        with pytest.raises(ValueError, match="length mismatch"):
-            CoordinatePermutation.identity(3).apply(BitVector.zeros(4))
+        # coordinate i goes to images[i]
+        assert _permute_bits(0b001, (2, 0, 1)) == 0b100
+        assert _permute_bits(0b010, (2, 0, 1)) == 0b001
 
     def test_random_inverse_round_trip(self):
         rng = random.Random(2)
@@ -66,9 +76,11 @@ class TestCoordinatePermutation:
             n = rng.randrange(1, 30)
             images = list(range(n))
             rng.shuffle(images)
-            p = CoordinatePermutation(tuple(images))
-            v = BitVector(n, rng.getrandbits(n))
-            assert p.inverse().apply(p.apply(v)) == v
+            inverse = [0] * n
+            for i, j in enumerate(images):
+                inverse[j] = i
+            v = rng.getrandbits(n)
+            assert _permute_bits(_permute_bits(v, images), inverse) == v
 
 
 class TestApplyPermutation:
@@ -145,12 +157,12 @@ class TestDecision:
         )
         with pytest.raises(EnumerationCapError, match="length"):
             are_permutation_equivalent(long_code, long_code)
-        wide_code = from_generator(BitMatrix.identity(20))
+        wide_code = LinearCode(20, [1 << i for i in range(20)])
         with pytest.raises(EnumerationCapError, match="dimension"):
             are_permutation_equivalent(wide_code, wide_code)
 
     def test_zero_dimensional_codes(self):
-        z = from_generator(BitMatrix.from_strings(["0000"]))
+        z = from_generator(parse_matrix("0000"))
         assert are_permutation_equivalent(z, z) == CoordinatePermutation.identity(4)
 
 
@@ -167,7 +179,7 @@ def assert_root_split_matches_oracle(c):
     """The search's first weighing, of one class of all columns against the
     words up to some weight: with one mask a word's count is its weight, and
     a column's color its coverage profile."""
-    words = c.codewords()[1:]
+    words = list(_gray_words(c.rows))[1:]
     weights = sorted({x.bit_count() for x in words})
     # every weight, and the weights up to the middle one
     for top in (weights[-1], weights[(len(weights) - 1) // 2]):
@@ -264,7 +276,7 @@ class TestLightWordsFromRounds:
         # before any search
         c1 = random_self_dual(32, 8, 2001)
         c2 = permuted(random_self_dual(32, 12, 2001), random.Random(1))
-        light = [x for x in c1.codewords() if x.bit_count() <= 6]
+        light = [x for x in _gray_words(c1.rows) if x.bit_count() <= 6]
         assert LinearCode(32, light).k < c1.k
         drawn = drawn_weights(monkeypatch)
         assert map_basis_calls(monkeypatch, c1, c2) == []
@@ -346,7 +358,7 @@ class TestProfilePartition:
             # the light words weigh no more than the middle word of a basis
             # read lightest first: the least weight whose words and the
             # lighter ones span more than k // 2 dimensions
-            words = a.codewords()[1:]
+            words = list(_gray_words(a.rows))[1:]
             mid = min(
                 w
                 for w in range(17)
@@ -474,7 +486,7 @@ class TestWordBudget:
 def weight4_components(c):
     """Sizes of the classes of c's words of weight 4 linked by shared
     columns, in ascending order."""
-    words, sizes = [x for x in c.codewords() if x.bit_count() == 4], []
+    words, sizes = [x for x in _gray_words(c.rows) if x.bit_count() == 4], []
     while words:
         cover, size = words[0], 0
         while (touching := [x for x in words if x & cover]) and len(touching) > size:
@@ -670,12 +682,11 @@ class TestLightWordCut:
             masks = [((1 << hi) - 1) ^ ((1 << lo) - 1) for lo, hi in zip([0] + cuts, cuts + [n])]
             images = list(range(n))
             rng.shuffle(images)
-            move = CoordinatePermutation(tuple(images)).apply
-            moved = [move(BitVector(n, x)).bits for x in words]
+            moved = [_permute_bits(x, images) for x in words]
             rng.shuffle(moved)
-            moved_masks = [move(BitVector(n, m)).bits for m in masks]
+            moved_masks = [_permute_bits(m, images) for m in masks]
             counts, pairs, classes = equivalence._weigh(masks, equivalence._light(words, n))
-            moved_classes = [move(BitVector(n, m)).bits for m in classes]
+            moved_classes = [_permute_bits(m, images) for m in classes]
             other_light = equivalence._light(moved, n)
             assert equivalence._weigh(moved_masks, other_light) == (counts, pairs, moved_classes)
             assert equivalence._weigh(moved_masks, other_light, (counts, pairs, classes)) == moved_classes
@@ -780,7 +791,7 @@ SAME_DISTRIBUTION = [
 
 
 def code_of(rows):
-    return from_generator(BitMatrix.from_strings(rows))
+    return from_generator(parse_matrix("\n".join(rows)))
 
 
 def assert_agrees_with_brute_force(c1, c2):
@@ -868,7 +879,7 @@ class TestSplitKeepsWitnesses:
                     assert o_equivalent(rows1, rows2, c1.n) == (witness is not None)
             answers[witness is not None, c1.n <= 12] += 1
             # a word of weight 2 in a self-dual code is a pair of equal columns
-            equal_columns += any(x.bit_count() == 2 for x in c1.codewords())
+            equal_columns += any(x.bit_count() == 2 for x in _gray_words(c1.rows))
         assert len(pairs) >= 40 and len(answers) == 4 and equal_columns > len(pairs) // 2
 
 

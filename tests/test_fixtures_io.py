@@ -158,7 +158,7 @@ class TestReferenceParser:
 
 class TestSerialize:
     def test_unspaced_default(self):
-        m = BitMatrix.from_strings(["101", "011"])
+        m = BitMatrix([BitVector.from_string("101"), BitVector.from_string("011")])
         assert serialize_matrix(m) == "101\n011\n"
         assert serialize_matrix(m, spaced=True) == "1 0 1\n0 1 1\n"
 

@@ -14,19 +14,15 @@ from sdcodes.gf2 import (
     _from01,
     _dual_rows,
     _eliminate,
+    _ones,
     _rref_ints,
     _rref_pivots,
     _to01,
-    dot,
-    kernel_basis,
-    mu,
-    rank,
-    rref,
-    weight,
 )
+from sdcodes.fixtures_io import parse_matrix
 from sdcodes.neighborhood import _meet_dimension, double_pair_code, neighbor_step
 
-from oracles import o_dot, o_mu, o_orthogonal_all, o_rank, o_rref, o_weight, to_bits
+from oracles import o_orthogonal_all, o_rank, o_rref, o_weight, to_bits
 
 
 @st.composite
@@ -36,28 +32,16 @@ def bitvector(draw, max_length=96):
 
 
 @st.composite
-def bitvector_pair(draw, max_length=96):
-    n = draw(st.integers(1, max_length))
-    return (
-        BitVector(n, draw(st.integers(0, (1 << n) - 1))),
-        BitVector(n, draw(st.integers(0, (1 << n) - 1))),
-    )
-
-
-@st.composite
-def bitvector_triple(draw, max_length=96):
-    n = draw(st.integers(1, max_length))
-    return tuple(
-        BitVector(n, draw(st.integers(0, (1 << n) - 1))) for _ in range(3)
-    )
-
-
-@st.composite
 def bitmatrix(draw, max_length=24, max_rows=8):
     n = draw(st.integers(1, max_length))
     nrows = draw(st.integers(0, max_rows))
     rows = [BitVector(n, draw(st.integers(0, (1 << n) - 1))) for _ in range(nrows)]
     return BitMatrix(rows, ncols=n)
+
+
+def unit_rows(n):
+    """The n x n identity matrix."""
+    return BitMatrix([BitVector(n, 1 << i) for i in range(n)])
 
 
 class TestBitVector:
@@ -72,16 +56,13 @@ class TestBitVector:
             BitVector(1 << 17, 0)
 
     def test_factories(self):
-        assert BitVector.zeros(5).to01() == "00000"
+        assert BitVector(5).to01() == "00000"
         assert BitVector.ones(3).to01() == "111"
         v = BitVector.from_string("10110")
         assert v.to01() == "10110"
-        assert v.support() == (0, 2, 3)
-        assert BitVector.from_support(5, [0, 2, 3]) == v
+        assert v.bits == 1 | 1 << 2 | 1 << 3
         with pytest.raises(ValueError):
             BitVector.from_string("10a")
-        with pytest.raises(ValueError):
-            BitVector.from_support(3, [5])
 
     def test_from_string_errors(self):
         with pytest.raises(ValueError, match=r"^position 3: invalid symbol 'x'$"):
@@ -124,35 +105,15 @@ class TestBitVector:
 
     @given(bitvector())
     def test_weight_matches_oracle(self, v):
-        assert weight(v) == v.weight() == o_weight(to_bits(v))
-
-    @given(bitvector_pair())
-    def test_mu_and_dot_match_oracle(self, pair):
-        a, b = pair
-        assert mu(a, b) == o_mu(to_bits(a), to_bits(b))
-        assert dot(a, b) == o_dot(to_bits(a), to_bits(b))
-
-    @given(bitvector_pair())
-    def test_weight_sum_formula(self, pair):
-        a, b = pair
-        assert weight(a + b) == weight(a) + weight(b) - 2 * mu(a, b)
-
-    @given(bitvector_triple())
-    def test_overlap_addition_identity(self, triple):
-        a, b, c = triple
-        assert mu(a + b, c) == mu(b, c) + mu(a, b + c) - mu(a, b)
-
-    @given(bitvector())
-    def test_support_round_trip(self, v):
-        assert BitVector.from_support(v.length, v.support()) == v
+        assert v.weight() == o_weight(to_bits(v))
 
     def test_support_lists_set_bits_at_every_length(self):
-        # the set-bit loop against a loop over every coordinate, up to 4096
+        # _ones lists the support: the set-bit loop against a loop over every
+        # coordinate, up to 4096
         rng = random.Random(7)
         for n in (1, 2, 63, 64, 65, 511, 4096):
             for bits in (0, 1 << (n - 1), (1 << n) - 1, rng.getrandbits(n), 1 << rng.randrange(n)):
-                expected = tuple(i for i in range(n) if bits >> i & 1)
-                assert BitVector(n, bits).support() == expected
+                assert _ones(bits) == [i for i in range(n) if bits >> i & 1]
 
 
 class TestValueTypes:
@@ -161,7 +122,7 @@ class TestValueTypes:
 
     @pytest.mark.parametrize(
         "value, fields",
-        [(BitVector(3, 0b101), ("length", "bits")), (BitMatrix.identity(3), ("rows", "ncols"))],
+        [(BitVector(3, 0b101), ("length", "bits")), (unit_rows(3), ("rows", "ncols"))],
         ids=["vector", "matrix"],
     )
     def test_frozen(self, value, fields):
@@ -175,9 +136,9 @@ class TestValueTypes:
         assert all(hasattr(value, name) for name in fields) and not hasattr(value, "extra")
 
     def test_equal_and_hashed_by_value(self):
-        v, m = BitVector(3, 0b101), BitMatrix.identity(3)
+        v, m = BitVector(3, 0b101), unit_rows(3)
         assert v == BitVector(3, 0b101) and hash(v) == hash(BitVector(3, 0b101))
-        assert m == BitMatrix.identity(3) and hash(m) == hash(BitMatrix.identity(3))
+        assert m == unit_rows(3) and hash(m) == hash(unit_rows(3))
         assert BitMatrix([], ncols=3) != BitMatrix([], ncols=4)
         assert m != BitMatrix(m.rows[:2], ncols=3)
         for value, fields in ((v, (3, 0b101)), (m, (m.rows, 3))):
@@ -202,19 +163,16 @@ class TestLengthGuard:
             (lambda: V3 ^ V4, 3, 4),
             (lambda: V4 + V3, 4, 3),
             (lambda: V3 & V4, 3, 4),
-            (lambda: mu(V4, V3), 4, 3),
-            (lambda: dot(V3, V4), 3, 4),
             (lambda: C8.contains(BitVector(16, 1)), 16, 8),
             (lambda: C16.intersection(C8), 16, 8),
-            (lambda: CoordinatePermutation.identity(8).apply(V4), 4, 8),
             (lambda: apply_permutation(C16, CoordinatePermutation.identity(8)), 16, 8),
             (lambda: are_permutation_equivalent(C8, C16), 8, 16),
             (lambda: _meet_dimension(C16, C8), 16, 8),
             (lambda: neighbor_step(C8, BitVector(16, 0b11)), 16, 8),
         ],
         ids=[
-            "xor", "add", "and", "mu", "dot", "contains", "intersection", "apply",
-            "apply_permutation", "are_permutation_equivalent", "meet_dimension", "neighbor_step",
+            "xor", "add", "and", "contains", "intersection", "apply_permutation",
+            "are_permutation_equivalent", "meet_dimension", "neighbor_step",
         ],
     )
     def test_exact_message(self, call, a, b):
@@ -225,9 +183,9 @@ class TestLengthGuard:
 
 class TestBitMatrix:
     def test_from_strings_and_identity(self):
-        m = BitMatrix.from_strings(["110", "011"])
+        m = parse_matrix("110\n011\n")
         assert m.nrows == 2 and m.ncols == 3
-        assert BitMatrix.identity(3).rows == (
+        assert unit_rows(3).rows == (
             BitVector.from_string("100"),
             BitVector.from_string("010"),
             BitVector.from_string("001"),
@@ -235,7 +193,7 @@ class TestBitMatrix:
 
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
-            BitMatrix.from_strings(["110", "01"])
+            BitMatrix([BitVector.from_string("110"), BitVector.from_string("01")])
 
     def test_empty_needs_ncols(self):
         with pytest.raises(ValueError):
@@ -245,48 +203,43 @@ class TestBitMatrix:
 
     @given(bitmatrix())
     def test_rank_matches_oracle(self, m):
-        assert rank(m) == o_rank([to_bits(r) for r in m.rows])
+        assert LinearCode(m.ncols, m.row_ints()).k == o_rank([to_bits(r) for r in m.rows])
 
     @given(bitmatrix())
     def test_rref_idempotent_and_canonical(self, m):
-        r, rk, pivots = rref(m)
-        assert rk == r.nrows == len(pivots)
-        assert list(pivots) == sorted(pivots)
-        r2, rk2, pivots2 = rref(r)
-        assert r2 == r and rk2 == rk and pivots2 == pivots
+        rows, pivots, mask = _rref_ints(m.row_ints(), m.ncols)
+        assert len(rows) == len(pivots) and pivots == sorted(pivots) and mask == sum(pivots)
+        assert _rref_ints(rows, m.ncols) == (rows, pivots, mask)
 
     @given(bitmatrix())
     def test_rref_matches_oracle(self, m):
-        r, _, _ = rref(m)
+        rows, _, _ = _rref_ints(m.row_ints(), m.ncols)
         expected = o_rref([to_bits(row) for row in m.rows])
-        assert [to_bits(row) for row in r.rows] == expected
+        assert [int_bits(r, m.ncols) for r in rows] == expected
 
     @given(bitmatrix())
     def test_kernel_is_orthogonal_complement(self, m):
-        kb = kernel_basis(m)
-        assert rank(m) + kb.nrows == m.ncols
-        assert rank(kb) == kb.nrows
+        kernel = [int_bits(v, m.ncols) for v in _dual_rows(m.row_ints(), m.ncols)]
         original = [to_bits(r) for r in m.rows]
-        for v in kb.rows:
-            assert o_orthogonal_all(original, to_bits(v))
+        assert o_rank(original) + len(kernel) == m.ncols
+        assert o_rank(kernel) == len(kernel)
+        for v in kernel:
+            assert o_orthogonal_all(original, v)
 
     def test_kernel_of_identity_is_empty(self):
-        assert kernel_basis(BitMatrix.identity(5)).nrows == 0
+        assert _dual_rows(unit_rows(5).row_ints(), 5) == []
 
     def test_kernel_of_zero_map_is_everything(self):
-        m = BitMatrix([BitVector.zeros(4)], ncols=4)
-        assert kernel_basis(m).nrows == 4
+        assert _dual_rows([0], 4) == unit_rows(4).row_ints()
 
 
 def test_randomized_rref_row_space_preserved():
     rng = random.Random(5)
     for _ in range(50):
         n = rng.randrange(1, 20)
-        rows = [BitVector(n, rng.getrandbits(n)) for _ in range(rng.randrange(1, 7))]
-        m = BitMatrix(rows, ncols=n)
-        r, _, _ = rref(m)
-        original = [to_bits(v) for v in rows]
-        reduced = [to_bits(v) for v in r.rows]
+        rows = [rng.getrandbits(n) for _ in range(rng.randrange(1, 7))]
+        original = [int_bits(v, n) for v in rows]
+        reduced = [int_bits(v, n) for v in _rref_ints(rows, n)[0]]
         assert o_rank(original) == o_rank(reduced)
         assert o_rank(original + reduced) == o_rank(original)
 
@@ -350,8 +303,6 @@ class TestCutBuiltKernel:
             assert _rref_pivots(out, n) is not None
             assert len(out) == n - o_rank(original)
             assert all(o_orthogonal_all(original, int_bits(v, n)) for v in out)
-            m = BitMatrix([BitVector(n, r) for r in rows], ncols=n)
-            assert kernel_basis(m).row_ints() == out
 
 
 class TestRrefFastPath:

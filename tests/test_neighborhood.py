@@ -11,7 +11,7 @@ import pytest
 from sdcodes import code, gf2, neighborhood
 from sdcodes.code import CodeType, EnumerationCapError, LinearCode, extremal_bound, from_generator
 from sdcodes.equivalence import are_permutation_equivalent
-from sdcodes.fixtures_io import fixture
+from sdcodes.fixtures_io import fixture, parse_matrix
 from sdcodes.gf2 import BitMatrix, BitVector
 from sdcodes.neighborhood import (
     InternalConsistencyError,
@@ -29,6 +29,7 @@ from sdcodes.neighborhood import (
 
 from oracles import (
     o_by_steps,
+    o_codewords,
     o_coset_leader,
     o_coset_leader_bz,
     o_coset_leader_min,
@@ -95,8 +96,7 @@ class TestMaxDoublyEvenSubcode:
         expected = o_doubly_even_words(
             [to_bits(r) for r in fixture_codes["G3"].generator]
         )
-        got = {tuple(int(ch) for ch in BitVector(24, w).to01()) for w in sub.codewords()}
-        assert got == expected
+        assert set(o_codewords([to_bits(r) for r in sub.generator])) == expected
 
     def test_matches_filter_oracle_on_walk_codes(self):
         for seed in range(3):
@@ -105,18 +105,14 @@ class TestMaxDoublyEvenSubcode:
                 continue
             sub = max_doubly_even_subcode(c)
             expected = o_doubly_even_words([to_bits(r) for r in c.generator])
-            got = {
-                tuple(int(ch) for ch in BitVector(16, w).to01())
-                for w in sub.codewords()
-            }
-            assert got == expected
+            assert set(o_codewords([to_bits(r) for r in sub.generator])) == expected
 
     def test_rejects_type2(self, fixture_codes):
         with pytest.raises(ValueError, match="Type I"):
             max_doubly_even_subcode(fixture_codes["G1"])
 
     def test_rejects_non_self_orthogonal(self):
-        c = from_generator(BitMatrix.from_strings(["10", "01"]))
+        c = from_generator(parse_matrix("10\n01"))
         with pytest.raises(ValueError):
             max_doubly_even_subcode(c)
 
@@ -231,7 +227,7 @@ class TestPreconditions:
             neighborhood_containing(double_pair_code(8))
 
     def test_not_doubly_even(self):
-        c = from_generator(BitMatrix.from_strings(["11000000", "00110000", "00001111"]))
+        c = from_generator(parse_matrix("11000000\n00110000\n00001111"))
         with pytest.raises(ValueError, match="doubly-even"):
             neighborhood_containing(c)
 
@@ -240,14 +236,14 @@ class TestPreconditions:
             neighborhood_of(fixture_codes["G1"])
 
     def test_non_self_dual_anchor_rejected(self):
-        c = from_generator(BitMatrix.from_strings(["1100"]))
+        c = from_generator(parse_matrix("1100"))
         with pytest.raises(ValueError, match="self-dual"):
             neighborhood_of(c)
 
     def test_missing_all_ones_aborts_loudly(self):
         # doubly-even, self-orthogonal, dimension 3, but without the all-ones word
         bad = from_generator(
-            BitMatrix.from_strings(["11110000", "00110011", "01010101"])
+            parse_matrix("11110000\n00110011\n01010101")
         )
         assert bad.is_self_orthogonal() and bad.k == 3
         with pytest.raises(InternalConsistencyError, match="all-ones"):
@@ -305,7 +301,7 @@ class TestNeighborStep:
             neighbor_step(dp8, BitVector.from_string("11100000"))
 
     def test_rejects_non_self_dual_start(self):
-        c = from_generator(BitMatrix.from_strings(["1100"]))
+        c = from_generator(parse_matrix("1100"))
         with pytest.raises(ValueError, match="self-dual"):
             neighbor_step(c, BitVector.from_string("1010"))
 
@@ -705,7 +701,7 @@ class TestCosetRepresentatives:
             assert nb.c_max.minimum_distance() == o_min_distance(rows)
 
     def test_missing_all_ones_is_refused_before_any_sweep(self, monkeypatch):
-        bad = from_generator(BitMatrix.from_strings(["11110000", "00110011", "01010101"]))
+        bad = from_generator(parse_matrix("11110000\n00110011\n01010101"))
         refuse_searches(monkeypatch)
         with pytest.raises(InternalConsistencyError, match="all-ones"):
             neighborhood_containing(bad)
