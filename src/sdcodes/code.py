@@ -6,13 +6,12 @@ and the pivot of each row (its lowest set bit), found once per code and
 read by every reduction against its rows, the Gray index and the
 information-set search.
 Every RREF comes from the row-space moves of gf2: rows that are already in
-that form are kept without elimination, which lets a neighbor step build its
-code with O(k) row operations, and the dual and intersections are cut from
-unit rows and from the code's own rows, already reduced.
+that form are kept without elimination, as a neighbor step builds them in
+one pass, and the dual and intersections are cut from unit rows and from
+the code's own rows, already reduced.
 Self-orthogonality is decided by one pass over all pairs of rows, once per
-code, and stored with it; a code built by a neighbor step instead stores the
-result of an O(k) certificate that derives it from the stored result of the
-code it came from.
+code, and stored with it; a neighbor step stores instead the result of an
+O(k) certificate that derives it from that of the code it came from.
 Weight enumeration streams all 2^k codewords with one Gray-code sweep.
 The lightest words of a span, for minimum distance and for the light words
 that the equivalence search maps (_words_by_weight), and the coset
@@ -172,7 +171,7 @@ class LinearCode:
         if self.k == 0:
             raise ValueError("the zero-dimensional code has no minimum distance")
         best = min(map(int.bit_count, self.rows))
-        if best <= stop_at:
+        if best <= stop_at or best <= 4 and best <= _weight_divisor(self):
             return best
         for sums, bound in _bz_rounds(self):
             best = min(best, min(map(int.bit_count, chain.from_iterable(sums))))
@@ -200,10 +199,9 @@ class LinearCode:
         """
         if not self.is_self_orthogonal():
             return CodeType.NOT_SELF_ORTHOGONAL
-        doubly_even = all(r.bit_count() % 4 == 0 for r in self.rows)
         if 2 * self.k != self.n:
             return CodeType.SELF_ORTHOGONAL_ONLY
-        return CodeType.TYPE_II if doubly_even else CodeType.TYPE_I
+        return CodeType.TYPE_II if all(r.bit_count() % 4 == 0 for r in self.rows) else CodeType.TYPE_I
 
 
 def _pairwise_orthogonal(rows: Sequence[int]) -> bool:
@@ -329,15 +327,18 @@ def _bz_streams(gens: list[list[int]], starts: list[list[int]], live: list[bool]
         yield w, i, [next(level[i]) if on else () for level, on in zip(levels, live)]
 
 
+def _weight_divisor(code: LinearCode) -> int:
+    """1 if a row is odd, 4 if all rows are doubly-even and code is self-orthogonal,
+    else 2: a divisor of every weight, so a row no heavier is a lightest word."""
+    if any(r.bit_count() & 1 for r in code.rows):
+        return 1
+    return 4 if all(r.bit_count() % 4 == 0 for r in code.rows) and code.is_self_orthogonal() else 2
+
+
 def _bz_rounds(code: LinearCode) -> Iterator[tuple[Iterable[list[int]], int]]:
     """(sums, bound) per round w >= 1 of _bz_streams over code alone, bound
-    m*w + i + 1 rounded up to the weight divisor of the code (1, 2 or 4)."""
-    if any(r.bit_count() & 1 for r in code.rows):
-        step = 1
-    elif all(r.bit_count() % 4 == 0 for r in code.rows) and code.is_self_orthogonal():
-        step = 4
-    else:
-        step = 2
+    m*w + i + 1 rounded up to the weight divisor of the code."""
+    step = _weight_divisor(code)
     gens = [g for g, _ in _information_set_generators(code)]
     m = len(gens)
     for w, i, (sums,) in _bz_streams(gens, [[0] * m], [True]):

@@ -12,7 +12,7 @@ takes it, and neighborhood_containing finds it by its weight mod 4.
 From the Type I member c the triple is built without the dual of c_max: the
 shadow vector v of c (a sum of pivots of c) lies in dual(c_max) outside c,
 so the other two members are the neighbor steps of c by v and by v + u, u
-a row of c outside c_max, each certified self-dual in O(k) row operations.
+a row of c outside c_max, each built in one pass and certified in O(k).
 Their words outside c_max make up the shadow v + c, split into its two
 halves by the product with v, so one Brouwer-Zimmermann search of c and of
 v + c, two streams of the driver code._bz_streams with rows tagged by that
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, count, islice
 from operator import ne, or_, xor
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .code import CodeType, InternalConsistencyError, LinearCode, _shadow_leaders
 from .gf2 import BitVector, _check_lengths, _dropped, _insert_rref, _kernel_rows
@@ -151,11 +151,11 @@ def neighborhood_of(c: LinearCode) -> Neighborhood:
     shadow vector of c and u the row that the cut to c_max drops
     (_shadow_cut), u . v = 1, so the words of c orthogonal to v, and to
     v + u, are those of c_max: the other two members, c_max + <v> and
-    c_max + <v + u>, are the steps of c by v and by v + u, built from the
-    rows of c_max and each certified in O(k) row operations (_extended).
-    The pass that checks c is self-dual is the only one, and no dual is
-    built.  A step vector in c would give c again, so the members must be
-    Type I, II, II, the order of the triples of code._shadow_leaders(c, v).
+    c_max + <v + u>, are the steps of c by v and by v + u, each built by
+    _step, as in a walk, and certified in O(k) row operations.  The pass
+    that checks c is self-dual is the only one, and no dual is built.  A
+    step vector in c would give c again, so the members must be Type I, II,
+    II, the order of the triples of code._shadow_leaders(c, v).
     """
     if not c.is_self_dual():
         raise ValueError("neighborhood_of requires a self-dual code")
@@ -168,7 +168,7 @@ def neighborhood_of(c: LinearCode) -> Neighborhood:
     if c.n % 8 != 0:
         raise ValueError(f"neighborhood construction requires length divisible by 8, got {c.n}")
     c_max, v, u = _shadow_cut(c)
-    members = [c, *(_extended(c, x, c_max.rows, c_max.pivots) for x in (v, v ^ u))]
+    members = [c, *(_step(c, x) or c for x in (v, v ^ u))]
     types = [m.classify() for m in members]
     if types != [CodeType.TYPE_I, CodeType.TYPE_II, CodeType.TYPE_II]:
         raise InternalConsistencyError(
@@ -198,7 +198,7 @@ def _meet_dimension(c1: LinearCode, c2: LinearCode) -> int:
     return c1.intersection(c2).k
 
 
-def _step_certified(c: LinearCode, x: int, out: LinearCode) -> bool:
+def _step_certified(c: LinearCode, x: int, out: LinearCode, coset_x: int) -> bool:
     """Whether out is proved self-dual as a step from a self-dual c by x.
 
     True exactly when x has even weight, out has the dimension of c, every
@@ -210,22 +210,21 @@ def _step_certified(c: LinearCode, x: int, out: LinearCode) -> bool:
 
     A row with pivot p lies in c + <x> when its difference d from the row of
     c at p (0 if none) does: when d, reduced at the pivots of c it hits, is
-    0 or the reduction of x.  The rows are paired by index, not looked up by
-    pivot (_partners), and the row of c at each hit pivot is found by
-    bisection (_cleared).  A correct step has at most four distinct
-    differences: 0, the row of c that the kernel cut dropped, x reduced, and
-    their sum.  Soundness rests on two facts only: every word added to a row
-    of out is a row of c, and c is self-orthogonal, as stored with it.  It
-    reads only c, x and out.
+    0 or coset_x, which must be c._reduce(x), computed from c and x alone.
+    Rows are paired by index, not looked up by pivot (_partners), and the row
+    of c at each hit pivot is found by bisection (_cleared).  A correct step
+    has at most four distinct differences: 0, the row of c that the kernel
+    cut dropped, x reduced, and their sum.  Soundness rests on two facts only:
+    every word added to a row of out is a row of c, and c is self-orthogonal,
+    as stored with it.  It reads only c, x and out, and c's reduction of x.
     """
-    if x.bit_count() & 1 or out.k != c.k or any((r & x).bit_count() & 1 for r in out.rows):
+    if x.bit_count() & 1 or out.k != c.k or 1 in [(r & x).bit_count() & 1 for r in out.rows]:
         return False
     partners = _partners(c, out.pivots)
     if partners is None:
         return False
-    mask, coset_x = c._pivot_mask, c._reduce(x)
     diffs = set(map(xor, out.rows, partners))
-    return all(_cleared(d, d & mask, c) in (0, coset_x) for d in diffs)
+    return all(_cleared(d, d & c._pivot_mask, c) in (0, coset_x) for d in diffs)
 
 
 def _partners(c: LinearCode, pivots: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -265,13 +264,10 @@ def neighbor_step(c: LinearCode, x: BitVector) -> LinearCode:
     """The neighbor <{v in c : v . x = 0}, x> of a self-dual code c.
 
     x must have even weight and lie outside c; the result is again self-dual
-    and meets c in dimension n/2 - 1.  Whether x lies outside c is read off
-    its products t with the rows of c: since c = dual(c), x is in c exactly
-    when every product is 0, so no reduction of x runs for it.  The rows of
-    the result are built in RREF with O(k) row operations, so no elimination
-    runs.  Its self-duality is proved from that of c by a certificate of O(k)
-    row operations (_step_certified), not by a pairwise pass, and stored with
-    it for the next step.
+    and meets c in dimension n/2 - 1.  As c = dual(c), x lies in c exactly
+    when its products with the rows of c are all 0.  The rows are built in
+    RREF from one reduction of x and one pass over those of c (_step), and
+    proved self-dual by an O(k) certificate (_step_certified).
     """
     if not c.is_self_dual():
         raise ValueError("neighbor_step requires a self-dual code")
@@ -286,20 +282,29 @@ def neighbor_step(c: LinearCode, x: BitVector) -> LinearCode:
 
 def _step(c: LinearCode, x: int) -> LinearCode | None:
     """The neighbor step of the self-dual c by the even-weight x, or None when
-    x lies in c, that is when every product of x with a row of c is 0."""
+    x lies in c, that is when every product t_i = r_i . x with a row of c is 0.
+
+    K, the words of c orthogonal to x, has the RREF rows r_i + t_i r_j, i != j,
+    r_j the last row of value 1 (gf2._kernel_rows); the step inserts into them
+    x', x reduced against them, read off x_c, x reduced against c once.  x_c +
+    x lies in c = K + <r_j>, and in K exactly when x_c . x = x . x = 0; x_c
+    and r_j are 0 at the pivots of K, so x' is x_c, or x_c + r_j when x_c . x
+    is odd.  With q the lowest bit of x' (not 0, as x lies outside c), each
+    new row is r_i + t_i r_j, plus x' when that sum has a 1 at q; row j, now
+    0, is dropped and x' goes in by pivot order: the unique RREF of the step,
+    in one pass.  _step_certified proves it self-dual from x_c, never t or x'.
+    """
     t = [(r & x).bit_count() & 1 for r in c.rows]
     if 1 not in t:
         return None
-    # the kernel cut keeps every pivot of c but that of the row it drops
-    j = _dropped(t)
-    return _extended(c, x, _kernel_rows(c.rows, t), c.pivots[:j] + c.pivots[j + 1 :])
-
-
-def _extended(c: LinearCode, x: int, rows: Sequence[int], pivots: Sequence[int]) -> LinearCode:
-    """The step of the self-dual c by x, from the RREF rows and pivots of the
-    words of c orthogonal to x; proved self-dual by _step_certified."""
-    out = LinearCode(c.n, _insert_rref(rows, pivots, x)[0])
-    if not _step_certified(c, x, out):
+    r_j, coset_x = c.rows[_dropped(t)], c._reduce(x)
+    x_new = coset_x ^ r_j if (coset_x & x).bit_count() & 1 else coset_x
+    q = x_new & -x_new
+    new = [s ^ x_new if (s := r ^ r_j if ti else r) & q else s for r, ti in zip(c.rows, t)]
+    new.insert(bisect_left(c.pivots, q), x_new)
+    new.remove(0)
+    out = LinearCode(c.n, new)
+    if not _step_certified(c, x, out, coset_x):
         raise InternalConsistencyError("neighbor step produced a non-self-dual code")
     object.__setattr__(out, "_self_orthogonal", True)
     return out
@@ -371,13 +376,7 @@ def verify_distance2_coincidence(nb: Neighborhood) -> dict:
     d1 = nb.type1_distance()
     d2a, d2b = nb.type2_distances()
     if d1 != 2:
-        return {
-            "check": "distance2_coincidence",
-            "passed": None,
-            "details": {"type1_distance": d1, "note": "not applicable"},
-        }
-    return {
-        "check": "distance2_coincidence",
-        "passed": d2a == d2b,
-        "details": {"type1_distance": d1, "type2_distances": [d2a, d2b]},
-    }
+        passed, details = None, {"type1_distance": d1, "note": "not applicable"}
+    else:
+        passed, details = d2a == d2b, {"type1_distance": d1, "type2_distances": [d2a, d2b]}
+    return {"check": "distance2_coincidence", "passed": passed, "details": details}

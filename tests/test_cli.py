@@ -295,13 +295,16 @@ class TestEquivalent:
 def replay_search(n, steps, seed, min_d=None):
     """The --json records of search, replayed with the exact distance of
     every code of the walk, and whether each code could skip its rounds: it
-    does not beat its type's best and has a row no heavier than that best."""
+    does not beat its type's best and has a row no heavier than that best,
+    or it has a row no heavier than the divisor of its weights, 2 for a
+    Type I code and 4 for a Type II one."""
     records, best, skips, stopped = [], {}, [], False
     for step, c in enumerate(islice(walk_self_dual(n, seed), steps + 1)):
         ctype, d = str(c.classify()), c.minimum_distance()
         entry = best.get(ctype)
         improves = entry is None or d > entry["d"]
-        skips.append(not improves and min(map(int.bit_count, c.rows)) <= entry["d"])
+        lightest = min(map(int.bit_count, c.rows))
+        skips.append(lightest <= (4 if ctype == "TypeII" else 2) or not improves and lightest <= entry["d"])
         if improves:
             best[ctype] = {"d": d, "step": step}
             records.append({"command": "search", "event": "improvement", "step": step, "type": ctype, "d": d})
@@ -336,8 +339,9 @@ class TestSearch:
         assert 0 < stopped.count(False) < stopped.count(True)
 
     def test_codes_that_cannot_improve_build_no_information_sets(self, capsys, monkeypatch):
-        # one search draws rounds only for a code that beats its type's best
-        # or has no row of weight at most that best
+        # one search draws rounds only for a code that has no row of weight at
+        # most its weight divisor, and beats its type's best or has no row of
+        # weight at most that best
         _, skips = replay_search(40, 8, 1)
         calls = []
         generators = code._information_set_generators
@@ -393,9 +397,9 @@ class TestSearch:
         assert records[0]["final_type"] in ("TypeI", "TypeII")
 
     def test_no_distance_walk_does_each_job_once(self, capsys, monkeypatch):
-        # each step reduces its step vector twice: _insert_rref against the
-        # 255 kernel rows, and the certificate's coset of x against c, at the
-        # pivots c stores; the certificate's few row differences are cleared
+        # each step makes one reduction of its step vector, against the 256
+        # rows of c at the pivots c stores, which gives both the inserted row
+        # and the certificate's coset of x; the few row differences are cleared
         # only at the pivots they hit; the draw's outside-c test is read off
         # the step's products with the rows of c; only the final code is
         # classified
@@ -416,7 +420,7 @@ class TestSearch:
         status, out, _ = run_cli(capsys, "search", "--n", "512", "--steps", "30",
                                  "--no-distance", "--json")
         assert status == 0 and json_lines(out)[-1]["steps_completed"] == 30
-        assert reductions == [255, 256] * 30
+        assert reductions == [256] * 30
         assert classified == [512]
 
     def test_no_distance_with_min_d_rejected(self, capsys):

@@ -145,12 +145,12 @@ class TestStoredPivots:
         # the pivots of the first, and no difference is cleared at them
         c = random_self_dual(32, 9, 4)
         x = next(x for x in random.Random(4).choices(range(1 << 32), k=99) if x.bit_count() % 2 == 0 and c._reduce(x))
-        out = neighborhood._step(c, x)
+        out, coset_x = neighborhood._step(c, x), c._reduce(x)
         gens = _information_set_generators(c)
-        assert neighborhood._step_certified(c, x, out)
+        assert neighborhood._step_certified(c, x, out, coset_x)
         object.__setattr__(c, "_pivot_mask", 0)
         assert _information_set_generators(c) != gens
-        assert not neighborhood._step_certified(c, x, out)
+        assert not neighborhood._step_certified(c, x, out, coset_x)
 
 
 class TestRrefRowHelpers:
@@ -625,10 +625,16 @@ class TestRowSumCap:
         assert built == [1, 1, 2, 2] and Counter(drawn) == {1: 48, 2: 552}
 
     def test_a_round_that_reaches_the_cap_exactly_is_drawn(self, monkeypatch):
-        # identity(32) has one information set: round 1 draws 32 = 2^5 sums
-        c = LinearCode(32, [1 << i for i in range(32)])
+        # 31 rows of weight 2 and one of weight 3 on one information set of
+        # 32 columns: the odd row makes the weight divisor 1, below the
+        # lightest row, so round 1 draws its 32 = 2^5 sums, and its bound 2
+        # settles d = 2
+        c = LinearCode(34, [1 << i | 1 << 32 for i in range(31)] + [1 << 31 | 3 << 32])
+        assert len(_information_set_generators(c)) == 1
         monkeypatch.setattr(code, "DEFAULT_ENUMERATION_CAP", 5)
-        assert c.minimum_distance() == 1
+        built, drawn = count_drawn_sums(monkeypatch)
+        assert c.minimum_distance() == 2
+        assert built == [1] and drawn == [1] * 32
         monkeypatch.setattr(code, "DEFAULT_ENUMERATION_CAP", 4)
         with pytest.raises(EnumerationCapError, match=r"round 1 .* to 32, past the enumeration cap 2\^4$"):
             c.minimum_distance()
@@ -737,18 +743,39 @@ class TestStopAt:
         for c in codes:
             assert_stop_at_matches_sweep(c)
 
-    def test_a_light_row_draws_no_round(self, monkeypatch, fixture_codes):
+    @staticmethod
+    def refuse_information_sets(monkeypatch):
         def refuse(c):
             raise AssertionError(f"built information sets of {c.k} rows")
 
         monkeypatch.setattr(code, "_information_set_generators", refuse)
-        codes = [random_self_dual(n, 6, 1) for n in (8, 16, 32, 40)] + list(fixture_codes.values())
-        for c in codes:
+
+    def test_a_light_row_draws_no_round(self, monkeypatch, fixture_codes):
+        # codes whose lightest row weighs more than the divisor of their
+        # weights, 2 for Type I and 4 for Type II, so that a search below it
+        # runs; doubly-even rows with an odd overlap give weights 4, 4 and 6
+        self.refuse_information_sets(monkeypatch)
+        codes = [(c, 2) for c in [random_self_dual(n, 7, 1) for n in (24, 32, 40, 48)] + [fixture_codes["G4"]]]
+        codes += [(fixture_codes[name], 4) for name in ("G1", "G2", "G6")] + [(LinearCode(7, [0b1111, 0b1111000]), 2)]
+        for c, divisor in codes:
             lightest = min(r.bit_count() for r in c.rows)
+            assert lightest > divisor and code._weight_divisor(c) == divisor
             for stop_at in range(lightest, c.n + 1):
                 assert c.minimum_distance(stop_at) == lightest
             with pytest.raises(AssertionError, match="information sets"):
                 c.minimum_distance(lightest - 1)
+
+    def test_a_row_at_the_weight_divisor_draws_no_round(self, monkeypatch, fixture_codes):
+        # every weight is a multiple of the divisor, so no word is lighter
+        # than a row of that weight, at any stop_at
+        self.refuse_information_sets(monkeypatch)
+        codes = [(c, 2) for c in [random_self_dual(n, 6, 1) for n in (8, 16, 40)] + [fixture_codes["G3"]]]
+        codes += [(fixture_codes["G5"], 4), (LinearCode(32, [1 << i for i in range(32)]), 1)]
+        codes += [(LinearCode(4, [0b11, 0b110]), 2)]
+        for c, divisor in codes:
+            assert min(r.bit_count() for r in c.rows) == divisor == code._weight_divisor(c)
+            for stop_at in range(c.n + 1):
+                assert c.minimum_distance(stop_at) == divisor
 
 
 class TestWeightEnumerator:

@@ -321,9 +321,15 @@ class TestStepWithoutElimination:
                 assert stepped == LinearCode(n, old + [x])
                 c = stepped
 
-    def test_walks_match_the_dict_based_step(self):
-        # words drawn as walk_self_dual draws them, those in c included
-        for n, steps in [*((n, 6) for n in range(8, 129, 8)), (512, 6), (2048, 3)]:
+    def test_walks_match_the_dict_based_step(self, monkeypatch):
+        # words drawn as walk_self_dual draws them, those in c included; each
+        # step is one of four cases of the row x' inserted: x reduced against
+        # c, plus the dropped row r_j when that reduction's product with x is
+        # odd, and with a lowest bit q where r_j has a 1 or not; in each, the
+        # one pass builds the rows in RREF, so no elimination runs
+        monkeypatch.setattr(gf2, "_eliminate", refuse_elimination)
+        cases = set()
+        for n, steps in [*((n, 6) for n in range(8, 129, 8)), (512, 30), (1024, 30), (2048, 3)]:
             rng = random.Random(n)
             c = double_pair_code(n)
             while steps:
@@ -333,7 +339,14 @@ class TestStepWithoutElimination:
                 stepped = neighborhood._step(c, x)
                 assert stepped == o_step(c, x)
                 if stepped is not None:
+                    t = [(r & x).bit_count() & 1 for r in c.rows]
+                    r_j, x_c = c.rows[len(t) - 1 - t[::-1].index(1)], c._reduce(x)
+                    odd = (x_c & x).bit_count() & 1
+                    x_new = x_c ^ r_j if odd else x_c
+                    assert x_new in stepped.rows
+                    cases.add((odd, bool(r_j & x_new & -x_new)))
                     c, steps = stepped, steps - 1
+        assert cases == {(0, False), (0, True), (1, False), (1, True)}
 
     def test_walk_at_n512_eliminates_nothing(self, monkeypatch):
         monkeypatch.setattr(gf2, "_eliminate", refuse_elimination)
@@ -367,22 +380,33 @@ class TestStepWithoutElimination:
             assert LinearCode(n, codes[-1].rows).is_self_dual()
             assert passes == [codes[-1].rows]
 
-    @pytest.mark.parametrize(
-        "helper, wrong",
-        [
-            ("_insert_rref", lambda rows, pivots, x: (list(rows), list(pivots))),
-            ("_insert_rref", lambda rows, pivots, x: (list(rows) + [x ^ 1], list(pivots))),
-            ("_kernel_rows", lambda rows, t: list(rows)),
-            # rows of value 1 left as they are: wrong once two rows have value 1
-            ("_kernel_rows", lambda rows, t: [r for i, r in enumerate(rows) if i != t.index(1)]),
-        ],
-    )
-    def test_wrong_rows_still_raise(self, monkeypatch, helper, wrong):
+    @pytest.mark.parametrize("wrong", ["unreduced", "stray-bit", "uncut", "dropped-kept"])
+    def test_wrong_rows_still_raise(self, monkeypatch, wrong):
+        # the rows that the step hands to LinearCode, built with one fault:
+        # x' not reduced, x' plus a stray bit, rows of value 1 left uncut, or
+        # the dropped row kept; x is drawn with an odd product with x_c, its
+        # reduction against c, so that x_c is not yet x', and with two rows
+        # of value 1
         c = random_self_dual(64, 4, 1)
-        x = BitVector(64, step_vector(c, random.Random(1)))
-        monkeypatch.setattr(neighborhood, helper, wrong)
+        rng = random.Random(1)
+        while True:
+            x = step_vector(c, rng)
+            t = [(r & x).bit_count() & 1 for r in c.rows]
+            if (c._reduce(x) & x).bit_count() & 1 and sum(t) >= 2:
+                break
+        j = len(t) - 1 - t[::-1].index(1)
+        r_j, x_c = c.rows[j], c._reduce(x)
+        kernel = [r ^ r_j if ti else r for i, (r, ti) in enumerate(zip(c.rows, t)) if i != j]
+        rows = {
+            "unreduced": kernel + [x_c],
+            "stray-bit": kernel + [x_c ^ r_j ^ 1 << 63],
+            "uncut": [r for i, r in enumerate(c.rows) if i != j] + [x_c ^ r_j],
+            "dropped-kept": kernel + [r_j, x_c ^ r_j],
+        }[wrong]
+        assert LinearCode(64, rows) != neighborhood._step(c, x)
+        monkeypatch.setattr(neighborhood, "LinearCode", lambda n, _: LinearCode(n, rows))
         with pytest.raises(InternalConsistencyError, match="non-self-dual"):
-            neighbor_step(c, x)
+            neighbor_step(c, BitVector(64, x))
 
 
 def certified_steps():
@@ -412,7 +436,7 @@ class TestStepCertificate:
     is neither, the verdict must equal the oracle's."""
 
     def certify(self, c, x, out):
-        ok = neighborhood._step_certified(c, x, out)
+        ok = neighborhood._step_certified(c, x, out, c._reduce(x))
         # the certificate is sound: whatever it accepts is self-dual
         if ok:
             assert out.k * 2 == out.n and code._pairwise_orthogonal(out.rows)
@@ -733,6 +757,16 @@ class TestShadowRoute:
                 for f in dataclasses.fields(nb):
                     assert getattr(nb, f.name) == getattr(other, f.name), f.name
                 assert [m.rows for m in nb.members] == [m.rows for m in other.members]
+
+    def test_equals_the_dual_route_over_the_pool(self):
+        # the members built by the same step as a walk's, on the Type I walk
+        # codes of the shared pool
+        codes = [c for c in self_dual_pool() if c.classify() is CodeType.TYPE_I]
+        assert len(codes) == 12
+        for c in codes:
+            nb, other = neighborhood_of(c), o_neighborhood_of(c)
+            assert nb == other
+            assert [m.rows for m in nb.members] == [m.rows for m in other.members]
 
     def test_shadow_vector_against_its_definition(self, codes):
         # Conway and Sloane (1990): v is a shadow vector of c when v . x is
@@ -1075,7 +1109,10 @@ class TestSearchWork:
     def test_level_sums_drawn_by_distance_and_equivalence(self, monkeypatch):
         # the other two readers of the rounds: minimum_distance over the
         # pool and over the first 9 codes of a walk at n=40, and the light
-        # words of both codes of the two n=32 pairs that CI decides
+        # words of both codes of the two n=32 pairs that CI decides; a code
+        # with a row no heavier than its weight divisor, 2 for Type I and 4
+        # for Type II, draws no sum (664 over the pool, and 20 per code at
+        # the start of the walk, before that shortcut)
         pool = self_dual_pool()
         walk = list(islice(walk_self_dual(40, 7), 9))
         pairs = [
@@ -1092,9 +1129,10 @@ class TestSearchWork:
             return found
 
         per_code = distances(pool)
-        assert len(per_code) == 36 and sum(n for _, n in per_code) == 664
-        assert per_code[-3:] == [(6, 152), (4, 16), (8, 152)]
-        assert distances(walk) == [(2, 20)] * 4 + [(4, 20)] * 3 + [(4, 40), (6, 230)]
+        assert len(per_code) == 36 and sum(n for _, n in per_code) == 420
+        assert per_code[-3:] == [(6, 152), (4, 0), (8, 152)]
+        assert sum(1 for _, n in per_code if n) == 8
+        assert distances(walk) == [(2, 0)] * 4 + [(4, 20)] * 3 + [(4, 40), (6, 230)]
         # the negative pair reads on to weight 8, where its first weighing
         # of all columns tells it apart
         for (c1, c2), equivalent, sums in zip(pairs, (True, False), (1_664, 6_424)):
