@@ -5,13 +5,12 @@ Vectors are immutable and store their coordinates in a single Python int
 weight).  Matrices are immutable tuples of equal-length vectors.  Both are
 frozen dataclasses, compared and hashed by value.
 
-This module builds the reduced row echelon forms (RREF) of the library, on
-the raw ints, but for a neighbor step's, which neighborhood._step builds in
-one pass from a kernel cut and an insertion fused.  The pivot of an RREF row
-is its lowest set bit.  Every other row space is built from one check and
-two moves, each O(k) row operations: _rref_pivots accepts rows that are
-already reduced (and returns their pivots and the pivot mask, their sum,
-which a code keeps), _insert_rref adds one vector to a span, and
+This module builds the reduced row echelon forms (RREF) of the library on
+the raw ints, all but a neighbor step's (neighborhood._step).  The pivot of
+an RREF row is its lowest set bit.  Every row space is built from one check
+and two moves, each O(k) row operations: _rref_pivots accepts rows that
+are already reduced (and returns their pivots and the pivot mask, their
+sum, which a code keeps), _insert_rref adds one vector to a span, and
 _kernel_rows cuts a span down to the kernel of a linear functional.
 _insert_rref reads the pivots of its rows from its caller, which holds them
 (a code stores them, elimination keeps them beside its rows), and returns
