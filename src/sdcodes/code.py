@@ -5,10 +5,12 @@ ints (RREF, zero rows dropped), so code equality is literal row equality,
 and the pivot of each row (its lowest set bit), found once per code and
 read by every reduction against its rows, the Gray index and the
 information-set search.
-Every RREF comes from the row-space moves of gf2: rows that are already in
-that form are kept without elimination, as a neighbor step builds them in
-one pass, and the dual and intersections are cut from unit rows and from
-the code's own rows, already reduced.
+Every RREF but a neighbor step's comes from the row-space moves of gf2:
+rows that are already in that form are kept without elimination, and the
+dual and intersections are cut from unit rows and from the code's own rows,
+already reduced.  A neighbor step builds its rows in one pass with their
+pivots and mask, its certificate proves them an RREF, and its code keeps
+them as they are (LinearCode._proved_step), with no second check.
 Self-orthogonality is decided by one pass over all pairs of rows, once per
 code, and stored with it; a neighbor step stores instead the result of an
 O(k) certificate that derives it from that of the code it came from.
@@ -78,7 +80,8 @@ class LinearCode:
     dropped, so two codes are equal exactly when their rows are equal.
     pivots holds the pivot of each row, its lowest set bit as a one-bit int:
     kept from the constructor's RREF check, or computed once from the rows
-    that elimination built.  _pivot_mask, their sum, is kept beside them.
+    that elimination built, or, for the code of a neighbor step, those its
+    certificate proved.  _pivot_mask, their sum, is kept beside them.
     """
 
     __slots__ = ("n", "k", "rows", "pivots", "_pivot_mask", "_self_orthogonal")
@@ -102,6 +105,17 @@ class LinearCode:
         object.__setattr__(self, "_pivot_mask", mask)
         # the result of is_self_orthogonal, once it has run
         object.__setattr__(self, "_self_orthogonal", None)
+
+    @classmethod
+    def _proved_step(cls, n: int, rows: tuple[int, ...], pivots: tuple[int, ...], mask: int) -> LinearCode:
+        """The self-dual code of a neighbor step whose certificate
+        (neighborhood._step_certified) has proved rows to be an RREF with
+        these pivots and this mask, stored as they are: no RREF check and no
+        pairwise pass runs again.  No other caller builds a code this way."""
+        code = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (n, len(rows), rows, pivots, mask, True)):
+            object.__setattr__(code, name, value)
+        return code
 
     def __setattr__(self, name: str, value=None) -> None:
         raise AttributeError("LinearCode is immutable")

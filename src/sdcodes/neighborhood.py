@@ -27,7 +27,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, count, islice
-from operator import ne, or_, xor
+from operator import lt, ne, or_, xor
 from typing import Iterator
 
 from .code import CodeType, InternalConsistencyError, LinearCode, _shadow_leaders
@@ -198,38 +198,65 @@ def _meet_dimension(c1: LinearCode, c2: LinearCode) -> int:
     return c1.intersection(c2).k
 
 
-def _step_certified(c: LinearCode, x: int, out: LinearCode, coset_x: int) -> bool:
-    """Whether out is proved self-dual as a step from a self-dual c by x.
+def _step_certified(c: LinearCode, x: int, rows: tuple, pivots: tuple, mask: int, coset_x: int) -> bool:
+    """Whether rows, pivots and mask are proved the RREF of a self-dual step
+    from the self-dual c by x.
 
-    True exactly when x has even weight, out has the dimension of c, every
-    row of out is orthogonal to x, and every row lies in c + <x>.  That
-    proves self-duality: rows a = u + x^i and b = v + x^j with u, v in c
-    have a . b = u . v + i (x . v) + j (u . x) + ij (x . x), where u . v = 0
-    as c is self-orthogonal, x . x = 0 as x is even, and so u . x = a . x = 0
-    and likewise x . v = 0.
+    Self-duality: x has even weight, there are k rows, each orthogonal to x
+    and in c + <x>.  Rows a = u + x^i and b = v + x^j with u, v in c have
+    a . b = u . v + i (x . v) + j (u . x) + ij (x . x) = 0: u . v = 0 as c
+    is self-orthogonal, x . x = 0 as x is even, so u . x = a . x = 0, and
+    likewise x . v = 0.  Each row is paired by index with the row of c at
+    its pivot, 0 at a new pivot (_partners), and their difference d lies in
+    c + <x> when, cleared at the pivots of c it hits (_cleared), it is 0 or
+    coset_x, which must be c._reduce(x), computed from c and x alone.  A
+    correct step has at most four distinct d: 0, the row r_j of c that the
+    kernel cut dropped, x reduced, and their sum.
 
-    A row with pivot p lies in c + <x> when its difference d from the row of
-    c at p (0 if none) does: when d, reduced at the pivots of c it hits, is
-    0 or coset_x, which must be c._reduce(x), computed from c and x alone.
-    Rows are paired by index, not looked up by pivot (_partners), and the row
-    of c at each hit pivot is found by bisection (_cleared).  A correct step
-    has at most four distinct differences: 0, the row of c that the kernel
-    cut dropped, x reduced, and their sum.  Soundness rests on two facts only:
-    every word added to a row of out is a row of c, and c is self-orthogonal,
-    as stored with it.  It reads only c, x and out, and c's reduction of x.
+    RREF: the pivots are c's with at most one, p_j, replaced by q, a single
+    bit below 2^n, not a pivot of c and strictly between its neighbours; the
+    mask is c's less p_j plus q; only the new row has a 1 at q; and each
+    nonzero d fits in n bits, is 0 at the kept pivots, and has no bit below
+    the pivot of the last row with difference d, so of any such row.  Then a
+    row u + d, u the row of c at its pivot, has that pivot as its lowest bit
+    and no other pivot, as u has neither, and the new row, d alone, has q as
+    its lowest bit and no other pivot: the rows are the unique RREF with
+    those pivots, and independent.  When the pivots are c's, every d is 0 at
+    all of them.  Soundness rests on two facts only: c's rows, pivots and
+    mask are its RREF, and c is self-orthogonal, as stored with it.  It
+    reads only c, x, the three it proves, and c's reduction of x.
     """
-    if x.bit_count() & 1 or out.k != c.k or 1 in [(r & x).bit_count() & 1 for r in out.rows]:
+    if x.bit_count() & 1 or not len(rows) == len(pivots) == c.k or 1 in [(r & x).bit_count() & 1 for r in rows]:
         return False
-    partners = _partners(c, out.pivots)
-    if partners is None:
+    paired = _partners(c, pivots)
+    if paired is None:
         return False
-    diffs = set(map(xor, out.rows, partners))
-    return all(_cleared(d, d & c._pivot_mask, c) in (0, coset_x) for d in diffs)
+    partners, slot, dropped = paired
+    kept, q = c._pivot_mask ^ dropped, 0
+    if dropped:
+        q, around = pivots[slot], pivots[max(slot - 1, 0) : slot + 2]
+        if q.bit_count() != 1 or q >> c.n or q & c._pivot_mask or not all(map(lt, around, around[1:])):
+            return False
+        if not rows[slot] & q or (reduce(or_, rows[:slot], 0) | reduce(or_, rows[slot + 1 :], 0)) & q:
+            return False
+    if mask != kept | q:
+        return False
+    diffs = list(map(xor, rows, partners))
+    # last.index(d) == m finds the last row with difference d: row k - 1 - m, or ~m
+    last = diffs[::-1]
+    for d in set(diffs):
+        if d and (d >> c.n or d & kept or d & -d < pivots[~last.index(d)]):
+            return False
+        if _cleared(d, d & c._pivot_mask, c) not in (0, coset_x):
+            return False
+    return True
 
 
-def _partners(c: LinearCode, pivots: tuple[int, ...]) -> tuple[int, ...] | None:
-    """The row of c at each of k sorted pivots, 0 at a pivot c lacks, when
-    they are the pivots of c with at most one replaced; else None.
+def _partners(c: LinearCode, pivots: tuple[int, ...]) -> tuple[tuple[int, ...], int, int] | None:
+    """(partners, slot, dropped) for k sorted pivots that are those of c with
+    at most one replaced, else None: the row of c at each pivot, 0 at the new
+    one, the index of the new pivot, and the pivot of c it replaces; slot and
+    dropped are 0 when the pivots are c's.
 
     Two such tuples agree outside one block [lo, hi], and inside it one is
     the other shifted by one place: the new pivot is pivots[lo] when it lies
@@ -239,14 +266,14 @@ def _partners(c: LinearCode, pivots: tuple[int, ...]) -> tuple[int, ...] | None:
     """
     ours = c.pivots
     if pivots == ours:
-        return c.rows
+        return c.rows, 0, 0
     lo = next(compress(count(), map(ne, ours, pivots)))
     hi = len(ours) - next(compress(count(1), map(ne, reversed(ours), reversed(pivots))))
     rows = c.rows
     if pivots[lo + 1 : hi + 1] == ours[lo:hi]:
-        return (*rows[:lo], 0, *rows[lo:hi], *rows[hi + 1 :])
+        return (*rows[:lo], 0, *rows[lo:hi], *rows[hi + 1 :]), lo, ours[hi]
     if pivots[lo:hi] == ours[lo + 1 : hi + 1]:
-        return (*rows[:lo], *rows[lo + 1 : hi + 1], 0, *rows[hi + 1 :])
+        return (*rows[:lo], *rows[lo + 1 : hi + 1], 0, *rows[hi + 1 :]), hi, ours[lo]
     return None
 
 
@@ -267,7 +294,7 @@ def neighbor_step(c: LinearCode, x: BitVector) -> LinearCode:
     and meets c in dimension n/2 - 1.  As c = dual(c), x lies in c exactly
     when its products with the rows of c are all 0.  The rows are built in
     RREF from one reduction of x and one pass over those of c (_step), and
-    proved self-dual by an O(k) certificate (_step_certified).
+    proved self-dual and in RREF by an O(k) certificate (_step_certified).
     """
     if not c.is_self_dual():
         raise ValueError("neighbor_step requires a self-dual code")
@@ -292,22 +319,30 @@ def _step(c: LinearCode, x: int) -> LinearCode | None:
     is odd.  With q the lowest bit of x' (not 0, as x lies outside c), each
     new row is r_i + t_i r_j, plus x' when that sum has a 1 at q; row j, now
     0, is dropped and x' goes in by pivot order: the unique RREF of the step,
-    in one pass.  _step_certified proves it self-dual from x_c, never t or x'.
+    in one pass.  Its pivots are c's with p_j, the pivot of r_j, replaced by
+    q, and its pivot mask is c's with the bits p_j and q flipped.
+    _step_certified proves from c, x_c and these three, never t or x', that
+    they are the RREF of a self-dual code; only then is the code stored, as
+    they are (LinearCode._proved_step), with no RREF check of its own.
     """
     t = [(r & x).bit_count() & 1 for r in c.rows]
     if 1 not in t:
         return None
-    r_j, coset_x = c.rows[_dropped(t)], c._reduce(x)
+    j = _dropped(t)
+    r_j, p_j, coset_x = c.rows[j], c.pivots[j], c._reduce(x)
     x_new = coset_x ^ r_j if (coset_x & x).bit_count() & 1 else coset_x
     q = x_new & -x_new
+    i = bisect_left(c.pivots, q)
     new = [s ^ x_new if (s := r ^ r_j if ti else r) & q else s for r, ti in zip(c.rows, t)]
-    new.insert(bisect_left(c.pivots, q), x_new)
+    new.insert(i, x_new)
     new.remove(0)
-    out = LinearCode(c.n, new)
-    if not _step_certified(c, x, out, coset_x):
+    pivots = list(c.pivots)
+    pivots.insert(i, q)
+    pivots.remove(p_j)
+    rows, pivots, mask = tuple(new), tuple(pivots), c._pivot_mask ^ p_j ^ q
+    if not _step_certified(c, x, rows, pivots, mask, coset_x):
         raise InternalConsistencyError("neighbor step produced a non-self-dual code")
-    object.__setattr__(out, "_self_orthogonal", True)
-    return out
+    return LinearCode._proved_step(c.n, rows, pivots, mask)
 
 
 def double_pair_code(n: int) -> LinearCode:

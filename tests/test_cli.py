@@ -402,9 +402,10 @@ class TestSearch:
         # and the certificate's coset of x; the few row differences are cleared
         # only at the pivots they hit; the draw's outside-c test is read off
         # the step's products with the rows of c; only the final code is
-        # classified
-        reductions, classified = [], []
-        reduced, classify = code._reduced, code.LinearCode.classify
+        # classified; each step's rows, pivots and mask are proved an RREF by
+        # its certificate, so only the start code runs the RREF check
+        reductions, classified, checked = [], [], []
+        reduced, classify, rref_pivots = code._reduced, code.LinearCode.classify, gf2._rref_pivots
 
         def counted_reduced(rows, bits, pivots):
             reductions.append(len(rows))
@@ -414,14 +415,20 @@ class TestSearch:
             classified.append(self.n)
             return classify(self)
 
+        def counted_rref_pivots(rows, ncols):
+            checked.append(len(rows))
+            return rref_pivots(rows, ncols)
+
         monkeypatch.setattr(gf2, "_reduced", counted_reduced)
         monkeypatch.setattr(code, "_reduced", counted_reduced)
         monkeypatch.setattr(code.LinearCode, "classify", counted_classify)
+        monkeypatch.setattr(gf2, "_rref_pivots", counted_rref_pivots)
         status, out, _ = run_cli(capsys, "search", "--n", "512", "--steps", "30",
                                  "--no-distance", "--json")
         assert status == 0 and json_lines(out)[-1]["steps_completed"] == 30
         assert reductions == [256] * 30
         assert classified == [512]
+        assert checked == [256]
 
     def test_no_distance_with_min_d_rejected(self, capsys):
         status, _, err = run_cli(capsys, "search", "--n", "16", "--no-distance",

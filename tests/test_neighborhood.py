@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 import re
+from types import SimpleNamespace
 from functools import reduce
 from itertools import islice, product
 from operator import xor
@@ -382,11 +383,11 @@ class TestStepWithoutElimination:
 
     @pytest.mark.parametrize("wrong", ["unreduced", "stray-bit", "uncut", "dropped-kept"])
     def test_wrong_rows_still_raise(self, monkeypatch, wrong):
-        # the rows that the step hands to LinearCode, built with one fault:
-        # x' not reduced, x' plus a stray bit, rows of value 1 left uncut, or
-        # the dropped row kept; x is drawn with an odd product with x_c, its
-        # reduction against c, so that x_c is not yet x', and with two rows
-        # of value 1
+        # the rows, pivots and mask that the step hands to its certificate,
+        # those of a code built with one fault: x' not reduced, x' plus a
+        # stray bit, rows of value 1 left uncut, or the dropped row kept; x is
+        # drawn with an odd product with x_c, its reduction against c, so that
+        # x_c is not yet x', and with two rows of value 1
         c = random_self_dual(64, 4, 1)
         rng = random.Random(1)
         while True:
@@ -403,10 +404,21 @@ class TestStepWithoutElimination:
             "uncut": [r for i, r in enumerate(c.rows) if i != j] + [x_c ^ r_j],
             "dropped-kept": kernel + [r_j, x_c ^ r_j],
         }[wrong]
-        assert LinearCode(64, rows) != neighborhood._step(c, x)
-        monkeypatch.setattr(neighborhood, "LinearCode", lambda n, _: LinearCode(n, rows))
+        bad = LinearCode(64, rows)
+        assert bad != neighborhood._step(c, x)
+        certified = neighborhood._step_certified
+        monkeypatch.setattr(
+            neighborhood,
+            "_step_certified",
+            lambda c, x, rows, pivots, mask, coset_x: certified(c, x, *handed(bad), coset_x),
+        )
         with pytest.raises(InternalConsistencyError, match="non-self-dual"):
             neighbor_step(c, BitVector(64, x))
+
+
+def handed(out):
+    """The rows, pivots and mask of a code, as a step hands them to its certificate."""
+    return out.rows, out.pivots, out._pivot_mask
 
 
 def certified_steps():
@@ -436,7 +448,7 @@ class TestStepCertificate:
     is neither, the verdict must equal the oracle's."""
 
     def certify(self, c, x, out):
-        ok = neighborhood._step_certified(c, x, out, c._reduce(x))
+        ok = neighborhood._step_certified(c, x, *handed(out), c._reduce(x))
         # the certificate is sound: whatever it accepts is self-dual
         if ok:
             assert out.k * 2 == out.n and code._pairwise_orthogonal(out.rows)
@@ -561,8 +573,9 @@ class TestStepCertificate:
             new = sum(out.pivots) & ~sum(c.pivots)
             shape = "equal" if not new else "below" if new < dropped else "above"
             at_pivot = dict(zip(c.pivots, c.rows))
-            partners = neighborhood._partners(c, out.pivots)
+            partners, slot, found = neighborhood._partners(c, out.pivots)
             assert partners == tuple(at_pivot.get(p, 0) for p in out.pivots)
+            assert (found, out.pivots[slot] if found else 0) == ((dropped, new) if new else (0, 0))
             assert self.certify(c, x, out)
             shapes.add(shape)
         assert shapes == {"equal", "below", "above"}
@@ -584,6 +597,123 @@ class TestStepCertificate:
                 for v in (x, y):
                     assert not self.certify(c, v, two)
         assert found >= 20
+
+
+def rref_faults(c, out):
+    """Faults injected into the rows, pivots and mask of the correct step
+    out from c, each as name: (rows, pivots, mask); only the RREF clause
+    tells each one from a correct step.  The faults at the new pivot q need
+    a step that replaces a pivot of c."""
+    rows, pivots, mask = list(out.rows), list(out.pivots), out._pivot_mask
+    s = next((i for i, p in enumerate(pivots) if not p & c._pivot_mask), None)
+    k = len(rows)
+    kept = [i for i in range(k) if i != s]
+    faults = {}
+
+    def fault(name, rows=rows, pivots=pivots, mask=mask):
+        faults[name] = (tuple(rows), tuple(pivots), mask)
+
+    # row i plus a later row m: 0 at the pivots it hits no longer
+    i, m = kept[len(kept) // 3], kept[-1]
+    fault("row-plus-row", [r ^ rows[m] if j == i else r for j, r in enumerate(rows)])
+    fault("mask-bit", mask=mask ^ 1)
+    fault("bit-n", [r | 3 << c.n if j == kept[0] else r for j, r in enumerate(rows)])
+    fault("negative", [r | -1 << c.n if j == kept[0] else r for j, r in enumerate(rows)])
+    if s is None:
+        return faults
+    q = pivots[s]
+    # the new row and its pivot swapped with a neighbour's
+    t = s + 1 if s + 1 < k else s - 1
+    order = list(range(k))
+    order[s], order[t] = t, s
+    fault("out-of-order", [rows[j] for j in order], [pivots[j] for j in order])
+    # the new row added to a row below it, so that both have a 1 at q
+    below = [i for i in kept if pivots[i] < q]
+    if below:
+        fault("second-1-at-q", [r ^ rows[s] if j == below[-1] else r for j, r in enumerate(rows)])
+    fault("no-1-at-q", [0 if j == s else r for j, r in enumerate(rows)])
+    # the new row made the pivot row of another of its bits b, not a pivot of
+    # c: the rows of the same code, reduced on another information set
+    b = next((1 << e for e in range(q.bit_length(), c.n) if rows[s] >> e & 1 and not c._pivot_mask >> e & 1), 0)
+    if b:
+        moved = sorted(
+            (b if j == s else p, r ^ rows[s] if j != s and r & b else r) for j, (p, r) in enumerate(zip(pivots, rows))
+        )
+        fault("bit-below-pivot", [r for _, r in moved], [p for p, _ in moved], mask ^ q ^ b)
+    return faults
+
+
+def four_clauses(c, x, rows, pivots):
+    """The four self-duality clauses of the step certificate, by the dict-based oracle."""
+    return o_step_certified(c, x, SimpleNamespace(k=len(rows), rows=rows, pivots=pivots))
+
+
+class TestStepRrefClause:
+    """The certificate also proves that the rows a step hands it are the RREF
+    with the pivots and mask it claims, which the stored code keeps with no
+    check of its own; so a fault in any of them is refused, also where the
+    four self-duality clauses, and for most the pairwise pass, accept it."""
+
+    FAULTS = (
+        "row-plus-row",
+        "out-of-order",
+        "mask-bit",
+        "second-1-at-q",
+        "no-1-at-q",
+        "bit-below-pivot",
+        "bit-n",
+        "negative",
+    )
+
+    def test_each_fault_refused(self):
+        seen = dict.fromkeys(self.FAULTS, 0)
+        for c, x, out, _ in certified_steps():
+            assert neighborhood._step_certified(c, x, *handed(out), c._reduce(x))
+            for name, (rows, pivots, mask) in rref_faults(c, out).items():
+                seen[name] += 1
+                assert not neighborhood._step_certified(c, x, rows, pivots, mask, c._reduce(x)), name
+                if name in ("bit-n", "negative"):
+                    # past n bits, the membership clause refuses them as well
+                    assert not four_clauses(c, x, rows, pivots)
+                    continue
+                assert four_clauses(c, x, rows, pivots), name
+                # the same span, but for the zero row, so the same code
+                self_dual = LinearCode(c.n, rows).k == c.k and code._pairwise_orthogonal(rows)
+                assert self_dual == (name != "no-1-at-q"), name
+        assert min(seen.values()) >= 50, seen
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_each_fault_raises_in_a_step(self, monkeypatch, fault):
+        c = random_self_dual(64, 4, 1)
+        rng = random.Random(1)
+        while True:
+            x = step_vector(c, rng)
+            faults = rref_faults(c, o_step(c, x))
+            if fault in faults:
+                break
+        certified = neighborhood._step_certified
+        handed_faulty = faults[fault]
+        monkeypatch.setattr(
+            neighborhood,
+            "_step_certified",
+            lambda c, x, rows, pivots, mask, coset_x: certified(c, x, *handed_faulty, coset_x),
+        )
+        with pytest.raises(InternalConsistencyError, match="non-self-dual"):
+            neighbor_step(c, BitVector(64, x))
+
+    def test_stored_codes_equal_their_constructors(self):
+        # every step of walks at n = 4..128 (n = 2 has none), and 30 steps
+        # at n = 512 and 1024 by dense random words
+        for n, steps in [*((n, 12) for n in range(4, 129, 2)), (512, 30), (1024, 30)]:
+            for stepped in islice(walk_self_dual(n, n), 1, steps + 1):
+                built = LinearCode(n, stepped.rows)
+                assert (stepped.rows, stepped.pivots, stepped._pivot_mask) == (
+                    built.rows,
+                    built.pivots,
+                    built._pivot_mask,
+                )
+                assert type(stepped.rows) is type(stepped.pivots) is tuple and stepped.k == built.k
+                assert stepped._self_orthogonal is True
 
 
 class TestWalk:
