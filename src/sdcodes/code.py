@@ -25,7 +25,8 @@ generator for a coset, each with a bound on the weight of every word not
 yet drawn.  The sums are weighed only here, in the lists that _level_sums
 built them in.  One cap bounds both: a sweep or search that would draw over
 2^DEFAULT_ENUMERATION_CAP words (2^k per sweep, C(k, w) per generator per
-round and stream) is an explicit error, not a silent approximation.
+round and stream), or over the budget its caller gives the driver, is an
+explicit error, not a silent approximation.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ DEFAULT_ENUMERATION_CAP = 30
 
 
 class EnumerationCapError(ValueError):
-    """Raised before a sweep or search would draw over 2^DEFAULT_ENUMERATION_CAP words."""
+    """Raised before a sweep or search would draw over 2^DEFAULT_ENUMERATION_CAP words or its budget."""
 
 
 class InternalConsistencyError(AssertionError):
@@ -302,7 +303,9 @@ def _information_set_generators(code: LinearCode) -> list[tuple[list[int], int]]
     return gens
 
 
-def _bz_streams(gens: list[list[int]], starts: list[list[int]], live: list[bool]) -> Iterator[tuple[int, int, list]]:
+def _bz_streams(
+    gens: list[list[int]], starts: list[list[int]], live: list[bool], budget: int | None = None
+) -> Iterator[tuple[int, int, list]]:
     """The Brouwer-Zimmermann search of streams over gens, the m generators
     of _information_set_generators, lifted alike: (w, i, sums) per round
     w = 0..k and generator i, sums holding each stream's lists of the sums
@@ -323,7 +326,8 @@ def _bz_streams(gens: list[list[int]], starts: list[list[int]], live: list[bool]
     The caller stops a stream by clearing its flag in live, read before each
     (w, i); the search ends when none is set.  The cap counts the sums of the
     live streams, each round in full as it starts: one that would bring them
-    past 2^DEFAULT_ENUMERATION_CAP raises before any is drawn.
+    past the caller's budget, or past 2^DEFAULT_ENUMERATION_CAP without one,
+    raises before any is drawn.
     """
     m, k = len(gens), len(gens[0])
     levels = [[chain([[[s]] if s else ()], _level_sums(g, s)) for g, s in zip(gens, ss)] for ss in starts]
@@ -333,10 +337,11 @@ def _bz_streams(gens: list[list[int]], starts: list[list[int]], live: list[bool]
             return
         if not i:
             total += sum(comb(k, w) for ss, on in zip(starts, live) if on for s in ss if w or s)
-            if total > 1 << DEFAULT_ENUMERATION_CAP:
+            if total > (1 << DEFAULT_ENUMERATION_CAP if budget is None else budget):
                 raise EnumerationCapError(
-                    f"instance too large: round {w} of the Brouwer-Zimmermann search would bring "
-                    f"the row sums drawn to {total}, past the enumeration cap 2^{DEFAULT_ENUMERATION_CAP}"
+                    f"{'instance too large' if budget is None else 'equivalence search budget exceeded'}: round {w} "
+                    f"of the Brouwer-Zimmermann search would bring the row sums drawn to {total}, past "
+                    + (f"the enumeration cap 2^{DEFAULT_ENUMERATION_CAP}" if budget is None else f"the budget {budget}")
                 )
         yield w, i, [next(level[i]) if on else () for level, on in zip(levels, live)]
 
@@ -349,28 +354,32 @@ def _weight_divisor(code: LinearCode) -> int:
     return 4 if all(r.bit_count() % 4 == 0 for r in code.rows) and code.is_self_orthogonal() else 2
 
 
-def _bz_rounds(code: LinearCode) -> Iterator[tuple[Iterable[list[int]], int]]:
-    """(sums, bound) per round w >= 1 of _bz_streams over code alone, bound
-    m*w + i + 1 rounded up to the weight divisor of the code."""
+def _bz_rounds(code: LinearCode, budget: int | None = None) -> Iterator[tuple[Iterable[list[int]], int]]:
+    """(sums, bound) per round w >= 1 of _bz_streams over code alone, within
+    budget, bound m*w + i + 1 rounded up to the weight divisor of the code."""
     step = _weight_divisor(code)
     gens = [g for g, _ in _information_set_generators(code)]
     m = len(gens)
-    for w, i, (sums,) in _bz_streams(gens, [[0] * m], [True]):
+    for w, i, (sums,) in _bz_streams(gens, [[0] * m], [True], budget):
         if w:
             yield sums, -(-(m * w + i + 1) // step) * step
 
 
-def _words_by_weight(code: LinearCode) -> Iterator[tuple[int, set[int]]]:
-    """(w, the set of nonzero codewords of weight w) for w = 1, 2, ..., n < 256.
+def _words_by_weight(code: LinearCode, budget: int | None = None) -> Iterator[tuple[int, set[int]]]:
+    """(w, the set of nonzero codewords of weight w) for w = 1, 2, ..., n,
+    from the rounds of _bz_rounds within budget.
 
     Weight w is yielded once a round of _bz_rounds bounds every word not yet
     drawn above it.  The sums are weighed into bytes as built and cut by
     weight with bytes.translate, into sets, since one word can come from
     several generators.  The last round has drawn every word: its bound is
-    n + 1.
+    n + 1.  A byte holds weights to 255, so a longer code raises before any
+    sum is drawn, and the equivalence search recurses at most 255 deep.
     """
+    if code.n > 255:
+        raise EnumerationCapError(f"instance too large: length {code.n} is past 255, the limit of the byte weights")
     drawn, weights, w = [], bytearray(), 1
-    for sums, bound in chain(_bz_rounds(code), [((), code.n + 1)]):
+    for sums, bound in chain(_bz_rounds(code, budget), [((), code.n + 1)]):
         for chunk in sums:
             drawn += chunk
             weights += bytes(map(int.bit_count, chunk))

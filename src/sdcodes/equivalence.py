@@ -32,9 +32,7 @@ from .code import (
 )
 from .gf2 import _check_lengths, _insert_rref, _ones
 
-EQUIVALENCE_MAX_LENGTH = 32
-EQUIVALENCE_MAX_DIMENSION = 16
-# light words that c2's weighings may read in one search, the root's included
+# row sums drawn per code, and light words that c2's weighings may read in one search, the root's included
 EQUIVALENCE_WORD_BUDGET = 4_000_000
 
 
@@ -73,16 +71,16 @@ def apply_permutation(c: LinearCode, p: CoordinatePermutation) -> LinearCode:
     return LinearCode(c.n, [_permute_bits(r, p.images) for r in c.rows])
 
 
-def _light(words: list[int], n: int) -> tuple[list[list[int]], list[list[int]], list[int], list[int]]:
+def _light(words: list[int], n: int) -> tuple[list[list[int]], list[list[int]], list[int], int]:
     """Light words as _weigh reads them: the columns each covers, the words
-    covering each column, and the powers of n + 1 and of one more than the
-    number of words that _weigh takes as digits."""
+    covering each column, the powers of n + 1 that _weigh takes as digits,
+    and one more than the number of words, the base of the other digits."""
     columns = list(map(_ones, words))
     covers: list[list[int]] = [[] for _ in range(n)]
     for t, cols in enumerate(columns):
         for i in cols:
             covers[i].append(t)
-    return columns, covers, [(n + 1) ** d for d in range(n)], [(len(words) + 1) ** d for d in range(len(words))]
+    return columns, covers, [(n + 1) ** d for d in range(n)], len(words) + 1
 
 
 def _weigh(masks, light, known=None):
@@ -99,9 +97,10 @@ def _weigh(masks, light, known=None):
     the partner masks' result, it returns None as soon as the counts, then
     the tags, differ from known's, and otherwise only the split masks,
     aligned with known's.  Sorted lists are equal exactly when the multisets
-    are.  The counts fix the color of a column alone in its mask.
+    are.  The counts fix the color of a column alone in its mask.  Only the
+    powers of the base that some count takes as its digit are built.
     """
-    columns, covers, powers, radices = light
+    columns, covers, powers, base = light
     place = [0] * len(covers)
     for m, p in zip(masks, powers):
         while m:
@@ -112,7 +111,7 @@ def _weigh(masks, light, known=None):
     meets = sorted(counts)
     if known is not None and meets != known[0]:
         return None
-    digits = dict(zip(dict.fromkeys(meets), radices))
+    digits = {m: base**d for d, m in enumerate(dict.fromkeys(meets))}
     radix = list(map(digits.__getitem__, counts)).__getitem__
     tags = list(zip(place, [sum(map(radix, c)) for c in covers]))
     tally = sorted(tags)
@@ -187,24 +186,16 @@ def are_permutation_equivalent(
 ) -> CoordinatePermutation | None:
     """A coordinate permutation mapping c1 onto c2, or None.
 
-    Exact at desk scale: lengths up to 32 and dimensions up to 16, enforced
-    via EnumerationCapError.  No 2^k sweep runs.  The basis search, which on
-    some [24, 12] pairs visits hundreds of thousands of nodes, is bounded by
-    the light words its weighings of c2 read (EQUIVALENCE_WORD_BUDGET): past
-    it, EnumerationCapError, not an answer.  A returned witness always
-    satisfies apply_permutation(c1, witness) == c2.
+    No 2^k sweep runs, and one budget, EQUIVALENCE_WORD_BUDGET, bounds time
+    and memory: each code's light words come from at most that many row sums
+    of its Brouwer-Zimmermann rounds, and the basis search, which on some
+    [24, 12] pairs visits hundreds of thousands of nodes, from at most that
+    many light words read by its weighings of c2.  Past either, or past
+    length 255 (_words_by_weight), EnumerationCapError, not an answer.
+    A returned witness always satisfies apply_permutation(c1, witness) == c2.
     """
     _check_lengths(c1.n, c2.n)
     n = c1.n
-    if n > EQUIVALENCE_MAX_LENGTH:
-        raise EnumerationCapError(
-            f"equivalence search supports length <= {EQUIVALENCE_MAX_LENGTH}, got {n}"
-        )
-    if max(c1.k, c2.k) > EQUIVALENCE_MAX_DIMENSION:
-        raise EnumerationCapError(
-            f"equivalence search supports dimension <= {EQUIVALENCE_MAX_DIMENSION}, "
-            f"got {max(c1.k, c2.k)}"
-        )
     if c1.k != c2.k:
         return None
     k = c1.k
@@ -216,7 +207,7 @@ def are_permutation_equivalent(
     groups1: dict[int, list[int]] = {}
     groups2: dict[int, set[int]] = {}
     basis, span, pivots = [], [], []
-    for (w, words1), (_, words2) in zip(_words_by_weight(c1), _words_by_weight(c2)):
+    for (w, words1), (_, words2) in zip(*(_words_by_weight(c, EQUIVALENCE_WORD_BUDGET) for c in (c1, c2))):
         if len(words1) != len(words2):
             return None
         groups1[w] = sorted(words1)

@@ -292,6 +292,17 @@ class TestEquivalent:
         assert err.startswith("error: equivalence search budget exceeded") and "past the budget 10" in err
 
 
+    def test_length_256_exits_2_without_traceback(self, tmp_path):
+        for name, steps in (("A", 10), ("B", 11)):
+            (tmp_path / name).write_text(serialize_matrix(random_self_dual(256, steps, 0).generator))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sdcodes.cli", "equivalent", str(tmp_path / "A"), str(tmp_path / "B")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2 and proc.stdout == "" and "Traceback" not in proc.stderr
+        assert proc.stderr == "error: instance too large: length 256 is past 255, the limit of the byte weights\n"
+
+
 def replay_search(n, steps, seed, min_d=None):
     """The --json records of search, replayed with the exact distance of
     every code of the walk, and whether each code could skip its rounds: it

@@ -562,6 +562,14 @@ class TestBrouwerZimmermann:
         assert _information_set_generators(zero) == [([], 0)]
         assert list(_words_by_weight(zero)) == [(w, set()) for w in range(1, 9)]
 
+    def test_lengths_past_255_refused(self):
+        # weights are kept in bytes: a code longer than 255 is refused before
+        # any sum is drawn, not misread or failed in bytes()
+        with pytest.raises(EnumerationCapError, match="length 256 is past 255"):
+            next(_words_by_weight(LinearCode(256, [(1 << 256) - 1])))
+        assert next(_words_by_weight(LinearCode(255, [(1 << 255) - 1]))) == (1, set())
+        assert list(_words_by_weight(LinearCode(255, [(1 << 255) - 1])))[-1] == (255, {(1 << 255) - 1})
+
     @pytest.mark.parametrize("budget", [1, 5, 12, 1 << 16])
     def test_same_sums_in_the_same_order_as_the_map_form(self, monkeypatch, budget):
         # the list comprehensions of both branches against the former maps,

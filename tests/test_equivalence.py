@@ -1,5 +1,6 @@
 import gc
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -151,15 +152,21 @@ class TestDecision:
         with pytest.raises(ValueError, match="length mismatch"):
             are_permutation_equivalent(e8, d16)
 
-    def test_caps(self):
+    def test_length_40_and_dimension_20_answered(self):
+        # no length or dimension is refused as such: the word budget alone
+        # bounds the search (lengths past 255 are refused, TestLongCodes)
         long_code = from_generator(
             BitMatrix([BitVector(40, 0b11 << (2 * i)) for i in range(4)], ncols=40)
         )
-        with pytest.raises(EnumerationCapError, match="length"):
-            are_permutation_equivalent(long_code, long_code)
+        moved = permuted(long_code, random.Random(0))
+        w = are_permutation_equivalent(long_code, moved)
+        assert w is not None and apply_permutation(long_code, w) == moved
         wide_code = LinearCode(20, [1 << i for i in range(20)])
-        with pytest.raises(EnumerationCapError, match="dimension"):
-            are_permutation_equivalent(wide_code, wide_code)
+        assert are_permutation_equivalent(wide_code, wide_code) == CoordinatePermutation.identity(20)
+        even = LinearCode(21, [1 << i | 1 << 20 for i in range(20)])
+        moved = permuted(even, random.Random(1))
+        w = are_permutation_equivalent(even, moved)
+        assert even.k == 20 and w is not None and apply_permutation(even, w) == moved
 
     def test_zero_dimensional_codes(self):
         z = from_generator(parse_matrix("0000"))
@@ -217,10 +224,10 @@ def drawn_weights(monkeypatch):
     """Per code that the search streams, the weights it reads from _words_by_weight."""
     drawn, stream = [], equivalence._words_by_weight
 
-    def spy(c):
+    def spy(c, budget):
         weights = []
         drawn.append(weights)
-        for w, words in stream(c):
+        for w, words in stream(c, budget):
             weights.append(w)
             yield w, words
 
@@ -478,9 +485,50 @@ class TestWordBudget:
         monkeypatch.setattr(equivalence, "EQUIVALENCE_WORD_BUDGET", 811)
         with pytest.raises(EnumerationCapError, match="would read 812 light words, past the budget 811"):
             are_permutation_equivalent(e8e8, d16)
-        # a search within the budget answers as before
+        # each code's row sums are drawn within the same budget: this n=32
+        # pair would draw 1,392, so it is refused before any weighing, and
+        # answered within the real budget
         a = random_self_dual(32, 10, 101)
-        assert are_permutation_equivalent(a, permuted(a, random.Random(1))) is not None
+        moved = permuted(a, random.Random(1))
+        with pytest.raises(EnumerationCapError, match="drawn to 1392, past the budget 811$"):
+            are_permutation_equivalent(a, moved)
+        monkeypatch.undo()
+        assert are_permutation_equivalent(a, moved) is not None
+
+
+def extended_qr(p):
+    """The extended binary quadratic residue code of a prime p = -1 mod 8:
+    the cyclic shifts of the residues' indicator, each extended by parity."""
+    residues = {i * i % p for i in range(1, p)}
+    rows = [sum(1 << (q + s) % p for q in residues) for s in range(p)]
+    return LinearCode(p + 1, [r | (r.bit_count() & 1) << p for r in rows])
+
+
+class TestLongCodes:
+    """Codes longer than 32 are answered within the word budget, and codes
+    longer than 255 are refused."""
+
+    @pytest.mark.parametrize("n,steps", [(48, 40), (64, 60)])
+    def test_permuted_walk_codes(self, n, steps):
+        a = random_self_dual(n, steps, 0)
+        moved = permuted(a, random.Random(1))
+        start = time.perf_counter()
+        w = are_permutation_equivalent(a, moved)
+        assert time.perf_counter() - start < 1
+        assert w is not None and apply_permutation(a, w) == moved
+
+    def test_extended_qr_code_at_n32(self):
+        xqr32 = extended_qr(31)
+        assert xqr32.is_self_dual() and xqr32.minimum_distance() == 8
+        assert xqr32.classify() is code.CodeType.TYPE_II
+        moved = permuted(xqr32, random.Random(2))
+        w = are_permutation_equivalent(xqr32, moved)
+        assert w is not None and apply_permutation(xqr32, w) == moved
+
+    def test_length_256_refused(self):
+        a = random_self_dual(256, 10, 0)
+        with pytest.raises(EnumerationCapError, match="length 256 is past 255"):
+            are_permutation_equivalent(a, permuted(a, random.Random(0)))
 
 
 def weight4_components(c):
