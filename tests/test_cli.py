@@ -291,7 +291,6 @@ class TestEquivalent:
         assert status == 2 and out == ""
         assert err.startswith("error: equivalence search budget exceeded") and "past the budget 10" in err
 
-
     def test_length_256_exits_2_without_traceback(self, tmp_path):
         for name, steps in (("A", 10), ("B", 11)):
             (tmp_path / name).write_text(serialize_matrix(random_self_dual(256, steps, 0).generator))

@@ -485,9 +485,9 @@ class TestWordBudget:
         monkeypatch.setattr(equivalence, "EQUIVALENCE_WORD_BUDGET", 811)
         with pytest.raises(EnumerationCapError, match="would read 812 light words, past the budget 811"):
             are_permutation_equivalent(e8e8, d16)
-        # each code's row sums are drawn within the same budget: this n=32
-        # pair would draw 1,392, so it is refused before any weighing, and
-        # answered within the real budget
+        # each code's row sums are drawn within the same budget: a round of
+        # this n=32 pair would bring them to 1,392, so it is refused before
+        # any weighing, and answered within the real budget
         a = random_self_dual(32, 10, 101)
         moved = permuted(a, random.Random(1))
         with pytest.raises(EnumerationCapError, match="drawn to 1392, past the budget 811$"):
