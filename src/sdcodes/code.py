@@ -3,8 +3,7 @@
 A LinearCode is stored as its length and its canonical generator rows as
 ints (RREF, zero rows dropped), so code equality is literal row equality,
 and the pivot of each row (its lowest set bit), found once per code and
-read by every reduction against its rows, the Gray index and the
-information-set search.
+read by every reduction against its rows and the information-set search.
 Every RREF but a neighbor step's comes from the row-space moves of gf2:
 rows that are already in that form are kept without elimination, and the
 dual and intersections are cut from unit rows and from the code's own rows,
@@ -259,16 +258,6 @@ def _gray_blocks(rows: Sequence[int]) -> Iterator[Iterator[int]]:
 def _gray_words(rows: Sequence[int]) -> Iterator[int]:
     """All words of the span of rows, in Gray-code order, starting at 0."""
     return chain.from_iterable(_gray_blocks(rows))
-
-
-def _gray_index(code: LinearCode, word: int) -> int:
-    """The index of word in _gray_words(code.rows): bit b is the XOR of word's
-    bits at the pivots of rows[b:], the inverse Gray map of its coefficients."""
-    j = 0
-    for b, p in enumerate(code.pivots):
-        if word & p:
-            j ^= (2 << b) - 1
-    return j
 
 
 def _information_set_generators(code: LinearCode) -> list[tuple[list[int], int]]:

@@ -21,13 +21,11 @@ weighs nothing.  Any witness returned has been verified.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
 
 from .code import (
     EnumerationCapError,
     InternalConsistencyError,
     LinearCode,
-    _gray_index,
     _words_by_weight,
 )
 from .gf2 import _check_lengths, _insert_rref, _ones
@@ -124,11 +122,11 @@ def _weigh(masks, light, known=None):
     return (meets, tally, classes) if known is None else classes
 
 
-def _map_basis(depth: int, pairs, basis, by_weight, order, light1, light2, kept, spent):
+def _map_basis(depth: int, pairs, basis, by_weight, light1, light2, kept, spent):
     """c1's and c2's columns as (c1 mask, c2 mask) pairs of classes, once
     images of basis[depth:] are chosen depth-first, each from c2's words of
-    its weight in order, so that each meets every c2 class as its basis word
-    meets the c1 class; or None.
+    its weight in increasing value, so that each meets every c2 class as its
+    basis word meets the c1 class; or None.
 
     Both masks of a pair split together and keep equal sizes, so the images
     are a column permutation of the independent basis rows.  An equivalence
@@ -150,20 +148,20 @@ def _map_basis(depth: int, pairs, basis, by_weight, order, light1, light2, kept,
     words = by_weight.get(b.bit_count(), ())
     masks2 = [m2 for _, m2 in pairs]
     # an image covers the partner of each class inside b and misses that of
-    # each class outside it; only the words that do are put in order
+    # each class outside it; only the words that do are sorted
     whole = sum(m2 for m1, m2 in pairs if not m1 & ~b)
     fixed = whole + sum(m2 for m1, m2 in pairs if not m1 & b)
     if fixed == sum(masks2):
         # b splits no class: whole is its one possible image
         if whole not in words:
             return None
-        return _map_basis(depth + 1, pairs, basis, by_weight, order, light1, light2, kept, spent)
+        return _map_basis(depth + 1, pairs, basis, by_weight, light1, light2, kept, spent)
     halves1 = [m1 & c for c in (b, ~b) for m1, _ in pairs]
     if depth not in kept:
         kept[depth] = _weigh([m1 for m1 in halves1 if m1], light1)
     known = kept[depth]
     ones = [(b & m1).bit_count() for m1, _ in pairs]
-    for cand in sorted((x for x in words if x & fixed == whole), key=order):
+    for cand in sorted(x for x in words if x & fixed == whole):
         if list(map(int.bit_count, map(cand.__and__, masks2))) == ones:
             halves2 = [m2 & c for c in (cand, ~cand) for m2 in masks2]
             spent[0] += len(light2[0])
@@ -175,7 +173,7 @@ def _map_basis(depth: int, pairs, basis, by_weight, order, light1, light2, kept,
             split = _weigh([m2 for m1, m2 in zip(halves1, halves2) if m1], light2, known)
             if split is not None:
                 child = list(zip(known[2], split))
-                found = _map_basis(depth + 1, child, basis, by_weight, order, light1, light2, kept, spent)
+                found = _map_basis(depth + 1, child, basis, by_weight, light1, light2, kept, spent)
                 if found is not None:
                     return found
     return None
@@ -228,22 +226,20 @@ def are_permutation_equivalent(
     light1, light2 = (
         _light([x for w, g in gs.items() if w <= mid for x in g], n) for gs in (groups1, groups2)
     )
-    # c2's candidates come in the order of its Gray sweep
-    order = cache(partial(_gray_index, c2))
     # one class of all columns, split by color: each column's count of
     # light words of each weight
     known = _weigh([(1 << n) - 1], light1)
     split = _weigh([(1 << n) - 1], light2, known)
     if split is None:
         return None
-    classes = _map_basis(0, list(zip(known[2], split)), basis, groups2, order, light1, light2, {}, [len(light2[0])])
+    classes = _map_basis(0, list(zip(known[2], split)), basis, groups2, light1, light2, {}, [len(light2[0])])
     if classes is None:
         return None
 
     # pairs of equal size admit a column bijection realizing the map
     images = [0] * n
     for m1, m2 in classes:
-        for i, j in zip(_ones(m1), reversed(_ones(m2))):
+        for i, j in zip(_ones(m1), _ones(m2)):
             images[i] = j
     witness = CoordinatePermutation(images)
     if apply_permutation(c1, witness) != c2:

@@ -13,7 +13,6 @@ from sdcodes.code import (
     CodeType,
     EnumerationCapError,
     LinearCode,
-    _gray_index,
     _gray_words,
     _bz_rounds,
     _bz_streams,
@@ -132,13 +131,13 @@ class TestStoredPivots:
                     c = neighborhood.neighbor_step(c, BitVector(n, x))
                     self.assert_pivots(c)
 
-    def test_reductions_and_gray_index_read_the_stored_pivots(self):
+    def test_reductions_read_the_stored_pivots(self):
         # a code whose stored pivots were cleared reduces nothing away
         c = random_self_dual(16, 5, 2)
         x = c.rows[0] ^ c.rows[3]
-        assert c._reduce(x) == 0 and _gray_index(c, x) != 0
+        assert c._reduce(x) == 0
         object.__setattr__(c, "pivots", (0,) * c.k)
-        assert c._reduce(x) == x and _gray_index(c, x) == 0
+        assert c._reduce(x) == x
 
     def test_certificate_and_information_sets_read_the_stored_mask(self):
         # with the stored mask cleared, the second information set may reuse
@@ -336,15 +335,6 @@ class TestEnumeration:
         with pytest.raises(EnumerationCapError, match="exceeds enumeration cap 30"):
             c.weight_enumerator()
         assert c.minimum_distance() == 1
-
-
-class TestGrayIndex:
-    def test_index_j_of_word_j_of_the_sweep(self):
-        rng = random.Random(17)
-        for k in range(11):
-            n = k + rng.randrange(12)
-            c = LinearCode(n, [rng.getrandbits(n) for _ in range(k)])
-            assert [_gray_index(c, x) for x in _gray_words(c.rows)] == list(range(1 << c.k))
 
 
 class TestSweepPastOneBlock:

@@ -685,7 +685,7 @@ class TestLightWordCut:
         # image, the partners of columns 0 and 1, must be one of c2's words
         pairs = [(1 << i, 1 << (3 - i)) for i in range(4)]
         for words, found in (({0b0110}, None), ({0b0110, 0b1100}, pairs)):
-            assert equivalence._map_basis(0, pairs, [0b0011], {2: words}, None, None, None, {}, [0]) == found
+            assert equivalence._map_basis(0, pairs, [0b0011], {2: words}, None, None, {}, [0]) == found
 
     def test_meets_count_columns_of_each_mask(self):
         words = [0b0111, 0b1100, 0b1010, 0b0111]
