@@ -48,7 +48,7 @@ GOLDENS = [
     (["neighbors", "fixture:G1", "fixture:G2"], None, 0,
      "1a5a4cb7afca86961ddbfd620e4244fff2ca6c5eaf463a2a92360139e4956a93"),
     (["equivalent", "fixture:G1", "fixture:G2"], None, 0,
-     "57c43b6436d450f297bdc72d98a7d01dd4d93d9b5f35bada252f640638d63ecc"),
+     "ed46befe01c2721534bb7de9bde206992df59b9fcd9c176a97432b3136269433"),
     (["equivalent", "fixture:G1", "fixture:G3"], None, 1,
      "d1315949388298b8b40a72433a5e31e78df950934c7107804d5b0775d3a1eadf"),
     (["search", "--n", "16", "--steps", "200", "--seed", "7"], None, 0,
@@ -58,15 +58,15 @@ GOLDENS = [
     (["search", "--n", "512", "--steps", "30", "--no-distance", "--report-best"], None, 0,
      "1733f103780907ffe01dbc51400b5b9599028281ffbf4fa8db046972c2486c16"),
     (["verify-paper"], None, 0,
-     "108243de4356c7b84ab23e320e3848e9e2777e4893c24887a996f9cda6950633"),
+     "597991c5604d128daab8bf480f3e5bf60e75125a475beb1c89a6716f2548f383"),
     # a valid Type I input whose no_better_type1 verdict fails (d=6 vs 4, 4)
     (["neighborhood", "-"], "walk32", 1,
      "0ece5574e52790b0b8e38bf23f293a9a880743b0dc1a9a447d4af1c00a244784"),
     # seeded coordinate permutations of a fixture: pins the DFS witness
     (["equivalent", "fixture:G1", "-"], "G1perm", 0,
-     "ac1583f8205860e0d0fc024f60905dd2b6ab2de1d947a002017a470fdaf59f0f"),
+     "5a9c809061727eded09227b236a92e6b0c4f519cce05e6d9b11f0e6027180758"),
     (["equivalent", "fixture:G4", "-"], "G4perm", 0,
-     "180b894555fa2e4f4c05bad1a9c8106f6bca3c8dd455bee5c311b5e167b51f26"),
+     "b99051297b2066d77645935d36fe17754cf6ee8028b5693b49719fb0e1b73be0"),
     # walk distances at n=40 and n=48 (k=20, k=24), and info at k=20
     (["search", "--n", "40", "--steps", "8", "--seed", "1"], None, 0,
      "55a705d9bd4fc12f17802a019d484fe7026426488d576040b4a90bed0de1a5c0"),
@@ -81,7 +81,7 @@ GOLDENS = [
     # n=32 walk codes: a seeded permutation of one (pins the witness), and
     # an inequivalent pair with equal weight enumerators
     (["equivalent", "walk32.txt", "-"], "walk32perm", 0,
-     "a874cc71e3f3b15ba53fcd1da14e1c25f35d4aa28b15ae85e65b4a6f483526c3"),
+     "8236203176297190aad155c5c322e6f6947dfe55afbc0ad12424aaeee60487dc"),
     (["equivalent", "walk2001-8.txt", "-"], "walk2001-12perm", 1,
      "cd4b8171c3036f3b520143cdd4d51e4341a834c61bf2f94f425dcf9bb3067a63"),
     # n=64, past the sweep's cap of k=30: walk distances, and a Type I
