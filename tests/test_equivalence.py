@@ -634,6 +634,8 @@ class TestLightWordCut:
             (random_self_dual(32, 4, 2), permuted(random_self_dual(32, 4, 2), random.Random(2))),
             (random_self_dual(32, 10, 101), permuted(random_self_dual(32, 10, 101), random.Random(1))),
             (e8e8, d16),
+            # a positive pair whose search backtracks past forced depths
+            (random_self_dual(32, 3, 2), permuted(random_self_dual(32, 3, 2), random.Random(2))),
         ]:
             # per open node: weighings of c1's side, of c2's side, and calls
             frames, splitting = [[0, 0, 0]], set()
@@ -676,7 +678,7 @@ class TestLightWordCut:
             assert frames == [[1, 1, 1]]
         # the weighings of c1's side and of c2's: the classes split by color
         # let fewer candidates pass the ones test
-        assert totals == [[14, 14], [5, 7], [2, 29]]
+        assert totals == [[14, 14], [5, 7], [2, 29], [14, 29]]
         # each kind of node occurs, with and without a witness below it
         assert len(kinds) == 4
 
