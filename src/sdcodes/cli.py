@@ -65,6 +65,13 @@ def _load_source(token: str | None) -> tuple[str, LinearCode]:
     raise MatrixFormatError(f"no such file: {token}")
 
 
+def _load_pair(args) -> tuple[tuple[str, LinearCode], tuple[str, LinearCode]]:
+    """Resolve a two-input command's inputs; stdin is read once, so '-' may name only one."""
+    if args.a == args.b == "-":
+        raise MatrixFormatError("'-' names both inputs, but stdin can feed only one")
+    return _load_source(args.a), _load_source(args.b)
+
+
 def _cmd_info(args) -> int:
     name, code = _load_source(args.input)
     we = code.weight_enumerator()
@@ -142,8 +149,7 @@ def _neighborhood_text(record: dict) -> str:
 
 
 def _cmd_neighbors(args) -> int:
-    name_a, code_a = _load_source(args.a)
-    name_b, code_b = _load_source(args.b)
+    (name_a, code_a), (name_b, code_b) = _load_pair(args)
     meet = _meet_dimension(code_a, code_b)
     result = meet == code_a.n // 2 - 1
     record = {
@@ -163,8 +169,7 @@ def _cmd_neighbors(args) -> int:
 
 
 def _cmd_equivalent(args) -> int:
-    name_a, code_a = _load_source(args.a)
-    name_b, code_b = _load_source(args.b)
+    (name_a, code_a), (name_b, code_b) = _load_pair(args)
     witness = are_permutation_equivalent(code_a, code_b)
     record = {
         "command": "equivalent",

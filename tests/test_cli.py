@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -256,6 +257,18 @@ class TestNeighbors:
             meets.clear()
             status, out, _ = run_cli(capsys, "neighbors", "fixture:G1", b, "--json")
             assert status == expected and len(meets) == 1
+
+
+@pytest.mark.parametrize("command", ["neighbors", "equivalent"])
+def test_stdin_named_twice_is_refused_before_reading(capsys, monkeypatch, command):
+    # stdin is read once, so a second '-' would see empty input; the command
+    # reads none of it, and the message names stdin, not the matrix
+    stdin = io.StringIO(serialize_matrix(fixture("G1")))
+    monkeypatch.setattr(sys, "stdin", stdin)
+    status, out, err = run_cli(capsys, command, "-", "-", "--json")
+    assert status == 2 and out == ""
+    assert err == "error: '-' names both inputs, but stdin can feed only one\n"
+    assert stdin.tell() == 0
 
 
 class TestEquivalent:
