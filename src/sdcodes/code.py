@@ -260,9 +260,10 @@ def _gray_words(rows: Sequence[int]) -> Iterator[int]:
     return chain.from_iterable(_gray_blocks(rows))
 
 
-def _information_set_generators(code: LinearCode) -> list[tuple[list[int], int]]:
+def _information_set_generators(code: LinearCode) -> list[tuple[list[int], list[int]]]:
     """Generators of code, each systematic on its own information set, with
-    the mask of that set; the first is its rows, on their pivots.
+    the pivot of each row in that set; the first is its rows, on their
+    pivots.
 
     The sets are pairwise disjoint and found greedily: each elimination
     takes its pivots only among columns no earlier set used, and the search
@@ -270,16 +271,14 @@ def _information_set_generators(code: LinearCode) -> list[tuple[list[int], int]]
     dimension 0 has the one empty generator.
     """
     rows = code.rows
-    gens = [(list(rows), code._pivot_mask)]
+    gens = [(list(rows), list(code.pivots))]
     used = code._pivot_mask
     while rows:
         basis: list[int] = []
         pivots: list[int] = []
         for r in rows:
-            for p, b in zip(pivots, basis):
-                if r & p:
-                    r ^= b
-            # r is now zero on every pivot taken so far
+            # zero on every pivot taken so far
+            r = _reduced(basis, r, pivots)
             free = r & ~used
             if not free:
                 return gens
@@ -287,8 +286,8 @@ def _information_set_generators(code: LinearCode) -> list[tuple[list[int], int]]
             basis = [b ^ r if b & p else b for b in basis]
             basis.append(r)
             pivots.append(p)
-        gens.append((basis, sum(pivots)))
-        used |= gens[-1][1]
+        gens.append((basis, pivots))
+        used |= sum(pivots)
     return gens
 
 
@@ -444,11 +443,10 @@ def _shadow_leaders(c: LinearCode, v: int) -> tuple[Triple, Triple, Triple]:
         return text(r) | (r & v).bit_count() & 1
 
     gens, starts, sets = [], [], []
-    for rows, mask in _information_set_generators(c):
+    for rows, pivots in _information_set_generators(c):
         gens.append(list(map(lift, rows)))
-        sets.append(text(mask))
-        # each row has one 1 on the set, at its own pivot
-        starts.append(lift(reduce(xor, compress(rows, [r & mask & v for r in rows]), v)))
+        sets.append(text(sum(pivots)))
+        starts.append(lift(_reduced(rows, v, pivots)))
     m = len(gens)
 
     def open_at(found: tuple[int, int], b: int) -> bool:
