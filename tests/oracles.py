@@ -63,6 +63,17 @@ def o_rref(rows) -> list[tuple[int, ...]]:
     return [tuple(r) for r in rows if any(r)]
 
 
+def o_moved(rows, images) -> list[tuple[int, ...]]:
+    """The rows with the symbol at coordinate i moved to images[i]."""
+    out = []
+    for row in rows:
+        moved = [0] * len(row)
+        for i, bit in enumerate(row):
+            moved[images[i]] = bit
+        out.append(tuple(moved))
+    return out
+
+
 def o_rank(rows) -> int:
     return len(o_rref(rows))
 

@@ -23,7 +23,7 @@ from sdcodes.fixtures_io import parse_matrix
 from sdcodes.gf2 import BitMatrix, BitVector
 from sdcodes.neighborhood import double_pair_code, neighborhood_of, random_self_dual
 
-from oracles import o_column_coverage, o_equivalent, o_equivalent_by_rows, to_bits
+from oracles import o_column_coverage, o_equivalent, o_equivalent_by_rows, o_moved, o_rref, to_bits
 
 
 @pytest.fixture(scope="module")
@@ -376,6 +376,13 @@ class TestProfilePartition:
         assert split > 0
 
 
+def assert_maps_onto(a, b, images):
+    """images map a onto b, checked by the oracles alone: a's rows, moved
+    coordinate by coordinate, span b's rows."""
+    rows_a, rows_b = ([to_bits(r) for r in c.generator] for c in (a, b))
+    assert o_rref(o_moved(rows_a, images)) == o_rref(rows_b)
+
+
 class TestSearchPinned:
     """The basis search, node for node: how many _map_basis calls a pair
     makes and the witness it returns.  A change to how a node is weighed,
@@ -404,7 +411,9 @@ class TestSearchPinned:
         a = random_self_dual(32, *walk)
         b = permuted(a, random.Random(perm))
         assert len(map_basis_calls(monkeypatch, a, b)) == calls
-        assert are_permutation_equivalent(a, b).images == tuple(map(int, images.split()))
+        images = tuple(map(int, images.split()))
+        assert are_permutation_equivalent(a, b).images == images
+        assert_maps_onto(a, b, images)
 
     def test_inequivalent_pairs(self, monkeypatch, e8e8, d16):
         # the CI step's pair is told apart by the colors of all columns,
@@ -456,7 +465,9 @@ class TestSearchPinned:
         # mapped onto its partner in order
         a = random_self_dual(16, 2, 0)
         b = permuted(a, random.Random(0))
-        assert are_permutation_equivalent(a, b).images == (2, 3, 12, 5, 1, 10, 11, 13, 7, 9, 0, 6, 4, 8, 14, 15)
+        images = (2, 3, 12, 5, 1, 10, 11, 13, 7, 9, 0, 6, 4, 8, 14, 15)
+        assert are_permutation_equivalent(a, b).images == images
+        assert_maps_onto(a, b, images)
 
 
 class TestWordBudget:

@@ -11,6 +11,7 @@ matrices, members and search results.
 
 import hashlib
 import io
+import json
 import os
 import random
 import sys
@@ -23,6 +24,8 @@ from sdcodes.code import from_generator
 from sdcodes.equivalence import CoordinatePermutation, apply_permutation
 from sdcodes.fixtures_io import fixture, serialize_matrix
 from sdcodes.neighborhood import random_self_dual
+
+from oracles import o_moved, o_parse_matrix, o_rref
 
 # (argv, stdin producer or None, exit status, sha256 of stdout); an argv
 # token that names a FILES entry is read from a file written for the run
@@ -138,7 +141,8 @@ FILES = {
 }
 
 
-def run(argv, stdin_key, human=False):
+def output(argv, stdin_key, human=False):
+    """The exit status and stdout of one command."""
     if not human:
         argv = argv + ["--json"]
     text = STDIN[stdin_key]() if stdin_key else ""
@@ -156,7 +160,12 @@ def run(argv, stdin_key, human=False):
         finally:
             sys.stdin, sys.stdout = saved
             os.chdir(cwd)
-    return status, hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return status, out.getvalue()
+
+
+def run(argv, stdin_key, human=False):
+    status, text = output(argv, stdin_key, human)
+    return status, hashlib.sha256(text.encode()).hexdigest()
 
 
 def golden_ids(cases=GOLDENS):
@@ -178,6 +187,46 @@ def test_golden(argv, stdin_key, status, digest):
 )
 def test_human_golden(argv, stdin_key, status, digest):
     assert run(argv, stdin_key, human=True) == (status, digest)
+
+
+# the witness that each golden pair of equivalent codes prints, as the
+# images of coordinates 0..n-1; verify-paper prints G1's onto G2 in check 12
+WITNESSES = [
+    (["equivalent", "fixture:G1", "fixture:G2"], None,
+     "0 4 10 6 8 7 9 1 5 2 3 12 13 15 18 20 16 11 19 17 23 21 22 14"),
+    (["equivalent", "fixture:G1", "-"], "G1perm",
+     "1 10 12 4 9 3 7 5 0 6 2 8 13 14 11 17 15 22 21 23 20 16 19 18"),
+    (["equivalent", "fixture:G4", "-"], "G4perm",
+     "4 2 1 9 8 10 15 12 11 17 6 3 0 14 7 13 23 20 18 21 5 22 16 19"),
+    (["equivalent", "walk32.txt", "-"], "walk32perm",
+     "6 13 12 30 18 31 14 23 21 0 15 22 25 4 10 3 9 16 29 26 5 24 1 11 2 7 8 19 17 28 20 27"),
+]
+
+
+def source_text(token, stdin_key):
+    """The matrix text that an input token of a golden command reads."""
+    if token == "-":
+        return STDIN[stdin_key]()
+    if token in FILES:
+        return FILES[token]()
+    return serialize_matrix(fixture(token.removeprefix("fixture:")))
+
+
+@pytest.mark.parametrize("argv,stdin_key,images", WITNESSES, ids=[" ".join(w[0]) for w in WITNESSES])
+def test_golden_witness(argv, stdin_key, images):
+    # the pinned witness is the one printed, and it maps A onto B by the
+    # oracles alone: A's rows moved coordinate by coordinate span B's rows
+    images = list(map(int, images.split()))
+    status, text = output(argv, stdin_key)
+    assert status == 0 and json.loads(text)["witness"] == images
+    (_, rows_a), (_, rows_b) = (o_parse_matrix(source_text(t, stdin_key)) for t in argv[1:])
+    assert o_rref(o_moved(rows_a, images)) == o_rref(rows_b)
+
+
+def test_verify_paper_witness():
+    status, text = output(["verify-paper"], None)
+    (check,) = (r for r in map(json.loads, text.splitlines()) if r.get("criterion") == 12)
+    assert status == 0 and check["details"]["witness"] == list(map(int, WITNESSES[0][2].split()))
 
 
 if __name__ == "__main__":
