@@ -430,7 +430,7 @@ class TestSearchPinned:
 
     def test_direct_sums_at_n24(self, monkeypatch, e8, d16):
         # d16 + e8 against e8 + e8 + e8, which share their weight
-        # enumerators and column profiles, exhausts the search in one call
+        # enumerators and the colors of all columns, exhausts the search in one call
         # (also when colors only cut); the other way round takes thousands,
         # and runs in CI
         e8x3, d16e8 = direct_sum(e8, e8, e8), direct_sum(d16, e8)
