@@ -277,7 +277,6 @@ def _information_set_generators(code: LinearCode) -> list[tuple[list[int], list[
         basis: list[int] = []
         pivots: list[int] = []
         for r in rows:
-            # zero on every pivot taken so far
             r = _reduced(basis, r, pivots)
             free = r & ~used
             if not free:
