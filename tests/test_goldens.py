@@ -6,7 +6,9 @@ changed: distances, coset representatives, member order, walk paths or the
 equivalence witness.  Such a change must be deliberate; print the current
 digests with `PYTHONPATH=src python tests/test_goldens.py`.  GOLDENS run
 with --json; HUMAN_GOLDENS run without it and pin the text renderings of
-matrices, members and search results.
+matrices, members and search results.  WITNESSES pins, as images, the
+witness that each golden pair of equivalent codes prints, and checks it
+with the oracles alone.
 """
 
 import hashlib
