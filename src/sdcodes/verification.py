@@ -2,8 +2,8 @@
 
 Each check is a named function over a VerificationContext that lazily builds
 and caches the expensive shared objects: the six embedded fixture codes,
-their two neighborhoods, one hundred random-walk neighborhoods per length in
-{8, 16, 24}, and a registry of every self-dual code the suite constructs.
+their two neighborhoods, seeded walks to 100 Type I codes per length in
+{8, 16, 24} and their neighborhoods, and a registry derived from all of these.
 Checks return plain JSON-serializable detail dicts so the CLI can stream one
 record per check.
 """
@@ -34,65 +34,62 @@ RANDOM_NEIGHBORHOODS_PER_LENGTH = 100
 
 
 class VerificationContext:
-    """Lazily built shared state; construct once, run any subset of checks."""
-
-    def __init__(self):
-        # every self-dual code the suite constructs, with its type and distance
-        self.registry: dict[LinearCode, tuple[CodeType, int]] = {}
-
-    def _register(self, code: LinearCode, ctype: CodeType, d: int | None = None):
-        if code not in self.registry:
-            if d is None:
-                d = code.minimum_distance()
-            self.registry[code] = (ctype, d)
-
-    def _register_neighborhood(self, nb: Neighborhood):
-        for member, ctype, d in zip(nb.members, nb.member_types, nb.member_distances):
-            self._register(member, ctype, d)
+    """Lazily built shared state; construct once, run any subset of checks.
+    Each cached property builds only what it returns, from the others."""
 
     @cached_property
     def fixture_codes(self) -> dict[str, LinearCode]:
-        codes = {name: from_generator(fixture(name)) for name in FIXTURE_NAMES}
-        for c in codes.values():
-            if c.is_self_dual():
-                self._register(c, c.classify())
-        return codes
+        return {name: from_generator(fixture(name)) for name in FIXTURE_NAMES}
 
     @cached_property
     def fixture_neighborhoods(self) -> tuple[Neighborhood, Neighborhood]:
-        nb1 = neighborhood_of(self.fixture_codes["G3"])
-        nb2 = neighborhood_of(self.fixture_codes["G4"])
-        self._register_neighborhood(nb1)
-        self._register_neighborhood(nb2)
-        return nb1, nb2
+        return neighborhood_of(self.fixture_codes["G3"]), neighborhood_of(self.fixture_codes["G4"])
+
+    @cached_property
+    def walk_codes(self) -> dict[int, list[LinearCode]]:
+        """Per length: the seeded walk up to its 100th Type I code."""
+        out: dict[int, list[LinearCode]] = {}
+        for n in RANDOM_WALK_LENGTHS:
+            codes, type1 = [], 0
+            walk = walk_self_dual(n, seed=n)
+            for _ in range(50 * RANDOM_NEIGHBORHOODS_PER_LENGTH):
+                codes.append(next(walk))
+                type1 += codes[-1].classify() is CodeType.TYPE_I
+                if type1 == RANDOM_NEIGHBORHOODS_PER_LENGTH:
+                    break
+            else:
+                raise RuntimeError(f"walk at n={n} yielded too few Type I codes")
+            out[n] = codes
+        return out
 
     @cached_property
     def random_neighborhoods(self) -> dict[int, list[Neighborhood]]:
-        """Per length: neighborhoods of the first 100 Type I codes on a seeded walk."""
-        out: dict[int, list[Neighborhood]] = {}
-        for n in RANDOM_WALK_LENGTHS:
-            found: list[Neighborhood] = []
-            walk = walk_self_dual(n, seed=n)
-            for _ in range(50 * RANDOM_NEIGHBORHOODS_PER_LENGTH):
-                c = next(walk)
-                ctype = c.classify()
-                self._register(c, ctype)
-                if ctype is CodeType.TYPE_I:
-                    nb = neighborhood_of(c)
-                    self._register_neighborhood(nb)
-                    found.append(nb)
-                    if len(found) == RANDOM_NEIGHBORHOODS_PER_LENGTH:
-                        break
-            else:
-                raise RuntimeError(f"walk at n={n} yielded too few Type I codes")
-            out[n] = found
-        return out
+        """Per length: the neighborhoods of the walk's Type I codes."""
+        return {
+            n: [neighborhood_of(c) for c in codes if c.classify() is CodeType.TYPE_I]
+            for n, codes in self.walk_codes.items()
+        }
 
     def all_neighborhoods(self) -> list[Neighborhood]:
         nb1, nb2 = self.fixture_neighborhoods
         return [nb1, nb2] + [
             nb for nbs in self.random_neighborhoods.values() for nb in nbs
         ]
+
+    @cached_property
+    def registry(self) -> dict[LinearCode, tuple[CodeType, int]]:
+        """Every self-dual code the suite constructs, with its type and
+        distance: each neighborhood member as its neighborhood found them,
+        then each fixture and walk code outside them from its own search."""
+        registry = {
+            member: (ctype, d)
+            for nb in self.all_neighborhoods()
+            for member, ctype, d in zip(nb.members, nb.member_types, nb.member_distances)
+        }
+        for c in [*self.fixture_codes.values(), *(c for cs in self.walk_codes.values() for c in cs)]:
+            if c not in registry and c.is_self_dual():
+                registry[c] = (c.classify(), c.minimum_distance())
+        return registry
 
 
 def _check_fixture_self_duality(ctx: VerificationContext):
@@ -218,15 +215,8 @@ def _check_weight_sum_formula(ctx: VerificationContext):
     return True, {"pairs_checked": checked}
 
 
-def _populated_registry(ctx: VerificationContext):
-    ctx.fixture_codes
-    ctx.fixture_neighborhoods
-    ctx.random_neighborhoods
-    return ctx.registry
-
-
 def _check_all_ones_membership(ctx: VerificationContext):
-    registry = _populated_registry(ctx)
+    registry = ctx.registry
     missing = sum(
         1 for code in registry if not code.contains(BitVector.ones(code.n))
     )
@@ -237,14 +227,12 @@ def _check_all_ones_membership(ctx: VerificationContext):
 
 
 def _check_extremal_bounds(ctx: VerificationContext):
-    registry = _populated_registry(ctx)
+    registry = ctx.registry
     violations = 0
     for code, (ctype, d) in registry.items():
         if d > extremal_bound(code.n, ctype):
             violations += 1
-    golay = ctx.fixture_codes["G1"]
-    entry = registry.get(golay)
-    d1 = entry[1] if entry else golay.minimum_distance()
+    _, d1 = registry.get(ctx.fixture_codes["G1"], (None, None))
     meets = (
         d1 == extremal_bound(24, CodeType.TYPE_II) == extremal_bound(24, CodeType.TYPE_I) == 8
     )

@@ -462,6 +462,10 @@ class TestSearch:
         status, _, err = run_cli(capsys, "search", "--n", "10")
         assert status == 2 and "divisible by 8" in err
 
+    def test_negative_steps_rejected(self, capsys):
+        status, out, err = run_cli(capsys, "search", "--n", "8", "--steps", "-1")
+        assert status == 2 and out == "" and "steps must be nonnegative, got -1" in err
+
     def test_distances_past_the_sweep_cap(self, capsys):
         # k=32: each step's distance comes from a few Brouwer-Zimmermann rounds
         status, out, _ = run_cli(capsys, "search", "--n", "64", "--steps", "3", "--json")

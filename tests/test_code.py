@@ -862,3 +862,7 @@ class TestExtremalBound:
     def test_only_self_dual_types(self):
         with pytest.raises(ValueError):
             extremal_bound(8, CodeType.NOT_SELF_ORTHOGONAL)
+
+    def test_length_must_be_positive(self):
+        with pytest.raises(ValueError, match="^length must be positive$"):
+            extremal_bound(0, CodeType.TYPE_I)

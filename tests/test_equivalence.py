@@ -16,12 +16,13 @@ from sdcodes.code import (
 from sdcodes.equivalence import (
     CoordinatePermutation,
     _permute_bits,
+    _weigh,
     apply_permutation,
     are_permutation_equivalent,
 )
 from sdcodes.fixtures_io import parse_matrix
 from sdcodes.gf2 import BitMatrix, BitVector
-from sdcodes.neighborhood import double_pair_code, neighborhood_of, random_self_dual
+from sdcodes.neighborhood import double_pair_code, neighbor_step, neighborhood_of, random_self_dual
 
 from oracles import o_column_coverage, o_equivalent, o_equivalent_by_rows, o_moved, o_rref, to_bits
 
@@ -307,6 +308,20 @@ def permuted(c, rng):
     return apply_permutation(c, CoordinatePermutation(tuple(images)))
 
 
+def type2_walk_from_e8x4(count):
+    """The first count codes of the Type II walk from e8 + e8 + e8 + e8:
+    each a neighbor step by the next doubly-even word of random.Random(0)
+    outside the code."""
+    c = LinearCode(32, [r << 8 * b for b in range(4) for r in (0xF0, 0xCC, 0xAA, 0xFF)])
+    rng, steps = random.Random(0), []
+    while len(steps) < count:
+        x = BitVector(32, rng.getrandbits(32))
+        if x.weight() % 4 == 0 and not c.contains(x):
+            c = neighbor_step(c, x)
+            steps.append(c)
+    return steps
+
+
 def map_basis_calls(monkeypatch, c1, c2):
     """The classes of each _map_basis call while deciding c1 against c2."""
     calls, search = [], equivalence._map_basis
@@ -321,9 +336,32 @@ def map_basis_calls(monkeypatch, c1, c2):
     return calls
 
 
+def light_words_read(monkeypatch, c1, c2):
+    """The light words that c2's weighings read while deciding c1 against
+    c2, the root's included: the search's spent[0] at its end."""
+    spent, search = [], equivalence._map_basis
+
+    def spy(*args):
+        spent.append(args[-1])
+        return search(*args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(equivalence, "_map_basis", spy)
+        are_permutation_equivalent(c1, c2)
+    return spent[0][0]
+
+
 def unweighed(masks, light, known=None):
     """_weigh that splits and cuts nothing: the search without colors."""
     return masks if known is not None else ([], [], masks)
+
+
+def cut_only(masks, light, known=None):
+    """_weigh that cuts as colors cut and splits no class."""
+    weighed = _weigh(masks, light, known)
+    if weighed is None:
+        return None
+    return masks if known is not None else (*weighed[:2], masks)
 
 
 class TestProfilePartition:
@@ -459,6 +497,20 @@ class TestSearchPinned:
             assert len(map_basis_calls(monkeypatch, a, moved)) == calls
             assert are_permutation_equivalent(a, moved) is None
 
+    def test_extremal_type2_pair(self, monkeypatch):
+        # steps 23 and 26 of the Type II walk that CI runs: two equivalent
+        # [32,16,8] codes; classes split by color read fewer light words
+        # than classes only cut by colors
+        steps = type2_walk_from_e8x4(26)
+        a, b = steps[22], steps[25]
+        assert a.minimum_distance() == b.minimum_distance() == 8
+        assert len(map_basis_calls(monkeypatch, a, b)) == 20
+        assert light_words_read(monkeypatch, a, b) == 229_400
+        images = are_permutation_equivalent(a, b).images
+        assert_maps_onto(a, b, images)
+        monkeypatch.setattr(equivalence, "_weigh", cut_only)
+        assert light_words_read(monkeypatch, a, b) == 534_440
+
     def test_classes_left_whole_by_the_basis(self):
         # two words of weight 2 in a self-dual code: two pairs of columns
         # equal in every word, which no basis word splits; each class is
@@ -580,25 +632,24 @@ class TestLightWordCut:
     tests count what is cut."""
 
     @pytest.mark.parametrize(
-        "walk, perm, unsplit, uncut",
-        [((12, 19), 32, 17, 4121), ((12, 1015), 0, 17, 3509), ((24, 1021), 0, 17, 734)],
+        "walk, perm, unsplit, uncut, words",
+        [
+            ((12, 19), 32, 17, 4121, (144, 888)),
+            ((12, 1015), 0, 17, 3509, (168, 896)),
+            ((24, 1021), 0, 17, 734, (222, 888)),
+        ],
     )
-    def test_same_witness_from_far_fewer_searches(self, monkeypatch, walk, perm, unsplit, uncut):
+    def test_same_witness_from_far_fewer_searches(self, monkeypatch, walk, perm, unsplit, uncut, words):
         a = random_self_dual(32, *walk)
         b = permuted(a, random.Random(perm))
         cut_calls = len(map_basis_calls(monkeypatch, a, b))
+        split_words = light_words_read(monkeypatch, a, b)
         witness = are_permutation_equivalent(a, b)
-        weigh = equivalence._weigh
-
-        def cut_only(masks, light, known=None):
-            weighed = weigh(masks, light, known)
-            if weighed is None:
-                return None
-            return masks if known is not None else (*weighed[:2], masks)
-
-        # nodes cut as colors cut them, and no class split
+        # nodes cut as colors cut them, and no class split: as many calls,
+        # but more candidates weighed, each reading all light words
         monkeypatch.setattr(equivalence, "_weigh", cut_only)
         assert len(map_basis_calls(monkeypatch, a, b)) == unsplit
+        assert (split_words, light_words_read(monkeypatch, a, b)) == words
         assert are_permutation_equivalent(a, b) == witness
         # no class split and no node cut
         monkeypatch.setattr(equivalence, "_weigh", unweighed)

@@ -55,6 +55,10 @@ class TestBitVector:
         with pytest.raises(ValueError):
             BitVector(1 << 17, 0)
 
+    def test_index_out_of_range(self):
+        with pytest.raises(IndexError, match="^coordinate 3 out of range for length 3$"):
+            BitVector(3)[3]
+
     def test_factories(self):
         assert BitVector(5).to01() == "00000"
         assert BitVector.ones(3).to01() == "111"
@@ -200,6 +204,12 @@ class TestBitMatrix:
             BitMatrix([])
         m = BitMatrix([], ncols=4)
         assert m.nrows == 0 and m.ncols == 4
+
+    def test_declared_ncols_checked(self):
+        with pytest.raises(ValueError, match="^declared ncols 4 != row length 3$"):
+            BitMatrix([BitVector(3)], ncols=4)
+        with pytest.raises(ValueError, match=r"^ncols must be in \[1, 65536\], got 0$"):
+            BitMatrix([], ncols=0)
 
     @given(bitmatrix())
     def test_rank_matches_oracle(self, m):

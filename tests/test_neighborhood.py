@@ -228,6 +228,17 @@ class TestPreconditions:
         with pytest.raises(ValueError, match="dimension"):
             neighborhood_containing(double_pair_code(8))
 
+    def test_c_max_length_not_multiple_of_8(self):
+        with pytest.raises(ValueError, match="requires length divisible by 8, got 12$"):
+            neighborhood_containing(double_pair_code(12))
+
+    def test_c_max_not_self_orthogonal(self):
+        # dimension 3 at n=8, but rows 0 and 1 meet in one coordinate
+        c = LinearCode(8, [0b11, 0b110, 0b11110000])
+        assert c.k == 3
+        with pytest.raises(ValueError, match="^c_max must be self-orthogonal$"):
+            neighborhood_containing(c)
+
     def test_not_doubly_even(self):
         c = from_generator(parse_matrix("11000000\n00110000\n00001111"))
         with pytest.raises(ValueError, match="doubly-even"):
