@@ -336,9 +336,9 @@ def map_basis_calls(monkeypatch, c1, c2):
     return calls
 
 
-def light_words_read(monkeypatch, c1, c2):
-    """The light words that c2's weighings read while deciding c1 against
-    c2, the root's included: the search's spent[0] at its end."""
+def calls_and_words(monkeypatch, c1, c2):
+    """How many _map_basis calls deciding c1 against c2 makes, and how many
+    light words c2's weighings read, the root's included (spent[0])."""
     spent, search = [], equivalence._map_basis
 
     def spy(*args):
@@ -348,7 +348,7 @@ def light_words_read(monkeypatch, c1, c2):
     with monkeypatch.context() as mp:
         mp.setattr(equivalence, "_map_basis", spy)
         are_permutation_equivalent(c1, c2)
-    return spent[0][0]
+    return len(spent), spent[0][0]
 
 
 def unweighed(masks, light, known=None):
@@ -504,12 +504,10 @@ class TestSearchPinned:
         steps = type2_walk_from_e8x4(26)
         a, b = steps[22], steps[25]
         assert a.minimum_distance() == b.minimum_distance() == 8
-        assert len(map_basis_calls(monkeypatch, a, b)) == 20
-        assert light_words_read(monkeypatch, a, b) == 229_400
-        images = are_permutation_equivalent(a, b).images
-        assert_maps_onto(a, b, images)
+        assert calls_and_words(monkeypatch, a, b) == (20, 229_400)
+        assert_maps_onto(a, b, are_permutation_equivalent(a, b).images)
         monkeypatch.setattr(equivalence, "_weigh", cut_only)
-        assert light_words_read(monkeypatch, a, b) == 534_440
+        assert calls_and_words(monkeypatch, a, b) == (20, 534_440)
 
     def test_classes_left_whole_by_the_basis(self):
         # two words of weight 2 in a self-dual code: two pairs of columns
@@ -642,14 +640,13 @@ class TestLightWordCut:
     def test_same_witness_from_far_fewer_searches(self, monkeypatch, walk, perm, unsplit, uncut, words):
         a = random_self_dual(32, *walk)
         b = permuted(a, random.Random(perm))
-        cut_calls = len(map_basis_calls(monkeypatch, a, b))
-        split_words = light_words_read(monkeypatch, a, b)
+        cut_calls, split_words = calls_and_words(monkeypatch, a, b)
         witness = are_permutation_equivalent(a, b)
         # nodes cut as colors cut them, and no class split: as many calls,
         # but more candidates weighed, each reading all light words
         monkeypatch.setattr(equivalence, "_weigh", cut_only)
-        assert len(map_basis_calls(monkeypatch, a, b)) == unsplit
-        assert (split_words, light_words_read(monkeypatch, a, b)) == words
+        calls, cut_words = calls_and_words(monkeypatch, a, b)
+        assert calls == unsplit and (split_words, cut_words) == words
         assert are_permutation_equivalent(a, b) == witness
         # no class split and no node cut
         monkeypatch.setattr(equivalence, "_weigh", unweighed)
