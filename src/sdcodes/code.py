@@ -13,7 +13,8 @@ them as they are (LinearCode._proved_step), with no second check.
 Self-orthogonality is decided by one pass over all pairs of rows, once per
 code, and stored with it; a neighbor step stores instead the result of an
 O(k) certificate that derives it from that of the code it came from.
-Weight enumeration streams all 2^k codewords with one Gray-code sweep.
+Weight enumeration streams all 2^k codewords as one table of the sums of
+the low rows, XORed with each sum of the high rows (_span_words).
 The lightest words of a span, for minimum distance and for the light words
 that the equivalence search maps (_words_by_weight), and the coset
 representatives of a neighborhood (_shadow_leaders, one search of its Type I
@@ -33,7 +34,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from functools import reduce
-from itertools import accumulate, chain, combinations, compress, islice, product
+from itertools import chain, combinations, compress, islice, product, repeat
 from math import comb
 from operator import xor
 from typing import Iterable, Iterator, Sequence
@@ -194,14 +195,14 @@ class LinearCode:
         return best
 
     def weight_enumerator(self) -> Counter[int]:
-        """Full weight distribution via one Gray-code sweep: the number of
-        codewords of each weight, nonzero counts only, in weight order."""
+        """Full weight distribution from one sweep of the 2^k codewords
+        (_span_words): nonzero counts of each weight, in weight order."""
         if self.k > DEFAULT_ENUMERATION_CAP:
             raise EnumerationCapError(
                 f"instance too large: dimension {self.k} exceeds enumeration cap "
                 f"{DEFAULT_ENUMERATION_CAP}"
             )
-        counts = Counter(map(int.bit_count, _gray_words(self.rows)))
+        counts = Counter(map(int.bit_count, _span_words(self.rows)))
         return Counter(dict(sorted(counts.items())))
 
     def classify(self) -> CodeType:
@@ -230,34 +231,15 @@ _BLOCK_BITS = 16
 _LEVEL_WORDS = 1 << _BLOCK_BITS
 
 
-def _gray_blocks(rows: Sequence[int]) -> Iterator[Iterator[int]]:
-    """The span of rows in Gray-code order, as runs of at most 2^_BLOCK_BITS words.
-
-    Word i is the XOR of rows[b] over the set bits b of i ^ (i >> 1), so
-    consecutive words differ by one row and the first word is 0.  Each run
-    replays one fixed ruler of step rows through itertools.accumulate at C
-    speed; only the run's starting word changes, so memory does not grow
-    with the number of words.
-    """
-    k = len(rows)
-    low = min(k, _BLOCK_BITS)
-    # steps[j - 1] is the row in which word j differs from word j - 1, the
-    # one indexed by the lowest set bit of j; each ruler doubles the last
-    steps: list[int] = []
-    for b in range(low):
-        steps += [rows[b]] + steps
-    start = 0
-    for b in range(1 << (k - low)):
-        if b:
-            # the previous run ended at its start ^ rows[low - 1]: a full
-            # ruler steps through every lower row an even number of times
-            start ^= rows[low - 1] ^ rows[low + (b & -b).bit_length() - 1]
-        yield accumulate(steps, xor, initial=start)
-
-
-def _gray_words(rows: Sequence[int]) -> Iterator[int]:
-    """All words of the span of rows, in Gray-code order, starting at 0."""
-    return chain.from_iterable(_gray_blocks(rows))
+def _span_words(rows: Sequence[int]) -> Iterator[int]:
+    """All 2^len(rows) words of the span of rows, 0 first: the table of the
+    sums of the first _BLOCK_BITS rows, built by doubling as are the sums of
+    the rest, XORed with each of those in turn, at C speed."""
+    low, high = [0], [0]
+    for i, r in enumerate(rows):
+        half = low if i < _BLOCK_BITS else high
+        half += [w ^ r for w in half]
+    return chain.from_iterable(map(xor, repeat(s), low) for s in high)
 
 
 def _information_set_generators(code: LinearCode) -> list[tuple[list[int], list[int]]]:

@@ -1,8 +1,8 @@
 """Naive reference implementations used to cross-check the library.
 
 Everything here works on tuples of 0/1 ints and deliberately avoids the
-library's packed-int representation and Gray-code enumeration: different
-data layout, different algorithms, same answers.
+library's packed-int representation and its span sweep (code._span_words):
+different data layout, different algorithms, same answers.
 """
 
 from __future__ import annotations

@@ -210,13 +210,13 @@ class TestNeighborhood:
         # search of the Type I member and its shadow, the verdicts from those
         # distances, and neither c_max nor its dual is swept
         sweeps = []
-        blocks = code._gray_blocks
+        span = code._span_words
 
         def counted(rows):
             sweeps.append(len(rows))
-            return blocks(rows)
+            return span(rows)
 
-        monkeypatch.setattr(code, "_gray_blocks", counted)
+        monkeypatch.setattr(code, "_span_words", counted)
         path = tmp_path / "walk32.txt"
         path.write_text(serialize_matrix(random_self_dual(32, 12, 19).generator))
         status, out, _ = run_cli(capsys, "neighborhood", str(path), "--json")

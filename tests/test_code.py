@@ -13,11 +13,11 @@ from sdcodes.code import (
     CodeType,
     EnumerationCapError,
     LinearCode,
-    _gray_words,
     _bz_rounds,
     _bz_streams,
     _information_set_generators,
     _level_sums,
+    _span_words,
     _words_by_weight,
     extremal_bound,
     from_generator,
@@ -313,19 +313,13 @@ class TestEnumeration:
     def test_codewords_count_and_distinct(self):
         rng = random.Random(14)
         c = random_code(rng, max_n=14)
-        words = list(_gray_words(c.rows))
+        words = list(_span_words(c.rows))
         assert len(words) == 1 << c.k
         assert len(set(words)) == len(words)
         assert words[0] == 0
         if c.k:
             expected = o_codewords([to_bits(r) for r in c.generator])
             assert {int_bits(w, c.n) for w in words} == set(expected)
-
-    def test_gray_order_steps_by_one_generator_row(self, fixture_codes):
-        c = fixture_codes["G5"]
-        rows = set(c.generator.row_ints())
-        words = list(_gray_words(c.rows))
-        assert all(words[i] ^ words[i + 1] in rows for i in range(len(words) - 1))
 
     def test_cap_enforced(self):
         # the sweep would visit 2^31 words; the distance search draws the 31
@@ -338,11 +332,11 @@ class TestEnumeration:
 
 
 class TestSweepPastOneBlock:
-    """The sweep runs in blocks of 2^16 words; these codes need several."""
+    """The sweep runs through a table of 2^16 low sums; these codes need several passes."""
 
     def test_identity_17_enumerates_the_whole_space(self):
         c = LinearCode(17, [1 << i for i in range(17)])
-        assert set(_gray_words(c.rows)) == set(range(1 << 17))
+        assert set(_span_words(c.rows)) == set(range(1 << 17))
         assert c.weight_enumerator() == {w: comb(17, w) for w in range(18)}
         assert c.minimum_distance() == 1
 
@@ -352,24 +346,16 @@ class TestSweepPastOneBlock:
         assert c.weight_enumerator() == {2 * j: comb(18, j) for j in range(19)}
         assert c.minimum_distance() == 2
 
-    def test_gray_order_at_k18(self):
+    def test_four_passes_at_k18(self):
         rng = random.Random(18)
         while True:
             c = LinearCode(40, [rng.getrandbits(40) for _ in range(18)])
             if c.k == 18:
                 break
-        words = list(_gray_words(c.rows))
+        words = list(_span_words(c.rows))
         assert len(words) == 1 << 18 and words[0] == 0
-        rows = set(c.rows)
-        assert all(a ^ b in rows for a, b in zip(words, words[1:]))
-        # word i is the sum of the rows picked by the Gray code i ^ (i >> 1)
-        for i in (1, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 3 << 16, (1 << 18) - 1):
-            g = i ^ (i >> 1)
-            expected = 0
-            for b in range(18):
-                if (g >> b) & 1:
-                    expected ^= c.rows[b]
-            assert words[i] == expected
+        assert len(set(words)) == len(words)
+        assert all(c._reduce(w) == 0 for w in words)
 
 
 class TestMinimumDistance:
@@ -389,7 +375,7 @@ class TestMinimumDistance:
 
 def assert_distance_matches_oracles(c):
     d = c.minimum_distance()
-    assert d == min(w.bit_count() for w in _gray_words(c.rows) if w)
+    assert d == min(w.bit_count() for w in _span_words(c.rows) if w)
     # the tuple oracle re-encodes each message bit by bit: kept to k <= 12
     if c.k <= 12:
         assert d == o_min_distance([to_bits(r) for r in c.generator])
@@ -408,7 +394,7 @@ def self_dual_pool():
 
 
 class TestBrouwerZimmermann:
-    """minimum_distance searches information sets; the Gray stream is its oracle."""
+    """minimum_distance searches information sets; the full span sweep is its oracle."""
 
     def test_random_codes_with_zeroed_columns(self):
         rng = random.Random(21)
@@ -497,7 +483,7 @@ class TestBrouwerZimmermann:
         codes += [random_self_dual(n, 4 + seed, seed) for n in (8, 16, 24) for seed in range(8)]
         divisors, uneven_self_orthogonal, cosets = set(), 0, 0
         for c in filter(lambda c: c.k, codes):
-            words = set(_gray_words(c.rows)) - {0}
+            words = set(_span_words(c.rows)) - {0}
             weights = {w.bit_count() for w in words}
             divisors.add(next(d for d in (4, 2, 1) if all(w % d == 0 for w in weights)))
             uneven_self_orthogonal += all(w % 2 == 0 for w in weights) and not c.is_self_orthogonal()
@@ -538,7 +524,7 @@ class TestBrouwerZimmermann:
         past_last_bound = not_self_orthogonal = 0
         for c in filter(lambda c: c.k, codes):
             by_weight = [set() for _ in range(c.n + 1)]
-            for x in _gray_words(c.rows):
+            for x in _span_words(c.rows):
                 by_weight[x.bit_count()].add(x)
             assert list(_words_by_weight(c)) == list(enumerate(by_weight))[1:]
             *_, (_, last_bound) = _bz_rounds(c)
@@ -698,7 +684,7 @@ class TestPastTheSweepCap:
 def assert_stop_at_matches_sweep(c):
     """For every stop_at in 0..n: the exact d below it, else the weight of a
     codeword between d and stop_at."""
-    weights = set(map(int.bit_count, _gray_words(c.rows))) - {0}
+    weights = set(map(int.bit_count, _span_words(c.rows))) - {0}
     d = min(weights)
     if c.k <= 12:
         assert d == o_min_distance([to_bits(r) for r in c.generator])

@@ -10,7 +10,7 @@ from sdcodes.code import (
     EnumerationCapError,
     InternalConsistencyError,
     LinearCode,
-    _gray_words,
+    _span_words,
     from_generator,
 )
 from sdcodes.equivalence import (
@@ -187,7 +187,7 @@ def assert_root_split_matches_oracle(c):
     """The search's first weighing, of one class of all columns against the
     words up to some weight: with one mask a word's count is its weight, and
     a column's color its coverage profile."""
-    words = list(_gray_words(c.rows))[1:]
+    words = list(_span_words(c.rows))[1:]
     weights = sorted({x.bit_count() for x in words})
     # every weight, and the weights up to the middle one
     for top in (weights[-1], weights[(len(weights) - 1) // 2]):
@@ -237,14 +237,14 @@ def drawn_weights(monkeypatch):
 
 
 class TestLightWordsFromRounds:
-    def test_no_gray_sweep(self, monkeypatch, fixture_codes, e8e8, d16):
+    def test_no_sweep(self, monkeypatch, fixture_codes, e8e8, d16):
         # no sweep, no weight enumerator and no shortened code: each code's
         # groups come from its Brouwer-Zimmermann rounds, up to the heaviest
         # basis weight of c1
         def boom(*args):
             raise AssertionError("called")
 
-        monkeypatch.setattr(code, "_gray_blocks", boom)
+        monkeypatch.setattr(code, "_span_words", boom)
         monkeypatch.setattr(code.LinearCode, "weight_enumerator", boom)
         monkeypatch.setattr(gf2, "_kernel_rows", boom)
         drawn = drawn_weights(monkeypatch)
@@ -284,7 +284,7 @@ class TestLightWordsFromRounds:
         # before any search
         c1 = random_self_dual(32, 8, 2001)
         c2 = permuted(random_self_dual(32, 12, 2001), random.Random(1))
-        light = [x for x in _gray_words(c1.rows) if x.bit_count() <= 6]
+        light = [x for x in _span_words(c1.rows) if x.bit_count() <= 6]
         assert LinearCode(32, light).k < c1.k
         drawn = drawn_weights(monkeypatch)
         assert map_basis_calls(monkeypatch, c1, c2) == []
@@ -403,7 +403,7 @@ class TestProfilePartition:
             # the light words weigh no more than the middle word of a basis
             # read lightest first: the least weight whose words and the
             # lighter ones span more than k // 2 dimensions
-            words = list(_gray_words(a.rows))[1:]
+            words = list(_span_words(a.rows))[1:]
             mid = min(
                 w
                 for w in range(17)
@@ -595,7 +595,7 @@ class TestLongCodes:
 def weight4_components(c):
     """Sizes of the classes of c's words of weight 4 linked by shared
     columns, in ascending order."""
-    words, sizes = [x for x in _gray_words(c.rows) if x.bit_count() == 4], []
+    words, sizes = [x for x in _span_words(c.rows) if x.bit_count() == 4], []
     while words:
         cover, size = words[0], 0
         while (touching := [x for x in words if x & cover]) and len(touching) > size:
@@ -988,7 +988,7 @@ class TestSplitKeepsWitnesses:
                     assert o_equivalent(rows1, rows2, c1.n) == (witness is not None)
             answers[witness is not None, c1.n <= 12] += 1
             # a word of weight 2 in a self-dual code is a pair of equal columns
-            equal_columns += any(x.bit_count() == 2 for x in _gray_words(c1.rows))
+            equal_columns += any(x.bit_count() == 2 for x in _span_words(c1.rows))
         assert len(pairs) >= 40 and len(answers) == 4 and equal_columns > len(pairs) // 2
 
 

@@ -148,6 +148,13 @@ class TestValueTypes:
         for value, fields in ((v, (3, 0b101)), (m, (m.rows, 3))):
             assert value != fields and all(value != f for f in fields)
 
+    def test_repr_and_row_indexing(self):
+        rows = [BitVector(4, 0b0110), BitVector(4, 0b1001)]
+        m = BitMatrix(rows)
+        assert repr(rows[0]) == "BitVector('0110')"
+        assert repr(m) == "BitMatrix(2x4)"
+        assert m[0] is rows[0] and m[1] is rows[1] and m[-1] is rows[1]
+
     def test_matrix_from_any_iterable_of_rows(self):
         rows = [BitVector(4, 0b0011), BitVector(4, 0b0110)]
         built = {BitMatrix(rows), BitMatrix(tuple(rows)), BitMatrix(r for r in rows)}

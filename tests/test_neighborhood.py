@@ -56,8 +56,8 @@ def refuse_search(rows):
 
 
 def refuse_searches(monkeypatch):
-    """Make any Gray sweep or Brouwer-Zimmermann search raise."""
-    monkeypatch.setattr(code, "_gray_blocks", refuse_sweep)
+    """Make any span sweep or Brouwer-Zimmermann search raise."""
+    monkeypatch.setattr(code, "_span_words", refuse_sweep)
     monkeypatch.setattr(code, "_level_sums", refuse_search)
 
 
@@ -265,7 +265,7 @@ class TestPreconditions:
     def test_c_max_beyond_the_sweep_cap_needs_no_sweep(self, monkeypatch):
         # n=64: c_max has dimension 31, past the sweep's cap of 30, and only
         # the Brouwer-Zimmermann rounds of the members run
-        monkeypatch.setattr(code, "_gray_blocks", refuse_sweep)
+        monkeypatch.setattr(code, "_span_words", refuse_sweep)
         nb = neighborhood_of(random_self_dual(64, 21, 0))
         assert nb.c_max.k == 31
         assert sorted(zip(map(str, nb.member_types), nb.member_distances)) == [
@@ -994,7 +994,7 @@ class TestCosetWeightsModFour:
             cases.append((max_doubly_even_subcode(c), c))
         for c_max, type1 in cases:
             residues = {}
-            for w in code._gray_words(c_max.dual().rows):
+            for w in code._span_words(c_max.dual().rows):
                 residues.setdefault(c_max._reduce(w), set()).add(w.bit_count() % 4)
             assert len(residues) == 4 and residues.pop(0) == {0}
             assert all(len(r) == 1 for r in residues.values())
@@ -1068,7 +1068,7 @@ class TestDistanceCrossCheck:
     def test_distance_at_n40_starts_no_sweep(self, monkeypatch):
         nb = neighborhood_of(random_self_dual(40, 10, 0))
         assert sorted(nb.member_distances) == [6, 8, 8]
-        monkeypatch.setattr(code, "_gray_blocks", refuse_sweep)
+        monkeypatch.setattr(code, "_span_words", refuse_sweep)
         levels = code._level_sums
         drawn = []
 
@@ -1092,14 +1092,14 @@ class TestDistanceCrossCheck:
 
 class TestPaperLength:
     """n=56 and n=72, the lengths of the paper's singly-even (56, 28, 12) and
-    doubly-even (72, 36, 16) questions: no Gray sweep runs, and at n=56
+    doubly-even (72, 36, 16) questions: no span sweep runs, and at n=56
     minimum_distance runs only in the checks."""
 
     def test_neighborhood_at_n56(self, monkeypatch):
         def refuse_distance(c):
             raise AssertionError(f"minimum_distance of a code of dimension {c.k}")
 
-        monkeypatch.setattr(code, "_gray_blocks", refuse_sweep)
+        monkeypatch.setattr(code, "_span_words", refuse_sweep)
         with monkeypatch.context() as mp:
             mp.setattr(LinearCode, "minimum_distance", refuse_distance)
             nb = neighborhood_of(random_self_dual(56, 20, 0))
@@ -1114,7 +1114,7 @@ class TestPaperLength:
     def test_neighborhood_invariant_under_permutation(self, monkeypatch, n):
         # c_max has dimension 31 or 35; the permuted copy's members take
         # other information sets, so their searches draw other rounds
-        monkeypatch.setattr(code, "_gray_blocks", refuse_sweep)
+        monkeypatch.setattr(code, "_span_words", refuse_sweep)
         c = random_self_dual(n, 30, 0)
         assert c.classify() is CodeType.TYPE_I
         pairs, copy_pairs = (
