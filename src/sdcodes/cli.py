@@ -18,6 +18,7 @@ from itertools import islice
 from .code import (
     InternalConsistencyError,
     LinearCode,
+    _distance_query,
     from_generator,
 )
 from .equivalence import are_permutation_equivalent
@@ -220,6 +221,8 @@ def _cmd_search(args) -> int:
     if not track and args.min_d is not None:
         raise MatrixFormatError("--min-d requires distance evaluation")
     best: dict[str, dict] = {}
+    # the lightest word of each type's last search
+    words: dict[str, int] = {}
     stopped_early = False
     for step, code in enumerate(islice(walk_self_dual(args.n, args.seed), args.steps + 1)):
         if not track:
@@ -227,8 +230,13 @@ def _cmd_search(args) -> int:
         ctype = str(code.classify())
         entry = best.get(ctype)
         # asked only whether it beats its type's best: d is exact past it, else
-        # d <= best < --min-d while the walk runs, so records and stop match exact d
-        d = code.minimum_distance(0 if entry is None else entry["d"])
+        # d <= best < --min-d while the walk runs, so records and stop match exact
+        # d; a word of that type's last search that lies in code and is no heavier
+        # than the best says d <= best with no search
+        if entry is not None and (y := words[ctype]).bit_count() <= entry["d"] and code._reduce(y) == 0:
+            d = y.bit_count()
+        else:
+            d, words[ctype] = _distance_query(code, 0 if entry is None else entry["d"])
         if entry is None or d > entry["d"]:
             best[ctype] = {"d": d, "step": step}
             if args.report_best:

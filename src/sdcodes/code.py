@@ -182,17 +182,8 @@ class LinearCode:
 
     def minimum_distance(self, stop_at: int = 0) -> int:
         """Smallest nonzero codeword weight d, from _bz_streams over the code alone
-        (_bz_rounds): exact past stop_at, else the weight w of a word seen, d <= w <= stop_at."""
-        if self.k == 0:
-            raise ValueError("the zero-dimensional code has no minimum distance")
-        best = min(map(int.bit_count, self.rows))
-        if best <= stop_at or best <= 4 and best <= _weight_divisor(self):
-            return best
-        for sums, bound in _bz_rounds(self):
-            best = min(best, min(map(int.bit_count, chain.from_iterable(sums))))
-            if best <= max(bound, stop_at):
-                break
-        return best
+        (_distance_query): exact past stop_at, else the weight w of a word seen, d <= w <= stop_at."""
+        return _distance_query(self, stop_at)[0]
 
     def weight_enumerator(self) -> Counter[int]:
         """Full weight distribution from one sweep of the 2^k codewords
@@ -247,13 +238,17 @@ def _information_set_generators(code: LinearCode) -> list[tuple[list[int], list[
     the pivot of each row in that set; the first is its rows, on their
     pivots.
 
-    The sets are pairwise disjoint and found greedily: each elimination
-    takes its pivots only among columns no earlier set used, and the search
-    ends at the first elimination that falls short of full rank; a code of
-    dimension 0 has the one empty generator.
+    The sets are pairwise disjoint.  A self-dual code has two, its pivots and
+    their complement, the second by one transpose (_complement_generator).
+    Any other code's are found greedily: each elimination takes its pivots
+    only among columns no earlier set used, and the search ends at the first
+    elimination that falls short of full rank; a code of dimension 0 has the
+    one empty generator.
     """
     rows = code.rows
     gens = [(list(rows), list(code.pivots))]
+    if code.is_self_dual():
+        return gens + [_complement_generator(code)]
     used = code._pivot_mask
     while rows:
         basis: list[int] = []
@@ -270,6 +265,39 @@ def _information_set_generators(code: LinearCode) -> list[tuple[list[int], list[
         gens.append((basis, pivots))
         used |= sum(pivots)
     return gens
+
+
+def _complement_generator(code: LinearCode) -> tuple[list[int], list[int]]:
+    """The generator of a self-dual code systematic on N, the columns that are
+    not pivots, with the pivot of each row, in column order.
+
+    On (P, N), P the pivots, the rows are [I | A], and the code is its own
+    dual, so it is spanned by [A^T | I] too: its row at c in N is e_c plus
+    the pivots p_l of the rows r_l with a 1 at c.  That is e_c plus row c of
+    the transpose of the side x side bit matrix M that holds r_l at row
+    position(p_l), side the least power of two >= max(n, 8).  M is one int,
+    row i at bits i * side up; the transpose is log2(side) delta swaps, one
+    per block size s = side/2, ..., 1, each moving the bit of (i, j), i
+    without s and j with s, by d = s * (side - 1) to (i + s, j - s) and back.
+    Each mask is built per call from repeated byte patterns.
+    """
+    n, side = code.n, max(8, 1 << (code.n - 1).bit_length())
+    size = side // 8
+    grid = bytearray(size * side)
+    for r, p in zip(code.rows, code.pivots):
+        at = (p.bit_length() - 1) * size
+        grid[at : at + size] = r.to_bytes(size, "little")
+    m, s = int.from_bytes(grid, "little"), side // 2
+    while s:
+        row = (((1 << side) - 1) // ((1 << 2 * s) - 1) * ((1 << s) - 1) << s).to_bytes(size, "little")
+        mask = int.from_bytes((row * s + bytes(size * s)) * (side // 2 // s), "little")
+        d = s * (side - 1)
+        t = ((m >> d) ^ m) & mask
+        m ^= t ^ (t << d)
+        s //= 2
+    grid = m.to_bytes(size * side, "little")
+    free = [c for c in range(n) if not code._pivot_mask >> c & 1]
+    return [1 << c | int.from_bytes(grid[c * size : (c + 1) * size], "little") for c in free], [1 << c for c in free]
 
 
 def _bz_streams(
@@ -332,6 +360,31 @@ def _bz_rounds(code: LinearCode, budget: int | None = None) -> Iterator[tuple[It
     for w, i, (sums,) in _bz_streams(gens, [[0] * m], [True], budget):
         if w:
             yield sums, -(-(m * w + i + 1) // step) * step
+
+
+def _distance_query(code: LinearCode, stop_at: int = 0) -> tuple[int, int]:
+    """(w, y): y the lightest word drawn, first among its rows, then in the
+    rounds of _bz_rounds, and w its weight; w = d past stop_at, else
+    d <= w <= stop_at.
+
+    The rows alone answer when the lightest weighs at most stop_at, or at
+    most the divisor of every weight (_weight_divisor), or at most 4 in a
+    self-dual code.  Its pivots P and their complement N are then disjoint
+    information sets: the rows are G = [I | A] on (P, N), and A A^T = I.
+    The rows are round (1, 0) of _bz_streams, so every word not among them
+    has at least 2 ones on P and 1 on N: it weighs at least 3, and so at
+    least 4, as every weight is even.
+    """
+    if code.k == 0:
+        raise ValueError("the zero-dimensional code has no minimum distance")
+    word = min(code.rows, key=int.bit_count)
+    if word.bit_count() <= max(stop_at, 4 if code.is_self_dual() else _weight_divisor(code)):
+        return word.bit_count(), word
+    for sums, bound in _bz_rounds(code):
+        word = min(word, min(chain.from_iterable(sums), key=int.bit_count), key=int.bit_count)
+        if word.bit_count() <= max(bound, stop_at):
+            break
+    return word.bit_count(), word
 
 
 def _words_by_weight(code: LinearCode, budget: int | None = None) -> Iterator[tuple[int, set[int]]]:

@@ -288,7 +288,8 @@ def _step(c: LinearCode, x: int) -> LinearCode | None:
     x lies in c, that is when every product t_i = r_i . x with a row of c is 0.
 
     K, the words of c orthogonal to x, has the RREF rows r_i + t_i r_j, i != j,
-    r_j the last row of value 1 (gf2._kernel_rows); the step inserts into them
+    r_j the last row of value 1 (gf2._kernel_rows), found by a scan back from
+    row k - 1; each t_i is taken in the one row pass.  The step inserts into them
     x', x reduced against them, read off x_c, x reduced against c once.  x_c +
     x lies in c = K + <r_j>, and in K exactly when x_c . x = x . x = 0; x_c
     and r_j are 0 at the pivots of K, so x' is x_c, or x_c + r_j when x_c . x
@@ -301,15 +302,15 @@ def _step(c: LinearCode, x: int) -> LinearCode | None:
     they are the RREF of a self-dual code; only then is the code stored, as
     they are (LinearCode._proved_step), with no RREF check of its own.
     """
-    t = [(r & x).bit_count() & 1 for r in c.rows]
-    if 1 not in t:
+    rows = c.rows
+    j = next((j for j in range(c.k - 1, -1, -1) if (rows[j] & x).bit_count() & 1), None)
+    if j is None:
         return None
-    j = _dropped(t)
-    r_j, p_j, coset_x = c.rows[j], c.pivots[j], c._reduce(x)
+    r_j, p_j, coset_x = rows[j], c.pivots[j], c._reduce(x)
     x_new = coset_x ^ r_j if (coset_x & x).bit_count() & 1 else coset_x
     q = x_new & -x_new
     i = bisect_left(c.pivots, q)
-    new = [s ^ x_new if (s := r ^ r_j if ti else r) & q else s for r, ti in zip(c.rows, t)]
+    new = [s ^ x_new if (s := r ^ r_j if (r & x).bit_count() & 1 else r) & q else s for r in rows]
     new.insert(i, x_new)
     new.remove(0)
     pivots = list(c.pivots)

@@ -7,6 +7,7 @@ from itertools import islice
 
 import pytest
 
+from oracles import o_member, to_bits
 from sdcodes import cli, code, gf2
 from sdcodes.fixtures_io import fixture, serialize_matrix
 from sdcodes.gf2 import BitMatrix, BitVector
@@ -473,6 +474,47 @@ class TestSearch:
         status, out, _ = run_cli(capsys, "search", "--n", "64", "--steps", "3",
                                  "--no-distance", "--json")
         assert status == 0
+
+    def test_every_reused_no_is_proved_by_the_oracles(self, capsys, monkeypatch):
+        # search keeps the lightest word y of each type's last search and
+        # answers a code of that type with no search when y lies in it and
+        # weighs at most the type's best b; each such answer is replayed: y
+        # is in the code by rank, wt(y) <= b, and minimum_distance(b) <= b
+        walked, searched = [], {}
+        query = cli._distance_query
+
+        def walk(n, seed):
+            for c in walk_self_dual(n, seed):
+                walked.append(c)
+                yield c
+
+        def spied(c, stop_at=0):
+            searched[len(walked) - 1] = found = query(c, stop_at)
+            return found
+
+        monkeypatch.setattr(cli, "walk_self_dual", walk)
+        monkeypatch.setattr(cli, "_distance_query", spied)
+        reused = 0
+        for n, seed in [(40, s) for s in range(4)] + [(48, s) for s in range(3)] + [(64, s) for s in range(2)]:
+            walked.clear()
+            searched.clear()
+            status, out, _ = run_cli(capsys, "search", "--n", str(n), "--steps", "120", "--seed", str(seed), "--json")
+            assert status == 0 and len(walked) == 121
+            words, best = {}, {}
+            for step, c in enumerate(walked):
+                ctype = str(c.classify())
+                if step in searched:
+                    d, words[ctype] = searched[step]
+                    assert c._reduce(words[ctype]) == 0 and words[ctype].bit_count() == d
+                    best[ctype] = max(best.get(ctype, 0), d)
+                    continue
+                y, b = words[ctype], best[ctype]
+                assert o_member([to_bits(r) for r in c.generator], to_bits(BitVector(n, y)))
+                assert y.bit_count() <= b and c.minimum_distance(b) <= b
+                reused += 1
+            assert {t: e["d"] for t, e in json_lines(out)[-1]["best"].items()} == best
+        # 528 of the 1,089 codes walked are answered by a reused word
+        assert reused == 528
 
     def test_exits_2_with_its_records_when_a_search_reaches_the_cap(self, capsys, monkeypatch):
         # at a cap of 2^12 sums, the first code (k=24) that two rounds do not

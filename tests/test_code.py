@@ -589,6 +589,59 @@ def count_drawn_sums(monkeypatch):
     return built, drawn
 
 
+def greedy_generators(c):
+    """The information sets of c by greedy elimination, read from a copy of c
+    stored as not self-orthogonal."""
+    copy = LinearCode(c.n, c.rows)
+    object.__setattr__(copy, "_self_orthogonal", False)
+    return _information_set_generators(copy)
+
+
+class TestComplementGenerator:
+    """A self-dual code's second information set is its columns that are not
+    pivots, and its generator is read off one transpose of the rows; the
+    greedy elimination that every other code gets is the reference."""
+
+    @staticmethod
+    def assert_transposed(c):
+        (rows, pivots), = _information_set_generators(c)[1:]
+        free = [j for j in range(c.n) if not c._pivot_mask >> j & 1]
+        others = sum(1 << j for j in free)
+        assert pivots == [1 << j for j in free] and len(rows) == c.k
+        for r, j in zip(rows, free):
+            assert c._reduce(r) == 0 and r & others == 1 << j
+        greedy = greedy_generators(c)
+        assert len(greedy) == 2 and set(zip(*greedy[1])) == set(zip(rows, pivots))
+
+    def test_random_self_dual_codes_at_n_2_to_128(self, fixture_codes):
+        codes = [double_pair_code(2), *fixture_codes.values()]
+        codes += [random_self_dual(n, n // 2 + seed, seed) for n in range(4, 129, 2) for seed in range(2)]
+        assert {c.classify() for c in codes} == {CodeType.TYPE_I, CodeType.TYPE_II}
+        for c in codes:
+            self.assert_transposed(c)
+
+    def test_walk_codes_at_n_512_and_1024(self):
+        for n in (512, 1024):
+            self.assert_transposed(random_self_dual(n, 60, 0))
+
+    def test_codes_that_are_not_self_dual_get_the_greedy(self, monkeypatch):
+        # [2k, k] codes that are not self-orthogonal, and self-orthogonal
+        # codes of dimension n/2 - 1
+        def refuse(c):
+            raise AssertionError("transposed the rows of a code that is not self-dual")
+
+        rng = random.Random(46)
+        codes = [LinearCode(n, [rng.getrandbits(n) for _ in range(n // 2)]) for n in rng.choices(range(4, 41, 2), k=30)]
+        codes += [neighborhood_of(random_self_dual(n, 9, 1)).c_max for n in (16, 24, 32)]
+        monkeypatch.setattr(code, "_complement_generator", refuse)
+        half_rate = 0
+        for c in filter(lambda c: not c.is_self_dual(), codes):
+            half_rate += 2 * c.k == c.n
+            gens = _information_set_generators(c)
+            assert gens == greedy_generators(c) and all(LinearCode(c.n, g) == c for g, _ in gens)
+        assert half_rate >= 20
+
+
 class TestRowSumCap:
     """_bz_streams counts the sums it draws and refuses a round that would take
     the count past 2^DEFAULT_ENUMERATION_CAP, before drawing any of it."""
@@ -737,18 +790,35 @@ class TestStopAt:
 
     def test_a_light_row_draws_no_round(self, monkeypatch, fixture_codes):
         # codes whose lightest row weighs more than the divisor of their
-        # weights, 2 for Type I and 4 for Type II, so that a search below it
-        # runs; doubly-even rows with an odd overlap give weights 4, 4 and 6
+        # weights, 2 for Type I and 4 for Type II, and, if self-dual, more
+        # than 4, so that a search below it runs; doubly-even rows with an odd
+        # overlap give weights 4, 4 and 6
         self.refuse_information_sets(monkeypatch)
-        codes = [(c, 2) for c in [random_self_dual(n, 7, 1) for n in (24, 32, 40, 48)] + [fixture_codes["G4"]]]
+        codes = [(c, 2) for c in [random_self_dual(n, 7, 1) for n in (32, 40, 48)] + [fixture_codes["G4"]]]
         codes += [(fixture_codes[name], 4) for name in ("G1", "G2", "G6")] + [(LinearCode(7, [0b1111, 0b1111000]), 2)]
         for c, divisor in codes:
             lightest = min(r.bit_count() for r in c.rows)
             assert lightest > divisor and code._weight_divisor(c) == divisor
+            assert lightest >= 6 or not c.is_self_dual()
             for stop_at in range(lightest, c.n + 1):
                 assert c.minimum_distance(stop_at) == lightest
             with pytest.raises(AssertionError, match="information sets"):
                 c.minimum_distance(lightest - 1)
+
+    def test_a_self_dual_row_of_weight_4_draws_no_round(self, monkeypatch):
+        # a self-dual code's rows are round (1, 0) on two disjoint information
+        # sets, its pivots and the rest, so every other word weighs at least
+        # 3, so 4: a row of weight 4 is a lightest word, though the weights
+        # of a Type I code share only the divisor 2
+        codes = [random_self_dual(n, n // 2, seed) for n in (12, 16, 20, 24) for seed in range(2)]
+        codes = [c for c in codes + [random_self_dual(24, 7, 1)] if min(r.bit_count() for r in c.rows) == 4]
+        assert len(codes) == 8
+        distances = [o_min_distance([to_bits(r) for r in c.generator]) for c in codes]
+        self.refuse_information_sets(monkeypatch)
+        for c, d in zip(codes, distances):
+            assert d == 4 and c.is_self_dual() and code._weight_divisor(c) == 2
+            for stop_at in range(c.n + 1):
+                assert c.minimum_distance(stop_at) == 4
 
     def test_a_row_at_the_weight_divisor_draws_no_round(self, monkeypatch, fixture_codes):
         # every weight is a multiple of the divisor, so no word is lighter
