@@ -1272,8 +1272,9 @@ class TestSearchWork:
         # pool and over the first 9 codes of a walk at n=40, and the light
         # words of both codes of the two n=32 pairs that CI decides; a code
         # with a row no heavier than its weight divisor, 2 for Type I and 4
-        # for Type II, draws no sum (664 over the pool, and 20 per code at
-        # the start of the walk, before that shortcut)
+        # for Type II, or a self-dual code with a row of weight 4, draws no
+        # sum (664 over the pool before the first shortcut, and 420 before the
+        # second, which also saves the 20 that codes 5-7 of the walk drew)
         pool = self_dual_pool()
         walk = list(islice(walk_self_dual(40, 7), 9))
         pairs = [
@@ -1290,10 +1291,10 @@ class TestSearchWork:
             return found
 
         per_code = distances(pool)
-        assert len(per_code) == 36 and sum(n for _, n in per_code) == 420
+        assert len(per_code) == 36 and sum(n for _, n in per_code) == 368
         assert per_code[-3:] == [(6, 152), (4, 0), (8, 152)]
-        assert sum(1 for _, n in per_code if n) == 8
-        assert distances(walk) == [(2, 0)] * 4 + [(4, 20)] * 3 + [(4, 40), (6, 230)]
+        assert sum(1 for _, n in per_code if n) == 4
+        assert distances(walk) == [(2, 0)] * 4 + [(4, 0)] * 3 + [(4, 40), (6, 230)]
         # the negative pair reads on to weight 8, where its first weighing
         # of all columns tells it apart
         for (c1, c2), equivalent, sums in zip(pairs, (True, False), (1_664, 6_424)):
