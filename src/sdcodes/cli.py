@@ -86,7 +86,7 @@ def _cmd_info(args) -> int:
         "d": d,
         "self_dual": code.is_self_dual(),
         "type": str(ctype),
-        "weight_enumerator": {str(w): c for w, c in we.items()},
+        "weight_enumerator": [[w, c] for w, c in we.items()],
         "exit_status": 0,
     }
     lines = [

@@ -47,7 +47,8 @@ class TestInfo:
             "weight_enumerator", "exit_status",
         }
         assert record["d"] == 8 and record["type"] == "TypeII"
-        assert record["weight_enumerator"]["8"] == 759
+        # [weight, count] pairs in weight order, not an object keyed by strings
+        assert record["weight_enumerator"] == [[0, 1], [8, 759], [12, 2576], [16, 759], [24, 1]]
 
     def test_file_and_fixture_prefix_inputs(self, capsys, tmp_path):
         path = tmp_path / "g5.txt"

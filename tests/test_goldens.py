@@ -33,17 +33,17 @@ from oracles import o_moved, o_parse_matrix, o_rref
 # token that names a FILES entry is read from a file written for the run
 GOLDENS = [
     (["info", "fixture:G1"], None, 0,
-     "48ef025311914d7a70ecc7e5ff2aeb980d8a3ca50e4f5508d67c06f1bce73c51"),
+     "aedb6429b19001ee27f5992156bc854cee4511635f5f69c32924bce4d46a9497"),
     (["info", "fixture:G2"], None, 0,
-     "cbe09ccbe6a07cb78c8bd10233c5965ec9c019c41c8bce9db08a57e6b7d929a7"),
+     "33540f939f3fef6fd14ff27d11561d5a87d1113936b1632d41c0ff0a383e355c"),
     (["info", "fixture:G3"], None, 0,
-     "78d60776e3037ac0e43023fc945fcdf473cc42136a1ba4143661512b458b080a"),
+     "3833d145c74d04e1c4087ed34c6ec95942facf3307d7a0394e71cbc1f9352eaa"),
     (["info", "fixture:G4"], None, 0,
-     "42152fd0a91b878c8d20f731c8061c2a6d2918bcf2cdb8bb58e66007219e1fb7"),
+     "4a3cba31cf5b850a92bdbfd55f6116a59e8b579655c371b83a7e053e879fe162"),
     (["info", "fixture:G5"], None, 0,
-     "c2cd96269dbeff2624e8f20c3a1480e361c9bc68ecb44108f85cef36b1f7f0a1"),
+     "f5868cf1aa900a5eb17338efd455b8477ee77011fe54e12688467066d3199b16"),
     (["info", "fixture:G6"], None, 0,
-     "5c5c16200523cee92538dd621f46b4f475ac0693c261606e23a251f924521804"),
+     "909b64469e19c37bf1519b479823eec574e8b1d8770e2d867463a2a816b2e13f"),
     (["dual", "fixture:G3"], None, 0,
      "4e313c1fa88b0164b1b5321ed35fb0e8b42370ec9923d7ffcdb1ba8763630516"),
     (["neighborhood", "fixture:G3"], None, 0,
@@ -78,7 +78,7 @@ GOLDENS = [
     (["search", "--n", "48", "--steps", "20", "--seed", "0"], None, 0,
      "4a65787fc20fd58933f33b250946161b37a2635cde7bf7323d9a22b8d994a56e"),
     (["info", "-"], "walk40", 0,
-     "8f3de16bafe5861f30a1fbf3a25a85288a2fb0f9dae88fca6e976a8adf1dfd14"),
+     "b1481677932f59d727d0dd21c50c65d82537c3b676125e562956609b72a59540"),
     # a Type I neighborhood at n=40: c_max has k=19, and each member's
     # representative and distance come from one Brouwer-Zimmermann search
     (["neighborhood", "-"], "walk40", 0,
