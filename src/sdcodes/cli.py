@@ -221,8 +221,7 @@ def _cmd_search(args) -> int:
     if not track and args.min_d is not None:
         raise MatrixFormatError("--min-d requires distance evaluation")
     best: dict[str, dict] = {}
-    # the lightest word of each type's last search
-    words: dict[str, int] = {}
+    words: dict[str, int] = {}  # the lightest word of each type's last search
     stopped_early = False
     for step, code in enumerate(islice(walk_self_dual(args.n, args.seed), args.steps + 1)):
         if not track:
@@ -231,8 +230,7 @@ def _cmd_search(args) -> int:
         entry = best.get(ctype)
         # asked only whether it beats its type's best: d is exact past it, else
         # d <= best < --min-d while the walk runs, so records and stop match exact
-        # d; a word of that type's last search that lies in code and is no heavier
-        # than the best says d <= best with no search
+        # d; a word of that type that lies in code says so with no search
         if entry is not None and (y := words[ctype]).bit_count() <= entry["d"] and code._reduce(y) == 0:
             d = y.bit_count()
         else:

@@ -15,18 +15,20 @@ code, and stored with it; a neighbor step stores instead the result of an
 O(k) certificate that derives it from that of the code it came from.
 Weight enumeration streams all 2^k codewords as one table of the sums of
 the low rows, XORed with each sum of the high rows (_span_words).
-The lightest words of a span, for minimum distance and for the light words
-that the equivalence search maps (_words_by_weight), and the coset
-representatives of a neighborhood (_shadow_leaders, one search of its Type I
-member and of that member's shadow) come from one Brouwer-Zimmermann driver
-instead (_bz_streams): rounds of sums of few rows of generators systematic
-on disjoint information sets, from 0 for a code or from one start word per
-generator for a coset, each with a bound on the weight of every word not
-yet drawn.  The sums are weighed only here, in the lists that _level_sums
-built them in.  One cap bounds both: a sweep or search that would draw over
-2^DEFAULT_ENUMERATION_CAP words (2^k per sweep, C(k, w) per generator per
-round and stream), or over the budget its caller gives the driver, is an
-explicit error, not a silent approximation.
+The lightest words of a span, for minimum distance with a word of that
+weight (_distance_query) and for the light words that the equivalence search
+maps (_words_by_weight), and the coset representatives of a neighborhood
+(_shadow_leaders, one search of its Type I member and of that member's
+shadow) come from one Brouwer-Zimmermann driver instead (_bz_streams):
+rounds of sums of few rows of generators systematic on disjoint information
+sets (a self-dual code's pivots and the rest, read off one transpose), from
+0 for a code or from one start word per generator for a coset, each with a
+bound on the weight of every word not yet drawn.  The sums are weighed only
+here, in the lists that _level_sums built them in.  One cap bounds both: a
+sweep or search that would draw over 2^DEFAULT_ENUMERATION_CAP words (2^k
+per sweep, C(k, w) per generator per round and stream), or over the budget
+its caller gives the driver, is an explicit error, not a silent
+approximation.
 """
 
 from __future__ import annotations
@@ -236,14 +238,12 @@ def _span_words(rows: Sequence[int]) -> Iterator[int]:
 def _information_set_generators(code: LinearCode) -> list[tuple[list[int], list[int]]]:
     """Generators of code, each systematic on its own information set, with
     the pivot of each row in that set; the first is its rows, on their
-    pivots.
+    pivots, and a self-dual code's second is the rest (_complement_generator).
 
-    The sets are pairwise disjoint.  A self-dual code has two, its pivots and
-    their complement, the second by one transpose (_complement_generator).
-    Any other code's are found greedily: each elimination takes its pivots
-    only among columns no earlier set used, and the search ends at the first
-    elimination that falls short of full rank; a code of dimension 0 has the
-    one empty generator.
+    The sets are pairwise disjoint, and found greedily for any other code:
+    each elimination takes its pivots only among columns no earlier set used,
+    and the search ends at the first elimination that falls short of full
+    rank; a code of dimension 0 has the one empty generator.
     """
     rows = code.rows
     gens = [(list(rows), list(code.pivots))]
@@ -268,35 +268,29 @@ def _information_set_generators(code: LinearCode) -> list[tuple[list[int], list[
 
 
 def _complement_generator(code: LinearCode) -> tuple[list[int], list[int]]:
-    """The generator of a self-dual code systematic on N, the columns that are
+    """The generator of a self-dual code systematic on the columns N that are
     not pivots, with the pivot of each row, in column order.
 
-    On (P, N), P the pivots, the rows are [I | A], and the code is its own
-    dual, so it is spanned by [A^T | I] too: its row at c in N is e_c plus
-    the pivots p_l of the rows r_l with a 1 at c.  That is e_c plus row c of
-    the transpose of the side x side bit matrix M that holds r_l at row
-    position(p_l), side the least power of two >= max(n, 8).  M is one int,
-    row i at bits i * side up; the transpose is log2(side) delta swaps, one
-    per block size s = side/2, ..., 1, each moving the bit of (i, j), i
-    without s and j with s, by d = s * (side - 1) to (i + s, j - s) and back.
-    Each mask is built per call from repeated byte patterns.
+    On (P, N), P the pivots, the rows are [I | A]; the code is its own dual,
+    so [A^T | I] spans it too: its row at c in N is e_c plus the pivots of
+    the rows with a 1 at c, row c of the transpose of the side x side bit
+    matrix (side a power of two >= max(n, 8)) that holds each row at the
+    position of its pivot, as one int, row i at bit i * side.  Each of its
+    log2(side) delta swaps, at block size s, trades the bit of (i, j), i
+    without s and j with s, with that of (i + s, j - s), d = s * (side - 1)
+    above it, by a mask built from bytes.
     """
-    n, side = code.n, max(8, 1 << (code.n - 1).bit_length())
-    size = side // 8
-    grid = bytearray(size * side)
-    for r, p in zip(code.rows, code.pivots):
-        at = (p.bit_length() - 1) * size
-        grid[at : at + size] = r.to_bytes(size, "little")
-    m, s = int.from_bytes(grid, "little"), side // 2
-    while s:
+    side = max(8, 1 << (code.n - 1).bit_length())
+    size, at = side // 8, {p.bit_length() - 1: r for r, p in zip(code.rows, code.pivots)}
+    m = int.from_bytes(b"".join(at.get(i, 0).to_bytes(size, "little") for i in range(side)), "little")
+    for s in (side >> e for e in range(1, side.bit_length())):
         row = (((1 << side) - 1) // ((1 << 2 * s) - 1) * ((1 << s) - 1) << s).to_bytes(size, "little")
         mask = int.from_bytes((row * s + bytes(size * s)) * (side // 2 // s), "little")
         d = s * (side - 1)
         t = ((m >> d) ^ m) & mask
         m ^= t ^ (t << d)
-        s //= 2
     grid = m.to_bytes(size * side, "little")
-    free = [c for c in range(n) if not code._pivot_mask >> c & 1]
+    free = [c for c in range(code.n) if not code._pivot_mask >> c & 1]
     return [1 << c | int.from_bytes(grid[c * size : (c + 1) * size], "little") for c in free], [1 << c for c in free]
 
 
@@ -363,17 +357,14 @@ def _bz_rounds(code: LinearCode, budget: int | None = None) -> Iterator[tuple[It
 
 
 def _distance_query(code: LinearCode, stop_at: int = 0) -> tuple[int, int]:
-    """(w, y): y the lightest word drawn, first among its rows, then in the
-    rounds of _bz_rounds, and w its weight; w = d past stop_at, else
-    d <= w <= stop_at.
+    """(w, y): y the lightest word drawn, among the rows, then in the rounds of
+    _bz_rounds, and w its weight: d past stop_at, else d <= w <= stop_at.
 
-    The rows alone answer when the lightest weighs at most stop_at, or at
-    most the divisor of every weight (_weight_divisor), or at most 4 in a
-    self-dual code.  Its pivots P and their complement N are then disjoint
-    information sets: the rows are G = [I | A] on (P, N), and A A^T = I.
-    The rows are round (1, 0) of _bz_streams, so every word not among them
-    has at least 2 ones on P and 1 on N: it weighs at least 3, and so at
-    least 4, as every weight is even.
+    The rows answer alone when the lightest weighs at most stop_at, or the
+    divisor of every weight, or 4 in a self-dual code: its rows are [I | A]
+    on the disjoint information sets P, its pivots, and N, the rest, with
+    A A^T = I, and round (1, 0) of _bz_streams, so every other word has 2
+    ones on P and 1 on N: it weighs at least 3, so 4, as weights are even.
     """
     if code.k == 0:
         raise ValueError("the zero-dimensional code has no minimum distance")

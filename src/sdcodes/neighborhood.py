@@ -288,16 +288,15 @@ def _step(c: LinearCode, x: int) -> LinearCode | None:
     x lies in c, that is when every product t_i = r_i . x with a row of c is 0.
 
     K, the words of c orthogonal to x, has the RREF rows r_i + t_i r_j, i != j,
-    r_j the last row of value 1 (gf2._kernel_rows), found by a scan back from
-    row k - 1; each t_i is taken in the one row pass.  The step inserts into them
-    x', x reduced against them, read off x_c, x reduced against c once.  x_c +
-    x lies in c = K + <r_j>, and in K exactly when x_c . x = x . x = 0; x_c
-    and r_j are 0 at the pivots of K, so x' is x_c, or x_c + r_j when x_c . x
-    is odd.  With q the lowest bit of x' (not 0, as x lies outside c), each
-    new row is r_i + t_i r_j, plus x' when that sum has a 1 at q; row j, now
-    0, is dropped and x' goes in by pivot order: the unique RREF of the step,
-    in one pass.  Its pivots are c's with p_j, the pivot of r_j, replaced by
-    q, and its pivot mask is c's with the bits p_j and q flipped.
+    r_j the last row of value 1 (gf2._kernel_rows), sought from the end; the
+    step inserts into them x', x reduced against them, read off x_c, x reduced
+    against c once.  x_c + x lies in c = K + <r_j>, and in K exactly when x_c .
+    x = x . x = 0; x_c and r_j are 0 at the pivots of K, so x' is x_c, or x_c +
+    r_j when x_c . x is odd.  With q the lowest bit of x' (not 0, as x lies
+    outside c), each new row is r_i + t_i r_j, plus x' when that sum has a 1 at
+    q; row j, now 0, is dropped and x' goes in by pivot order: the unique RREF
+    of the step, in one pass.  Its pivots are c's with p_j, the pivot of r_j,
+    replaced by q, and its pivot mask is c's with the bits p_j and q flipped.
     _step_certified proves from c, x_c and these three, never t or x', that
     they are the RREF of a self-dual code; only then is the code stored, as
     they are (LinearCode._proved_step), with no RREF check of its own.
