@@ -356,7 +356,7 @@ def _bz_rounds(code: LinearCode, budget: int | None = None) -> Iterator[tuple[It
             yield sums, -(-(m * w + i + 1) // step) * step
 
 
-def _distance_query(code: LinearCode, stop_at: int = 0) -> tuple[int, int]:
+def _distance_query(code: LinearCode, stop_at: int) -> tuple[int, int]:
     """(w, y): y the lightest word drawn, among the rows, then in the rounds of
     _bz_rounds, and w its weight: d past stop_at, else d <= w <= stop_at.
 

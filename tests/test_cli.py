@@ -489,7 +489,7 @@ class TestSearch:
                 walked.append(c)
                 yield c
 
-        def spied(c, stop_at=0):
+        def spied(c, stop_at):
             searched[len(walked) - 1] = found = query(c, stop_at)
             return found
 
