@@ -21,14 +21,14 @@ maps (_words_by_weight), and the coset representatives of a neighborhood
 (_shadow_leaders, one search of its Type I member and of that member's
 shadow) come from one Brouwer-Zimmermann driver instead (_bz_streams):
 rounds of sums of few rows of generators systematic on disjoint information
-sets (a self-dual code's pivots and the rest, read off one transpose), from
-0 for a code or from one start word per generator for a coset, each with a
-bound on the weight of every word not yet drawn.  The sums are weighed only
-here, in the lists that _level_sums built them in.  One cap bounds both: a
-sweep or search that would draw over 2^DEFAULT_ENUMERATION_CAP words (2^k
-per sweep, C(k, w) per generator per round and stream), or over the budget
-its caller gives the driver, is an explicit error, not a silent
-approximation.
+sets (found by one greedy elimination: a self-dual code's pivots and the
+rest), from 0 for a code or from one start word per generator for a coset,
+each with a bound on the weight of every word not yet drawn.  The sums are
+weighed only here, in the lists that _level_sums built them in.  One cap
+bounds both: a sweep or search that would draw over
+2^DEFAULT_ENUMERATION_CAP words (2^k per sweep, C(k, w) per generator per
+round and stream), or over the budget its caller gives the driver, is an
+explicit error, not a silent approximation.
 """
 
 from __future__ import annotations
@@ -238,17 +238,16 @@ def _span_words(rows: Sequence[int]) -> Iterator[int]:
 def _information_set_generators(code: LinearCode) -> list[tuple[list[int], list[int]]]:
     """Generators of code, each systematic on its own information set, with
     the pivot of each row in that set; the first is its rows, on their
-    pivots, and a self-dual code's second is the rest (_complement_generator).
+    pivots.
 
-    The sets are pairwise disjoint, and found greedily for any other code:
-    each elimination takes its pivots only among columns no earlier set used,
-    and the search ends at the first elimination that falls short of full
-    rank; a code of dimension 0 has the one empty generator.
+    The sets are pairwise disjoint, and found greedily: each elimination
+    takes its pivots only among columns no earlier set used, and the search
+    ends at the first elimination that falls short of full rank; a code of
+    dimension 0 has the one empty generator.  A self-dual code gets exactly
+    two, on its pivots P and on the rest N, an information set of its dual.
     """
     rows = code.rows
     gens = [(list(rows), list(code.pivots))]
-    if code.is_self_dual():
-        return gens + [_complement_generator(code)]
     used = code._pivot_mask
     while rows:
         basis: list[int] = []
@@ -265,33 +264,6 @@ def _information_set_generators(code: LinearCode) -> list[tuple[list[int], list[
         gens.append((basis, pivots))
         used |= sum(pivots)
     return gens
-
-
-def _complement_generator(code: LinearCode) -> tuple[list[int], list[int]]:
-    """The generator of a self-dual code systematic on the columns N that are
-    not pivots, with the pivot of each row, in column order.
-
-    On (P, N), P the pivots, the rows are [I | A]; the code is its own dual,
-    so [A^T | I] spans it too: its row at c in N is e_c plus the pivots of
-    the rows with a 1 at c, row c of the transpose of the side x side bit
-    matrix (side a power of two >= max(n, 8)) that holds each row at the
-    position of its pivot, as one int, row i at bit i * side.  Each of its
-    log2(side) delta swaps, at block size s, trades the bit of (i, j), i
-    without s and j with s, with that of (i + s, j - s), d = s * (side - 1)
-    above it, by a mask built from bytes.
-    """
-    side = max(8, 1 << (code.n - 1).bit_length())
-    size, at = side // 8, {p.bit_length() - 1: r for r, p in zip(code.rows, code.pivots)}
-    m = int.from_bytes(b"".join(at.get(i, 0).to_bytes(size, "little") for i in range(side)), "little")
-    for s in (side >> e for e in range(1, side.bit_length())):
-        row = (((1 << side) - 1) // ((1 << 2 * s) - 1) * ((1 << s) - 1) << s).to_bytes(size, "little")
-        mask = int.from_bytes((row * s + bytes(size * s)) * (side // 2 // s), "little")
-        d = s * (side - 1)
-        t = ((m >> d) ^ m) & mask
-        m ^= t ^ (t << d)
-    grid = m.to_bytes(size * side, "little")
-    free = [c for c in range(code.n) if not code._pivot_mask >> c & 1]
-    return [1 << c | int.from_bytes(grid[c * size : (c + 1) * size], "little") for c in free], [1 << c for c in free]
 
 
 def _bz_streams(
@@ -311,7 +283,7 @@ def _bz_streams(
     unless it is 0.  After round w of generator i, the later ones at w - 1,
     a word not drawn has at least w + 1 ones on each of I_0..I_i and w on
     the others: it weighs at least m*w + i + 1.  Round k draws every word.
-    A self-dual code has m >= 2: the complement of an information set of C
+    A self-dual code has m = 2: the complement of an information set of C
     is one of its dual, C itself.
 
     The caller stops a stream by clearing its flag in live, read before each

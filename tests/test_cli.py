@@ -1,5 +1,6 @@
 import io
 import json
+import random
 import subprocess
 import sys
 import time
@@ -8,7 +9,7 @@ from itertools import islice
 import pytest
 
 from oracles import o_member, to_bits
-from sdcodes import cli, code, gf2
+from sdcodes import CoordinatePermutation, apply_permutation, cli, code, gf2
 from sdcodes.fixtures_io import fixture, serialize_matrix
 from sdcodes.gf2 import BitMatrix, BitVector
 from sdcodes.neighborhood import (
@@ -529,6 +530,45 @@ class TestSearch:
             "error: instance too large: round 3 of the Brouwer-Zimmermann search would bring "
             "the row sums drawn to 4648, past the enumeration cap 2^12\n"
         )
+
+
+class TestGeneratorRowOrder:
+    """No output hangs on the order of the rows of the generators that
+    _information_set_generators returns: with each generator's (row, pivot)
+    pairs in a seeded shuffle, every command prints the same bytes and exits
+    with the same status."""
+
+    def test_shuffled_rows_change_no_output(self, capsys, monkeypatch, tmp_path):
+        walk = random_self_dual(32, 12, 19)
+        images = list(range(32))
+        random.Random(47).shuffle(images)
+        paths = [tmp_path / "walk32.txt", tmp_path / "permuted32.txt"]
+        for path, c in zip(paths, (walk, apply_permutation(walk, CoordinatePermutation(tuple(images))))):
+            path.write_text(serialize_matrix(c.generator))
+        commands = [
+            ["search", "--n", str(n), "--steps", "120", "--seed", str(seed), "--json"]
+            for n in (40, 48) for seed in range(4)
+        ]
+        commands += [["neighborhood", source, "--json"] for source in ("fixture:G3", "fixture:G4", str(paths[0]))]
+        commands += [["equivalent", "fixture:G1", "fixture:G2", "--json"], ["equivalent", *map(str, paths), "--json"]]
+        expected = [run_cli(capsys, *argv) for argv in commands]
+        generators = code._information_set_generators
+        moved = []
+
+        def shuffled(c):
+            gens = []
+            for rows, pivots in generators(c):
+                pairs = list(zip(rows, pivots))
+                rng.shuffle(pairs)
+                moved.append(pairs != list(zip(rows, pivots)))
+                gens.append(([r for r, _ in pairs], [p for _, p in pairs]))
+            return gens
+
+        monkeypatch.setattr(code, "_information_set_generators", shuffled)
+        for seed in range(2):
+            rng = random.Random(seed)
+            assert [run_cli(capsys, *argv) for argv in commands] == expected
+        assert sum(moved) > len(moved) // 2
 
 
 class TestVerifyPaper:
