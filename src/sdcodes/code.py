@@ -21,14 +21,14 @@ maps (_words_by_weight), and the coset representatives of a neighborhood
 (_shadow_leaders, one search of its Type I member and of that member's
 shadow) come from one Brouwer-Zimmermann driver instead (_bz_streams):
 rounds of sums of few rows of generators systematic on disjoint information
-sets (found by one greedy elimination: a self-dual code's pivots and the
-rest), from 0 for a code or from one start word per generator for a coset,
-each with a bound on the weight of every word not yet drawn.  The sums are
-weighed only here, in the lists that _level_sums built them in.  One cap
-bounds both: a sweep or search that would draw over
-2^DEFAULT_ENUMERATION_CAP words (2^k per sweep, C(k, w) per generator per
-round and stream), or over the budget its caller gives the driver, is an
-explicit error, not a silent approximation.
+sets (one greedy elimination: a self-dual code's pivots and the rest), from
+0 for a code or from one start word per generator for a coset, each with a
+bound on the weight of every word not yet drawn.  The sums are weighed only
+here, in the lists that _level_sums built them in.  One cap bounds both: a
+sweep or search that would draw over 2^DEFAULT_ENUMERATION_CAP words (2^k
+per sweep, C(k, w) per generator per round and stream), or over the budget
+its caller gives the driver, is an explicit error, not a silent
+approximation.
 """
 
 from __future__ import annotations
