@@ -6,19 +6,19 @@ weight).  Matrices are immutable tuples of equal-length vectors.  Both are
 frozen dataclasses, compared and hashed by value.
 
 This module builds the reduced row echelon forms (RREF) of the library on
-the raw ints, all but a neighbor step's: neighborhood._step builds those in
-one pass, with their pivots and mask, and its certificate proves them, so
-no check here runs on them.  The pivot of an RREF row is its lowest set
-bit.  Every other row space is built from one check and two moves, each
-O(k) row operations: _rref_pivots accepts rows that are already reduced
-(and returns their pivots and the pivot mask, their sum, which a code
-keeps), _insert_rref adds one vector to a span, and _kernel_rows cuts a
-span down to the kernel of a linear functional.  _insert_rref reads the
-pivots of its rows from its caller, which holds them (a code stores them,
-elimination keeps them beside its rows), and returns the pivots of the
-result with its rows, so no pivot is computed twice.  Elimination is k
-inserts; a dual or an orthogonal complement is one cut per check, starting
-from the unit rows.
+the raw ints, all but a neighbor step's: neighborhood._step builds those
+and their pivot mask in one pass, and its certificate proves them and
+derives their pivots, so no check here runs on them.  The pivot of an RREF
+row is its lowest set bit.  Every other row space is built from one check
+and two moves, each O(k) row operations: _rref_pivots accepts rows that are
+already reduced (and returns their pivots and the pivot mask, their sum,
+which a code keeps), _insert_rref adds one vector to a span, and
+_kernel_rows cuts a span down to the kernel of a linear functional.
+_insert_rref reads the pivots of its rows from its caller, which holds them
+(a code stores them, elimination keeps them beside its rows), and returns
+the pivots of the result with its rows, so no pivot is computed twice.
+Elimination is k inserts; a dual or an orthogonal complement is one cut per
+check, starting from the unit rows.
 """
 
 from __future__ import annotations

@@ -198,27 +198,26 @@ def _meet_dimension(c1: LinearCode, c2: LinearCode) -> int:
     return c1.intersection(c2).k
 
 
-def _step_certified(c: LinearCode, x: int, rows: tuple, pivots: tuple, mask: int, coset_x: int) -> bool:
-    """Whether rows, pivots and mask are proved the RREF of a self-dual step
-    from the self-dual c by x.
+def _step_certified(c: LinearCode, x: int, rows: tuple, mask: int, coset_x: int) -> tuple | None:
+    """The pivots of rows when rows and mask are proved the RREF and pivot
+    mask of a self-dual step from the self-dual c by x, else None.
 
     Self-duality: x has even weight, there are k rows, each orthogonal to x
     and in c + <x>.  Rows a = u + x^i and b = v + x^j with u, v in c have
     a . b = u . v + i (x . v) + j (u . x) + ij (x . x) = 0: u . v = 0 as c
     is self-orthogonal, x . x = 0 as x is even, so u . x = a . x = 0, and
-    likewise x . v = 0.  The claimed mask differs from c's in the bits
-    mask ^ c._pivot_mask: none when the pivots are c's, else the dropped
-    pivot p_j of c and the new one q, a bit of the mask outside c's, so not
-    a pivot of c; each must be a single bit, q below 2^n.  The pivots must
-    then be c's without p_j and with q inserted in order, so q lies
-    strictly between its neighbours and the mask is c's less p_j plus q by
-    construction; each row is paired by index with the row of c at its
-    pivot, 0 at q, or with c's rows when nothing changed.  Their
-    difference d lies in c + <x> when d, reduced against c,
-    is 0 or coset_x, which must be c._reduce(x), computed from c and x
-    alone.  As d is 0 at the kept pivots (below), that reduction adds the
-    row r_j of c at p_j when d has a 1 there, and nothing else.  A correct
-    step has at most four distinct d: 0, r_j, x reduced, and their sum.
+    likewise x . v = 0.  The mask differs from c's in the bits mask ^
+    c._pivot_mask: none, and the pivots are c's, or the dropped pivot p_j
+    of c and the new one q, a bit of the mask outside c's, so not a pivot
+    of c; each must be a single bit, q below 2^n.  The pivots are then c's
+    without p_j and with q inserted in order, so q lies strictly between
+    its neighbours and the mask is c's less p_j plus q.  Each row is paired
+    by index with the row of c at its pivot, 0 at q.  Their difference d
+    lies in c + <x> when d, reduced against c, is 0 or coset_x, which must
+    be c._reduce(x), computed from c and x alone.  As d is 0 at the kept
+    pivots (below), that reduction adds the row r_j of c at p_j when d has
+    a 1 there, and nothing else.  A correct step has at most four distinct
+    d: 0, r_j, x reduced, and their sum.
 
     RREF: only the new row has a 1 at q, and each nonzero d fits in n bits,
     is 0 at the kept pivots, and has no bit below the pivot of the last row
@@ -229,38 +228,34 @@ def _step_certified(c: LinearCode, x: int, rows: tuple, pivots: tuple, mask: int
     independent.  When the pivots are c's, every pivot is kept, so every d
     is 0 at all of them.  Soundness rests on two facts only: c's rows,
     pivots and mask are its RREF, and c is self-orthogonal, as stored with
-    it.  It reads only c, x, the three it proves, and c's reduction of x.
+    it.  It reads only c, x, the rows and mask it proves, and c's reduction
+    of x, and returns the pivots it derived, for the step's code to store.
     """
-    if x.bit_count() & 1 or not len(rows) == len(pivots) == c.k or 1 in [(r & x).bit_count() & 1 for r in rows]:
-        return False
+    if x.bit_count() & 1 or len(rows) != c.k or 1 in [(r & x).bit_count() & 1 for r in rows]:
+        return None
     changed = mask ^ c._pivot_mask
     dropped, q = changed & c._pivot_mask, changed & mask
-    partners, r_j = c.rows, 0
+    pivots, partners, r_j = c.pivots, c.rows, 0
     if changed:
         if dropped.bit_count() != 1 or q.bit_count() != 1 or q >> c.n:
-            return False
+            return None
         j = c.pivots.index(dropped)
-        ours, partners, r_j = [*c.pivots], [*c.rows], c.rows[j]
-        del ours[j], partners[j]
-        s = bisect_left(ours, q)
-        ours.insert(s, q)
+        pivots, partners, r_j = [*c.pivots], [*c.rows], c.rows[j]
+        del pivots[j], partners[j]
+        s = bisect_left(pivots, q)
+        pivots.insert(s, q)
         partners.insert(s, 0)
-        if pivots != tuple(ours):
-            return False
+        pivots = tuple(pivots)
         if not rows[s] & q or (reduce(or_, rows[:s], 0) | reduce(or_, rows[s + 1 :], 0)) & q:
-            return False
-    elif pivots != c.pivots:
-        return False
+            return None
     kept = mask ^ q
-    diffs = list(map(xor, rows, partners))
-    # last.index(d) == m finds the last row with difference d: row k - 1 - m, or ~m
-    last = diffs[::-1]
-    for d in set(diffs):
-        if d and (d >> c.n or d & kept or d & -d < pivots[~last.index(d)]):
-            return False
+    # the dict keeps, for each distinct difference, the pivot of the last row with it
+    for d, p in dict(zip(map(xor, rows, partners), pivots)).items():
+        if d and (d >> c.n or d & kept or d & -d < p):
+            return None
         if (d ^ r_j if d & dropped else d) not in (0, coset_x):
-            return False
-    return True
+            return None
+    return pivots
 
 
 def neighbor_step(c: LinearCode, x: BitVector) -> LinearCode:
@@ -295,28 +290,25 @@ def _step(c: LinearCode, x: int) -> LinearCode | None:
     r_j when x_c . x is odd.  With q the lowest bit of x' (not 0, as x lies
     outside c), each new row is r_i + t_i r_j, plus x' when that sum has a 1 at
     q; row j, now 0, is dropped and x' goes in by pivot order: the unique RREF
-    of the step, in one pass.  Its pivots are c's with p_j, the pivot of r_j,
-    replaced by q, and its pivot mask is c's with the bits p_j and q flipped.
-    _step_certified proves from c, x_c and these three, never t or x', that
-    they are the RREF of a self-dual code; only then is the code stored, as
-    they are (LinearCode._proved_step), with no RREF check of its own.
+    of the step, in one pass, whose pivot mask is c's with p_j, the pivot of
+    r_j, and q flipped.  _step_certified proves from c, x_c, the rows and the
+    mask, never t or x', that they are the RREF of a self-dual code, and
+    returns its pivots; only then is the code stored with them
+    (LinearCode._proved_step), with no RREF check of its own.
     """
     rows = c.rows
     j = next((j for j in range(c.k - 1, -1, -1) if (rows[j] & x).bit_count() & 1), None)
     if j is None:
         return None
-    r_j, p_j, coset_x = rows[j], c.pivots[j], c._reduce(x)
+    r_j, coset_x = rows[j], c._reduce(x)
     x_new = coset_x ^ r_j if (coset_x & x).bit_count() & 1 else coset_x
     q = x_new & -x_new
-    i = bisect_left(c.pivots, q)
     new = [s ^ x_new if (s := r ^ r_j if (r & x).bit_count() & 1 else r) & q else s for r in rows]
-    new.insert(i, x_new)
+    new.insert(bisect_left(c.pivots, q), x_new)
     new.remove(0)
-    pivots = list(c.pivots)
-    pivots.insert(i, q)
-    pivots.remove(p_j)
-    rows, pivots, mask = tuple(new), tuple(pivots), c._pivot_mask ^ p_j ^ q
-    if not _step_certified(c, x, rows, pivots, mask, coset_x):
+    rows, mask = tuple(new), c._pivot_mask ^ c.pivots[j] ^ q
+    pivots = _step_certified(c, x, rows, mask, coset_x)
+    if pivots is None:
         raise InternalConsistencyError("neighbor step produced a non-self-dual code")
     return LinearCode._proved_step(c.n, rows, pivots, mask)
 

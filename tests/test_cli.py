@@ -428,8 +428,9 @@ class TestSearch:
         # and the certificate's coset of x; the few row differences are cleared
         # only at the pivots they hit; the draw's outside-c test is read off
         # the step's products with the rows of c; only the final code is
-        # classified; each step's rows, pivots and mask are proved an RREF by
-        # its certificate, so only the start code runs the RREF check
+        # classified; each step's rows and mask are proved an RREF by its
+        # certificate, which derives their pivots, so only the start code runs
+        # the RREF check
         reductions, classified, checked = [], [], []
         reduced, classify, rref_pivots = code._reduced, code.LinearCode.classify, gf2._rref_pivots
 

@@ -145,12 +145,12 @@ class TestStoredPivots:
         c = random_self_dual(32, 9, 4)
         x = next(x for x in random.Random(4).choices(range(1 << 32), k=99) if x.bit_count() % 2 == 0 and c._reduce(x))
         out, coset_x = neighborhood._step(c, x), c._reduce(x)
-        handed = (out.rows, out.pivots, out._pivot_mask)
+        handed = (out.rows, out._pivot_mask)
         gens = _information_set_generators(c)
-        assert neighborhood._step_certified(c, x, *handed, coset_x)
+        assert neighborhood._step_certified(c, x, *handed, coset_x) == out.pivots
         object.__setattr__(c, "_pivot_mask", 0)
         assert _information_set_generators(c) != gens
-        assert not neighborhood._step_certified(c, x, *handed, coset_x)
+        assert neighborhood._step_certified(c, x, *handed, coset_x) is None
 
 
 class TestRrefRowHelpers:

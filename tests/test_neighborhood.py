@@ -395,8 +395,8 @@ class TestStepWithoutElimination:
 
     @pytest.mark.parametrize("wrong", ["unreduced", "stray-bit", "uncut", "dropped-kept"])
     def test_wrong_rows_still_raise(self, monkeypatch, wrong):
-        # the rows, pivots and mask that the step hands to its certificate,
-        # those of a code built with one fault: x' not reduced, x' plus a
+        # the rows and mask that the step hands to its certificate, those of
+        # a code built with one fault: x' not reduced, x' plus a
         # stray bit, rows of value 1 left uncut, or the dropped row kept; x is
         # drawn with an odd product with x_c, its reduction against c, so that
         # x_c is not yet x', and with two rows of value 1
@@ -422,15 +422,15 @@ class TestStepWithoutElimination:
         monkeypatch.setattr(
             neighborhood,
             "_step_certified",
-            lambda c, x, rows, pivots, mask, coset_x: certified(c, x, *handed(bad), coset_x),
+            lambda c, x, rows, mask, coset_x: certified(c, x, *handed(bad), coset_x),
         )
         with pytest.raises(InternalConsistencyError, match="non-self-dual"):
             neighbor_step(c, BitVector(64, x))
 
 
 def handed(out):
-    """The rows, pivots and mask of a code, as a step hands them to its certificate."""
-    return out.rows, out.pivots, out._pivot_mask
+    """The rows and pivot mask of a code, as a step hands them to its certificate."""
+    return out.rows, out._pivot_mask
 
 
 def certified_steps():
@@ -460,10 +460,13 @@ class TestStepCertificate:
     is neither, the verdict must equal the oracle's."""
 
     def certify(self, c, x, out):
-        ok = neighborhood._step_certified(c, x, *handed(out), c._reduce(x))
-        # the certificate is sound: whatever it accepts is self-dual
+        pivots = neighborhood._step_certified(c, x, *handed(out), c._reduce(x))
+        ok = pivots is not None
+        # the certificate is sound: whatever it accepts is self-dual, and the
+        # pivots it derives are those of the rows
         if ok:
             assert out.k * 2 == out.n and code._pairwise_orthogonal(out.rows)
+            assert pivots == out.pivots
         # for a step vector of even weight, it agrees with the dict-based one
         if x.bit_count() % 2 == 0:
             assert ok == o_step_certified(c, x, out)
@@ -606,54 +609,52 @@ class TestStepCertificate:
 
     def test_rejects_a_negative_new_pivot(self):
         # c's pivots lie below bit 6, and its step by x = 11 on the last two
-        # coordinates is a direct sum with {00, 11} there; read with the
-        # pivot -2^6, which has every bit from 6 up, the row of x comes first
-        # and is the only row with a 1 at it, so only q < 2^n refuses it
+        # coordinates is a direct sum with {00, 11} there; with the mask's new
+        # pivot -2^6, which has every bit from 6 up, the pivots derived put the
+        # row of x first, the only row with a 1 at -2^6, so only q < 2^n
+        # refuses it
         c = LinearCode(8, [0b11, 0b1100, 0b1010000, 0b10100000])
         x = 0b11000000
         out = neighbor_step(c, BitVector(8, x))
         assert out.rows == (0b11, 0b1100, 0b110000, x) and out.pivots == (1, 4, 16, 64)
-        rows, pivots, mask = (x, *out.rows[:3]), (-64, *out.pivots[:3]), out._pivot_mask ^ 64 | -64
-        assert LinearCode(8, rows) == out and four_clauses(c, x, rows, pivots)
-        assert not neighborhood._step_certified(c, x, rows, pivots, mask, c._reduce(x))
+        rows, mask = (x, *out.rows[:3]), out._pivot_mask ^ 64 | -64
+        assert LinearCode(8, rows) == out and four_clauses(c, x, rows)
+        assert neighborhood._step_certified(c, x, rows, mask, c._reduce(x)) is None
 
 
 def rref_faults(c, out):
-    """Faults injected into the rows, pivots and mask of the correct step
-    out from c, each as name: (rows, pivots, mask); only the RREF clause
-    tells each one from a correct step.  The faults at the new pivot q need
-    a step that replaces a pivot of c."""
+    """Faults injected into the rows and mask of the correct step out from
+    c, each as name: (rows, mask); only the RREF clause tells each one from
+    a correct step.  The faults at the new pivot q need a step that replaces
+    a pivot of c."""
     rows, pivots, mask = list(out.rows), list(out.pivots), out._pivot_mask
     s = next((i for i, p in enumerate(pivots) if not p & c._pivot_mask), None)
     k = len(rows)
     kept = [i for i in range(k) if i != s]
     faults = {}
 
-    def fault(name, rows=rows, pivots=pivots, mask=mask):
-        faults[name] = (tuple(rows), tuple(pivots), mask)
+    def fault(name, rows=rows, mask=mask):
+        faults[name] = (tuple(rows), mask)
 
     # row i plus a later row m: 0 at the pivots it hits no longer
     i, m = kept[len(kept) // 3], kept[-1]
     fault("row-plus-row", [r ^ rows[m] if j == i else r for j, r in enumerate(rows)])
     fault("mask-bit", mask=mask ^ 1)
-    # the correct rows and mask with the pivots of two kept rows swapped
-    a, b = kept[:2]
-    fault("pivots-swapped", pivots=[pivots[b] if j == a else pivots[a] if j == b else p for j, p in enumerate(pivots)])
     fault("bit-n", [r | 3 << c.n if j == kept[0] else r for j, r in enumerate(rows)])
     fault("negative", [r | -1 << c.n if j == kept[0] else r for j, r in enumerate(rows)])
     if s is None:
         return faults
     q, dropped = pivots[s], c._pivot_mask & ~mask
-    # the correct rows and pivots with a wrong mask: c's, one that keeps the
+    # the correct rows with a wrong mask: c's, one that keeps the
     # dropped pivot, or one that lacks q
     fault("mask-of-c", mask=c._pivot_mask)
     fault("mask-keeps-dropped", mask=mask | dropped)
     fault("mask-lacks-q", mask=mask ^ q)
-    # the new row and its pivot swapped with a neighbour's
+    # the new row swapped with a neighbour
     t = s + 1 if s + 1 < k else s - 1
     order = list(range(k))
     order[s], order[t] = t, s
-    fault("out-of-order", [rows[j] for j in order], [pivots[j] for j in order])
+    fault("out-of-order", [rows[j] for j in order])
     # the new row added to a row below it, so that both have a 1 at q
     below = [i for i in kept if pivots[i] < q]
     if below:
@@ -666,26 +667,29 @@ def rref_faults(c, out):
         moved = sorted(
             (b if j == s else p, r ^ rows[s] if j != s and r & b else r) for j, (p, r) in enumerate(zip(pivots, rows))
         )
-        fault("bit-below-pivot", [r for _, r in moved], [p for p, _ in moved], mask ^ q ^ b)
+        fault("bit-below-pivot", [r for _, r in moved], mask ^ q ^ b)
     return faults
 
 
-def four_clauses(c, x, rows, pivots):
-    """The four self-duality clauses of the step certificate, by the dict-based oracle."""
+def four_clauses(c, x, rows):
+    """The four self-duality clauses of the step certificate, by the dict-based
+    oracle; it reduces each difference against c in full, so any row of c, or
+    0, may stand at a row's pivot: here the one at its lowest bit."""
+    pivots = [r & -r for r in rows]
     return o_step_certified(c, x, SimpleNamespace(k=len(rows), rows=rows, pivots=pivots))
 
 
 class TestStepRrefClause:
     """The certificate also proves that the rows a step hands it are the RREF
-    with the pivots and mask it claims, which the stored code keeps with no
-    check of its own; so a fault in any of them is refused, also where the
-    four self-duality clauses, and for most the pairwise pass, accept it."""
+    with the mask it claims, and derives their pivots, which the stored code
+    keeps with no check of its own; so a fault in the rows or the mask is
+    refused, also where the four self-duality clauses, and for most the
+    pairwise pass, accept it."""
 
     FAULTS = (
         "row-plus-row",
         "out-of-order",
         "mask-bit",
-        "pivots-swapped",
         "second-1-at-q",
         "no-1-at-q",
         "bit-below-pivot",
@@ -699,15 +703,15 @@ class TestStepRrefClause:
     def test_each_fault_refused(self):
         seen = dict.fromkeys(self.FAULTS, 0)
         for c, x, out, _ in certified_steps():
-            assert neighborhood._step_certified(c, x, *handed(out), c._reduce(x))
-            for name, (rows, pivots, mask) in rref_faults(c, out).items():
+            assert neighborhood._step_certified(c, x, *handed(out), c._reduce(x)) == out.pivots
+            for name, (rows, mask) in rref_faults(c, out).items():
                 seen[name] += 1
-                assert not neighborhood._step_certified(c, x, rows, pivots, mask, c._reduce(x)), name
+                assert neighborhood._step_certified(c, x, rows, mask, c._reduce(x)) is None, name
                 if name in ("bit-n", "negative"):
                     # past n bits, the membership clause refuses them as well
-                    assert not four_clauses(c, x, rows, pivots)
+                    assert not four_clauses(c, x, rows)
                     continue
-                assert four_clauses(c, x, rows, pivots), name
+                assert four_clauses(c, x, rows), name
                 # the same span, but for the zero row, so the same code
                 self_dual = LinearCode(c.n, rows).k == c.k and code._pairwise_orthogonal(rows)
                 assert self_dual == (name != "no-1-at-q"), name
@@ -727,7 +731,7 @@ class TestStepRrefClause:
         monkeypatch.setattr(
             neighborhood,
             "_step_certified",
-            lambda c, x, rows, pivots, mask, coset_x: certified(c, x, *handed_faulty, coset_x),
+            lambda c, x, rows, mask, coset_x: certified(c, x, *handed_faulty, coset_x),
         )
         with pytest.raises(InternalConsistencyError, match="non-self-dual"):
             neighbor_step(c, BitVector(64, x))
