@@ -396,10 +396,10 @@ class TestStepWithoutElimination:
     @pytest.mark.parametrize("wrong", ["unreduced", "stray-bit", "uncut", "dropped-kept"])
     def test_wrong_rows_still_raise(self, monkeypatch, wrong):
         # the rows and mask that the step hands to its certificate, those of
-        # a code built with one fault: x' not reduced, x' plus a
-        # stray bit, rows of value 1 left uncut, or the dropped row kept; x is
-        # drawn with an odd product with x_c, its reduction against c, so that
-        # x_c is not yet x', and with two rows of value 1
+        # a code built with one fault: x' not reduced, x' plus a stray bit,
+        # rows of value 1 left uncut, or the dropped row kept; x is drawn with
+        # an odd product with x_c, its reduction against c, so that x_c is not
+        # yet x', and with two rows of value 1
         c = random_self_dual(64, 4, 1)
         rng = random.Random(1)
         while True:
@@ -645,8 +645,8 @@ def rref_faults(c, out):
     if s is None:
         return faults
     q, dropped = pivots[s], c._pivot_mask & ~mask
-    # the correct rows with a wrong mask: c's, one that keeps the
-    # dropped pivot, or one that lacks q
+    # the correct rows with a wrong mask: c's, one that keeps the dropped
+    # pivot, or one that lacks q
     fault("mask-of-c", mask=c._pivot_mask)
     fault("mask-keeps-dropped", mask=mask | dropped)
     fault("mask-lacks-q", mask=mask ^ q)
