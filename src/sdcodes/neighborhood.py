@@ -219,17 +219,16 @@ def _step_certified(c: LinearCode, x: int, rows: tuple, mask: int, coset_x: int)
     a 1 there, and nothing else.  A correct step has at most four distinct
     d: 0, r_j, x reduced, and their sum.
 
-    RREF: only the new row has a 1 at q, and each nonzero d fits in n bits,
-    is 0 at the kept pivots, and has no bit below the pivot of the last row
-    with difference d, so of any such row.  Then a row u + d, u the row of c
-    at its pivot, has that pivot as its lowest bit and no other pivot, as u
-    has neither, and the new row, d alone, has q as its lowest bit and no
-    other pivot: the rows are the unique RREF with those pivots, and
-    independent.  When the pivots are c's, every pivot is kept, so every d
-    is 0 at all of them.  Soundness rests on two facts only: c's rows,
-    pivots and mask are its RREF, and c is self-orthogonal, as stored with
-    it.  It reads only c, x, the rows and mask it proves, and c's reduction
-    of x, and returns the pivots it derived, for the step's code to store.
+    RREF: each nonzero d fits in n bits, is 0 at the kept pivots, and has no
+    bit below the pivot of the last row with difference d, so of any such row.
+    So a row u + d, u the row of c at its pivot p, has p as its lowest bit and
+    no other kept pivot, as u has neither, nor a 1 at q when p > q: only rows
+    before the new one must be read to be 0 at q.  The new row, d alone, has
+    q as its lowest bit: the rows are the unique RREF with those pivots, and
+    independent.  The dropped pivot, a bit of c's mask, is found by bisection;
+    when the pivots are c's, every d is 0 at all of them.  Soundness rests on
+    c's rows, pivots and mask being its RREF and c being self-orthogonal, as
+    stored with it.  It reads only c, x, c's reduction of x, rows and mask.
     """
     if x.bit_count() & 1 or len(rows) != c.k or 1 in [(r & x).bit_count() & 1 for r in rows]:
         return None
@@ -239,14 +238,14 @@ def _step_certified(c: LinearCode, x: int, rows: tuple, mask: int, coset_x: int)
     if changed:
         if dropped.bit_count() != 1 or q.bit_count() != 1 or q >> c.n:
             return None
-        j = c.pivots.index(dropped)
+        j = bisect_left(c.pivots, dropped)
         pivots, partners, r_j = [*c.pivots], [*c.rows], c.rows[j]
         del pivots[j], partners[j]
         s = bisect_left(pivots, q)
         pivots.insert(s, q)
         partners.insert(s, 0)
         pivots = tuple(pivots)
-        if not rows[s] & q or (reduce(or_, rows[:s], 0) | reduce(or_, rows[s + 1 :], 0)) & q:
+        if not rows[s] & q or reduce(or_, rows[:s], 0) & q:
             return None
     kept = mask ^ q
     # the dict keeps, for each distinct difference, the pivot of the last row with it
@@ -289,10 +288,10 @@ def _step(c: LinearCode, x: int) -> LinearCode | None:
     x = x . x = 0; x_c and r_j are 0 at the pivots of K, so x' is x_c, or x_c +
     r_j when x_c . x is odd.  With q the lowest bit of x' (not 0, as x lies
     outside c), each new row is r_i + t_i r_j, plus x' when that sum has a 1 at
-    q; row j, now 0, is dropped and x' goes in by pivot order: the unique RREF
-    of the step, in one pass, whose pivot mask is c's with p_j, the pivot of
-    r_j, and q flipped.  _step_certified proves from c, x_c, the rows and the
-    mask, never t or x', that they are the RREF of a self-dual code, and
+    q; row j, now 0, is dropped by index and x' goes in by pivot order: the
+    unique RREF of the step, in one pass, whose pivot mask is c's with p_j, the
+    pivot of r_j, and q flipped.  _step_certified proves from c, x_c, the rows
+    and mask, never t or x', that they are the RREF of a self-dual code, and
     returns its pivots; only then is the code stored with them
     (LinearCode._proved_step), with no RREF check of its own.
     """
@@ -304,8 +303,9 @@ def _step(c: LinearCode, x: int) -> LinearCode | None:
     x_new = coset_x ^ r_j if (coset_x & x).bit_count() & 1 else coset_x
     q = x_new & -x_new
     new = [s ^ x_new if (s := r ^ r_j if (r & x).bit_count() & 1 else r) & q else s for r in rows]
-    new.insert(bisect_left(c.pivots, q), x_new)
-    new.remove(0)
+    i = bisect_left(c.pivots, q)
+    new.insert(i, x_new)
+    del new[j + (i <= j)]
     rows, mask = tuple(new), c._pivot_mask ^ c.pivots[j] ^ q
     pivots = _step_certified(c, x, rows, mask, coset_x)
     if pivots is None:

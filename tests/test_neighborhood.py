@@ -659,6 +659,11 @@ def rref_faults(c, out):
     below = [i for i in kept if pivots[i] < q]
     if below:
         fault("second-1-at-q", [r ^ rows[s] if j == below[-1] else r for j, r in enumerate(rows)])
+    # the new row added to the first row above it, so that this row has a 1
+    # at q below its pivot; the certificate reads no row after the new one at
+    # q, so only the lowest-bit clause refuses it
+    if s + 1 < k:
+        fault("1-at-q-above", [r ^ rows[s] if j == s + 1 else r for j, r in enumerate(rows)])
     fault("no-1-at-q", [0 if j == s else r for j, r in enumerate(rows)])
     # the new row made the pivot row of another of its bits b, not a pivot of
     # c: the rows of the same code, reduced on another information set
@@ -691,6 +696,7 @@ class TestStepRrefClause:
         "out-of-order",
         "mask-bit",
         "second-1-at-q",
+        "1-at-q-above",
         "no-1-at-q",
         "bit-below-pivot",
         "bit-n",
