@@ -117,6 +117,22 @@ HUMAN_GOLDENS = [
     (["search", "--n", "32", "--steps", "40", "--seed", "3", "--min-d", "6", "--report-best"],
      None, 0,
      "5311f0dc41bf7bcd2554cdc7b26911b6ce8bdc1d076309cc5d02bb22ec61dc9c"),
+    (["neighbors", "fixture:G1", "fixture:G2"], None, 0,
+     "3f96f4cccc6d5cf2f9b96b1d8855378ca71e1b70bab9a3b38d5b73d61471585d"),
+    (["neighbors", "fixture:G1", "fixture:G4"], None, 1,
+     "c0c264072d66690ba01ca64b7b01b5b08d2310b00db89748a051873abd11e017"),
+    (["equivalent", "fixture:G1", "fixture:G2"], None, 0,
+     "e5fc2e1158338185060a2bcef5ca6ff7db0f1bd150cbd5a3d951423d058f6c74"),
+    (["equivalent", "fixture:G1", "fixture:G3"], None, 1,
+     "60bb5db79dec499979188c735e8b1b232a3dacc6d0d3c959538869db207f4e4f"),
+    (["verify-paper"], None, 0,
+     "819dd8e2d2d5c7b2d4762b83d16f484118a920c121551eb47fcdfe0687093ec0"),
+    # the header-only code "8 0": k=0 and no nonzero word, so d prints as "-"
+    (["info", "-"], "empty8", 0,
+     "d96e0a718944916f412aba533e754cd121d0802217dc5651f1fb905fa0464dc0"),
+    # the failed no_better_type1 verdict of walk32 as text
+    (["neighborhood", "-"], "walk32", 1,
+     "13dd168f09532aa9e754e576b1a40c9656f841e3236ecfb690bc65efc3ad617a"),
 ]
 
 
@@ -128,6 +144,7 @@ def permuted(code, seed):
 
 
 STDIN = {
+    "empty8": lambda: "8 0\n",
     "walk32": lambda: serialize_matrix(random_self_dual(32, 12, 19).generator),
     "walk40": lambda: serialize_matrix(random_self_dual(40, 8, 1).generator),
     "walk64": lambda: serialize_matrix(random_self_dual(64, 21, 0).generator),
@@ -181,7 +198,13 @@ def golden_ids(cases=GOLDENS):
 
 @pytest.mark.parametrize("argv,stdin_key,status,digest", GOLDENS, ids=golden_ids())
 def test_golden(argv, stdin_key, status, digest):
-    assert run(argv, stdin_key) == (status, digest)
+    returned, text = output(argv, stdin_key)
+    records = [json.loads(line) for line in text.splitlines()]
+    # the last record carries the exit status that main returns, and no
+    # per-check record of verify-paper carries one
+    assert records[-1]["exit_status"] == returned
+    assert not any("exit_status" in r for r in records if "criterion" in r)
+    assert (returned, hashlib.sha256(text.encode()).hexdigest()) == (status, digest)
 
 
 @pytest.mark.parametrize(
