@@ -1,9 +1,12 @@
 """Command-line interface: inspect codes, build neighborhoods, verify, search.
 
-Exit status contract: 0 success, 1 check-failed (a structural or requested
-check did not hold), 2 usage or input error.  With --json every record is a
-single line with sorted keys, so identical invocations produce byte-identical
-output.
+Each command yields records and builds no text; main prints them, with --json
+as single lines with sorted keys, so identical invocations produce
+byte-identical output, and else as the text its command's renderer reads from
+each record.  Exit status contract: 0 success, 1 check-failed (a structural or
+requested check did not hold), 2 usage or input error.  main returns the last
+record's exit_status, or 1 or 2 for an exception, raised after the records
+before it are printed.
 """
 
 from __future__ import annotations
@@ -15,15 +18,10 @@ import os
 import sys
 from itertools import islice
 
-from .code import (
-    InternalConsistencyError,
-    LinearCode,
-    _distance_query,
-    from_generator,
-)
+from .code import InternalConsistencyError, LinearCode, _distance_query, from_generator
 from .equivalence import are_permutation_equivalent
 from .fixtures_io import FIXTURE_NAMES, MatrixFormatError, fixture, parse_matrix, serialize_matrix
-from .gf2 import _to01
+from .gf2 import BitMatrix, BitVector, _to01
 from .neighborhood import (
     _meet_dimension,
     neighborhood_of,
@@ -34,13 +32,6 @@ from .neighborhood import (
 
 
 _INPUT_HELP = f"matrix file, '-' for stdin, or fixture:NAME ({', '.join(FIXTURE_NAMES)})"
-
-
-def _emit(args, record: dict, human: str):
-    if args.json:
-        print(json.dumps(record, sort_keys=True, separators=(",", ":")))
-    elif human:
-        print(human)
 
 
 def _matrix_rows(code: LinearCode) -> list[str]:
@@ -73,35 +64,35 @@ def _load_pair(args) -> tuple[tuple[str, LinearCode], tuple[str, LinearCode]]:
     return _load_source(args.a), _load_source(args.b)
 
 
-def _cmd_info(args) -> int:
+def _cmd_info(args):
     name, code = _load_source(args.input)
     we = code.weight_enumerator()
-    d = min((w for w in we if w), default=None)
-    ctype = code.classify()
-    record = {
+    yield {
         "command": "info",
         "input": name,
         "n": code.n,
         "k": code.k,
-        "d": d,
+        "d": min((w for w in we if w), default=None),
         "self_dual": code.is_self_dual(),
-        "type": str(ctype),
+        "type": str(code.classify()),
         "weight_enumerator": [[w, c] for w, c in we.items()],
         "exit_status": 0,
     }
-    lines = [
-        f"n={code.n} k={code.k} d={d if d is not None else '-'} "
-        f"self_dual={'yes' if code.is_self_dual() else 'no'} type={ctype}",
-        "weight_enumerator: " + " ".join(f"{w}:{c}" for w, c in we.items()),
-    ]
-    _emit(args, record, "\n".join(lines))
-    return record["exit_status"]
 
 
-def _cmd_dual(args) -> int:
+def _info_text(record: dict) -> str:
+    d = "-" if record["d"] is None else record["d"]
+    return (
+        f"n={record['n']} k={record['k']} d={d} "
+        f"self_dual={'yes' if record['self_dual'] else 'no'} type={record['type']}\n"
+        "weight_enumerator: " + " ".join(f"{w}:{c}" for w, c in record["weight_enumerator"])
+    )
+
+
+def _cmd_dual(args):
     name, code = _load_source(args.input)
     dual = code.dual()
-    record = {
+    yield {
         "command": "dual",
         "input": name,
         "n": dual.n,
@@ -109,14 +100,16 @@ def _cmd_dual(args) -> int:
         "rows": _matrix_rows(dual),
         "exit_status": 0,
     }
+
+
+def _dual_text(record: dict) -> str:
     # serialize_matrix holds the text rule for k=0, which the text format
-    # cannot always show, so this matrix goes through it, for human output only
-    matrix = "" if args.json else serialize_matrix(dual.generator, spaced=True)
-    _emit(args, record, f"n={dual.n} k={dual.k}\n{matrix}".rstrip("\n"))
-    return record["exit_status"]
+    # cannot always show, so the matrix goes through it
+    rows = BitMatrix([BitVector.from_string(r) for r in record["rows"]], record["n"])
+    return f"n={record['n']} k={record['k']}\n{serialize_matrix(rows, spaced=True)}".rstrip("\n")
 
 
-def _cmd_neighborhood(args) -> int:
+def _cmd_neighborhood(args):
     name, code = _load_source(args.input)
     nb = neighborhood_of(code)
     verdicts = [verify_no_better_type1(nb), verify_distance2_coincidence(nb)]
@@ -124,7 +117,7 @@ def _cmd_neighborhood(args) -> int:
         {"type": str(t), "distance": d, "representative": rep.to01(), "rows": _matrix_rows(m)}
         for m, rep, t, d in zip(nb.members, nb.representatives, nb.member_types, nb.member_distances)
     ]
-    record = {
+    yield {
         "command": "neighborhood",
         "input": name,
         "n": nb.c_max.n,
@@ -133,12 +126,9 @@ def _cmd_neighborhood(args) -> int:
         "verdicts": verdicts,
         "exit_status": 1 if any(v["passed"] is False for v in verdicts) else 0,
     }
-    _emit(args, record, "" if args.json else _neighborhood_text(record))
-    return record["exit_status"]
 
 
 def _neighborhood_text(record: dict) -> str:
-    """The human output of neighborhood, read from its record."""
     lines = [f"n={record['n']} c_max_dimension={record['c_max_dimension']}"]
     for i, m in enumerate(record["members"], 1):
         lines.append(f"member {i}: type={m['type']} d={m['distance']} representative={m['representative']}")
@@ -149,11 +139,11 @@ def _neighborhood_text(record: dict) -> str:
     return "\n".join(lines)
 
 
-def _cmd_neighbors(args) -> int:
+def _cmd_neighbors(args):
     (name_a, code_a), (name_b, code_b) = _load_pair(args)
     meet = _meet_dimension(code_a, code_b)
     result = meet == code_a.n // 2 - 1
-    record = {
+    yield {
         "command": "neighbors",
         "inputs": [name_a, name_b],
         "n": code_a.n,
@@ -161,58 +151,56 @@ def _cmd_neighbors(args) -> int:
         "neighbors": result,
         "exit_status": 0 if result else 1,
     }
-    _emit(
-        args,
-        record,
-        f"neighbors={'yes' if result else 'no'} intersection_dimension={meet}",
-    )
-    return record["exit_status"]
 
 
-def _cmd_equivalent(args) -> int:
+def _neighbors_text(record: dict) -> str:
+    answer = "yes" if record["neighbors"] else "no"
+    return f"neighbors={answer} intersection_dimension={record['intersection_dimension']}"
+
+
+def _cmd_equivalent(args):
     (name_a, code_a), (name_b, code_b) = _load_pair(args)
     witness = are_permutation_equivalent(code_a, code_b)
-    record = {
+    yield {
         "command": "equivalent",
         "inputs": [name_a, name_b],
         "equivalent": witness is not None,
         "witness": list(witness.images) if witness else None,
         "exit_status": 0 if witness else 1,
     }
-    if witness:
-        human = "equivalent=yes\nwitness=" + " ".join(str(i) for i in witness.images)
-    else:
-        human = "equivalent=no"
-    _emit(args, record, human)
-    return record["exit_status"]
 
 
-def _cmd_verify_paper(args) -> int:
+def _equivalent_text(record: dict) -> str:
+    if not record["equivalent"]:
+        return "equivalent=no"
+    return "equivalent=yes\nwitness=" + " ".join(map(str, record["witness"]))
+
+
+def _cmd_verify_paper(args):
     from .verification import CHECKS, VerificationContext
 
     ctx = VerificationContext()
     failed = 0
-    total = len(CHECKS)
     for criterion, check, fn in CHECKS:
         passed, details = fn(ctx)
         failed += not passed
-        _emit(
-            args,
-            {"criterion": criterion, "check": check, "passed": passed, "details": dict(details)},
-            f"{'ok  ' if passed else 'FAIL'} {criterion:2d} {check}",
-        )
-    record = {
+        yield {"criterion": criterion, "check": check, "passed": passed, "details": dict(details)}
+    yield {
         "command": "verify-paper",
-        "checks": total,
-        "passed": total - failed,
+        "checks": len(CHECKS),
+        "passed": len(CHECKS) - failed,
         "failed": failed,
         "exit_status": 1 if failed else 0,
     }
-    _emit(args, record, f"passed {total - failed}/{total} checks")
-    return record["exit_status"]
 
 
-def _cmd_search(args) -> int:
+def _verify_paper_text(record: dict) -> str:
+    if "criterion" in record:
+        return f"{'ok  ' if record['passed'] else 'FAIL'} {record['criterion']:2d} {record['check']}"
+    return f"passed {record['passed']}/{record['checks']} checks"
+
+
+def _cmd_search(args):
     if args.n % 8 != 0 or args.n <= 0:
         raise MatrixFormatError(f"search requires a length divisible by 8, got {args.n}")
     if args.steps < 0:
@@ -239,17 +227,7 @@ def _cmd_search(args) -> int:
             best[ctype] = {"d": d, "step": step}
             if args.report_best:
                 best[ctype]["rows"] = _matrix_rows(code)
-            _emit(
-                args,
-                {
-                    "command": "search",
-                    "event": "improvement",
-                    "step": step,
-                    "type": ctype,
-                    "d": d,
-                },
-                f"step {step}: new best {ctype} d={d}",
-            )
+            yield {"command": "search", "event": "improvement", "step": step, "type": ctype, "d": d}
         if args.min_d is not None and d >= args.min_d:
             stopped_early = True
             break
@@ -264,28 +242,28 @@ def _cmd_search(args) -> int:
         "best": {t: dict(e) for t, e in sorted(best.items())},
         "exit_status": 0,
     }
-    lines = [
-        f"completed {step} of {args.steps} steps (n={args.n} seed={args.seed})"
-        + (" [stopped early]" if stopped_early else "")
-    ]
-    for ctype, entry in sorted(best.items()):
-        lines.append(f"best {ctype}: d={entry['d']} at step {entry['step']}")
-        if args.report_best:
-            lines.append(_spaced(entry["rows"]))
     if not track:
         record["final_type"] = str(code.classify())
-        lines.append(f"final code: {record['final_type']} (n={code.n} k={code.k})")
         if args.report_best:
             record["final_rows"] = _matrix_rows(code)
+    yield record
+
+
+def _search_text(record: dict) -> str:
+    if record["event"] == "improvement":
+        return f"step {record['step']}: new best {record['type']} d={record['d']}"
+    early = " [stopped early]" if record["stopped_early"] else ""
+    lines = ["completed {steps_completed} of {steps} steps (n={n} seed={seed})".format_map(record) + early]
+    for ctype, entry in record["best"].items():
+        lines.append(f"best {ctype}: d={entry['d']} at step {entry['step']}")
+        if "rows" in entry:
+            lines.append(_spaced(entry["rows"]))
+    if "final_type" in record:
+        # a walk's codes are self-dual, so k is n/2
+        lines.append(f"final code: {record['final_type']} (n={record['n']} k={record['n'] // 2})")
+        if "final_rows" in record:
             lines.append(_spaced(record["final_rows"]))
-    _emit(args, record, "\n".join(lines))
-    return record["exit_status"]
-
-
-def _add_io_flags(p, single_input: bool):
-    p.add_argument("--json", action="store_true", help="one JSON record per line")
-    if single_input:
-        p.add_argument("input", nargs="?", help=_INPUT_HELP)
+    return "\n".join(lines)
 
 
 @functools.cache
@@ -296,61 +274,44 @@ def _parser() -> argparse.ArgumentParser:
         description="Self-dual binary codes: inspection, neighborhoods, search.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("info", help="dimensions, distance, type, weight distribution")
-    _add_io_flags(p, single_input=True)
-    p.set_defaults(func=_cmd_info)
-
-    p = sub.add_parser("dual", help="generator matrix of the dual code")
-    _add_io_flags(p, single_input=True)
-    p.set_defaults(func=_cmd_dual)
-
-    p = sub.add_parser(
-        "neighborhood", help="the three-member neighborhood of a Type I code"
-    )
-    _add_io_flags(p, single_input=True)
-    p.set_defaults(func=_cmd_neighborhood)
-
-    p = sub.add_parser("neighbors", help="whether two self-dual codes are neighbors")
-    _add_io_flags(p, single_input=False)
-    p.add_argument("a", help=_INPUT_HELP)
-    p.add_argument("b", help=_INPUT_HELP)
-    p.set_defaults(func=_cmd_neighbors)
-
-    p = sub.add_parser("equivalent", help="permutation equivalence with witness")
-    _add_io_flags(p, single_input=False)
-    p.add_argument("a", help=_INPUT_HELP)
-    p.add_argument("b", help=_INPUT_HELP)
-    p.set_defaults(func=_cmd_equivalent)
-
-    p = sub.add_parser("verify-paper", help="run all sixteen acceptance checks")
-    _add_io_flags(p, single_input=False)
-    p.set_defaults(func=_cmd_verify_paper)
-
-    p = sub.add_parser("search", help="seeded neighbor walk tracking best distances")
-    _add_io_flags(p, single_input=False)
+    # (name, command, text renderer, help, inputs)
+    commands = [
+        ("info", _cmd_info, _info_text, "dimensions, distance, type, weight distribution", ["input"]),
+        ("dual", _cmd_dual, _dual_text, "generator matrix of the dual code", ["input"]),
+        ("neighborhood", _cmd_neighborhood, _neighborhood_text,
+         "the three-member neighborhood of a Type I code", ["input"]),
+        ("neighbors", _cmd_neighbors, _neighbors_text, "whether two self-dual codes are neighbors", ["a", "b"]),
+        ("equivalent", _cmd_equivalent, _equivalent_text, "permutation equivalence with witness", ["a", "b"]),
+        ("verify-paper", _cmd_verify_paper, _verify_paper_text, "run all sixteen acceptance checks", []),
+        ("search", _cmd_search, _search_text, "seeded neighbor walk tracking best distances", []),
+    ]
+    for name, command, render, help_text, inputs in commands:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--json", action="store_true", help="one JSON record per line")
+        for dest in inputs:
+            # a lone input may be left out; _load_source then refuses with exit 2
+            p.add_argument(dest, nargs="?" if len(inputs) == 1 else None, help=_INPUT_HELP)
+        p.set_defaults(func=command, render=render)
+    p = sub.choices["search"]
     p.add_argument("--n", type=int, required=True, help="code length (multiple of 8)")
     p.add_argument("--steps", type=int, default=100, help="number of walk steps")
     p.add_argument("--seed", type=int, default=0, help="walk seed")
-    p.add_argument(
-        "--report-best", action="store_true", help="include best generator matrices"
-    )
-    p.add_argument(
-        "--min-d", type=int, default=None, help="stop once a code with d >= MIN_D is seen"
-    )
+    p.add_argument("--report-best", action="store_true", help="include best generator matrices")
+    p.add_argument("--min-d", type=int, default=None, help="stop once a code with d >= MIN_D is seen")
     p.add_argument(
         "--no-distance",
         action="store_true",
         help="skip distance evaluation (for walks whose searches would reach the enumeration cap)",
     )
-    p.set_defaults(func=_cmd_search)
     return parser
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        for record in args.func(args):
+            print(json.dumps(record, sort_keys=True, separators=(",", ":")) if args.json else args.render(record))
+        return record["exit_status"]
     except InternalConsistencyError as e:
         print(f"consistency check failed: {e}", file=sys.stderr)
         return 1

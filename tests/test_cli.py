@@ -184,18 +184,6 @@ class TestNeighborhood:
         assert status == 2 and out == ""
         assert "coset search weighs 255 or more" in err and "weight limit 254" in err
 
-    def test_json_builds_no_human_text(self, capsys, monkeypatch):
-        # the spaced rows of the members are built only when they are printed
-        def refuse(rows):
-            raise AssertionError(f"built the human text of {len(rows)} rows")
-
-        monkeypatch.setattr(cli, "_spaced", refuse)
-        status, out, _ = run_cli(capsys, "neighborhood", "fixture:G4", "--json")
-        (record,) = json_lines(out)
-        assert status == 0 and len(record["members"]) == 3
-        with pytest.raises(AssertionError, match="human text"):
-            run_cli(capsys, "neighborhood", "fixture:G4")
-
     def test_failed_verdict_in_the_human_text(self, capsys, tmp_path):
         # d=6 against Type II distances 4 and 4: exit 1, the verdict printed
         path = tmp_path / "walk32.txt"

@@ -5,10 +5,10 @@ recorded from a known-good build.  A mismatch means the command's output
 changed: distances, coset representatives, member order, walk paths or the
 equivalence witness.  Such a change must be deliberate; print the current
 digests with `PYTHONPATH=src python tests/test_goldens.py`.  GOLDENS run
-with --json; HUMAN_GOLDENS run without it and pin the text renderings of
-matrices, members and search results.  WITNESSES pins, as images, the
-witness that each golden pair of equivalent codes prints, and checks it
-with the oracles alone.
+with --json, and main must return the exit_status of their last record;
+HUMAN_GOLDENS run without it and pin the text that each command renders from
+its records.  WITNESSES pins, as images, the witness that each golden pair
+of equivalent codes prints, and checks it with the oracles alone.
 """
 
 import hashlib
@@ -212,6 +212,25 @@ def test_golden(argv, stdin_key, status, digest):
 )
 def test_human_golden(argv, stdin_key, status, digest):
     assert run(argv, stdin_key, human=True) == (status, digest)
+
+
+def test_json_builds_no_text(monkeypatch):
+    # --json prints the records alone: no command builds the spaced rows of a
+    # matrix or the dual's text matrix for it, while text output builds both
+    def refuse(*args, **kwargs):
+        raise AssertionError("built text")
+
+    monkeypatch.setattr(cli, "_spaced", refuse)
+    monkeypatch.setattr(cli, "serialize_matrix", refuse)
+    for argv, stdin_key, status, _ in GOLDENS:
+        assert output(argv, stdin_key)[0] == status, argv
+    # GOLDENS holds --report-best searches with distances at n=32 and without
+    # at n=512; this one is the text golden's walk without distances
+    walk = ["search", "--n", "64", "--steps", "30", "--no-distance", "--report-best"]
+    assert output(walk, None)[0] == 0
+    for argv in (["dual", "fixture:G3"], ["neighborhood", "fixture:G4"], walk):
+        with pytest.raises(AssertionError, match="built text"):
+            output(argv, None, human=True)
 
 
 # the witness that each golden pair of equivalent codes prints, as the
